@@ -223,18 +223,22 @@ def negbin_logpmf(y: np.ndarray, mu: np.ndarray, theta: float | np.ndarray) -> n
 
     Mean ``mu`` >= 0, dispersion ``theta`` > 0; the variance is
     ``mu + mu**2 / theta``.  Vectorized over all arguments; ``mu == 0``
-    yields probability one at zero and -inf elsewhere.
+    yields probability one at zero and -inf elsewhere, ``mu == inf``
+    yields -inf everywhere.
     """
     y = np.asarray(y, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
     theta = np.asarray(theta, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_mu_ratio = np.log(mu) - np.log(mu + theta)
+        # log(mu / (mu + theta)) tends to 0 as mu grows; at mu == inf the
+        # difference of logs would be inf - inf.
+        log_total = np.log(mu + theta)
+        log_mu_ratio = np.where(mu == np.inf, 0.0, np.log(mu) - log_total)
         out = (
             gammaln(y + theta)
             - gammaln(theta)
             - gammaln(y + 1.0)
-            + theta * (np.log(theta) - np.log(theta + mu))
+            + theta * (np.log(theta) - log_total)
             + np.where(y > 0, y * log_mu_ratio, 0.0)
         )
     return out
@@ -257,6 +261,73 @@ def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain,)))
 
 
+class _CitationLogPosterior:
+    """Log posterior of the omitted-citation model over the audit.
+
+    The sampled coordinates are the intercept at the mean predictor, then
+    the slope and the log dispersion unless the spec pins them.  Sampling
+    the intercept at ``x_center``, the mean of log1p(predictor) over all
+    records, instead of at zero leaves it almost uncorrelated with the
+    slope, which a diagonal proposal needs.  This is a pure
+    reparameterization; the prior is still evaluated on the actual
+    intercept.
+
+    The likelihood is summed over the audit's unique (predictor, omitted)
+    pairs, each weighted by how often it occurs, which equals the
+    record-by-record sum.
+    """
+
+    def __init__(self, sample: CitationErrorSample, spec: NegBinModelSpec) -> None:
+        predictor = sample.observed if spec.direction == SECOND_KIND else sample.corrected
+        self.spec = spec
+        self.x_center = float(np.log1p(predictor.astype(np.float64)).mean())
+        pairs, counts = np.unique(
+            np.column_stack([predictor, sample.omitted]), axis=0, return_counts=True
+        )
+        self.x_centered = np.log1p(pairs[:, 0].astype(np.float64)) - self.x_center
+        self.y = pairs[:, 1].astype(np.float64)
+        self.counts = counts.astype(np.float64)
+        # Normal priors on the free parameters: the actual intercept, then
+        # the slope and the log dispersion unless they are pinned.
+        means = [spec.intercept_prior_mean]
+        sds = [spec.intercept_prior_sd]
+        if spec.fixed_slope is None:
+            means.append(spec.slope_prior_mean)
+            sds.append(spec.slope_prior_sd)
+        if spec.fixed_dispersion is None:
+            means.append(spec.log_dispersion_prior_mean)
+            sds.append(spec.log_dispersion_prior_sd)
+        self.prior_mean = np.array(means)
+        self.prior_sd = np.array(sds)
+        self.dim = len(means)
+
+    def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Intercept, slope and log dispersion of states ``z`` (..., dim)."""
+        spec = self.spec
+        pos = 1
+        if spec.fixed_slope is None:
+            b1 = z[..., pos]
+            pos += 1
+        else:
+            b1 = np.full(z.shape[:-1], spec.fixed_slope)
+        if spec.fixed_dispersion is None:
+            log_theta = z[..., pos]
+        else:
+            log_theta = np.full(z.shape[:-1], np.log(spec.fixed_dispersion))
+        return z[..., 0] - b1 * self.x_center, b1, log_theta
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        """Log posterior, up to a constant, of each row of ``z`` (chains, dim)."""
+        b0, b1, log_theta = self.unpack(z)
+        with np.errstate(over="ignore"):
+            mu = np.exp(z[:, 0, None] + b1[:, None] * self.x_centered)
+        ll = (negbin_logpmf(self.y, mu, np.exp(log_theta)[:, None]) * self.counts).sum(axis=1)
+        free = z.copy()
+        free[:, 0] = b0
+        lp = (-0.5 * ((free - self.prior_mean) / self.prior_sd) ** 2).sum(axis=1)
+        return ll + lp
+
+
 def fit_citation_error_model(
     sample: CitationErrorSample,
     spec: NegBinModelSpec | None = None,
@@ -266,99 +337,43 @@ def fit_citation_error_model(
 
     The predictor column follows ``spec.direction``: observed counts for
     the second kind, corrected (observed + omitted) counts for the first
-    kind.  Runs ``config.chains`` independent adaptive Metropolis chains
-    with per-chain substreams of ``config.seed``; results are
-    bit-identical for identical inputs.  A posterior whose split R-hat
-    exceeds 1.05 on any free parameter is returned with
+    kind.  Runs ``config.chains`` independent adaptive Metropolis chains,
+    stepped together, with per-chain substreams of ``config.seed``;
+    results are bit-identical for identical inputs.  A posterior whose
+    split R-hat exceeds 1.05 on any free parameter is returned with
     ``diagnostics.converged`` False and triggers a RuntimeWarning.
     """
     spec = spec or NegBinModelSpec()
     config = config or McmcConfig()
-    predictor = sample.observed if spec.direction == SECOND_KIND else sample.corrected
-    x = np.log1p(predictor.astype(np.float64))
-    y = sample.omitted.astype(np.float64)
+    log_post = _CitationLogPosterior(sample, spec)
 
-    # Sample the intercept at the mean predictor instead of at zero: the
-    # shifted coordinate is almost uncorrelated with the slope, which a
-    # diagonal proposal needs.  This is a pure reparameterization; the
-    # prior is still evaluated on the actual intercept.
-    x_center = float(x.mean())
-    x_centered = x - x_center
-
-    dim = 1 + (spec.fixed_slope is None) + (spec.fixed_dispersion is None)
-
-    def unpack(z: np.ndarray) -> tuple[float, float, float]:
-        pos = 1
-        if spec.fixed_slope is None:
-            b1 = z[pos]
-            pos += 1
-        else:
-            b1 = spec.fixed_slope
-        if spec.fixed_dispersion is None:
-            log_theta = z[pos]
-        else:
-            log_theta = np.log(spec.fixed_dispersion)
-        b0 = z[0] - b1 * x_center
-        return b0, b1, log_theta
-
-    def log_post(z: np.ndarray) -> float:
-        b0, b1, log_theta = unpack(z)
-        theta = np.exp(log_theta)
-        with np.errstate(over="ignore"):
-            mu = np.exp(z[0] + b1 * x_centered)
-        ll = negbin_logpmf(y, mu, theta).sum()
-        lp = -0.5 * ((b0 - spec.intercept_prior_mean) / spec.intercept_prior_sd) ** 2
-        if spec.fixed_slope is None:
-            lp += -0.5 * ((b1 - spec.slope_prior_mean) / spec.slope_prior_sd) ** 2
-        if spec.fixed_dispersion is None:
-            lp += (
-                -0.5
-                * ((log_theta - spec.log_dispersion_prior_mean) / spec.log_dispersion_prior_sd)
-                ** 2
-            )
-        return float(ll + lp)
-
-    chain_draws = []
-    acceptance = []
-    for chain in range(config.chains):
-        rng = _chain_rng(config.seed, chain)
-        z0 = 0.1 * rng.standard_normal(dim)
-        z0[0] += spec.intercept_prior_mean + (spec.fixed_slope or 0.0) * x_center
-        result = mcmc.run_chain(
-            log_post,
-            z0,
-            warmup=config.warmup,
-            keep=config.keep,
-            rng=rng,
-            target_acceptance=config.target_acceptance,
-        )
-        chain_draws.append(result.draws)
-        acceptance.append(result.acceptance_rate)
+    rngs = [_chain_rng(config.seed, chain) for chain in range(config.chains)]
+    z0 = 0.1 * np.stack([rng.standard_normal(log_post.dim) for rng in rngs])
+    z0[:, 0] += spec.intercept_prior_mean + (spec.fixed_slope or 0.0) * log_post.x_center
+    result = mcmc.run_chain(
+        log_post,
+        z0,
+        warmup=config.warmup,
+        keep=config.keep,
+        rngs=rngs,
+        target_acceptance=config.target_acceptance,
+    )
 
     # Expand the sampled coordinates into the full (intercept, slope,
     # dispersion) layout, undoing the centering and filling pinned
     # parameters with their values.
+    intercept, slope, log_theta = log_post.unpack(result.draws)
     full = np.empty((config.chains, config.keep, 3))
-    for c, z in enumerate(chain_draws):
-        pos = 1
-        if spec.fixed_slope is None:
-            slope = z[:, pos]
-            pos += 1
-        else:
-            slope = np.full(config.keep, spec.fixed_slope)
-        if spec.fixed_dispersion is None:
-            theta = np.exp(z[:, pos])
-        else:
-            theta = np.full(config.keep, spec.fixed_dispersion)
-        full[c, :, 0] = z[:, 0] - slope * x_center
-        full[c, :, 1] = slope
-        full[c, :, 2] = theta
+    full[:, :, 0] = intercept
+    full[:, :, 1] = slope
+    full[:, :, 2] = np.exp(log_theta) if spec.fixed_dispersion is None else spec.fixed_dispersion
+    acceptance = tuple(float(rate) for rate in result.acceptance_rates)
 
     posterior = NegBinPosterior(
         draws=full,
         spec=spec,
         config=config,
-        acceptance_rates=tuple(acceptance),
+        acceptance_rates=acceptance,
     )
     diag = mcmc_diagnostics(posterior)
     if not diag.converged:
@@ -372,7 +387,7 @@ def fit_citation_error_model(
         draws=full,
         spec=spec,
         config=config,
-        acceptance_rates=tuple(acceptance),
+        acceptance_rates=acceptance,
         diagnostics=diag,
     )
 

@@ -10,7 +10,7 @@ come from a fixed-kernel chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,56 +19,73 @@ __all__ = ["ChainResult", "run_chain", "split_rhat", "effective_sample_size"]
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Kept draws of one chain plus its post-warmup acceptance rate."""
+    """Kept draws of every chain plus their post-warmup acceptance rates."""
 
-    draws: np.ndarray  # (keep, dim)
-    acceptance_rate: float
+    draws: np.ndarray  # (chains, keep, dim)
+    acceptance_rates: np.ndarray  # (chains,)
 
 
 def run_chain(
-    log_density: Callable[[np.ndarray], float],
+    log_density: Callable[[np.ndarray], np.ndarray],
     initial: np.ndarray,
     *,
     warmup: int,
     keep: int,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
     target_acceptance: float = 0.3,
     initial_scale: float = 0.1,
 ) -> ChainResult:
-    """Run one adaptive Metropolis chain.
+    """Run independent adaptive Metropolis chains in lockstep.
 
-    During warmup the global proposal scale follows a Robbins-Monro
-    recursion on the acceptance probability and the per-coordinate scales
-    track the running standard deviation of the chain.  Both are frozen
-    afterwards; only post-warmup draws are returned.
+    ``initial`` has shape (chains, dim), one row per chain, and
+    ``log_density`` maps a (chains, dim) array of states to a (chains,)
+    array of log densities, so each step costs one call for all chains.
+    Chain ``c`` draws only from ``rngs[c]``, a proposal
+    (``standard_normal(dim)``) and then a uniform per step, so its draws
+    do not depend on how many chains run beside it.  A single chain is
+    the one-row case.
+
+    During warmup each chain's global proposal scale follows a
+    Robbins-Monro recursion on the acceptance probability and its
+    per-coordinate scales track its running standard deviation.  Both
+    are frozen afterwards; only post-warmup draws are returned.  A
+    proposal with a non-finite log density is rejected with acceptance
+    probability zero.
     """
-    x = np.asarray(initial, dtype=np.float64).copy()
-    dim = x.size
-    lp = float(log_density(x))
-    if not np.isfinite(lp):
+    x = np.array(initial, dtype=np.float64, ndmin=2)
+    chains, dim = x.shape
+    if len(rngs) != chains:
+        raise ValueError(f"need one generator per chain: {len(rngs)} for {chains}")
+    lp = np.asarray(log_density(x), dtype=np.float64)
+    if not np.isfinite(lp).all():
         raise ValueError("initial state has non-finite log density")
 
-    log_scale = np.log(initial_scale * 2.38 / np.sqrt(dim))
+    log_scale = np.full(chains, np.log(initial_scale * 2.38 / np.sqrt(dim)))
     # Welford accumulators for the warmup sample variance.
     mean = x.copy()
-    m2 = np.zeros(dim)
+    m2 = np.zeros((chains, dim))
     count = 1
-    coord_sd = np.ones(dim)
+    coord_sd = np.ones((chains, dim))
 
-    draws = np.empty((keep, dim))
-    accepted = 0
+    draws = np.empty((chains, keep, dim))
+    accepted = np.zeros(chains, dtype=np.int64)
+    noise = np.empty((chains, dim))
+    uniform = np.empty(chains)
 
+    step_sd = np.exp(log_scale)[:, None] * coord_sd
     for step in range(warmup + keep):
         adapting = step < warmup
-        proposal = x + np.exp(log_scale) * coord_sd * rng.standard_normal(dim)
-        lp_prop = float(log_density(proposal))
-        log_alpha = lp_prop - lp
-        accept_prob = 1.0 if log_alpha >= 0 else np.exp(log_alpha)
-        if rng.random() < accept_prob:
-            x = proposal
-            lp = lp_prop
-            if not adapting:
-                accepted += 1
+        for c, rng in enumerate(rngs):
+            rng.standard_normal(out=noise[c])
+        proposal = x + step_sd * noise
+        lp_prop = np.asarray(log_density(proposal), dtype=np.float64)
+        log_alpha = np.minimum(lp_prop - lp, 0.0)
+        accept_prob = np.where(np.isfinite(lp_prop), np.exp(log_alpha), 0.0)
+        for c, rng in enumerate(rngs):
+            uniform[c] = rng.random()
+        move = uniform < accept_prob
+        x = np.where(move[:, None], proposal, x)
+        lp = np.where(move, lp_prop, lp)
 
         if adapting:
             gamma = (step + 1) ** -0.6
@@ -79,10 +96,12 @@ def run_chain(
             m2 += delta * (x - mean)
             if count > 10:
                 coord_sd = np.sqrt(m2 / (count - 1) + 1e-12)
+            step_sd = np.exp(log_scale)[:, None] * coord_sd
         else:
-            draws[step - warmup] = x
+            accepted += move
+            draws[:, step - warmup] = x
 
-    return ChainResult(draws=draws, acceptance_rate=accepted / keep)
+    return ChainResult(draws=draws, acceptance_rates=accepted / keep)
 
 
 def split_rhat(chains: np.ndarray) -> float:

@@ -20,6 +20,8 @@ import csv
 import json
 import math
 import multiprocessing
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -410,6 +412,15 @@ def _build_workspace(
     )
 
 
+def pool_processes(requested: int, chunks: int, cpus: int | None) -> int:
+    """Worker processes to open: the request, capped by CPUs and by chunks.
+
+    ``cpus`` is ``os.cpu_count()``, which may be None when it is unknown;
+    at least one process is always returned.
+    """
+    return max(1, min(requested, chunks, cpus or 1))
+
+
 def propagate(
     units: PublicationSet | Sequence[PublicationSet],
     reference: PublicationSet | None = None,
@@ -454,8 +465,16 @@ def propagate(
         for lo, hi in zip(edges[:-1], edges[1:]):
             if hi > lo:
                 bounds.append((int(lo), int(hi)))
+        cpus = os.cpu_count()
+        processes = pool_processes(config.workers, len(bounds), cpus)
+        if processes < config.workers:
+            print(
+                f"note: running {processes} of {config.workers} requested worker processes "
+                f"({cpus} CPUs, {len(bounds)} chunks)",
+                file=sys.stderr,
+            )
         with multiprocessing.Pool(
-            processes=config.workers, initializer=_init_worker, initargs=(ws,)
+            processes=processes, initializer=_init_worker, initargs=(ws,)
         ) as pool:
             parts = pool.map(_worker_chunk, bounds)
         p_rep = np.concatenate([part[0] for part in parts])

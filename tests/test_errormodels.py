@@ -21,6 +21,7 @@ from bibuq.errormodels import (
     McmcConfig,
     NegBinModelSpec,
     NegBinPosterior,
+    _CitationLogPosterior,
     fit_citation_error_model,
     fit_doctype_error_model,
     load_posterior,
@@ -45,6 +46,11 @@ class TestNegBinPmf:
     def test_zero_mean_is_point_mass_at_zero(self):
         assert negbin_logpmf(np.array([0]), 0.0, 2.0)[0] == 0.0
         assert negbin_logpmf(np.array([1]), 0.0, 2.0)[0] == -np.inf
+
+    def test_infinite_mean_has_no_mass(self):
+        assert negbin_logpmf(3, np.inf, 1.0) == -np.inf
+        assert negbin_logpmf(0, np.inf, 1.0) == -np.inf
+        assert np.all(negbin_logpmf(np.arange(5), np.inf, 2.5) == -np.inf)
 
     def test_rvs_moments(self):
         rng = np.random.default_rng(0)
@@ -110,9 +116,84 @@ class TestCitationFit:
         slope = second_kind_posterior.flat()[:, 1]
         assert np.quantile(slope, 0.05) > 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_chain_zero_matches_single_chain_fit(self, training_sample):
+        # Chains step together but each draws only from its own substream.
+        together = fit_citation_error_model(
+            training_sample, config=McmcConfig(chains=4, warmup=200, keep=200, seed=8)
+        )
+        alone = fit_citation_error_model(
+            training_sample, config=McmcConfig(chains=1, warmup=200, keep=200, seed=8)
+        )
+        assert np.array_equal(together.draws[0], alone.draws[0])
+        assert together.acceptance_rates[0] == alone.acceptance_rates[0]
+
     def test_empty_sample_rejected(self):
         with pytest.raises(ValidationError):
             fit_citation_error_model(CitationErrorSample([], []))
+
+
+def _record_by_record_log_posterior(sample, spec, z):
+    """Oracle: the citation log posterior summed over every audit record."""
+    predictor = sample.observed if spec.direction == SECOND_KIND else sample.corrected
+    x = np.log1p(predictor.astype(np.float64))
+    x_center = x.mean()
+    out = []
+    for row in z:
+        pos = 1
+        b1 = spec.fixed_slope
+        if b1 is None:
+            b1 = row[pos]
+            pos += 1
+        log_theta = row[pos] if spec.fixed_dispersion is None else np.log(spec.fixed_dispersion)
+        b0 = row[0] - b1 * x_center
+        mu = np.exp(b0 + b1 * x)
+        total = sum(
+            float(negbin_logpmf(y, m, np.exp(log_theta))) for y, m in zip(sample.omitted, mu)
+        )
+        total -= 0.5 * ((b0 - spec.intercept_prior_mean) / spec.intercept_prior_sd) ** 2
+        if spec.fixed_slope is None:
+            total -= 0.5 * ((b1 - spec.slope_prior_mean) / spec.slope_prior_sd) ** 2
+        if spec.fixed_dispersion is None:
+            total -= (
+                0.5
+                * ((log_theta - spec.log_dispersion_prior_mean) / spec.log_dispersion_prior_sd)
+                ** 2
+            )
+        out.append(total)
+    return np.array(out)
+
+
+class TestCitationLogPosterior:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        records=st.lists(
+            # Few distinct values, so audits carry heavy ties and many zeros.
+            st.tuples(
+                st.one_of(st.just(0), st.integers(0, 3), st.integers(0, 400)),
+                st.one_of(st.just(0), st.integers(0, 2), st.integers(0, 60)),
+            ),
+            min_size=2,
+            max_size=150,
+        ),
+        direction=st.sampled_from([SECOND_KIND, FIRST_KIND]),
+        fixed_slope=st.one_of(st.none(), st.floats(-1.0, 1.5)),
+        fixed_dispersion=st.one_of(st.none(), st.floats(0.05, 50.0)),
+        z=st.lists(st.floats(-2.5, 2.5), min_size=12, max_size=12),
+    )
+    def test_unique_pairs_match_record_sum(
+        self, records, direction, fixed_slope, fixed_dispersion, z
+    ):
+        sample = CitationErrorSample(
+            np.array([r[0] for r in records]), np.array([r[1] for r in records])
+        )
+        spec = NegBinModelSpec(
+            direction=direction, fixed_slope=fixed_slope, fixed_dispersion=fixed_dispersion
+        )
+        log_post = _CitationLogPosterior(sample, spec)
+        states = np.array(z).reshape(4, 3)[:, : log_post.dim]
+        expected = _record_by_record_log_posterior(sample, spec, states)
+        np.testing.assert_allclose(log_post(states), expected, rtol=1e-9, atol=1e-12)
 
 
 class TestDoctypeFit:

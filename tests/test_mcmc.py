@@ -10,62 +10,111 @@ import pytest
 from bibuq.mcmc import effective_sample_size, run_chain, split_rhat
 
 
-def standard_normal_logpdf(z: np.ndarray) -> float:
-    return float(-0.5 * np.sum(z * z))
+def standard_normal_logpdf(z: np.ndarray) -> np.ndarray:
+    return -0.5 * np.sum(z * z, axis=1)
 
 
 class TestRunChain:
     def test_recovers_standard_normal(self):
-        rng = np.random.default_rng(1)
         result = run_chain(
             standard_normal_logpdf,
-            np.zeros(2),
+            np.zeros((1, 2)),
             warmup=2000,
             keep=8000,
-            rng=rng,
+            rngs=[np.random.default_rng(1)],
         )
-        assert result.draws.shape == (8000, 2)
-        assert np.abs(result.draws.mean(axis=0)).max() < 0.1
-        assert np.abs(result.draws.std(axis=0) - 1.0).max() < 0.1
+        assert result.draws.shape == (1, 8000, 2)
+        assert np.abs(result.draws[0].mean(axis=0)).max() < 0.1
+        assert np.abs(result.draws[0].std(axis=0) - 1.0).max() < 0.1
 
     def test_adapts_toward_target_acceptance(self):
-        rng = np.random.default_rng(2)
         result = run_chain(
             standard_normal_logpdf,
-            np.zeros(3),
+            np.zeros((1, 3)),
             warmup=3000,
             keep=3000,
-            rng=rng,
+            rngs=[np.random.default_rng(2)],
             target_acceptance=0.3,
         )
-        assert 0.2 < result.acceptance_rate < 0.4
+        assert 0.2 < result.acceptance_rates[0] < 0.4
 
     def test_deterministic_given_rng_state(self):
         a = run_chain(
             standard_normal_logpdf,
-            np.zeros(2),
+            np.zeros((1, 2)),
             warmup=200,
             keep=200,
-            rng=np.random.default_rng(9),
+            rngs=[np.random.default_rng(9)],
         )
         b = run_chain(
             standard_normal_logpdf,
-            np.zeros(2),
+            np.zeros((1, 2)),
             warmup=200,
             keep=200,
-            rng=np.random.default_rng(9),
+            rngs=[np.random.default_rng(9)],
         )
         assert np.array_equal(a.draws, b.draws)
 
+    def test_chains_draw_only_from_their_own_stream(self):
+        seeds = (4, 5, 6)
+        together = run_chain(
+            standard_normal_logpdf,
+            np.zeros((3, 2)),
+            warmup=300,
+            keep=300,
+            rngs=[np.random.default_rng(s) for s in seeds],
+        )
+        for c, seed in enumerate(seeds):
+            alone = run_chain(
+                standard_normal_logpdf,
+                np.zeros((1, 2)),
+                warmup=300,
+                keep=300,
+                rngs=[np.random.default_rng(seed)],
+            )
+            assert np.array_equal(together.draws[c], alone.draws[0])
+            assert together.acceptance_rates[c] == alone.acceptance_rates[0]
+
+    def test_one_generator_per_chain_required(self):
+        with pytest.raises(ValueError):
+            run_chain(
+                standard_normal_logpdf,
+                np.zeros((2, 2)),
+                warmup=100,
+                keep=100,
+                rngs=[np.random.default_rng(0)],
+            )
+
+    def test_nan_log_density_is_a_rejection(self):
+        # One NaN during warmup must not poison the step-size adaptation.
+        calls = 0
+
+        def flaky_normal(z: np.ndarray) -> np.ndarray:
+            nonlocal calls
+            calls += 1
+            out = standard_normal_logpdf(z)
+            return np.full_like(out, np.nan) if calls == 5 else out
+
+        result = run_chain(
+            flaky_normal,
+            np.zeros((1, 2)),
+            warmup=500,
+            keep=500,
+            rngs=[np.random.default_rng(0)],
+        )
+        assert calls == 1 + 500 + 500
+        assert result.acceptance_rates[0] > 0.1
+        assert np.all(np.isfinite(result.draws))
+        assert np.abs(result.draws[0].std(axis=0) - 1.0).max() < 0.35
+
     def test_respects_skewed_target(self):
         # Exponential(1) restricted to z > 0 via log-density; mean should be ~1.
-        def log_exp(z: np.ndarray) -> float:
-            if z[0] <= 0:
-                return -math.inf
-            return float(-z[0])
+        def log_exp(z: np.ndarray) -> np.ndarray:
+            return np.where(z[:, 0] > 0, -z[:, 0], -math.inf)
 
-        rng = np.random.default_rng(3)
-        result = run_chain(log_exp, np.ones(1), warmup=2000, keep=10000, rng=rng)
+        result = run_chain(
+            log_exp, np.ones((1, 1)), warmup=2000, keep=10000, rngs=[np.random.default_rng(3)]
+        )
         assert result.draws.mean() == pytest.approx(1.0, abs=0.08)
 
 

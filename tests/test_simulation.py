@@ -26,6 +26,7 @@ from bibuq.simulation import (
     generate_scenario,
     iteration_rng,
     list_exercises,
+    pool_processes,
     propagate,
     render_result_table,
     run_exercise,
@@ -277,6 +278,15 @@ class TestPropagate:
             )
             payloads.append(json.dumps(_result_payload(res), sort_keys=True))
         assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_pool_processes_capped_by_cpus_and_chunks(self):
+        assert pool_processes(8, 8, 2) == 2
+        assert pool_processes(2, 8, 16) == 2
+        assert pool_processes(8, 3, 16) == 3
+        assert pool_processes(10**6, 10**6, 2) == 2
+        assert pool_processes(10**6, 4, 10**6) == 4
+        assert pool_processes(10**6, 10**6, None) == 1
+        assert pool_processes(3, 0, 4) == 1
 
     def test_parameter_sharing_modes_differ(
         self, small_unit, small_reference, small_models
