@@ -295,6 +295,14 @@ def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> 
 
     out_dir = _ensure_out_dir(args.out)
     dump = get("dump_items", None)
+    if dump:
+        unit_pubs = sum(len(pubset) for pubset in units)
+        print(
+            f"note: writing {config.iterations * unit_pubs} item rows "
+            f"({config.iterations} iterations x {unit_pubs} unit publications) "
+            f"to {out_dir / dump}",
+            file=sys.stderr,
+        )
     result = propagate(
         units,
         reference,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -459,8 +458,3 @@ def write_doctype_confusion(table: DocTypeConfusionTable, path: str | Path) -> N
         for i, true_dt in enumerate(DOCTYPE_ORDER):
             for j, obs_dt in enumerate(DOCTYPE_ORDER):
                 writer.writerow([true_dt.value, obs_dt.value, int(table.counts[i, j])])
-
-
-def doctype_counter(pubs: Iterable[Publication]) -> Counter:
-    """Convenience tally of document types, mostly for reporting."""
-    return Counter(p.doctype for p in pubs)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -171,16 +171,45 @@ def predict_doctype(
     return [DOCTYPE_ORDER[code] for code in codes]
 
 
-def write_predictive_draws(
-    rows: Iterable[tuple[int, str, int, DocType]], path: str | Path
-) -> None:
-    """Dump per-item replicate rows to CSV.
+class _Echo:
+    """A file-like sink whose ``write`` returns the text it is given."""
 
-    Row format: iteration, publication_id, citations, doctype.
+    def write(self, text: str) -> str:
+        return text
+
+
+def write_predictive_draws(
+    draws: Iterable[tuple[int, np.ndarray, np.ndarray]],
+    ids: Sequence[str],
+    path: str | Path,
+) -> None:
+    """Dump per-item replicate rows to CSV, one ``write`` per iteration.
+
+    ``draws`` yields ``(iteration, citations, doctype_codes)``; both
+    arrays line up with ``ids``, and the codes index ``DOCTYPE_ORDER``.
+    Row format: iteration, publication_id, citations, doctype.  The bytes
+    are those ``csv.writer`` writes row by row (``\\r\\n`` line ends,
+    minimal quoting): ids are quoted once by ``csv.writer`` itself, and
+    each iteration's rows are joined into one string.  Only one
+    iteration's rows are held at a time.
     """
+    echo = csv.writer(_Echo())
+    # "<id>,\r\n" with the line end cut off leaves the id field and its comma.
+    id_fields = [echo.writerow((pub_id, ""))[:-2] for pub_id in ids]
+    endings = [echo.writerow(("", dt.value)) for dt in DOCTYPE_ORDER]
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "publication_id", "citations", "doctype"])
-        for iteration, pub_id, citations, doctype in rows:
-            writer.writerow([iteration, pub_id, citations, doctype.value])
+        handle.write(echo.writerow(("iteration", "publication_id", "citations", "doctype")))
+        for iteration, citations, codes in draws:
+            # The join puts the iteration field before every row but the
+            # first, which gets it in front of the block.  With no ids the
+            # block is empty and nothing is written.
+            lead = f"{iteration},"
+            block = lead.join(
+                [
+                    f"{id_field}{count}{endings[code]}"
+                    for id_field, count, code in zip(id_fields, citations.tolist(), codes.tolist())
+                ]
+            )
+            if block:
+                handle.write(lead + block)

@@ -67,6 +67,7 @@ from .predictive import (
     predict_doctype,
     predict_error_free_citations,
     sample_probability_rows,
+    write_predictive_draws,
 )
 
 __all__ = [
@@ -438,7 +439,8 @@ def propagate(
 
     ``dump_items`` optionally writes every redrawn unit publication as a
     CSV row (iteration, publication_id, citations, doctype); dumping
-    forces single-process execution.
+    forces single-process execution, with a stderr note when ``workers``
+    asks for more.
     """
     if isinstance(units, PublicationSet):
         units = [units]
@@ -456,7 +458,13 @@ def propagate(
 
     iters = config.iterations
     if dump_items is not None:
-        p_rep, c_rep, m_rep = _propagate_with_dump(ws, units, Path(dump_items))
+        if config.workers > 1:
+            print(
+                f"note: running 1 of {config.workers} requested worker processes "
+                "(the item dump is written by one process)",
+                file=sys.stderr,
+            )
+        p_rep, c_rep, m_rep = _propagate_with_dump(ws, Path(dump_items))
     elif config.workers == 1 or iters < 2 * config.workers:
         p_rep, c_rep, m_rep = _simulate_range(ws, 0, iters)
     else:
@@ -508,21 +516,19 @@ def propagate(
     )
 
 
-def _propagate_with_dump(ws: _Workspace, units: Sequence[PublicationSet], path: Path):
+def _propagate_with_dump(ws: _Workspace, path: Path):
     iters = ws.config.iterations
     p_out = np.empty((iters, ws.n_units))
     c_out = np.empty((iters, ws.n_units))
     m_out = np.empty((iters, ws.n_units))
     unit_positions = np.flatnonzero(ws.unit_index >= 0)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "publication_id", "citations", "doctype"])
+
+    def draws():
         for j in range(iters):
             p_out[j], c_out[j], m_out[j], c_sim, dt_sim = _simulate_one(ws, j)
-            for pos in unit_positions:
-                writer.writerow(
-                    [j, ws.ids[pos], int(c_sim[pos]), DOCTYPE_ORDER[dt_sim[pos]].value]
-                )
+            yield j, c_sim[unit_positions], dt_sim[unit_positions]
+
+    write_predictive_draws(draws(), [ws.ids[pos] for pos in unit_positions], path)
     return p_out, c_out, m_out
 
 

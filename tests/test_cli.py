@@ -311,6 +311,10 @@ class TestPropagate:
         lines = (out / "items.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,publication_id,citations,doctype"
         assert len(lines) == 1 + 10 * (25 + 30)
+        assert (
+            f"note: writing 550 item rows (10 iterations x 55 unit publications) "
+            f"to {out / 'items.csv'}"
+        ) in proc.stderr.splitlines()
 
     def test_env_var_sets_default_workers(self, workdir, tmp_path):
         out = tmp_path / "envw"

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bibuq.datamodel import DocType, UsageError
+from bibuq.datamodel import DOCTYPE_ORDER, DocType, UsageError
 from bibuq.predictive import (
     cycled_params,
     draw_doctype_codes,
@@ -114,16 +119,77 @@ class TestDoctypeDraws:
         assert a == b
 
 
+def _csv_writer_bytes(draws, ids) -> bytes:
+    """The dump as csv.writer writes it, one writerow call per row."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["iteration", "publication_id", "citations", "doctype"])
+    for iteration, citations, codes in draws:
+        for pub_id, count, code in zip(ids, citations, codes):
+            writer.writerow([iteration, pub_id, int(count), DOCTYPE_ORDER[code].value])
+    return buf.getvalue().encode("utf-8")
+
+
+_ID_CHARS = st.one_of(
+    st.sampled_from(',"\r\n '),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+@st.composite
+def _dump_draws(draw):
+    ids = draw(st.lists(st.text(_ID_CHARS, max_size=8), max_size=6))
+    iterations = draw(st.lists(st.integers(0, 10**6), max_size=4))
+    draws = [
+        (
+            iteration,
+            np.array(
+                draw(st.lists(st.integers(0, 2**62), min_size=len(ids), max_size=len(ids))),
+                dtype=np.int64,
+            ),
+            np.array(
+                draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids))),
+                dtype=np.int64,
+            ),
+        )
+        for iteration in iterations
+    ]
+    return ids, draws
+
+
 class TestDumpFile:
     def test_write_predictive_draws(self, tmp_path):
-        rows = [
-            (0, "p1", 5, DocType.ARTICLE),
-            (0, "p2", 0, DocType.OTHER),
-            (1, "p1", 6, DocType.ARTICLE),
-        ]
+        draws = [(0, np.array([5, 0, 6]), np.array([0, 3, 0]))]
         path = tmp_path / "items.csv"
-        write_predictive_draws(rows, path)
+        write_predictive_draws(draws, ["p1", "p2", "p3"], path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,publication_id,citations,doctype"
         assert lines[1] == "0,p1,5,article"
         assert len(lines) == 4
+
+    def test_no_draws_gives_header_only(self, tmp_path):
+        path = tmp_path / "items.csv"
+        write_predictive_draws(iter(()), ["p1"], path)
+        assert path.read_bytes() == b"iteration,publication_id,citations,doctype\r\n"
+
+    def test_awkward_ids_every_doctype(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "two\nlines", " padded ", "cr\r", ""]
+        draws = [
+            (0, np.array([0, 1, 2, 3, 4, 5]), np.array([0, 1, 2, 3, 0, 1])),
+            (7, np.array([2**62, 0, 10**9, 0, 0, 1]), np.array([3, 2, 1, 0, 3, 2])),
+        ]
+        path = tmp_path / "items.csv"
+        write_predictive_draws(draws, ids, path)
+        assert path.read_bytes() == _csv_writer_bytes(draws, ids)
+        with path.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[1] for row in rows[1:7]] == ids
+        assert [row[3] for row in rows[1:5]] == [dt.value for dt in DOCTYPE_ORDER]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_dump_draws())
+    def test_bytes_match_csv_writer(self, tmp_path_factory, case):
+        ids, draws = case
+        path = tmp_path_factory.mktemp("dump") / "items.csv"
+        write_predictive_draws(iter(draws), ids, path)
+        assert path.read_bytes() == _csv_writer_bytes(draws, ids)

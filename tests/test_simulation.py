@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -359,6 +360,59 @@ class TestPropagate:
         lines = dump.read_text().strip().splitlines()
         assert lines[0] == "iteration,publication_id,citations,doctype"
         assert len(lines) - 1 == 25 * len(small_unit)
+
+    def test_dump_matches_replicates_and_leaves_report_unchanged(
+        self, tmp_path, small_unit, small_reference, small_models
+    ):
+        second = make_pubset("B", [("review", 4), ("other", 9), ("article", 1), ("letter", 0)])
+        units = [small_unit, second]
+        cfg = PropagationConfig(iterations=30, seed=12)
+        assert cfg.channels == ALL_CHANNELS and cfg.key_mode == "doctype"
+        plain = propagate(units, reference=small_reference, models=small_models, config=cfg)
+        dump = tmp_path / "items.csv"
+        dumped = propagate(
+            units, reference=small_reference, models=small_models, config=cfg, dump_items=dump
+        )
+        write_report_json(plain, tmp_path / "plain.json")
+        write_report_json(dumped, tmp_path / "dumped.json")
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+        with dump.open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))[1:]
+        assert len(rows) == cfg.iterations * (len(small_unit) + len(second))
+        unit_of = {pub.id: u for u, pubset in enumerate(units) for pub in pubset}
+        p_dump = np.zeros((cfg.iterations, len(units)))
+        c_dump = np.zeros((cfg.iterations, len(units)))
+        for iteration, pub_id, citations, doctype in rows:
+            if DocType.parse(doctype) in (DocType.ARTICLE, DocType.REVIEW):
+                p_dump[int(iteration), unit_of[pub_id]] += 1
+                c_dump[int(iteration), unit_of[pub_id]] += int(citations)
+        for u, pubset in enumerate(units):
+            for result in (plain, dumped):
+                p_rep = result.distribution(pubset.name, "P").replicates
+                c_rep = result.distribution(pubset.name, "C").replicates
+                assert np.array_equal(p_rep, p_dump[:, u])
+                assert np.array_equal(c_rep, c_dump[:, u])
+
+    def test_dump_notes_single_process(
+        self, tmp_path, capsys, small_unit, small_reference, small_models
+    ):
+        # The dump path never opens a pool, so workers=3 starts no process.
+        def stderr_of(workers: int) -> str:
+            propagate(
+                small_unit,
+                reference=small_reference,
+                models=small_models,
+                config=PropagationConfig(iterations=8, seed=2, workers=workers),
+                dump_items=tmp_path / f"items{workers}.csv",
+            )
+            return capsys.readouterr().err
+
+        assert stderr_of(1) == ""
+        assert stderr_of(3) == (
+            "note: running 1 of 3 requested worker processes "
+            "(the item dump is written by one process)\n"
+        )
 
 
 class TestExercises:
