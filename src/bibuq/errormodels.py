@@ -250,11 +250,15 @@ def negbin_rvs(
     """Sample the negative binomial as a gamma-Poisson mixture.
 
     Means are capped at 1e12 so that extreme prior draws cannot push the
-    Poisson stage out of its numeric range.
+    Poisson stage out of its numeric range.  numpy computes
+    ``gamma(shape, scale)`` as ``scale * standard_gamma(shape)``, so the
+    draws equal ``rng.gamma(shape=theta, scale=mu / theta)`` bit for bit;
+    calling ``standard_gamma`` skips the second broadcast argument.
     """
     mu = np.minimum(np.asarray(mu, dtype=np.float64), 1e12)
-    lam = rng.gamma(shape=theta, scale=mu / theta)
-    return rng.poisson(lam)
+    scale = mu / theta
+    lam = rng.standard_gamma(theta, size=scale.shape)
+    return rng.poisson(lam * scale)
 
 
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:

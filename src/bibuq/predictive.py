@@ -52,19 +52,20 @@ def cycled_params(posterior: NegBinPosterior, n: int) -> np.ndarray:
 
 
 def draw_omitted(
-    rng: np.random.Generator, params: np.ndarray, predictor: np.ndarray
+    rng: np.random.Generator, params: np.ndarray, log1p_predictor: np.ndarray
 ) -> np.ndarray:
     """Vectorized omitted-count draws.
 
     ``params`` is either one (3,) parameter row applied to every element
-    of ``predictor`` or an (n, 3) array aligned with it.
+    of ``log1p_predictor`` (the model predictor through ``np.log1p``) or
+    an (n, 3) array aligned with it.
     """
     params = np.asarray(params, dtype=np.float64)
     b0 = params[..., 0]
     b1 = params[..., 1]
     theta = params[..., 2]
     with np.errstate(over="ignore"):
-        mu = np.exp(b0 + b1 * np.log1p(np.asarray(predictor, dtype=np.float64)))
+        mu = np.exp(b0 + b1 * log1p_predictor)
     return negbin_rvs(rng, mu, theta)
 
 
@@ -79,7 +80,7 @@ def predict_omitted(posterior: NegBinPosterior, citations: int, n: int, seed: in
     _check_citations(citations)
     rng = np.random.default_rng(seed)
     params = cycled_params(posterior, n)
-    return draw_omitted(rng, params, np.full(n, citations))
+    return draw_omitted(rng, params, np.log1p(np.full(n, citations, dtype=np.float64)))
 
 
 def predict_error_free_citations(
@@ -116,30 +117,34 @@ def draw_doctype_codes(
 ) -> np.ndarray:
     """Sample category codes given per-category probability rows.
 
-    ``prob_rows`` is (4, 4): a probability vector per conditioning
-    category.  ``conditioning_codes`` selects the row per item.
+    ``prob_rows`` is (k, 4): a probability vector per conditioning
+    category.  ``conditioning_codes`` selects the row per item.  Item i
+    gets the first category whose cumulative probability exceeds its
+    uniform draw ``u``.  The cumulative sums never decrease and ``u`` is
+    below 1, so that category is the number of the first three
+    cumulative sums that ``u`` reaches; the last sum is never compared.
     """
-    p = prob_rows[conditioning_codes]
-    cum = np.cumsum(p, axis=1)
-    cum[:, -1] = 1.0
+    cum = np.cumsum(prob_rows, axis=1)
     u = rng.random(conditioning_codes.shape[0])
-    return (u[:, None] < cum).argmax(axis=1)
+    codes = (u >= cum[conditioning_codes, 0]).astype(np.int64)
+    codes += u >= cum[conditioning_codes, 1]
+    codes += u >= cum[conditioning_codes, 2]
+    return codes
 
 
-def sample_probability_rows(rng: np.random.Generator, posterior: DirichletPosterior) -> np.ndarray:
-    """One Dirichlet draw per conditioning category, as a (4, 4) array.
+def sample_probability_rows(rng: np.random.Generator, concentrations: np.ndarray) -> np.ndarray:
+    """One Dirichlet draw per row of a (k, 4) concentration array.
 
     Rows whose gamma draws all underflow to zero (possible only for
-    vanishing concentrations) fall back to a point mass on the largest
-    concentration.
+    vanishing concentrations) fall back to a point mass on the row's
+    largest concentration.
     """
-    gams = rng.gamma(shape=posterior.concentrations)
+    gams = rng.standard_gamma(concentrations)
     sums = gams.sum(axis=1, keepdims=True)
-    bad = (sums == 0.0).ravel()
-    if bad.any():
-        for i in np.flatnonzero(bad):
-            gams[i] = 0.0
-            gams[i, int(posterior.concentrations[i].argmax())] = 1.0
+    bad = np.flatnonzero(sums == 0.0)
+    if bad.size:
+        gams[bad] = 0.0
+        gams[bad, concentrations[bad].argmax(axis=1)] = 1.0
         sums = gams.sum(axis=1, keepdims=True)
     return gams / sums
 
@@ -155,19 +160,8 @@ def predict_doctype(
     """
     _check_n(n)
     rng = np.random.default_rng(seed)
-    row = posterior.row(conditioning)
-    gams = rng.gamma(shape=np.broadcast_to(row, (n, 4)))
-    sums = gams.sum(axis=1, keepdims=True)
-    bad = (sums == 0.0).ravel()
-    if bad.any():
-        gams[bad] = 0.0
-        gams[bad, int(row.argmax())] = 1.0
-        sums = gams.sum(axis=1, keepdims=True)
-    p = gams / sums
-    cum = np.cumsum(p, axis=1)
-    cum[:, -1] = 1.0
-    u = rng.random(n)
-    codes = (u[:, None] < cum).argmax(axis=1)
+    rows = sample_probability_rows(rng, np.broadcast_to(posterior.row(conditioning), (n, 4)))
+    codes = draw_doctype_codes(rng, rows, np.arange(n))
     return [DOCTYPE_ORDER[code] for code in codes]
 
 

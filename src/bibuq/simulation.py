@@ -12,6 +12,13 @@ keyed by (seed, iteration), so results are bit-identical regardless of
 how iterations are partitioned over worker processes.  Within an
 iteration one posterior parameter draw is shared by all publications:
 each iteration is one coherent hypothetical state of the world.
+
+Iterations run in fixed-size blocks: each iteration's draws fill one row
+of (block, publications) arrays, and the cells and indicators of the
+whole block are computed together.  The block size is set by a memory
+budget (``BLOCK_BUDGET`` publication-iterations), not by the worker
+count, and since every iteration still draws only from its own
+substream it does not change any result.
 """
 
 from __future__ import annotations
@@ -157,7 +164,11 @@ class IndicatorDistribution:
     """Replicate distribution of one indicator for one unit.
 
     ``summary`` is None only when every replicate was undefined (an
-    MNCS whose selection came up empty in all iterations).
+    MNCS whose selection came up empty in all iterations).  For MNCS,
+    ``excluded`` holds per iteration the number of the unit's core
+    items the replicate could not score (no field under
+    ``doctype-year-field``, or citations in a cell whose mean is zero);
+    it is None for P and C.
     """
 
     unit: str
@@ -165,6 +176,7 @@ class IndicatorDistribution:
     observed: float | None
     replicates: np.ndarray
     summary: DistributionSummary | None
+    excluded: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +249,36 @@ class PropagationResult:
         return self.distributions[unit][indicator]
 
 
+# Publication-iterations simulated together in one block.  A block holds
+# a handful of (block, publications) arrays, so this bounds the kernel's
+# memory; it does not depend on the worker count.
+BLOCK_BUDGET = 8192
+
+
 @dataclass
 class _Workspace:
-    """Precomputed arrays shared by all iterations (and worker processes)."""
+    """Precomputed arrays shared by all iterations (and worker processes).
+
+    Publications are laid out unit members first, then the reference
+    set; the first ``n_unit_pubs`` positions are the units'.  A
+    publication's cell key is ``base_keys`` (its cell group times 4)
+    plus its doctype code, below ``n_cells``.  ``norm`` selects the
+    positions counted in the normalization cells.
+    """
 
     citations: np.ndarray
     dt_codes: np.ndarray
     unit_index: np.ndarray
-    in_norm: np.ndarray
-    cell_codes: np.ndarray
-    n_cellgroups: int
     n_units: int
     params: np.ndarray | None
     dirichlet: DirichletPosterior | None
     config: PropagationConfig
+    log1p_citations: np.ndarray
+    base_keys: np.ndarray
+    n_cells: int
+    norm: np.ndarray | slice
+    n_unit_pubs: int
+    block_size: int
     ids: list[str] | None = None
 
 
@@ -268,75 +296,108 @@ def _worker_chunk(bounds: tuple[int, int]):
     return _simulate_range(_WORKER_WS, bounds[0], bounds[1])
 
 
-def _simulate_one(
-    ws: _Workspace, iteration: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Redraw the data once and compute per-unit indicator values.
+def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Redraw the data for iterations [start, stop) and score every unit.
 
-    Returns (P, C, MNCS, redrawn citations, redrawn doctype codes); the
-    last two feed the optional item dump.
+    Each iteration draws only from its own substream, in the order
+    omitted counts, probability rows, doctype codes; its draws fill one
+    row of (iterations, publications) arrays.  The cells and indicators
+    of all rows are then computed together, one ``bincount`` per sum
+    over ``row * n_cells + cell key`` or ``row * n_units + unit``.
+    Returns per iteration and unit P, C,
+    MNCS and the MNCS exclusion count, then the redrawn citations and
+    doctype codes of the unit publications (for the item dump).
     """
     cfg = ws.config
-    rng = iteration_rng(cfg.seed, iteration)
+    rows = stop - start
+    n = ws.citations.size
+    c = np.tile(ws.citations, (rows, 1))
+    dt = np.tile(ws.dt_codes, (rows, 1))
+    redraw_citations = CHANNEL_CITATIONS in cfg.channels
+    redraw_doctypes = CHANNEL_DOCTYPES in cfg.channels
+    for b, iteration in enumerate(range(start, stop)):
+        rng = iteration_rng(cfg.seed, iteration)
+        if redraw_citations:
+            n_draws = ws.params.shape[0]
+            if cfg.parameter_sharing == "iteration":
+                params = ws.params[iteration % n_draws]
+            else:
+                params = ws.params[(iteration * n + np.arange(n)) % n_draws]
+            omitted = draw_omitted(rng, params, ws.log1p_citations)
+            if cfg.direction == SECOND_KIND:
+                c[b] = ws.citations + omitted
+            else:
+                c[b] = np.maximum(ws.citations - omitted, 0)
+        if redraw_doctypes:
+            prob_rows = sample_probability_rows(rng, ws.dirichlet.concentrations)
+            dt[b] = draw_doctype_codes(rng, prob_rows, ws.dt_codes)
 
-    c = ws.citations
-    if CHANNEL_CITATIONS in cfg.channels:
-        n_draws = ws.params.shape[0]
-        if cfg.parameter_sharing == "iteration":
-            params = ws.params[iteration % n_draws]
-        else:
-            idx = (iteration * c.size + np.arange(c.size)) % n_draws
-            params = ws.params[idx]
-        omitted = draw_omitted(rng, params, c)
-        if cfg.direction == SECOND_KIND:
-            c = c + omitted
-        else:
-            c = np.maximum(c - omitted, 0)
-
-    dt = ws.dt_codes
-    if CHANNEL_DOCTYPES in cfg.channels:
-        rows = sample_probability_rows(rng, ws.dirichlet)
-        dt = draw_doctype_codes(rng, rows, dt)
-
-    # Rebuild normalization cells from the redrawn data.
-    n_cells = ws.n_cellgroups * 4
-    has_group = ws.cell_codes >= 0
-    keys = np.where(has_group, ws.cell_codes, 0) * 4 + dt
-    norm_mask = ws.in_norm & has_group
-    sums = np.bincount(keys[norm_mask], weights=c[norm_mask], minlength=n_cells)
-    counts = np.bincount(keys[norm_mask], minlength=n_cells)
+    # Rebuild the normalization cells of every row from the redrawn data.
+    row_of = np.arange(rows)[:, None]
+    cell = ws.base_keys + dt + row_of * ws.n_cells
+    norm_cell = cell[:, ws.norm].ravel()
+    sums = np.bincount(norm_cell, weights=c[:, ws.norm].ravel(), minlength=rows * ws.n_cells)
+    counts = np.bincount(norm_cell, minlength=rows * ws.n_cells)
     with np.errstate(invalid="ignore"):
-        means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+        means = np.divide(sums, counts, out=np.zeros(sums.size), where=counts > 0)
 
-    core = dt <= 1  # article and review codes come first in DOCTYPE_ORDER
-    of_unit = ws.unit_index >= 0
-    selected = core & of_unit
-    unit_sel = ws.unit_index[selected]
-    p_vals = np.bincount(unit_sel, minlength=ws.n_units).astype(np.float64)
-    c_vals = np.bincount(unit_sel, weights=c[selected].astype(np.float64), minlength=ws.n_units)
+    # Score the unit publications; article and review codes come first
+    # in DOCTYPE_ORDER, so the core items are those with code <= 1.
+    n_u = ws.n_unit_pubs
+    c_unit = c[:, :n_u]
+    dt_unit = dt[:, :n_u]
+    selected = dt_unit <= 1
+    slot = (ws.unit_index[:n_u] + row_of * ws.n_units)[selected]
+    c_sel = c_unit[selected]
+    out_len = rows * ws.n_units
+    p_vals = np.bincount(slot, minlength=out_len).astype(np.float64)
+    c_vals = np.bincount(slot, weights=c_sel, minlength=out_len)
 
-    expected = means[keys]
-    cell_occupied = has_group & (counts[keys] > 0)
-    consistent = (expected > 0) | (c == 0)
-    included = selected & cell_occupied & consistent
+    sel_cell = cell[:, :n_u][selected]
+    expected = means[sel_cell]
+    included = (counts[sel_cell] > 0) & ((expected > 0) | (c_sel == 0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(expected > 0, c / np.where(expected > 0, expected, 1.0), 0.0)
-    num = np.bincount(ws.unit_index[included], weights=scores[included], minlength=ws.n_units)
-    den = np.bincount(ws.unit_index[included], minlength=ws.n_units)
+        scores = np.where(expected > 0, c_sel / np.where(expected > 0, expected, 1.0), 0.0)
+    num = np.bincount(slot[included], weights=scores[included], minlength=out_len)
+    den = np.bincount(slot[included], minlength=out_len)
     with np.errstate(invalid="ignore"):
         mncs_vals = np.where(den > 0, num / np.maximum(den, 1), np.nan)
+    excluded = np.bincount(slot[~included], minlength=out_len)
 
-    return p_vals, c_vals, mncs_vals, c, dt
+    shape = (rows, ws.n_units)
+    return (
+        p_vals.reshape(shape),
+        c_vals.reshape(shape),
+        mncs_vals.reshape(shape),
+        excluded.reshape(shape),
+        c_unit,
+        dt_unit,
+    )
 
 
-def _simulate_range(ws: _Workspace, start: int, stop: int):
-    n = stop - start
-    p_out = np.empty((n, ws.n_units))
-    c_out = np.empty((n, ws.n_units))
-    m_out = np.empty((n, ws.n_units))
-    for offset, iteration in enumerate(range(start, stop)):
-        p_out[offset], c_out[offset], m_out[offset], _, _ = _simulate_one(ws, iteration)
-    return p_out, c_out, m_out
+def _blocks(ws: _Workspace, start: int, stop: int):
+    """Yield ``(first iteration, _simulate_block result)`` over [start, stop)."""
+    for lo in range(start, stop, ws.block_size):
+        yield lo, _simulate_block(ws, lo, min(lo + ws.block_size, stop))
+
+
+def _empty_replicates(iterations: int, n_units: int) -> tuple[np.ndarray, ...]:
+    """Output arrays for P, C, MNCS and the MNCS exclusion counts."""
+    shape = (iterations, n_units)
+    return np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
+
+
+def _store(out: tuple[np.ndarray, ...], offset: int, block: tuple[np.ndarray, ...]) -> None:
+    # zip stops at the four outputs; the block's trailing draws are not kept.
+    for arr, part in zip(out, block):
+        arr[offset : offset + part.shape[0]] = part
+
+
+def _simulate_range(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    out = _empty_replicates(stop - start, ws.n_units)
+    for lo, block in _blocks(ws, start, stop):
+        _store(out, lo - start, block)
+    return out
 
 
 def _build_workspace(
@@ -384,31 +445,38 @@ def _build_workspace(
     citations = np.array([p.citations for p in pubs], dtype=np.int64)
     dt_codes = np.array([doctype_index(p.doctype) for p in pubs], dtype=np.int64)
 
+    # Cell group per publication.  Field-less publications under
+    # doctype-year-field get one extra group past the real ones; no
+    # normalization publication is counted in it, so its cells are never
+    # occupied and those publications are never scored.
     if config.key_mode == KEY_DOCTYPE_YEAR_FIELD:
         groups: dict[tuple[int, str], int] = {}
-        cell_codes = np.empty(len(pubs), dtype=np.int64)
-        for i, pub in enumerate(pubs):
-            if pub.field is None:
-                cell_codes[i] = -1
-                continue
-            key = (pub.year, pub.field)
-            cell_codes[i] = groups.setdefault(key, len(groups))
-        n_cellgroups = max(len(groups), 1)
+        for pub in pubs:
+            if pub.field is not None:
+                groups.setdefault((pub.year, pub.field), len(groups))
+        n_groups = len(groups)
+        group = np.array([groups.get((p.year, p.field), n_groups) for p in pubs], dtype=np.int64)
     else:
-        cell_codes = np.zeros(len(pubs), dtype=np.int64)
-        n_cellgroups = 1
+        n_groups = 1
+        group = np.zeros(len(pubs), dtype=np.int64)
 
+    norm = np.flatnonzero(np.array(in_norm, dtype=bool) & (group < n_groups))
+    if norm.size and norm[-1] - norm[0] + 1 == norm.size:
+        norm = slice(int(norm[0]), int(norm[-1]) + 1)  # a view, not a gather
     return _Workspace(
         citations=citations,
         dt_codes=dt_codes,
         unit_index=np.array(unit_index, dtype=np.int64),
-        in_norm=np.array(in_norm, dtype=bool),
-        cell_codes=cell_codes,
-        n_cellgroups=n_cellgroups,
         n_units=len(units),
         params=models.citation.flat().copy() if models.citation is not None else None,
         dirichlet=models.doctype,
         config=config,
+        log1p_citations=np.log1p(citations.astype(np.float64)),
+        base_keys=group * 4,
+        n_cells=(n_groups + 1) * 4,
+        norm=norm,
+        n_unit_pubs=sum(len(pubset) for pubset in units),
+        block_size=max(1, BLOCK_BUDGET // max(len(pubs), 1)),
         ids=[p.id for p in pubs] if keep_ids else None,
     )
 
@@ -464,9 +532,9 @@ def propagate(
                 "(the item dump is written by one process)",
                 file=sys.stderr,
             )
-        p_rep, c_rep, m_rep = _propagate_with_dump(ws, Path(dump_items))
+        p_rep, c_rep, m_rep, x_rep = _propagate_with_dump(ws, Path(dump_items))
     elif config.workers == 1 or iters < 2 * config.workers:
-        p_rep, c_rep, m_rep = _simulate_range(ws, 0, iters)
+        p_rep, c_rep, m_rep, x_rep = _simulate_range(ws, 0, iters)
     else:
         bounds = []
         edges = np.linspace(0, iters, config.workers + 1, dtype=int)
@@ -485,18 +553,16 @@ def propagate(
             processes=processes, initializer=_init_worker, initargs=(ws,)
         ) as pool:
             parts = pool.map(_worker_chunk, bounds)
-        p_rep = np.concatenate([part[0] for part in parts])
-        c_rep = np.concatenate([part[1] for part in parts])
-        m_rep = np.concatenate([part[2] for part in parts])
+        p_rep, c_rep, m_rep, x_rep = (np.concatenate(column) for column in zip(*parts))
 
     distributions: dict[str, dict[str, IndicatorDistribution]] = {}
     for u, pubset in enumerate(units):
         obs = observed[pubset.name]
         per_indicator = {}
-        for indicator, reps, obs_value in (
-            ("P", p_rep[:, u], float(obs.p)),
-            ("C", c_rep[:, u], float(obs.c)),
-            ("MNCS", m_rep[:, u], obs.mncs),
+        for indicator, reps, obs_value, excluded in (
+            ("P", p_rep[:, u], float(obs.p), None),
+            ("C", c_rep[:, u], float(obs.c), None),
+            ("MNCS", m_rep[:, u], obs.mncs, x_rep[:, u]),
         ):
             defined = ~np.isnan(reps)
             per_indicator[indicator] = IndicatorDistribution(
@@ -505,6 +571,7 @@ def propagate(
                 observed=obs_value,
                 replicates=reps,
                 summary=summarize(reps) if defined.any() else None,
+                excluded=excluded,
             )
         distributions[pubset.name] = per_indicator
 
@@ -516,20 +583,17 @@ def propagate(
     )
 
 
-def _propagate_with_dump(ws: _Workspace, path: Path):
+def _propagate_with_dump(ws: _Workspace, path: Path) -> tuple[np.ndarray, ...]:
     iters = ws.config.iterations
-    p_out = np.empty((iters, ws.n_units))
-    c_out = np.empty((iters, ws.n_units))
-    m_out = np.empty((iters, ws.n_units))
-    unit_positions = np.flatnonzero(ws.unit_index >= 0)
+    out = _empty_replicates(iters, ws.n_units)
 
     def draws():
-        for j in range(iters):
-            p_out[j], c_out[j], m_out[j], c_sim, dt_sim = _simulate_one(ws, j)
-            yield j, c_sim[unit_positions], dt_sim[unit_positions]
+        for lo, block in _blocks(ws, 0, iters):
+            _store(out, lo, block)
+            yield from zip(range(lo, iters), block[4], block[5])
 
-    write_predictive_draws(draws(), [ws.ids[pos] for pos in unit_positions], path)
-    return p_out, c_out, m_out
+    write_predictive_draws(draws(), ws.ids[: ws.n_unit_pubs], path)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,131 @@
+"""Slow reference implementations that the fast paths are tested against.
+
+Each routine here is the direct per-item form of a package function and
+consumes the random stream in the same order, so the package must match
+it bit for bit: ``rng.gamma`` with a scale for the negative binomial,
+an (n, 4) cumulative-sum argmax for the category draw, and one Monte
+Carlo iteration at a time for the propagation kernel.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from bibuq.errormodels import SECOND_KIND
+from bibuq.indicators import KEY_DOCTYPE_YEAR_FIELD
+from bibuq.simulation import CHANNEL_CITATIONS, CHANNEL_DOCTYPES, iteration_rng
+
+
+def negbin_rvs(rng, mu, theta):
+    mu = np.minimum(np.asarray(mu, dtype=np.float64), 1e12)
+    lam = rng.gamma(shape=theta, scale=mu / theta)
+    return rng.poisson(lam)
+
+
+def sample_probability_rows(rng, concentrations):
+    gams = rng.gamma(shape=concentrations)
+    sums = gams.sum(axis=1, keepdims=True)
+    bad = (sums == 0.0).ravel()
+    if bad.any():
+        for i in np.flatnonzero(bad):
+            gams[i] = 0.0
+            gams[i, int(concentrations[i].argmax())] = 1.0
+        sums = gams.sum(axis=1, keepdims=True)
+    return gams / sums
+
+
+def draw_doctype_codes(rng, prob_rows, conditioning_codes):
+    p = prob_rows[conditioning_codes]
+    cum = np.cumsum(p, axis=1)
+    cum[:, -1] = 1.0
+    u = rng.random(conditioning_codes.shape[0])
+    return (u[:, None] < cum).argmax(axis=1)
+
+
+def predict_doctype_codes(posterior, conditioning, n, seed):
+    """Category codes of ``predict_doctype``: n Dirichlet rows, n uniforms."""
+    rng = np.random.default_rng(seed)
+    rows = sample_probability_rows(rng, np.broadcast_to(posterior.row(conditioning), (n, 4)))
+    return draw_doctype_codes(rng, rows, np.arange(n))
+
+
+def publication_layout(units, reference, config):
+    """Normalization membership, cell group and group count per publication.
+
+    Publications are in workspace order, unit members first and then the
+    reference set.  A field-less publication under doctype-year-field
+    gets group -1.
+    """
+    pubs = [pub for pubset in units for pub in pubset] + list(reference or ())
+    n_unit_pubs = sum(len(pubset) for pubset in units)
+    in_norm = np.array(
+        [config.pooled_normalization] * n_unit_pubs + [True] * (len(pubs) - n_unit_pubs)
+    )
+    if config.key_mode == KEY_DOCTYPE_YEAR_FIELD:
+        groups: dict = {}
+        cell_codes = np.array(
+            [
+                -1 if pub.field is None else groups.setdefault((pub.year, pub.field), len(groups))
+                for pub in pubs
+            ],
+            dtype=np.int64,
+        )
+        return in_norm, cell_codes, max(len(groups), 1)
+    return in_norm, np.zeros(len(pubs), dtype=np.int64), 1
+
+
+def simulate_one(ws, layout, iteration):
+    """One Monte Carlo iteration over a propagation workspace.
+
+    ``layout`` is ``publication_layout`` of the run.  Returns per unit P,
+    C, MNCS and the number of core items the MNCS left out, then the
+    redrawn citations and doctype codes of every publication.
+    """
+    in_norm, cell_codes, n_cellgroups = layout
+    cfg = ws.config
+    rng = iteration_rng(cfg.seed, iteration)
+
+    c = ws.citations
+    if CHANNEL_CITATIONS in cfg.channels:
+        n_draws = ws.params.shape[0]
+        if cfg.parameter_sharing == "iteration":
+            params = ws.params[iteration % n_draws]
+        else:
+            params = ws.params[(iteration * c.size + np.arange(c.size)) % n_draws]
+        with np.errstate(over="ignore"):
+            mu = np.exp(params[..., 0] + params[..., 1] * np.log1p(c.astype(np.float64)))
+        omitted = negbin_rvs(rng, mu, params[..., 2])
+        c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
+
+    dt = ws.dt_codes
+    if CHANNEL_DOCTYPES in cfg.channels:
+        rows = sample_probability_rows(rng, ws.dirichlet.concentrations)
+        dt = draw_doctype_codes(rng, rows, dt)
+
+    n_cells = n_cellgroups * 4
+    has_group = cell_codes >= 0
+    keys = np.where(has_group, cell_codes, 0) * 4 + dt
+    norm_mask = in_norm & has_group
+    sums = np.bincount(keys[norm_mask], weights=c[norm_mask], minlength=n_cells)
+    counts = np.bincount(keys[norm_mask], minlength=n_cells)
+    with np.errstate(invalid="ignore"):
+        means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+
+    core = dt <= 1
+    selected = core & (ws.unit_index >= 0)
+    unit_sel = ws.unit_index[selected]
+    p_vals = np.bincount(unit_sel, minlength=ws.n_units).astype(np.float64)
+    c_vals = np.bincount(unit_sel, weights=c[selected].astype(np.float64), minlength=ws.n_units)
+
+    expected = means[keys]
+    cell_occupied = has_group & (counts[keys] > 0)
+    consistent = (expected > 0) | (c == 0)
+    included = selected & cell_occupied & consistent
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(expected > 0, c / np.where(expected > 0, expected, 1.0), 0.0)
+    num = np.bincount(ws.unit_index[included], weights=scores[included], minlength=ws.n_units)
+    den = np.bincount(ws.unit_index[included], minlength=ws.n_units)
+    with np.errstate(invalid="ignore"):
+        mncs_vals = np.where(den > 0, num / np.maximum(den, 1), np.nan)
+    excluded = np.bincount(ws.unit_index[selected & ~included], minlength=ws.n_units)
+    return p_vals, c_vals, mncs_vals, excluded, c, dt

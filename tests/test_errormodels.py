@@ -32,6 +32,8 @@ from bibuq.errormodels import (
     save_posterior,
 )
 
+import oracle
+
 
 class TestNegBinPmf:
     def test_matches_scipy_parameterization(self):
@@ -64,6 +66,37 @@ class TestNegBinPmf:
         draws = negbin_rvs(rng, np.linspace(0.0, 10.0, 1000), 1.5)
         assert draws.min() >= 0
         assert np.issubdtype(draws.dtype, np.integer)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, 1e12, 1e14]),
+                    st.floats(min_value=0.0, max_value=1e4),
+                ),
+                st.one_of(
+                    st.sampled_from([0.3, 1.0, 4.0]),
+                    st.floats(min_value=0.02, max_value=50.0),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        per_element_theta=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_rvs_match_gamma_with_scale_bit_for_bit(self, pairs, per_element_theta, seed):
+        # theta below, at and above 1, a zero mean, and means at and over the cap.
+        mu = np.array([m for m, _ in pairs])
+        theta = np.array([t for _, t in pairs]) if per_element_theta else pairs[0][1]
+        ours_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        ours = negbin_rvs(ours_rng, mu, theta)
+        ref = oracle.negbin_rvs(ref_rng, mu, theta)
+        assert ours.dtype == ref.dtype
+        assert np.array_equal(ours, ref)
+        assert ours_rng.random() == ref_rng.random()  # both consumed the same stream
 
 
 class TestCitationFit:

@@ -22,6 +22,8 @@ from bibuq.predictive import (
     write_predictive_draws,
 )
 
+import oracle
+
 
 class TestPredictOmitted:
     def test_shape_dtype_and_support(self, second_kind_posterior):
@@ -100,7 +102,7 @@ class TestDoctypeDraws:
 
     def test_probability_rows_are_simplex_draws(self, doctype_posterior):
         rng = np.random.default_rng(12)
-        rows = sample_probability_rows(rng, doctype_posterior)
+        rows = sample_probability_rows(rng, doctype_posterior.concentrations)
         assert rows.shape == (4, 4)
         assert np.all(rows >= 0)
         assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
@@ -117,6 +119,107 @@ class TestDoctypeDraws:
         a = predict_doctype(doctype_posterior, DocType.REVIEW, n=50, seed=14)
         b = predict_doctype(doctype_posterior, DocType.REVIEW, n=50, seed=14)
         assert a == b
+
+
+class _StubRng:
+    """Stands in for a generator whose ``random`` returns chosen values."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == self.u.size
+        return self.u.copy()
+
+
+_weights = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e3)), min_size=4, max_size=4
+).filter(lambda w: sum(w) > 0)
+
+
+class TestDrawExactness:
+    """The fast draws equal the direct per-item forms in tests/oracle.py."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        weights=st.lists(_weights, min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_threshold_draw_equals_cumsum_argmax(self, weights, data):
+        prob_rows = np.array(weights) / np.array(weights).sum(axis=1, keepdims=True)
+        k = prob_rows.shape[0]
+        cond = np.array(
+            data.draw(st.lists(st.integers(0, k - 1), min_size=0, max_size=40)), dtype=np.int64
+        )
+        # Each u is either uniform or lands exactly on one of the first
+        # three cumulative sums of its row (kept below 1, as random() is).
+        cum = np.cumsum(prob_rows, axis=1)
+        below_one = np.nextafter(1.0, 0.0)
+        picks = data.draw(st.lists(st.integers(0, 3), min_size=cond.size, max_size=cond.size))
+        u = np.empty(cond.size)
+        for i, (row, pick) in enumerate(zip(cond, picks)):
+            if pick < 3:
+                u[i] = min(cum[row, pick], below_one)
+            else:
+                u[i] = data.draw(st.floats(min_value=0.0, max_value=below_one))
+        ours = draw_doctype_codes(_StubRng(u), prob_rows, cond)
+        ref = oracle.draw_doctype_codes(_StubRng(u), prob_rows, cond)
+        assert np.array_equal(ours, ref)
+
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(
+            draw_doctype_codes(ours_rng, prob_rows, cond),
+            oracle.draw_doctype_codes(ref_rng, prob_rows, cond),
+        )
+        assert ours_rng.random() == ref_rng.random()
+
+    def test_zero_probability_categories_never_drawn(self):
+        prob_rows = np.array([[0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 0.0, 1.0]])
+        cum = np.cumsum(prob_rows, axis=1)
+        u = np.array([0.0, 0.5, cum[0, 2], np.nextafter(0.5, 0.0), 0.0, 0.999])
+        cond = np.array([0, 0, 0, 0, 1, 1])
+        codes = draw_doctype_codes(_StubRng(u), prob_rows, cond)
+        assert codes.tolist() == [1, 3, 3, 1, 3, 3]
+        assert np.array_equal(codes, oracle.draw_doctype_codes(_StubRng(u), prob_rows, cond))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(
+                    st.sampled_from([0.0, 1e-300]),
+                    st.floats(min_value=1e-3, max_value=1e3),
+                ),
+                min_size=4,
+                max_size=4,
+            ).filter(lambda r: sum(r) > 0),
+            min_size=1,
+            max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_probability_rows_equal_gamma_draws(self, rows, seed):
+        # 1e-300 concentrations underflow every gamma draw of a row, which
+        # takes the point-mass fallback.
+        concentrations = np.array(rows)
+        ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours = sample_probability_rows(ours_rng, concentrations)
+        ref = oracle.sample_probability_rows(ref_rng, concentrations)
+        assert np.array_equal(ours, ref)
+        assert ours_rng.random() == ref_rng.random()
+
+    def test_underflow_falls_back_to_largest_concentration(self):
+        concentrations = np.array([[1e-300, 3e-300, 2e-300, 0.0], [1.0, 2.0, 3.0, 4.0]])
+        rows = sample_probability_rows(np.random.default_rng(0), concentrations)
+        assert rows[0].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert rows[1].sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("conditioning", list(DocType))
+    def test_predict_doctype_keeps_its_stream(self, doctype_posterior, conditioning):
+        drawn = predict_doctype(doctype_posterior, conditioning, n=500, seed=15)
+        codes = oracle.predict_doctype_codes(doctype_posterior, conditioning, 500, 15)
+        assert drawn == [DOCTYPE_ORDER[code] for code in codes]
 
 
 def _csv_writer_bytes(draws, ids) -> bytes:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -10,13 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibuq import simulation
 from bibuq.datamodel import (
     DocType,
+    Publication,
+    PublicationSet,
     UsageError,
     ValidationError,
+    doctype_index,
     sample_statistics,
 )
 from bibuq.errormodels import FIRST_KIND, SECOND_KIND
+from bibuq.indicators import KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD
 from bibuq.simulation import (
     ALL_CHANNELS,
     CHANNEL_CITATIONS,
@@ -39,8 +45,10 @@ from bibuq.simulation import (
     write_report_json,
     write_uncertainty_plot,
 )
-from bibuq.simulation import _result_payload
+from bibuq.simulation import _build_workspace, _result_payload
 from helpers import make_pubset
+
+import oracle
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +344,11 @@ class TestPropagate:
                 config=PropagationConfig(iterations=10, seed=0),
             )
 
+    def test_empty_universe_rejected(self, small_models):
+        empty = PublicationSet(name="A", members=())
+        with pytest.raises(UsageError, match="normalization universe is empty"):
+            propagate(empty, models=small_models, config=PropagationConfig(iterations=5))
+
     def test_direction_mismatch_rejected(
         self, small_unit, small_reference, small_models
     ):
@@ -504,3 +517,246 @@ class TestReportOutputs:
         assert "unit" in table
         assert "A" in table
         assert "MNCS" in table
+
+
+# ---------------------------------------------------------------------------
+# Blocked kernel against the per-iteration oracle
+# ---------------------------------------------------------------------------
+
+
+def _field_pubset(unit: str, rows) -> PublicationSet:
+    """A set from (doctype_label, citations, year, field) rows."""
+    return PublicationSet(
+        name=unit,
+        members=tuple(
+            Publication(
+                id=f"{unit}-{i}",
+                unit=unit,
+                doctype=DocType.parse(label),
+                year=year,
+                citations=c,
+                field=field_name,
+            )
+            for i, (label, c, year, field_name) in enumerate(rows)
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def field_units():
+    # Field-less core items, a cell ("z") the reference lacks and a cell
+    # ("w") whose reference items are all uncited.
+    return [
+        _field_pubset(
+            "F",
+            [
+                ("article", 4, 2010, "x"),
+                ("article", 0, 2010, "x"),
+                ("review", 9, 2010, "x"),
+                ("article", 3, 2010, None),
+                ("review", 2, 2011, None),
+                ("letter", 1, 2010, "x"),
+                ("article", 6, 2011, "y"),
+                ("article", 5, 2012, "z"),
+                ("article", 7, 2010, "w"),
+                ("other", 2, 2011, "y"),
+            ],
+        ),
+        _field_pubset(
+            "G",
+            [
+                ("article", 1, 2011, "y"),
+                ("review", 0, 2010, None),
+                ("article", 12, 2010, "x"),
+                ("letter", 0, 2010, "w"),
+            ],
+        ),
+    ]
+
+
+@pytest.fixture(scope="module")
+def field_reference():
+    rows = [("article", c, 2010, "x") for c in (2, 5, 8, 1, 0)]
+    rows += [("review", 3, 2010, "x"), ("review", 11, 2010, "x")]
+    rows += [("letter", 0, 2010, "x"), ("other", 4, 2010, "x")]
+    rows += [("article", c, 2011, "y") for c in (0, 2, 6, 3)] + [("review", 1, 2011, "y")]
+    rows += [("article", 0, 2010, "w")] * 3 + [("article", 5, 2010, None)]
+    return _field_pubset("ref", rows)
+
+
+def _oracle_replicates(units, reference, models, config):
+    """Per iteration and unit: P, C, MNCS, exclusions; unit citations, codes."""
+    ws = _build_workspace(units, reference, models, config)
+    layout = oracle.publication_layout(units, reference, config)
+    steps = [oracle.simulate_one(ws, layout, j) for j in range(config.iterations)]
+    of_unit = ws.unit_index >= 0
+    out = [np.array([step[k] for step in steps]) for k in range(4)]
+    out += [np.array([step[k][of_unit] for step in steps]) for k in (4, 5)]
+    return ws, out
+
+
+def _read_dump(path, units, iterations):
+    """Dumped citations and doctype codes as (iterations, unit publications)."""
+    ids = [pub.id for pubset in units for pub in pubset]
+    with path.open(newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert [(int(r[0]), r[1]) for r in rows] == [(j, i) for j in range(iterations) for i in ids]
+    shape = (iterations, len(ids))
+    citations = np.array([int(r[2]) for r in rows], dtype=np.int64).reshape(shape)
+    codes = np.array([doctype_index(DocType.parse(r[3])) for r in rows]).reshape(shape)
+    return citations, codes
+
+
+_ONLY_C = frozenset({CHANNEL_CITATIONS})
+_ONLY_D = frozenset({CHANNEL_DOCTYPES})
+
+# (direction, key mode, channels, parameter sharing, pooled normalization)
+_ORACLE_CASES = [
+    (SECOND_KIND, KEY_DOCTYPE, ALL_CHANNELS, "iteration", True),
+    (SECOND_KIND, KEY_DOCTYPE_YEAR_FIELD, _ONLY_C, "iteration", False),
+    (SECOND_KIND, KEY_DOCTYPE_YEAR_FIELD, _ONLY_D, "iteration", True),
+    (SECOND_KIND, KEY_DOCTYPE_YEAR_FIELD, ALL_CHANNELS, "publication", True),
+    (FIRST_KIND, KEY_DOCTYPE_YEAR_FIELD, ALL_CHANNELS, "iteration", False),
+    (FIRST_KIND, KEY_DOCTYPE, _ONLY_C, "publication", True),
+    (FIRST_KIND, KEY_DOCTYPE, _ONLY_D, "iteration", False),
+]
+
+_ORACLE_ITERATIONS = 23
+
+# Block budgets in publication-iterations, as a function of the run's
+# publication count: one element (blocks of one iteration), an odd block
+# of three that leaves a short last block, and one block past the run.
+_BUDGETS = {
+    "one-element": lambda n_pubs: 1,
+    "odd-block": lambda n_pubs: 3 * n_pubs + n_pubs // 2,
+    "past-the-run": lambda n_pubs: 10**9,
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_BUDGETS))
+@pytest.mark.parametrize("case", range(len(_ORACLE_CASES)))
+def test_block_kernel_matches_oracle(
+    tmp_path,
+    monkeypatch,
+    budget,
+    case,
+    field_units,
+    field_reference,
+    small_models,
+    first_kind_models,
+):
+    direction, key_mode, channels, sharing, pooled = _ORACLE_CASES[case]
+    models = small_models if direction == SECOND_KIND else first_kind_models
+    n_pubs = sum(len(u) for u in field_units) + len(field_reference)
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", _BUDGETS[budget](n_pubs))
+    cfg = PropagationConfig(
+        iterations=_ORACLE_ITERATIONS,
+        seed=31 + case,
+        channels=channels,
+        direction=direction,
+        key_mode=key_mode,
+        parameter_sharing=sharing,
+        pooled_normalization=pooled,
+    )
+    ws, (p, c, m, x, c_sim, dt_sim) = _oracle_replicates(
+        field_units, field_reference, models, cfg
+    )
+    expected_block = {"one-element": 1, "odd-block": 3}.get(budget)
+    if expected_block is None:
+        assert ws.block_size > cfg.iterations
+    else:
+        assert ws.block_size == expected_block
+
+    dump = tmp_path / "items.csv"
+    plain = propagate(field_units, field_reference, models, cfg)
+    dumped = propagate(field_units, field_reference, models, cfg, dump_items=dump)
+    for result in (plain, dumped):
+        for u, name in enumerate(result.units):
+            assert np.array_equal(result.distribution(name, "P").replicates, p[:, u])
+            assert np.array_equal(result.distribution(name, "C").replicates, c[:, u])
+            mncs = result.distribution(name, "MNCS")
+            assert np.array_equal(mncs.replicates, m[:, u], equal_nan=True)
+            assert mncs.excluded.dtype == np.int64
+            assert np.array_equal(mncs.excluded, x[:, u])
+    dumped_citations, dumped_codes = _read_dump(dump, field_units, cfg.iterations)
+    assert np.array_equal(dumped_citations, c_sim)
+    assert np.array_equal(dumped_codes, dt_sim)
+
+
+def test_workers_agree_when_chunk_edges_split_blocks(
+    monkeypatch, field_units, field_reference, small_models
+):
+    n_pubs = sum(len(u) for u in field_units) + len(field_reference)
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", 7 * n_pubs)
+    iterations = 61
+    for workers in (2, 3):
+        edges = np.linspace(0, iterations, workers + 1, dtype=int)[1:-1]
+        assert all(edge % 7 for edge in edges)  # every chunk starts inside a block
+    arrays = []
+    for workers in (1, 2, 3):
+        cfg = PropagationConfig(
+            iterations=iterations, seed=41, key_mode=KEY_DOCTYPE_YEAR_FIELD, workers=workers
+        )
+        result = propagate(field_units, field_reference, small_models, cfg)
+        arrays.append(
+            [
+                result.distribution(name, indicator).replicates
+                for name in result.units
+                for indicator in ("P", "C", "MNCS")
+            ]
+            + [result.distribution(name, "MNCS").excluded for name in result.units]
+        )
+    for other in arrays[1:]:
+        for a, b in zip(arrays[0], other):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models):
+    # Pooled normalization without a reference set: the dump holds the
+    # whole normalization universe, so every exclusion can be recounted.
+    cfg = PropagationConfig(iterations=40, seed=43, key_mode=KEY_DOCTYPE_YEAR_FIELD)
+    dump = tmp_path / "items.csv"
+    result = propagate(field_units, None, small_models, cfg, dump_items=dump)
+    citations, codes = _read_dump(dump, field_units, cfg.iterations)
+    pubs = [pub for pubset in field_units for pub in pubset]
+    unit_of = np.array([u for u, pubset in enumerate(field_units) for _ in pubset])
+
+    expected = np.zeros((cfg.iterations, len(field_units)), dtype=np.int64)
+    field_less = 0
+    for j in range(cfg.iterations):
+        cells: dict[tuple, list[int]] = {}
+        for pub, cit, code in zip(pubs, citations[j], codes[j]):
+            if pub.field is not None:
+                cells.setdefault((pub.year, pub.field, code), []).append(int(cit))
+        for pub, cit, code, u in zip(pubs, citations[j], codes[j], unit_of):
+            if code > 1:
+                continue  # not a core item
+            if pub.field is None:
+                expected[j, u] += 1
+                field_less += 1
+            elif cit > 0 and np.mean(cells[(pub.year, pub.field, code)]) == 0:
+                expected[j, u] += 1
+    assert field_less > 0
+    for u, name in enumerate(result.units):
+        assert result.distribution(name, "P").excluded is None
+        assert result.distribution(name, "C").excluded is None
+        assert np.array_equal(result.distribution(name, "MNCS").excluded, expected[:, u])
+
+
+# sha256 of report.json for run_exercise(name, iterations=300, seed=0).
+# They pin numpy's random stream as consumed by the kernel; a change that
+# alters the stream must re-baseline them on purpose, with the reason in
+# CHANGES.md.
+_PINNED_REPORT_SHA256 = {
+    "2": "bb64257a4e0b5af72d21342abf589ba1def596935e4fbdf72b3ccfe43075e20c",
+    "4": "7b9a2504660af4fb9fe6ac102c7eab616a89c2e13045baab91bbeb011ba4e473",
+    "A3": "77969e60ccdd5546d1f7d17f17a488de689b7b3e8c8aaa3d3aa9324e73fd372a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_REPORT_SHA256))
+def test_exercise_report_bytes_are_pinned(tmp_path, name):
+    report = run_exercise(name, iterations=300, seed=0)
+    path = tmp_path / "report.json"
+    write_report_json(report.result, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_REPORT_SHA256[name]
