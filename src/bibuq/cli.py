@@ -18,8 +18,11 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .datamodel import (
@@ -82,16 +85,31 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    out_dir: Path, command: str, config: dict, inputs: list[Path], outputs: list[str]
+    out_dir: Path,
+    command: str,
+    config: dict,
+    inputs: list[Path],
+    outputs: list[str],
+    propagation: dict | None = None,
 ) -> None:
+    """Write run_manifest.json.
+
+    Besides what the data files depend on, it records the Python and
+    numpy versions and, for propagation runs, ``PropagationResult.run_info``
+    (worker processes opened, publications, exchangeable groups and
+    whether the draws were grouped).  None of this goes into report.json.
+    """
     manifest = {
         "command": command,
         "version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
         "config": config,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": sorted(outputs),
     }
+    if propagation is not None:
+        manifest["propagation"] = dict(propagation)
     with (out_dir / MANIFEST_NAME).open("w", encoding="utf-8") as handle:
         json.dump(manifest, handle, sort_keys=True, indent=1)
         handle.write("\n")
@@ -286,8 +304,15 @@ def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> 
         key_mode=get("key_mode", "doctype"),
         workers=get("workers", _default_workers()),
         pooled_normalization=_resolve_pooled(args, cfg_file),
-        parameter_sharing=get("parameter_sharing", "iteration"),
     )
+    # Manifests written before per-publication parameter sharing was
+    # removed may still name it; only the per-iteration value replays.
+    sharing = get("parameter_sharing", "iteration")
+    if sharing != "iteration":
+        raise UsageError(
+            f"parameter_sharing {sharing!r} is no longer supported; "
+            "every iteration shares one posterior draw"
+        )
     if args.strict and models.citation is not None and models.citation.diagnostics is not None:
         if not models.citation.diagnostics.converged:
             print("loaded citation model failed convergence and --strict is set", file=sys.stderr)
@@ -329,10 +354,9 @@ def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> 
         "key_mode": config.key_mode,
         "workers": config.workers,
         "pooled_normalization": config.pooled_normalization,
-        "parameter_sharing": config.parameter_sharing,
         "dump_items": dump,
     }
-    _write_manifest(out_dir, command, config_used, inputs, outputs)
+    _write_manifest(out_dir, command, config_used, inputs, outputs, result.run_info)
     print(render_result_table(result))
     print(f"report written to {out_dir / REPORT_NAME}")
     return EXIT_OK
@@ -407,7 +431,8 @@ def _cmd_exercise(args: argparse.Namespace) -> int:
             "doctype_confusion": confusion_path,
             "no_synthesize": bool(args.no_synthesize),
         }
-        _write_manifest(out_dir, "exercise", config_used, inputs, outputs)
+        run_info = report.result.run_info if report.result is not None else None
+        _write_manifest(out_dir, "exercise", config_used, inputs, outputs, run_info)
     return EXIT_OK
 
 
@@ -545,11 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             default=None,
             help="exclude assessed units from the normalization universe",
-        )
-        cmd.add_argument(
-            "--parameter-sharing",
-            choices=["iteration", "publication"],
-            help="posterior draw cycling granularity (default iteration)",
         )
         cmd.add_argument(
             "--dump-items", help="also write per-item draws to this CSV inside --out"

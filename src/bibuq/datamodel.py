@@ -110,15 +110,10 @@ class Publication:
 
 @dataclass(frozen=True)
 class PublicationSet:
-    """A named collection of publications with unique ids.
-
-    ``role`` distinguishes assessed units from reference collections; it
-    does not change any computation, only reporting.
-    """
+    """A named collection of publications with unique ids."""
 
     name: str
     members: tuple[Publication, ...]
-    role: str = "assessed-unit"
 
     def __post_init__(self) -> None:
         seen: set[str] = set()

@@ -245,7 +245,10 @@ def negbin_logpmf(y: np.ndarray, mu: np.ndarray, theta: float | np.ndarray) -> n
 
 
 def negbin_rvs(
-    rng: np.random.Generator, mu: np.ndarray, theta: float | np.ndarray
+    rng: np.random.Generator,
+    mu: np.ndarray,
+    theta: float | np.ndarray,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample the negative binomial as a gamma-Poisson mixture.
 
@@ -254,10 +257,20 @@ def negbin_rvs(
     ``gamma(shape, scale)`` as ``scale * standard_gamma(shape)``, so the
     draws equal ``rng.gamma(shape=theta, scale=mu / theta)`` bit for bit;
     calling ``standard_gamma`` skips the second broadcast argument.
+
+    ``counts`` optionally gives per element a number k of iid NB(theta,
+    mu) items and returns the sum of their draws: the k gamma variables
+    sum to one Gamma(k * theta), so the sum is
+    ``poisson(standard_gamma(k * theta) * mu / theta)``.  The cap applies
+    to the per-item mean.  A zero count gives 0 and consumes no random
+    numbers, and a count of 1 gives the same value as no count.
     """
     mu = np.minimum(np.asarray(mu, dtype=np.float64), 1e12)
     scale = mu / theta
-    lam = rng.standard_gamma(theta, size=scale.shape)
+    if counts is None:
+        lam = rng.standard_gamma(theta, size=scale.shape)
+    else:
+        lam = rng.standard_gamma(theta * counts)
     return rng.poisson(lam * scale)
 
 

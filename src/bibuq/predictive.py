@@ -52,13 +52,18 @@ def cycled_params(posterior: NegBinPosterior, n: int) -> np.ndarray:
 
 
 def draw_omitted(
-    rng: np.random.Generator, params: np.ndarray, log1p_predictor: np.ndarray
+    rng: np.random.Generator,
+    params: np.ndarray,
+    log1p_predictor: np.ndarray,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized omitted-count draws.
 
     ``params`` is either one (3,) parameter row applied to every element
     of ``log1p_predictor`` (the model predictor through ``np.log1p``) or
-    an (n, 3) array aligned with it.
+    an (n, 3) array aligned with it.  ``counts`` optionally makes element
+    i the summed omissions of ``counts[i]`` iid items that share its
+    predictor (see ``negbin_rvs``).
     """
     params = np.asarray(params, dtype=np.float64)
     b0 = params[..., 0]
@@ -66,7 +71,7 @@ def draw_omitted(
     theta = params[..., 2]
     with np.errstate(over="ignore"):
         mu = np.exp(b0 + b1 * log1p_predictor)
-    return negbin_rvs(rng, mu, theta)
+    return negbin_rvs(rng, mu, theta, counts)
 
 
 def predict_omitted(posterior: NegBinPosterior, citations: int, n: int, seed: int) -> np.ndarray:
@@ -124,11 +129,13 @@ def draw_doctype_codes(
     below 1, so that category is the number of the first three
     cumulative sums that ``u`` reaches; the last sum is never compared.
     """
-    cum = np.cumsum(prob_rows, axis=1)
+    # One contiguous row of thresholds per comparison: ``take`` from it
+    # is cheaper than a 2-d fancy index.
+    thresholds = np.cumsum(prob_rows, axis=1).T.copy()
     u = rng.random(conditioning_codes.shape[0])
-    codes = (u >= cum[conditioning_codes, 0]).astype(np.int64)
-    codes += u >= cum[conditioning_codes, 1]
-    codes += u >= cum[conditioning_codes, 2]
+    codes = (u >= thresholds[0].take(conditioning_codes)).astype(np.int64)
+    codes += u >= thresholds[1].take(conditioning_codes)
+    codes += u >= thresholds[2].take(conditioning_codes)
     return codes
 
 

@@ -13,12 +13,29 @@ how iterations are partitioned over worker processes.  Within an
 iteration one posterior parameter draw is shared by all publications:
 each iteration is one coherent hypothetical state of the world.
 
+Each iteration draws, in this order, the Dirichlet probability rows, one
+doctype code per publication, and the omitted citations.  Given the
+parameter draw, publications with the same unit (or the reference set),
+cell group, recorded doctype and citation count are iid, so the kernel
+groups them: the codes put k of a group's publications in each (group,
+doctype) cell, and the omitted citations of those k are one gamma-Poisson
+sum, ``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law
+of k summed negative binomial draws.  Cell sums and counts and the
+indicators follow exactly from these per-cell draws.  A publication is a
+group of its own where exactness needs its own value: first-kind
+citation redraws (the clamp at zero), uncited unit publications under
+reference-only normalization (the zero-mean-cell rule), and runs with an
+item dump.  When grouping would not narrow the kernel, every publication
+is drawn on its own, in layout order, as the 0.1.0 kernel did but with
+the doctype draws first; so the same seed gives different replicates
+than 0.1.0 did.
+
 Iterations run in fixed-size blocks: each iteration's draws fill one row
-of (block, publications) arrays, and the cells and indicators of the
-whole block are computed together.  The block size is set by a memory
-budget (``BLOCK_BUDGET`` publication-iterations), not by the worker
-count, and since every iteration still draws only from its own
-substream it does not change any result.
+of (block, columns) arrays, a column being a cell or a publication, and
+the cells and indicators of the whole block are computed together.  The
+block size is set by a memory budget (``BLOCK_BUDGET`` column-iterations),
+not by the worker count, and since every iteration still draws only from
+its own substream it does not change any result.
 """
 
 from __future__ import annotations
@@ -192,8 +209,8 @@ class PropagationConfig:
     channels pass the input data through unchanged.  ``direction``
     chooses correction (second kind: observed data is corrected upward)
     or injection (first kind: error-free data is corrupted).
-    ``parameter_sharing`` is "iteration" (one posterior draw per
-    iteration, the default) or "publication" (cycle draws per item).
+    Every iteration uses one posterior parameter draw for all
+    publications, draw ``iteration % n_draws``.
     ``pooled_normalization`` includes the assessed units in the
     normalization universe alongside the reference set.
     """
@@ -205,7 +222,6 @@ class PropagationConfig:
     key_mode: str = KEY_DOCTYPE
     workers: int = 1
     pooled_normalization: bool = True
-    parameter_sharing: str = "iteration"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", frozenset(self.channels))
@@ -222,8 +238,6 @@ class PropagationConfig:
             raise UsageError(f"key_mode must be one of {KEY_MODES}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
-        if self.parameter_sharing not in ("iteration", "publication"):
-            raise UsageError("parameter_sharing must be 'iteration' or 'publication'")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be a non-negative 64-bit integer")
 
@@ -244,14 +258,18 @@ class PropagationResult:
     observed: Mapping[str, IndicatorResult]
     distributions: Mapping[str, Mapping[str, IndicatorDistribution]]
     config: PropagationConfig
+    # How the run went, for the run manifest and not for report.json:
+    # worker processes opened, publications, exchangeable groups, and
+    # whether the kernel drew per group or per publication.
+    run_info: Mapping[str, object] = field(default_factory=dict)
 
     def distribution(self, unit: str, indicator: str) -> IndicatorDistribution:
         return self.distributions[unit][indicator]
 
 
-# Publication-iterations simulated together in one block.  A block holds
-# a handful of (block, publications) arrays, so this bounds the kernel's
-# memory; it does not depend on the worker count.
+# Column-iterations simulated together in one block.  A block holds a
+# handful of (block, columns) arrays, so this bounds the kernel's memory;
+# it does not depend on the worker count.
 BLOCK_BUDGET = 8192
 
 
@@ -260,25 +278,37 @@ class _Workspace:
     """Precomputed arrays shared by all iterations (and worker processes).
 
     Publications are laid out unit members first, then the reference
-    set; the first ``n_unit_pubs`` positions are the units'.  A
-    publication's cell key is ``base_keys`` (its cell group times 4)
-    plus its doctype code, below ``n_cells``.  ``norm`` selects the
-    positions counted in the normalization cells.
+    set, and sorted into exchangeable groups (see ``_build_workspace``).
+    The kernel works on columns.  When grouping would not narrow it
+    (``per_item``), column j is publication j and its doctype is redrawn
+    in place.  Otherwise a column is a (group, doctype) cell, ``group * 4
+    + doctype``, when doctypes are redrawn, and a group when they are
+    not; its count of items is drawn per iteration or fixed.  Unit
+    columns come first, ``n_ucols`` of them.  A column's cell key is
+    ``col_base`` (its cell group times 4) plus its doctype, below
+    ``n_cells``; ``norm`` selects the columns counted in the
+    normalization cells.
     """
 
-    citations: np.ndarray
     dt_codes: np.ndarray
-    unit_index: np.ndarray
+    item_cells: np.ndarray | None
+    col_citations: np.ndarray
+    col_log1p: np.ndarray
+    col_types: np.ndarray
+    col_sizes: np.ndarray | None
+    col_base: np.ndarray
+    col_unit: np.ndarray
+    n_ucols: int
+    norm: np.ndarray | slice
+    n_cells: int
     n_units: int
     params: np.ndarray | None
     dirichlet: DirichletPosterior | None
     config: PropagationConfig
-    log1p_citations: np.ndarray
-    base_keys: np.ndarray
-    n_cells: int
-    norm: np.ndarray | slice
-    n_unit_pubs: int
     block_size: int
+    publications: int
+    groups: int
+    per_item: bool
     ids: list[str] | None = None
 
 
@@ -299,70 +329,101 @@ def _worker_chunk(bounds: tuple[int, int]):
 def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, ...]:
     """Redraw the data for iterations [start, stop) and score every unit.
 
-    Each iteration draws only from its own substream, in the order
-    omitted counts, probability rows, doctype codes; its draws fill one
-    row of (iterations, publications) arrays.  The cells and indicators
-    of all rows are then computed together, one ``bincount`` per sum
-    over ``row * n_cells + cell key`` or ``row * n_units + unit``.
-    Returns per iteration and unit P, C,
-    MNCS and the MNCS exclusion count, then the redrawn citations and
-    doctype codes of the unit publications (for the item dump).
+    Each iteration draws only from its own substream: first the
+    probability rows and one doctype code per publication, then the
+    omitted citations, one gamma-Poisson sum per column with the count of
+    items the codes put in it.  Its draws fill one row of (iterations,
+    columns) arrays.  The cells and indicators of all rows are then
+    computed together, one ``bincount`` per sum over ``row * n_cells +
+    cell key`` or ``row * n_units + unit``, each column weighted by its
+    item count.  Returns per iteration and unit P, C, MNCS and the MNCS
+    exclusion count, then the redrawn citations and doctype codes of the
+    unit columns (one per publication when ``per_item``, for the item
+    dump).
     """
     cfg = ws.config
     rows = stop - start
-    n = ws.citations.size
-    c = np.tile(ws.citations, (rows, 1))
-    dt = np.tile(ws.dt_codes, (rows, 1))
+    m = ws.col_citations.size
     redraw_citations = CHANNEL_CITATIONS in cfg.channels
     redraw_doctypes = CHANNEL_DOCTYPES in cfg.channels
+    if ws.per_item:
+        k = None
+        types = np.empty((rows, m), dtype=np.int64) if redraw_doctypes else ws.col_types
+    else:
+        k = np.empty((rows, m), dtype=np.int64) if redraw_doctypes else ws.col_sizes
+        types = ws.col_types
+    if redraw_citations:
+        omitted = np.empty((rows, m), dtype=np.int64)
+        params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
     for b, iteration in enumerate(range(start, stop)):
         rng = iteration_rng(cfg.seed, iteration)
-        if redraw_citations:
-            n_draws = ws.params.shape[0]
-            if cfg.parameter_sharing == "iteration":
-                params = ws.params[iteration % n_draws]
-            else:
-                params = ws.params[(iteration * n + np.arange(n)) % n_draws]
-            omitted = draw_omitted(rng, params, ws.log1p_citations)
-            if cfg.direction == SECOND_KIND:
-                c[b] = ws.citations + omitted
-            else:
-                c[b] = np.maximum(ws.citations - omitted, 0)
+        sizes = ws.col_sizes
         if redraw_doctypes:
             prob_rows = sample_probability_rows(rng, ws.dirichlet.concentrations)
-            dt[b] = draw_doctype_codes(rng, prob_rows, ws.dt_codes)
+            codes = draw_doctype_codes(rng, prob_rows, ws.dt_codes)
+            if k is None:
+                types[b] = codes
+            else:
+                sizes = k[b] = np.bincount(ws.item_cells + codes, minlength=m)
+        if redraw_citations:
+            omitted[b] = draw_omitted(rng, params[b], ws.col_log1p, sizes)
+
+    shape = (rows, m)
+    c = ws.col_citations if k is None else k * ws.col_citations
+    if redraw_citations:
+        c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
+    c = np.broadcast_to(c, shape)
+    types = np.broadcast_to(types, shape)
+    if k is not None:
+        k = np.broadcast_to(k, shape)
 
     # Rebuild the normalization cells of every row from the redrawn data.
     row_of = np.arange(rows)[:, None]
-    cell = ws.base_keys + dt + row_of * ws.n_cells
+    cell = ws.col_base + types + row_of * ws.n_cells
     norm_cell = cell[:, ws.norm].ravel()
     sums = np.bincount(norm_cell, weights=c[:, ws.norm].ravel(), minlength=rows * ws.n_cells)
-    counts = np.bincount(norm_cell, minlength=rows * ws.n_cells)
+    counts = np.bincount(
+        norm_cell,
+        weights=None if k is None else k[:, ws.norm].ravel(),
+        minlength=rows * ws.n_cells,
+    )
     with np.errstate(invalid="ignore"):
         means = np.divide(sums, counts, out=np.zeros(sums.size), where=counts > 0)
 
-    # Score the unit publications; article and review codes come first
-    # in DOCTYPE_ORDER, so the core items are those with code <= 1.
-    n_u = ws.n_unit_pubs
+    # Score the unit columns; article and review codes come first in
+    # DOCTYPE_ORDER, so the core items are those with code <= 1.
+    n_u = ws.n_ucols
     c_unit = c[:, :n_u]
-    dt_unit = dt[:, :n_u]
+    dt_unit = types[:, :n_u]
     selected = dt_unit <= 1
-    slot = (ws.unit_index[:n_u] + row_of * ws.n_units)[selected]
+    k_sel = None
+    if k is not None:
+        selected &= k[:, :n_u] > 0
+        k_sel = k[:, :n_u][selected]
+    slot = (ws.col_unit + row_of * ws.n_units)[selected]
     c_sel = c_unit[selected]
     out_len = rows * ws.n_units
-    p_vals = np.bincount(slot, minlength=out_len).astype(np.float64)
+    p_vals = np.bincount(slot, weights=k_sel, minlength=out_len).astype(np.float64)
     c_vals = np.bincount(slot, weights=c_sel, minlength=out_len)
 
+    # A column's items share its cell.  Where that cell's mean can be
+    # zero, either all of them are uncited or all are cited (the items
+    # that could go either way are singletons, see _build_workspace), so
+    # testing the column's sum applies the per-item rule to each item.
     sel_cell = cell[:, :n_u][selected]
     expected = means[sel_cell]
     included = (counts[sel_cell] > 0) & ((expected > 0) | (c_sel == 0))
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(expected > 0, c_sel / np.where(expected > 0, expected, 1.0), 0.0)
     num = np.bincount(slot[included], weights=scores[included], minlength=out_len)
-    den = np.bincount(slot[included], minlength=out_len)
+    den = np.bincount(
+        slot[included], weights=None if k_sel is None else k_sel[included], minlength=out_len
+    )
     with np.errstate(invalid="ignore"):
         mncs_vals = np.where(den > 0, num / np.maximum(den, 1), np.nan)
-    excluded = np.bincount(slot[~included], minlength=out_len)
+    excluded = np.bincount(
+        slot[~included], weights=None if k_sel is None else k_sel[~included], minlength=out_len
+    ).astype(np.int64)
 
     shape = (rows, ws.n_units)
     return (
@@ -407,6 +468,19 @@ def _build_workspace(
     config: PropagationConfig,
     keep_ids: bool = False,
 ) -> _Workspace:
+    """Lay out the run's publications as kernel columns.
+
+    Given an iteration's parameter draw, publications with the same unit
+    (or the reference set), cell group, recorded doctype and citation
+    count are iid, so they form one exchangeable group.  A publication
+    is a group of its own wherever exactness needs its own values:
+    under first-kind citation redraws (the clamp at zero), for unit
+    publications without citations under reference-only normalization
+    when citations are redrawn (a zero-mean cell leaves out a cited item
+    but keeps an uncited one), and in any run that keeps ``ids`` for the
+    item dump.  When the columns would be no fewer than the
+    publications, every publication is its own column, in layout order.
+    """
     if CHANNEL_CITATIONS in config.channels:
         if models.citation is None:
             raise UsageError("citations channel enabled but no citation error model given")
@@ -428,55 +502,98 @@ def _build_workspace(
     if not units:
         raise UsageError("need at least one assessed unit")
 
-    pubs: list[Publication] = []
-    unit_index: list[int] = []
-    in_norm: list[bool] = []
-    for u, pubset in enumerate(units):
-        for pub in pubset:
-            pubs.append(pub)
-            unit_index.append(u)
-            in_norm.append(config.pooled_normalization)
+    pubs: list[Publication] = [pub for pubset in units for pub in pubset]
+    n_unit_pubs = len(pubs)
     if reference is not None:
-        for pub in reference:
-            pubs.append(pub)
-            unit_index.append(-1)
-            in_norm.append(True)
-
+        pubs.extend(reference)
+    n = len(pubs)
+    unit_slot = np.repeat(np.arange(len(units) + 1), [len(u) for u in units] + [n - n_unit_pubs])
     citations = np.array([p.citations for p in pubs], dtype=np.int64)
     dt_codes = np.array([doctype_index(p.doctype) for p in pubs], dtype=np.int64)
+    in_norm = np.arange(n) >= (0 if config.pooled_normalization else n_unit_pubs)
 
     # Cell group per publication.  Field-less publications under
     # doctype-year-field get one extra group past the real ones; no
     # normalization publication is counted in it, so its cells are never
     # occupied and those publications are never scored.
     if config.key_mode == KEY_DOCTYPE_YEAR_FIELD:
-        groups: dict[tuple[int, str], int] = {}
+        cellgroups: dict[tuple[int, str], int] = {}
         for pub in pubs:
             if pub.field is not None:
-                groups.setdefault((pub.year, pub.field), len(groups))
-        n_groups = len(groups)
-        group = np.array([groups.get((p.year, p.field), n_groups) for p in pubs], dtype=np.int64)
+                cellgroups.setdefault((pub.year, pub.field), len(cellgroups))
+        n_cellgroups = len(cellgroups)
+        cellgroup = np.array(
+            [cellgroups.get((p.year, p.field), n_cellgroups) for p in pubs], dtype=np.int64
+        )
     else:
-        n_groups = 1
-        group = np.zeros(len(pubs), dtype=np.int64)
+        n_cellgroups = 1
+        cellgroup = np.zeros(n, dtype=np.int64)
+    in_norm &= cellgroup < n_cellgroups
 
-    norm = np.flatnonzero(np.array(in_norm, dtype=bool) & (group < n_groups))
+    redraw_citations = CHANNEL_CITATIONS in config.channels
+    redraw_doctypes = CHANNEL_DOCTYPES in config.channels
+    single = np.full(n, keep_ids)
+    if redraw_citations and config.direction == FIRST_KIND:
+        single[:] = True
+    elif redraw_citations and not config.pooled_normalization:
+        single[:n_unit_pubs] |= citations[:n_unit_pubs] == 0
+    if single.all():
+        n_exchangeable = n
+    else:
+        keys = (unit_slot, cellgroup, dt_codes, citations, np.where(single, np.arange(n), -1))
+        order = np.lexsort(keys[::-1])
+        same = np.ones(n - 1, dtype=bool)
+        for key in keys:
+            ordered = key[order]
+            same &= ordered[1:] == ordered[:-1]
+        starts = np.ones(n, dtype=bool)  # the first publication of each group
+        starts[1:] = ~same
+        n_exchangeable = int(starts.sum())
+    width = 4 * n_exchangeable if redraw_doctypes else n_exchangeable
+
+    item_cells = col_sizes = None
+    if width >= n:
+        # One column per publication, in layout order.
+        rep = np.arange(n)
+        col_types = dt_codes
+    else:
+        group = np.empty(n, dtype=np.int64)
+        group[order] = np.cumsum(starts) - 1
+        rep = order[starts]
+        if redraw_doctypes:
+            item_cells = group * 4
+            rep = np.repeat(rep, 4)
+            col_types = np.tile(np.arange(4, dtype=np.int64), n_exchangeable)
+        else:
+            col_types = dt_codes[rep]
+            col_sizes = np.bincount(group)
+
+    # Groups sort by unit slot, so the unit columns come first.
+    n_ucols = int(np.count_nonzero(unit_slot[rep] < len(units)))
+    norm = np.flatnonzero(in_norm[rep])
     if norm.size and norm[-1] - norm[0] + 1 == norm.size:
         norm = slice(int(norm[0]), int(norm[-1]) + 1)  # a view, not a gather
+    col_citations = citations[rep]
     return _Workspace(
-        citations=citations,
         dt_codes=dt_codes,
-        unit_index=np.array(unit_index, dtype=np.int64),
+        item_cells=item_cells,
+        col_citations=col_citations,
+        col_log1p=np.log1p(col_citations.astype(np.float64)),
+        col_types=col_types,
+        col_sizes=col_sizes,
+        col_base=cellgroup[rep] * 4,
+        col_unit=unit_slot[rep[:n_ucols]],
+        n_ucols=n_ucols,
+        norm=norm,
+        n_cells=(n_cellgroups + 1) * 4,
         n_units=len(units),
         params=models.citation.flat().copy() if models.citation is not None else None,
         dirichlet=models.doctype,
         config=config,
-        log1p_citations=np.log1p(citations.astype(np.float64)),
-        base_keys=group * 4,
-        n_cells=(n_groups + 1) * 4,
-        norm=norm,
-        n_unit_pubs=sum(len(pubset) for pubset in units),
-        block_size=max(1, BLOCK_BUDGET // max(len(pubs), 1)),
+        block_size=max(1, BLOCK_BUDGET // max(rep.size, 1)),
+        publications=n,
+        groups=n_exchangeable,
+        per_item=width >= n,
         ids=[p.id for p in pubs] if keep_ids else None,
     )
 
@@ -507,8 +624,8 @@ def propagate(
 
     ``dump_items`` optionally writes every redrawn unit publication as a
     CSV row (iteration, publication_id, citations, doctype); dumping
-    forces single-process execution, with a stderr note when ``workers``
-    asks for more.
+    draws every publication on its own and forces single-process
+    execution, with a stderr note when ``workers`` asks for more.
     """
     if isinstance(units, PublicationSet):
         units = [units]
@@ -525,6 +642,7 @@ def propagate(
     observed = {pubset.name: indicators_for(pubset, cells) for pubset in units}
 
     iters = config.iterations
+    processes = 1
     if dump_items is not None:
         if config.workers > 1:
             print(
@@ -580,6 +698,12 @@ def propagate(
         observed=observed,
         distributions=distributions,
         config=config,
+        run_info={
+            "worker_processes": processes,
+            "publications": ws.publications,
+            "exchangeable_groups": ws.groups,
+            "grouped_draws": not ws.per_item,
+        },
     )
 
 
@@ -592,7 +716,7 @@ def _propagate_with_dump(ws: _Workspace, path: Path) -> tuple[np.ndarray, ...]:
             _store(out, lo, block)
             yield from zip(range(lo, iters), block[4], block[5])
 
-    write_predictive_draws(draws(), ws.ids[: ws.n_unit_pubs], path)
+    write_predictive_draws(draws(), ws.ids[: ws.n_ucols], path)
     return out
 
 
@@ -658,7 +782,7 @@ class ScenarioConfig:
 
 
 def _scenario_set(
-    rng: np.random.Generator, cfg: ScenarioConfig, name: str, size: int, location: float, role: str
+    rng: np.random.Generator, cfg: ScenarioConfig, name: str, size: int, location: float
 ) -> PublicationSet:
     probs = np.array([cfg.doctype_mix.get(dt, 0.0) for dt in DOCTYPE_ORDER])
     codes = rng.choice(4, size=size, p=probs / probs.sum())
@@ -676,18 +800,18 @@ def _scenario_set(
         )
         for k in range(size)
     )
-    return PublicationSet(name=name, members=members, role=role)
+    return PublicationSet(name=name, members=members)
 
 
 def generate_scenario(cfg: ScenarioConfig) -> tuple[list[PublicationSet], PublicationSet]:
     """Draw the assessed units and the reference set of a scenario."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
     units = [
-        _scenario_set(rng, cfg, name, cfg.unit_sizes[name], cfg.unit_locations[name], "assessed-unit")
+        _scenario_set(rng, cfg, name, cfg.unit_sizes[name], cfg.unit_locations[name])
         for name in cfg.unit_sizes
     ]
     reference = _scenario_set(
-        rng, cfg, cfg.reference_name, cfg.reference_size, cfg.reference_location, "reference-set"
+        rng, cfg, cfg.reference_name, cfg.reference_size, cfg.reference_location
     )
     return units, reference
 

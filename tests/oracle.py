@@ -4,13 +4,20 @@ Each routine here is the direct per-item form of a package function and
 consumes the random stream in the same order, so the package must match
 it bit for bit: ``rng.gamma`` with a scale for the negative binomial,
 an (n, 4) cumulative-sum argmax for the category draw, and one Monte
-Carlo iteration at a time for the propagation kernel.
+Carlo iteration at a time, one publication at a time, for the
+propagation kernel.  The kernel draws one sum per group of exchangeable
+publications instead, so it matches ``simulate_one`` bit for bit only
+where every publication is its own group; elsewhere only P and the
+doctype draws match exactly and the rest agree in distribution.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from bibuq.datamodel import doctype_index
 from bibuq.errormodels import SECOND_KIND
 from bibuq.indicators import KEY_DOCTYPE_YEAR_FIELD
 from bibuq.simulation import CHANNEL_CITATIONS, CHANNEL_DOCTYPES, iteration_rng
@@ -49,15 +56,29 @@ def predict_doctype_codes(posterior, conditioning, n, seed):
     return draw_doctype_codes(rng, rows, np.arange(n))
 
 
-def publication_layout(units, reference, config):
-    """Normalization membership, cell group and group count per publication.
+@dataclass(frozen=True)
+class Layout:
+    """Per-publication inputs of a run, in workspace order.
 
-    Publications are in workspace order, unit members first and then the
-    reference set.  A field-less publication under doctype-year-field
-    gets group -1.
+    Publications are unit members first and then the reference set; the
+    reference set's unit index is -1.  A field-less publication under
+    doctype-year-field gets cell code -1.
     """
+
+    citations: np.ndarray
+    dt_codes: np.ndarray
+    unit_index: np.ndarray
+    in_norm: np.ndarray
+    cell_codes: np.ndarray
+    n_cellgroups: int
+    n_units: int
+
+
+def publication_layout(units, reference, config):
     pubs = [pub for pubset in units for pub in pubset] + list(reference or ())
-    n_unit_pubs = sum(len(pubset) for pubset in units)
+    unit_index = [u for u, pubset in enumerate(units) for _ in pubset]
+    n_unit_pubs = len(unit_index)
+    unit_index += [-1] * (len(pubs) - n_unit_pubs)
     in_norm = np.array(
         [config.pooled_normalization] * n_unit_pubs + [True] * (len(pubs) - n_unit_pubs)
     )
@@ -70,52 +91,60 @@ def publication_layout(units, reference, config):
             ],
             dtype=np.int64,
         )
-        return in_norm, cell_codes, max(len(groups), 1)
-    return in_norm, np.zeros(len(pubs), dtype=np.int64), 1
+        n_cellgroups = max(len(groups), 1)
+    else:
+        cell_codes, n_cellgroups = np.zeros(len(pubs), dtype=np.int64), 1
+    return Layout(
+        citations=np.array([pub.citations for pub in pubs], dtype=np.int64),
+        dt_codes=np.array([doctype_index(pub.doctype) for pub in pubs], dtype=np.int64),
+        unit_index=np.array(unit_index, dtype=np.int64),
+        in_norm=in_norm,
+        cell_codes=cell_codes,
+        n_cellgroups=n_cellgroups,
+        n_units=len(units),
+    )
 
 
-def simulate_one(ws, layout, iteration):
-    """One Monte Carlo iteration over a propagation workspace.
+def simulate_one(layout, models, cfg, iteration):
+    """One Monte Carlo iteration, one publication at a time.
 
-    ``layout`` is ``publication_layout`` of the run.  Returns per unit P,
-    C, MNCS and the number of core items the MNCS left out, then the
-    redrawn citations and doctype codes of every publication.
+    ``layout`` is ``publication_layout`` of the run.  The iteration's
+    substream gives first the probability rows and one doctype code per
+    publication, then one omitted count per publication under posterior
+    draw ``iteration % n_draws``.  Returns per unit P, C, MNCS and the
+    number of core items the MNCS left out, then the redrawn citations
+    and doctype codes of every publication.
     """
-    in_norm, cell_codes, n_cellgroups = layout
-    cfg = ws.config
     rng = iteration_rng(cfg.seed, iteration)
-
-    c = ws.citations
-    if CHANNEL_CITATIONS in cfg.channels:
-        n_draws = ws.params.shape[0]
-        if cfg.parameter_sharing == "iteration":
-            params = ws.params[iteration % n_draws]
-        else:
-            params = ws.params[(iteration * c.size + np.arange(c.size)) % n_draws]
-        with np.errstate(over="ignore"):
-            mu = np.exp(params[..., 0] + params[..., 1] * np.log1p(c.astype(np.float64)))
-        omitted = negbin_rvs(rng, mu, params[..., 2])
-        c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
-
-    dt = ws.dt_codes
+    c = layout.citations
+    dt = layout.dt_codes
     if CHANNEL_DOCTYPES in cfg.channels:
-        rows = sample_probability_rows(rng, ws.dirichlet.concentrations)
+        rows = sample_probability_rows(rng, models.doctype.concentrations)
         dt = draw_doctype_codes(rng, rows, dt)
 
-    n_cells = n_cellgroups * 4
-    has_group = cell_codes >= 0
-    keys = np.where(has_group, cell_codes, 0) * 4 + dt
-    norm_mask = in_norm & has_group
+    if CHANNEL_CITATIONS in cfg.channels:
+        flat = models.citation.flat()
+        params = flat[iteration % flat.shape[0]]
+        with np.errstate(over="ignore"):
+            mu = np.exp(params[0] + params[1] * np.log1p(c.astype(np.float64)))
+        omitted = negbin_rvs(rng, mu, params[2])
+        c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
+
+    unit_index, n_units = layout.unit_index, layout.n_units
+    n_cells = layout.n_cellgroups * 4
+    has_group = layout.cell_codes >= 0
+    keys = np.where(has_group, layout.cell_codes, 0) * 4 + dt
+    norm_mask = layout.in_norm & has_group
     sums = np.bincount(keys[norm_mask], weights=c[norm_mask], minlength=n_cells)
     counts = np.bincount(keys[norm_mask], minlength=n_cells)
     with np.errstate(invalid="ignore"):
         means = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
 
     core = dt <= 1
-    selected = core & (ws.unit_index >= 0)
-    unit_sel = ws.unit_index[selected]
-    p_vals = np.bincount(unit_sel, minlength=ws.n_units).astype(np.float64)
-    c_vals = np.bincount(unit_sel, weights=c[selected].astype(np.float64), minlength=ws.n_units)
+    selected = core & (unit_index >= 0)
+    unit_sel = unit_index[selected]
+    p_vals = np.bincount(unit_sel, minlength=n_units).astype(np.float64)
+    c_vals = np.bincount(unit_sel, weights=c[selected].astype(np.float64), minlength=n_units)
 
     expected = means[keys]
     cell_occupied = has_group & (counts[keys] > 0)
@@ -123,9 +152,9 @@ def simulate_one(ws, layout, iteration):
     included = selected & cell_occupied & consistent
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(expected > 0, c / np.where(expected > 0, expected, 1.0), 0.0)
-    num = np.bincount(ws.unit_index[included], weights=scores[included], minlength=ws.n_units)
-    den = np.bincount(ws.unit_index[included], minlength=ws.n_units)
+    num = np.bincount(unit_index[included], weights=scores[included], minlength=n_units)
+    den = np.bincount(unit_index[included], minlength=n_units)
     with np.errstate(invalid="ignore"):
         mncs_vals = np.where(den > 0, num / np.maximum(den, 1), np.nan)
-    excluded = np.bincount(ws.unit_index[selected & ~included], minlength=ws.n_units)
+    excluded = np.bincount(unit_index[selected & ~included], minlength=n_units)
     return p_vals, c_vals, mncs_vals, excluded, c, dt

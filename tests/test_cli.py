@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bibuq.datamodel import write_citation_error_sample, write_doctype_confusion
@@ -250,6 +252,72 @@ class TestPropagate:
         )
         assert proc.returncode == 0, proc.stderr
         assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+
+    def test_manifest_records_environment_and_grouping(self, workdir, tmp_path):
+        out = tmp_path / "prop"
+        proc = run_cli(
+            "propagate",
+            "--pubs",
+            str(workdir / "pubs.csv"),
+            "--reference",
+            str(workdir / "ref.csv"),
+            "--citation-model",
+            str(workdir / "models2" / "citation_posterior.json"),
+            "--channels",
+            "citations",
+            "--iterations",
+            "20",
+            "--out",
+            str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        }
+        run = manifest["propagation"]
+        assert run["worker_processes"] == 1
+        assert run["publications"] == 25 + 30 + 120
+        assert run["grouped_draws"] is True
+        assert run["exchangeable_groups"] < run["publications"]
+        assert "parameter_sharing" not in manifest["config"]
+        report = (out / "report.json").read_text()
+        for key in ("environment", "propagation", "exchangeable_groups", "numpy"):
+            assert key not in report
+
+    def test_replayed_parameter_sharing(self, workdir, tmp_path):
+        first = tmp_path / "first"
+        args = [
+            "propagate",
+            "--pubs",
+            str(workdir / "pubs.csv"),
+            "--reference",
+            str(workdir / "ref.csv"),
+            "--citation-model",
+            str(workdir / "models2" / "citation_posterior.json"),
+            "--channels",
+            "citations",
+            "--iterations",
+            "20",
+            "--seed",
+            "6",
+        ]
+        assert run_cli(*args, "--out", str(first)).returncode == 0
+        proc = run_cli(*args, "--parameter-sharing", "iteration", "--out", str(tmp_path / "flag"))
+        assert proc.returncode == 2
+        manifest = json.loads((first / "run_manifest.json").read_text())
+        for sharing, code in (("iteration", 0), ("publication", 2)):
+            manifest["config"]["parameter_sharing"] = sharing
+            path = tmp_path / f"{sharing}.json"
+            path.write_text(json.dumps(manifest))
+            out = tmp_path / sharing
+            proc = run_cli("propagate", "--config", str(path), "--out", str(out))
+            assert proc.returncode == code, proc.stderr
+            if code:
+                assert "parameter_sharing 'publication' is no longer supported" in proc.stderr
+            else:
+                assert (out / "report.json").read_bytes() == (first / "report.json").read_bytes()
 
     def test_reference_only_normalization_survives_replay(self, workdir, tmp_path):
         base_args = [

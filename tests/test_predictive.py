@@ -14,6 +14,7 @@ from bibuq.datamodel import DOCTYPE_ORDER, DocType, UsageError
 from bibuq.predictive import (
     cycled_params,
     draw_doctype_codes,
+    draw_omitted,
     predict_doctype,
     predict_error_affected_citations,
     predict_error_free_citations,
@@ -220,6 +221,87 @@ class TestDrawExactness:
         drawn = predict_doctype(doctype_posterior, conditioning, n=500, seed=15)
         codes = oracle.predict_doctype_codes(doctype_posterior, conditioning, 500, 15)
         assert drawn == [DOCTYPE_ORDER[code] for code in codes]
+
+
+_params = st.tuples(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=0.05, max_value=20.0),
+)
+
+
+class TestCountedOmittedDraws:
+    """``draw_omitted`` with counts: one draw summing k iid items."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=_params,
+        citations=st.lists(st.integers(0, 10**6), min_size=0, max_size=30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_count_one_is_the_per_item_draw(self, params, citations, seed):
+        x = np.log1p(np.array(citations, dtype=np.float64))
+        ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        counted = draw_omitted(ours_rng, np.array(params), x, np.ones(x.size, dtype=np.int64))
+        assert np.array_equal(counted, draw_omitted(ref_rng, np.array(params), x))
+        assert ours_rng.random() == ref_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=_params,
+        cells=st.lists(
+            st.tuples(st.integers(0, 500), st.integers(0, 6)), min_size=0, max_size=30
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_empty_cells_draw_zero_and_consume_nothing(self, params, cells, seed):
+        x = np.log1p(np.array([c for c, _ in cells], dtype=np.float64))
+        counts = np.array([k for _, k in cells], dtype=np.int64)
+        occupied = counts > 0
+        all_rng, occ_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        everywhere = draw_omitted(all_rng, np.array(params), x, counts)
+        assert np.all(everywhere[~occupied] == 0)
+        only = draw_omitted(occ_rng, np.array(params), x[occupied], counts[occupied])
+        assert np.array_equal(everywhere[occupied], only)
+        assert all_rng.random() == occ_rng.random()
+
+    # (b0, b1, theta, citations, k): below, at and above theta = 1, a
+    # mean near zero and a large group.
+    _CASES = [
+        (-1.0, 0.3, 0.5, 7, 3),
+        (0.2, 0.1, 1.0, 0, 2),
+        (-4.0, 0.2, 0.3, 2, 5),
+        (0.5, 0.25, 4.0, 40, 12),
+        (-1.2, 0.25, 0.8, 15, 300),
+    ]
+
+    @pytest.mark.parametrize("b0, b1, theta, citations, k", _CASES)
+    def test_counted_draw_is_the_sum_of_k_item_draws(self, b0, b1, theta, citations, k):
+        # 20000 counted draws against 20000 sums of k per-item draws from an
+        # independent stream.  The two-sample Kolmogorov-Smirnov distance
+        # must stay below its 1e-4 critical value, 2.15 * sqrt(2 / n)
+        # (conservative for discrete laws), and each sample mean within 5
+        # standard errors of k * mu.
+        n = 20_000
+        params = np.array([b0, b1, theta])
+        x = np.full(n, np.log1p(citations))
+        counted = draw_omitted(np.random.default_rng(1), params, x, np.full(n, k))
+        items = draw_omitted(np.random.default_rng(2), params, np.repeat(x, k))
+        summed = items.reshape(n, k).sum(axis=1)
+        values = np.union1d(counted, summed)
+        cdf_a = np.searchsorted(np.sort(counted), values, side="right") / n
+        cdf_b = np.searchsorted(np.sort(summed), values, side="right") / n
+        assert np.abs(cdf_a - cdf_b).max() < 2.15 * np.sqrt(2.0 / n)
+        mu = np.exp(b0 + b1 * np.log1p(citations))
+        sd = np.sqrt(k * (mu + mu * mu / theta))
+        for sample in (counted, summed):
+            assert abs(sample.mean() - k * mu) < 5 * sd / np.sqrt(n)
+
+    def test_mean_cap_applies_per_item(self):
+        # exp(40) is far past the 1e12 cap; the summed mean is k * 1e12.
+        params = np.array([40.0, 0.0, 50.0])
+        draws = draw_omitted(np.random.default_rng(3), params, np.zeros(2000), np.full(2000, 4))
+        assert abs(draws.mean() / 4e12 - 1.0) < 0.01
 
 
 def _csv_writer_bytes(draws, ids) -> bytes:
