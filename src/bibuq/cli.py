@@ -53,9 +53,9 @@ from .simulation import (
     ALL_CHANNELS,
     FittedModels,
     PropagationConfig,
-    _fmt_num,
     list_exercises,
     propagate,
+    render_report_table,
     render_result_table,
     run_exercise,
     write_plot_summary,
@@ -442,32 +442,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if "units" not in payload:
         raise ValidationError(f"{args.report}: not a propagation report")
     direction = payload.get("direction", SECOND_KIND)
-    observed_label = "error-free" if direction == FIRST_KIND else "observed"
     print(
         f"direction={direction}, channels={'+'.join(payload.get('channels', []))}, "
         f"iterations={payload.get('iterations')}, seed={payload.get('seed')}"
     )
-    header = (
-        f"{'unit':<12} {'indicator':<10} {observed_label:>12} "
-        f"{'median':>12} {'95% interval':>24} {'rel. unc.':>10}"
-    )
-    print(header)
-    for unit in sorted(payload["units"]):
-        for indicator in ("P", "C", "MNCS"):
-            record = payload["units"][unit].get(indicator)
-            if record is None:
-                continue
-            decimals = 2 if indicator == "MNCS" else 3
-            interval = (
-                f"({_fmt_num(record['ci_low'], decimals)}, "
-                f"{_fmt_num(record['ci_high'], decimals)})"
-            )
-            rel = record.get("relative_uncertainty_pct")
-            rel_text = "n/a" if rel is None else f"{rel:.1f}%"
-            print(
-                f"{unit:<12} {indicator:<10} {_fmt_num(record['observed'], decimals):>12} "
-                f"{_fmt_num(record['median'], decimals):>12} {interval:>24} {rel_text:>10}"
-            )
+    print(render_report_table(payload))
     return EXIT_OK
 
 

@@ -11,7 +11,9 @@ cells they fall into.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .datamodel import (
     CORE_TYPES,
@@ -19,6 +21,7 @@ from .datamodel import (
     Publication,
     PublicationSet,
     UsageError,
+    doctype_index,
 )
 
 __all__ = [
@@ -30,6 +33,7 @@ __all__ = [
     "IndicatorResult",
     "select_core",
     "build_normalization",
+    "unit_indicators",
     "ncs",
     "mncs",
     "indicators_for",
@@ -129,34 +133,71 @@ def build_normalization(
     return NormalizationCells(key_mode=key_mode, cells=cells)
 
 
-def ncs(pub: Publication, cells: NormalizationCells) -> float | None:
-    """Normalized citation score of one publication.
+def unit_indicators(units, n_units, citations, types, count, expected, sizes=None):
+    """P, C, MNCS and the MNCS exclusion count per unit slot.
 
-    Returns None when the publication cannot be scored: it has no cell
-    (missing field label or a cell absent from the universe) or its cell
-    has zero expected citations while the publication is cited, which
-    signals inconsistent data.  A zero-expected cell with zero citations
-    scores 0.0 (degenerate but consistent).
+    The one definition of the indicators, for the observed values and
+    every Monte Carlo replicate.  An entry is one publication, or with
+    ``sizes`` that many publications of one slot, type and cell, whose
+    citations ``citations`` sums.  Per entry: ``units`` is its slot below
+    ``n_units``, ``types`` its doctype code, ``count`` and ``expected``
+    the item count (0 for no cell) and mean citations of its cell.
+
+    Only core items count.  An item scores its citations over its cell's
+    mean.  MNCS leaves out an item whose cell is empty and a cited item
+    whose cell's mean is zero; an uncited one there scores 0.0
+    (degenerate but consistent).  Every sum is a ``bincount`` in entry
+    order.  Returns float P, C and MNCS (NaN where nothing was scored)
+    and int64 exclusions, each of length ``n_units``.
     """
-    cell = cells.lookup(pub)
-    if cell is None:
-        return None
-    if cell.expected_citations == 0.0:
-        return 0.0 if pub.citations == 0 else None
-    return pub.citations / cell.expected_citations
+    # Article and review codes come first in DOCTYPE_ORDER, so the core
+    # items are those with code <= 1.
+    core = types <= 1
+    slot = units[core]
+    c = citations[core]
+    k = None if sizes is None else sizes[core]
+    mean = expected[core]
+    p = np.bincount(slot, weights=k, minlength=n_units).astype(np.float64)
+    c_total = np.bincount(slot, weights=c, minlength=n_units)
+    included = (count[core] > 0) & ((mean > 0) | (c == 0))
+    scores = np.divide(c, mean, out=np.zeros(c.shape), where=mean > 0)
+    num = np.bincount(slot[included], weights=scores[included], minlength=n_units)
+    den = np.bincount(
+        slot[included], weights=None if k is None else k[included], minlength=n_units
+    )
+    mncs_values = np.where(den > 0, num / np.maximum(den, 1), np.nan)
+    excluded = np.bincount(
+        slot[~included], weights=None if k is None else k[~included], minlength=n_units
+    )
+    return p, c_total, mncs_values, excluded.astype(np.int64)
+
+
+def _score(pubs: Sequence[Publication], types: np.ndarray, cells: NormalizationCells):
+    """``unit_indicators`` of publications in one slot, each against its own cell."""
+    found = [cells.lookup(pub) for pub in pubs]
+    return unit_indicators(
+        np.zeros(len(pubs), dtype=np.int64),
+        1,
+        np.array([pub.citations for pub in pubs], dtype=np.int64),
+        types,
+        np.array([0 if cell is None else cell.size for cell in found], dtype=np.int64),
+        np.array([0.0 if cell is None else cell.expected_citations for cell in found]),
+    )
+
+
+def ncs(pub: Publication, cells: NormalizationCells) -> float | None:
+    """Normalized citation score of one publication, whatever its type.
+
+    None when ``unit_indicators`` would leave it out of an MNCS.
+    """
+    # Code 0 scores it as a core item.
+    score = _score([pub], np.zeros(1, dtype=np.int64), cells)[2][0]
+    return None if np.isnan(score) else float(score)
 
 
 def mncs(pubset: PublicationSet, cells: NormalizationCells) -> float | None:
-    """Mean normalized citation score over the core publications.
-
-    Unscorable publications are excluded from the mean; returns None if
-    nothing remains.
-    """
-    scores = [ncs(p, cells) for p in select_core(pubset)]
-    included = [s for s in scores if s is not None]
-    if not included:
-        return None
-    return sum(included) / len(included)
+    """Mean normalized citation score of the unit, None when undefined."""
+    return indicators_for(pubset, cells).mncs
 
 
 @dataclass(frozen=True)
@@ -177,13 +218,12 @@ class IndicatorResult:
 
 def indicators_for(pubset: PublicationSet, cells: NormalizationCells) -> IndicatorResult:
     """P, C, and MNCS of one unit against a fixed normalization."""
-    core = select_core(pubset)
-    scores = [ncs(p, cells) for p in core]
-    included = [s for s in scores if s is not None]
+    types = np.array([doctype_index(pub.doctype) for pub in pubset], dtype=np.int64)
+    p, c, mean_score, excluded = _score(pubset.members, types, cells)
     return IndicatorResult(
         unit=pubset.name,
-        p=len(core),
-        c=sum(p.citations for p in core),
-        mncs=sum(included) / len(included) if included else None,
-        excluded=len(scores) - len(included),
+        p=int(p[0]),
+        c=int(c[0]),
+        mncs=None if np.isnan(mean_score[0]) else float(mean_score[0]),
+        excluded=int(excluded[0]),
     )

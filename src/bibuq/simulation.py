@@ -3,7 +3,8 @@
 The engine redraws the underlying publication data (citation counts,
 document types, or both) once per iteration from the fitted error
 models, rebuilds the normalization cells from the redrawn data, and
-recomputes every unit's indicators.  Collecting the per-iteration values
+recomputes every unit's indicators (``indicators.unit_indicators``, which
+scores the observed values too).  Collecting the per-iteration values
 yields one empirical distribution per unit and indicator, summarized by
 the median, a central 95% interval, and the relative uncertainty.
 
@@ -84,6 +85,7 @@ from .indicators import (
     IndicatorResult,
     build_normalization,
     indicators_for,
+    unit_indicators,
 )
 from .predictive import (
     draw_doctype_codes,
@@ -183,9 +185,8 @@ class IndicatorDistribution:
     ``summary`` is None only when every replicate was undefined (an
     MNCS whose selection came up empty in all iterations).  For MNCS,
     ``excluded`` holds per iteration the number of the unit's core
-    items the replicate could not score (no field under
-    ``doctype-year-field``, or citations in a cell whose mean is zero);
-    it is None for P and C.
+    items the MNCS left out (see ``indicators.unit_indicators``); it is
+    None for P and C.
     """
 
     unit: str
@@ -333,12 +334,12 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     probability rows and one doctype code per publication, then the
     omitted citations, one gamma-Poisson sum per column with the count of
     items the codes put in it.  Its draws fill one row of (iterations,
-    columns) arrays.  The cells and indicators of all rows are then
-    computed together, one ``bincount`` per sum over ``row * n_cells +
-    cell key`` or ``row * n_units + unit``, each column weighted by its
-    item count.  Returns per iteration and unit P, C, MNCS and the MNCS
-    exclusion count, then the redrawn citations and doctype codes of the
-    unit columns (one per publication when ``per_item``, for the item
+    columns) arrays.  The cells of all rows are then rebuilt together, one
+    ``bincount`` per sum over ``row * n_cells + cell key``, and
+    ``unit_indicators`` scores all rows' unit columns in slots ``row *
+    n_units + unit``.  Returns per iteration and unit P, C, MNCS and the
+    MNCS exclusion count, then the redrawn citations and doctype codes of
+    the unit columns (one per publication when ``per_item``, for the item
     dump).
     """
     cfg = ws.config
@@ -390,40 +391,23 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     with np.errstate(invalid="ignore"):
         means = np.divide(sums, counts, out=np.zeros(sums.size), where=counts > 0)
 
-    # Score the unit columns; article and review codes come first in
-    # DOCTYPE_ORDER, so the core items are those with code <= 1.
+    # Score the unit columns.  A column's items share its cell.  Where
+    # that cell's mean can be zero, either all of them are uncited or all
+    # are cited (the items that could go either way are singletons, see
+    # _build_workspace), so scoring the column's sum applies the per-item
+    # rule to each item.
     n_u = ws.n_ucols
     c_unit = c[:, :n_u]
     dt_unit = types[:, :n_u]
-    selected = dt_unit <= 1
-    k_sel = None
-    if k is not None:
-        selected &= k[:, :n_u] > 0
-        k_sel = k[:, :n_u][selected]
-    slot = (ws.col_unit + row_of * ws.n_units)[selected]
-    c_sel = c_unit[selected]
-    out_len = rows * ws.n_units
-    p_vals = np.bincount(slot, weights=k_sel, minlength=out_len).astype(np.float64)
-    c_vals = np.bincount(slot, weights=c_sel, minlength=out_len)
-
-    # A column's items share its cell.  Where that cell's mean can be
-    # zero, either all of them are uncited or all are cited (the items
-    # that could go either way are singletons, see _build_workspace), so
-    # testing the column's sum applies the per-item rule to each item.
-    sel_cell = cell[:, :n_u][selected]
-    expected = means[sel_cell]
-    included = (counts[sel_cell] > 0) & ((expected > 0) | (c_sel == 0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(expected > 0, c_sel / np.where(expected > 0, expected, 1.0), 0.0)
-    num = np.bincount(slot[included], weights=scores[included], minlength=out_len)
-    den = np.bincount(
-        slot[included], weights=None if k_sel is None else k_sel[included], minlength=out_len
+    p_vals, c_vals, mncs_vals, excluded = unit_indicators(
+        ws.col_unit + row_of * ws.n_units,
+        rows * ws.n_units,
+        c_unit,
+        dt_unit,
+        counts[cell[:, :n_u]],
+        means[cell[:, :n_u]],
+        None if k is None else k[:, :n_u],
     )
-    with np.errstate(invalid="ignore"):
-        mncs_vals = np.where(den > 0, num / np.maximum(den, 1), np.nan)
-    excluded = np.bincount(
-        slot[~included], weights=None if k_sel is None else k_sel[~included], minlength=out_len
-    ).astype(np.int64)
 
     shape = (rows, ws.n_units)
     return (
@@ -1076,31 +1060,39 @@ def _fmt_num(value: float | None, decimals: int = 3) -> str:
     return repr(rounded)
 
 
-def render_result_table(result: PropagationResult) -> str:
-    """Fixed-width observed-vs-simulated table, one row per unit."""
-    observed_label = "error-free" if result.config.direction == FIRST_KIND else "observed"
-    header = (
-        f"{'unit':<12} {'P':>6} {'C':>8} {'MNCS':>6}   "
-        f"{'P sim':>18} {'C sim':>22} {'MNCS sim':>20}"
-    )
-    lines = [f"({observed_label} vs simulated median with central 95% interval)", header]
-    for unit in result.units:
-        obs = result.observed[unit]
-        cells = []
-        for indicator, decimals in (("P", 3), ("C", 3), ("MNCS", 2)):
-            s = result.distribution(unit, indicator).summary
-            if s is None:
-                cells.append("n/a")
+def render_report_table(payload: Mapping) -> str:
+    """Fixed-width table of a ``report.json`` payload.
+
+    One row per unit and indicator: observed (or error-free) value,
+    median, central 95% interval and relative uncertainty.
+    """
+    observed_label = "error-free" if payload.get("direction") == FIRST_KIND else "observed"
+    lines = [
+        f"{'unit':<12} {'indicator':<10} {observed_label:>12} "
+        f"{'median':>12} {'95% interval':>24} {'rel. unc.':>10}"
+    ]
+    for unit, records in payload["units"].items():
+        for indicator in INDICATOR_NAMES:
+            record = records.get(indicator)
+            if record is None:
                 continue
-            cells.append(
-                f"{_fmt_num(s.median, decimals)} "
-                f"({_fmt_num(s.ci_low, decimals)}, {_fmt_num(s.ci_high, decimals)})"
+            decimals = 2 if indicator == "MNCS" else 3
+            interval = (
+                f"({_fmt_num(record['ci_low'], decimals)}, "
+                f"{_fmt_num(record['ci_high'], decimals)})"
             )
-        lines.append(
-            f"{unit:<12} {obs.p:>6} {obs.c:>8} {_fmt_num(obs.mncs, 2):>6}   "
-            f"{cells[0]:>18} {cells[1]:>22} {cells[2]:>20}"
-        )
+            rel = record.get("relative_uncertainty_pct")
+            rel_text = "n/a" if rel is None else f"{rel:.1f}%"
+            lines.append(
+                f"{unit:<12} {indicator:<10} {_fmt_num(record['observed'], decimals):>12} "
+                f"{_fmt_num(record['median'], decimals):>12} {interval:>24} {rel_text:>10}"
+            )
     return "\n".join(lines)
+
+
+def render_result_table(result: PropagationResult) -> str:
+    """The ``render_report_table`` table of a run's report payload."""
+    return render_report_table(_result_payload(result))
 
 
 def run_exercise(
@@ -1249,26 +1241,20 @@ def write_report_json(result: PropagationResult, path: str | Path) -> None:
         handle.write("\n")
 
 
+def _csv_value(value: float | None) -> str:
+    return "" if value is None else repr(float(value))
+
+
 def write_plot_summary(result: PropagationResult, path: str | Path) -> None:
     """CSV of observed vs simulated interval per unit and indicator."""
     path = Path(path)
+    columns = ["observed", "median", "ci_low", "ci_high"]
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["unit", "indicator", "observed", "median", "ci_low", "ci_high"])
-        for unit in result.units:
-            for indicator in INDICATOR_NAMES:
-                dist = result.distribution(unit, indicator)
-                s = dist.summary
-                writer.writerow(
-                    [
-                        unit,
-                        indicator,
-                        "" if dist.observed is None else repr(float(dist.observed)),
-                        repr(s.median) if s else "",
-                        repr(s.ci_low) if s else "",
-                        repr(s.ci_high) if s else "",
-                    ]
-                )
+        writer.writerow(["unit", "indicator"] + columns)
+        for unit, records in _result_payload(result)["units"].items():
+            for indicator, record in records.items():
+                writer.writerow([unit, indicator] + [_csv_value(record[k]) for k in columns])
 
 
 def write_uncertainty_plot(result: PropagationResult, path: str | Path) -> None:
@@ -1277,14 +1263,7 @@ def write_uncertainty_plot(result: PropagationResult, path: str | Path) -> None:
     with path.open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["unit", "P_median", "mncs_rel_uncertainty_pct"])
-        for unit in result.units:
-            p_summary = result.distribution(unit, "P").summary
-            m_summary = result.distribution(unit, "MNCS").summary
-            rel = m_summary.relative_uncertainty_pct if m_summary else None
-            writer.writerow(
-                [
-                    unit,
-                    repr(p_summary.median) if p_summary else "",
-                    "" if rel is None else repr(rel),
-                ]
-            )
+        for unit, records in _result_payload(result)["units"].items():
+            p_median = records["P"]["median"]
+            rel = records["MNCS"]["relative_uncertainty_pct"]
+            writer.writerow([unit, _csv_value(p_median), _csv_value(rel)])

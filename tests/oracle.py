@@ -9,6 +9,12 @@ propagation kernel.  The kernel draws one sum per group of exchangeable
 publications instead, so it matches ``simulate_one`` bit for bit only
 where every publication is its own group; elsewhere only P and the
 doctype draws match exactly and the rest agree in distribution.
+
+``indicators_scalar`` is the per-publication form of ``indicators_for``
+and ``ncs_scalar`` that of ``ncs``.  The scores are summed in an explicit
+left-to-right loop, the order of the package's ``bincount`` over the
+members, on every Python; ``sum()`` over floats is compensated from
+Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bibuq.datamodel import doctype_index
+from bibuq.datamodel import CORE_TYPES, doctype_index
 from bibuq.errormodels import SECOND_KIND
-from bibuq.indicators import KEY_DOCTYPE_YEAR_FIELD
+from bibuq.indicators import KEY_DOCTYPE_YEAR_FIELD, IndicatorResult
 from bibuq.simulation import CHANNEL_CITATIONS, CHANNEL_DOCTYPES, iteration_rng
 
 
@@ -158,3 +164,42 @@ def simulate_one(layout, models, cfg, iteration):
         mncs_vals = np.where(den > 0, num / np.maximum(den, 1), np.nan)
     excluded = np.bincount(unit_index[selected & ~included], minlength=n_units)
     return p_vals, c_vals, mncs_vals, excluded, c, dt
+
+
+def ncs_scalar(pub, cells):
+    """Normalized citation score of one publication, None if unscorable.
+
+    None when the publication has no cell (no field label, or a cell
+    absent from the universe) or is cited in a cell whose mean is zero;
+    an uncited one there scores 0.0.
+    """
+    cell = cells.lookup(pub)
+    if cell is None:
+        return None
+    if cell.expected_citations == 0.0:
+        return 0.0 if pub.citations == 0 else None
+    return pub.citations / cell.expected_citations
+
+
+def indicators_scalar(pubset, cells):
+    """P, C, MNCS and MNCS exclusions of one unit, one publication at a time."""
+    p = c = scored = excluded = 0
+    total = 0.0
+    for pub in pubset:
+        if pub.doctype not in CORE_TYPES:
+            continue
+        p += 1
+        c += pub.citations
+        score = ncs_scalar(pub, cells)
+        if score is None:
+            excluded += 1
+        else:
+            total += score
+            scored += 1
+    return IndicatorResult(
+        unit=pubset.name,
+        p=p,
+        c=c,
+        mncs=total / scored if scored else None,
+        excluded=excluded,
+    )

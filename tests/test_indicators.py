@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bibuq.datamodel import DocType, Publication, PublicationSet
@@ -19,6 +19,8 @@ from bibuq.indicators import (
     select_core,
 )
 from helpers import make_pubset
+
+import oracle
 
 
 @pytest.fixture()
@@ -148,3 +150,83 @@ class TestIndicators:
         cells = build_normalization(unit)
         res = indicators_for(unit, cells)
         assert res.mncs == pytest.approx(1.0, abs=1e-12)
+
+
+# (doctype label, citations, year, field); zero citations are common so
+# that zero-mean cells turn up.
+_ROW = st.tuples(
+    st.sampled_from(["article", "review", "letter", "other"]),
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=60)),
+    st.sampled_from([2010, 2011]),
+    st.sampled_from([None, "x", "y"]),
+)
+
+
+def _field_set(name, rows) -> PublicationSet:
+    return PublicationSet(
+        name,
+        tuple(
+            Publication(f"{name}-{i}", name, DocType.parse(label), year, c, field=field)
+            for i, (label, c, year, field) in enumerate(rows)
+        ),
+    )
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    units=st.lists(st.lists(_ROW, max_size=30), min_size=1, max_size=3),
+    reference=st.lists(_ROW, min_size=1, max_size=30),
+    key_mode=st.sampled_from([KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD]),
+    pooled=st.booleans(),
+)
+# An empty unit, a letters-only unit, and a unit with a field-less
+# article, a cell the reference-only universe lacks, and a zero-mean cell
+# holding an uncited and a cited article.
+@example(
+    units=[
+        [],
+        [("letter", 3, 2010, "x"), ("other", 0, 2010, None)],
+        [
+            ("article", 5, 2010, None),
+            ("review", 2, 2011, "y"),
+            ("article", 0, 2010, "x"),
+            ("article", 3, 2010, "x"),
+            ("article", 7, 2011, "x"),
+            ("letter", 2, 2010, "x"),
+        ],
+    ],
+    reference=[
+        ("article", 0, 2010, "x"),
+        ("article", 0, 2010, "x"),
+        ("article", 4, 2011, "x"),
+        ("letter", 1, 2011, "y"),
+    ],
+    key_mode=KEY_DOCTYPE_YEAR_FIELD,
+    pooled=False,
+)
+@example(
+    units=[[("article", 0, 2010, None), ("article", 2, 2010, None), ("review", 1, 2010, None)]],
+    reference=[("article", 0, 2010, None), ("letter", 3, 2010, None)],
+    key_mode=KEY_DOCTYPE,
+    pooled=False,
+)
+def test_indicators_match_scalar_oracle_bit_for_bit(units, reference, key_mode, pooled):
+    unit_sets = [_field_set(f"U{u}", rows) for u, rows in enumerate(units)]
+    ref = _field_set("ref", reference)
+    universe = unit_sets + [ref] if pooled else [ref]
+    assume(any(cell_key(pub, key_mode) is not None for pubset in universe for pub in pubset))
+    cells = build_normalization(universe, key_mode)
+    for pubset in unit_sets:
+        got = indicators_for(pubset, cells)
+        want = oracle.indicators_scalar(pubset, cells)
+        assert got == want
+        assert type(got.p) is int and type(got.c) is int
+        assert _bits(got.mncs) == _bits(want.mncs)
+        assert _bits(mncs(pubset, cells)) == _bits(want.mncs)
+    for pubset in unit_sets + [ref]:
+        for pub in pubset:
+            assert _bits(ncs(pub, cells)) == _bits(oracle.ncs_scalar(pub, cells))
