@@ -20,6 +20,7 @@ import json
 import os
 import platform
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,6 @@ from .errormodels import (
     save_posterior,
 )
 from .simulation import (
-    ALL_CHANNELS,
     FittedModels,
     PropagationConfig,
     list_exercises,
@@ -128,28 +128,41 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-class _Resolver:
-    """Config precedence: explicit flag > config file > built-in default."""
+def _resolve(args: argparse.Namespace, config_file: dict, defaults: dict) -> dict:
+    """Each setting named in ``defaults``: flag > config file > default.
 
-    def __init__(self, args: argparse.Namespace, config_file: dict):
-        self.args = args
-        self.file = config_file
+    A callable default is called only when neither source sets the value.
+    The result is what the command runs with and also the ``config``
+    block of its manifest, so passing the manifest back replays the run.
+    """
+    settings = {}
+    for name, default in defaults.items():
+        if getattr(args, name, None) is not None:
+            settings[name] = getattr(args, name)
+        elif name in config_file:
+            settings[name] = config_file[name]
+        else:
+            settings[name] = default() if callable(default) else default
+    return settings
 
-    def get(self, name: str, default):
-        value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.file:
-            return self.file[name]
-        return default
+
+def _config_of(cls, settings: dict):
+    """A library config object built from the settings of its fields."""
+    return cls(**{f.name: settings[f.name] for f in fields(cls)})
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("BIBUQ_WORKERS", "1")
+def _env_workers() -> int:
+    """Worker count when neither --workers nor the config file sets one."""
+    raw = os.environ.get("BIBUQ_WORKERS")
+    if raw is None:
+        return PropagationConfig.workers
     try:
-        return max(int(raw), 1)
+        workers = int(raw)
     except ValueError:
         raise ValidationError(f"BIBUQ_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise ValidationError(f"BIBUQ_WORKERS must be >= 1, got {workers}")
+    return workers
 
 
 def _ensure_out_dir(path: str) -> Path:
@@ -175,22 +188,22 @@ def _print_fit_diagnostics(label: str, posterior: NegBinPosterior) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    cfg_file = _load_config_file(args.config)
-    get = _Resolver(args, cfg_file).get
-    citation_path = get("citation_sample", None)
-    confusion_path = get("doctype_confusion", None)
+    settings = _resolve(
+        args,
+        _load_config_file(args.config),
+        {
+            **dict.fromkeys(("citation_sample", "doctype_confusion")),
+            "direction": NegBinModelSpec.direction,
+            "pseudocount": DirichletPosterior.pseudocount,
+            **asdict(McmcConfig()),
+        },
+    )
+    citation_path = settings["citation_sample"]
+    confusion_path = settings["doctype_confusion"]
     if citation_path is None and confusion_path is None:
         raise UsageError("fit needs --citation-sample and/or --doctype-confusion")
-    direction = get("direction", SECOND_KIND)
-    seed = get("seed", 0)
-    mcmc_config = McmcConfig(
-        chains=get("chains", 4),
-        warmup=get("warmup", 1000),
-        keep=get("keep", 1000),
-        seed=seed,
-        target_acceptance=get("target_acceptance", 0.3),
-    )
-    pseudocount = get("pseudocount", 1.0)
+    direction = settings["direction"]
+    mcmc_config = _config_of(McmcConfig, settings)
     out_dir = _ensure_out_dir(args.out)
 
     inputs: list[Path] = []
@@ -210,23 +223,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if confusion_path is not None:
         table = load_doctype_confusion(confusion_path)
         inputs.append(Path(confusion_path))
-        doctype_posterior = fit_doctype_error_model(table, pseudocount, direction)
+        doctype_posterior = fit_doctype_error_model(table, settings["pseudocount"], direction)
         save_posterior(doctype_posterior, out_dir / DOCTYPE_POSTERIOR_NAME)
         outputs.append(DOCTYPE_POSTERIOR_NAME)
         print(f"document-type error model: conjugate update of {table.total()} audited records")
 
-    config_used = {
-        "direction": direction,
-        "seed": seed,
-        "chains": mcmc_config.chains,
-        "warmup": mcmc_config.warmup,
-        "keep": mcmc_config.keep,
-        "target_acceptance": mcmc_config.target_acceptance,
-        "pseudocount": pseudocount,
-        "citation_sample": citation_path,
-        "doctype_confusion": confusion_path,
-    }
-    _write_manifest(out_dir, "fit", config_used, inputs, outputs + [MANIFEST_NAME])
+    _write_manifest(out_dir, "fit", settings, inputs, outputs + [MANIFEST_NAME])
     if args.strict and not converged:
         print("convergence check failed and --strict is set", file=sys.stderr)
         return EXIT_NOT_CONVERGED
@@ -254,60 +256,47 @@ def _load_models(
     return FittedModels(citation=citation, doctype=doctype), inputs
 
 
-def _resolve_pooled(args: argparse.Namespace, cfg_file: dict) -> bool:
-    """Normalization universe choice; accepts either key from config files.
-
-    Flag wins; config files (and replayed manifests) may state the choice
-    as ``reference_only_normalization`` or as ``pooled_normalization``.
-    """
-    if getattr(args, "reference_only_normalization", None):
-        return False
-    if "reference_only_normalization" in cfg_file:
-        return not bool(cfg_file["reference_only_normalization"])
-    if "pooled_normalization" in cfg_file:
-        return bool(cfg_file["pooled_normalization"])
-    return True
-
-
 def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> int:
-    cfg_file = _load_config_file(args.config)
-    get = _Resolver(args, cfg_file).get
+    config_file = _load_config_file(args.config)
+    settings = _resolve(
+        args,
+        config_file,
+        {
+            **dict.fromkeys(("pubs", "reference", "citation_model", "doctype_model", "dump_items")),
+            **asdict(PropagationConfig()),
+            "workers": _env_workers,
+        },
+    )
+    channels = settings["channels"]
+    # flags give channels as a comma string, manifests as a list
+    if isinstance(channels, str):
+        channels = [c.strip() for c in channels.split(",") if c.strip()]
+    settings.update(channels=sorted(set(channels)), direction=direction)
+    # Config files may state the normalization universe the other way round.
+    if args.pooled_normalization is None and "reference_only_normalization" in config_file:
+        settings["pooled_normalization"] = not config_file["reference_only_normalization"]
 
-    pubs_path = get("pubs", None)
+    pubs_path = settings["pubs"]
     if pubs_path is None:
         raise UsageError(f"{command} needs --pubs")
     units = load_publications(pubs_path)
     inputs = [Path(pubs_path)]
 
     reference = None
-    reference_path = get("reference", None)
+    reference_path = settings["reference"]
     if reference_path is not None:
         ref_sets = load_publications(reference_path)
         members = tuple(p for pubset in ref_sets for p in pubset)
         reference = ref_sets[0].with_members(members) if len(ref_sets) > 1 else ref_sets[0]
         inputs.append(Path(reference_path))
 
-    models, model_inputs = _load_models(get("citation_model", None), get("doctype_model", None))
+    models, model_inputs = _load_models(settings["citation_model"], settings["doctype_model"])
     inputs.extend(model_inputs)
 
-    channels = get("channels", ",".join(sorted(ALL_CHANNELS)))
-    # replayed manifests store channels as a list, flags as a comma string
-    if isinstance(channels, str):
-        channel_set = frozenset(c.strip() for c in channels.split(",") if c.strip())
-    else:
-        channel_set = frozenset(channels)
-    config = PropagationConfig(
-        iterations=get("iterations", 2000),
-        seed=get("seed", 0),
-        channels=channel_set,
-        direction=direction,
-        key_mode=get("key_mode", "doctype"),
-        workers=get("workers", _default_workers()),
-        pooled_normalization=_resolve_pooled(args, cfg_file),
-    )
+    config = _config_of(PropagationConfig, settings)
     # Manifests written before per-publication parameter sharing was
     # removed may still name it; only the per-iteration value replays.
-    sharing = get("parameter_sharing", "iteration")
+    sharing = config_file.get("parameter_sharing", "iteration")
     if sharing != "iteration":
         raise UsageError(
             f"parameter_sharing {sharing!r} is no longer supported; "
@@ -319,7 +308,7 @@ def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> 
             return EXIT_NOT_CONVERGED
 
     out_dir = _ensure_out_dir(args.out)
-    dump = get("dump_items", None)
+    dump = settings["dump_items"]
     if dump:
         unit_pubs = sum(len(pubset) for pubset in units)
         print(
@@ -342,21 +331,7 @@ def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> 
     if dump:
         outputs.append(str(dump))
 
-    config_used = {
-        "pubs": pubs_path,
-        "reference": reference_path,
-        "citation_model": get("citation_model", None),
-        "doctype_model": get("doctype_model", None),
-        "iterations": config.iterations,
-        "seed": config.seed,
-        "channels": sorted(config.channels),
-        "direction": direction,
-        "key_mode": config.key_mode,
-        "workers": config.workers,
-        "pooled_normalization": config.pooled_normalization,
-        "dump_items": dump,
-    }
-    _write_manifest(out_dir, command, config_used, inputs, outputs, result.run_info)
+    _write_manifest(out_dir, command, settings, inputs, outputs, result.run_info)
     print(render_result_table(result))
     print(f"report written to {out_dir / REPORT_NAME}")
     return EXIT_OK
@@ -371,19 +346,26 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_exercise(args: argparse.Namespace) -> int:
-    cfg_file = _load_config_file(args.config)
-    get = _Resolver(args, cfg_file).get
-    seed = get("seed", 0)
-    iterations = get("iterations", 2000)
+    settings = _resolve(
+        args,
+        _load_config_file(args.config),
+        {
+            "iterations": PropagationConfig.iterations,
+            "seed": PropagationConfig.seed,
+            **dict.fromkeys(("citation_sample", "doctype_confusion")),
+            "workers": _env_workers,
+        },
+    )
+    settings.update(exercise=args.name, no_synthesize=args.no_synthesize)
 
     inputs: list[Path] = []
     citation_sample = None
-    sample_path = get("citation_sample", None)
+    sample_path = settings["citation_sample"]
     if sample_path is not None:
         citation_sample = load_citation_error_sample(sample_path)
         inputs.append(Path(sample_path))
     confusion = None
-    confusion_path = get("doctype_confusion", None)
+    confusion_path = settings["doctype_confusion"]
     if confusion_path is not None:
         confusion = load_doctype_confusion(confusion_path)
         inputs.append(Path(confusion_path))
@@ -400,11 +382,11 @@ def _cmd_exercise(args: argparse.Namespace) -> int:
 
     report = run_exercise(
         args.name,
-        iterations=iterations,
-        seed=seed,
+        iterations=settings["iterations"],
+        seed=settings["seed"],
         citation_sample=citation_sample,
         confusion=confusion,
-        workers=get("workers", _default_workers()),
+        workers=settings["workers"],
     )
     print(report.to_text())
 
@@ -423,16 +405,8 @@ def _cmd_exercise(args: argparse.Namespace) -> int:
         if confusion_path is None and report.confusion is not None:
             write_doctype_confusion(report.confusion, out_dir / "training_doctype_confusion.csv")
             outputs.append("training_doctype_confusion.csv")
-        config_used = {
-            "exercise": args.name,
-            "iterations": iterations,
-            "seed": seed,
-            "citation_sample": sample_path,
-            "doctype_confusion": confusion_path,
-            "no_synthesize": bool(args.no_synthesize),
-        }
         run_info = report.result.run_info if report.result is not None else None
-        _write_manifest(out_dir, "exercise", config_used, inputs, outputs, run_info)
+        _write_manifest(out_dir, "exercise", settings, inputs, outputs, run_info)
     return EXIT_OK
 
 
@@ -450,29 +424,34 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_sample_totals(
+    records: int, observed: int, omitted: int, omitted_rate: float, share_with_omission: float
+) -> None:
+    print(f"records:                {records}")
+    print(f"observed citations:     {observed}")
+    print(f"omitted citations:      {omitted}")
+    print(f"omitted rate:           {100.0 * omitted_rate:.2f}%")
+    print(f"share with >=1 omitted: {100.0 * share_with_omission:.2f}%")
+    print(f"mean observed:          {observed / records:.4f}")
+    print(f"mean corrected:         {(observed + omitted) / records:.4f}")
+
+
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.sample is None:
         marginal = embedded_missed_citation_sample()
-        records = marginal.record_count()
         missed = marginal.total_missed()
         observed = EMBEDDED_SAMPLE_OBSERVED_CITATIONS
         print("embedded correction audit")
-        print(f"records:                {records}")
-        print(f"observed citations:     {observed}")
-        print(f"omitted citations:      {missed}")
-        print(f"omitted rate:           {100.0 * missed / observed:.2f}%")
-        print(f"share with >=1 omitted: {100.0 * marginal.share_with_missing():.2f}%")
-        print(f"mean observed:          {observed / records:.4f}")
-        print(f"mean corrected:         {(observed + missed) / records:.4f}")
+        _print_sample_totals(
+            marginal.record_count(), observed, missed, missed / observed,
+            marginal.share_with_missing(),
+        )
         return EXIT_OK
     stats = sample_statistics(load_citation_error_sample(args.sample))
-    print(f"records:                {stats.n_records}")
-    print(f"observed citations:     {stats.total_observed}")
-    print(f"omitted citations:      {stats.total_omitted}")
-    print(f"omitted rate:           {100.0 * stats.omitted_rate:.2f}%")
-    print(f"share with >=1 omitted: {100.0 * stats.share_with_omission:.2f}%")
-    print(f"mean observed:          {stats.mean_observed:.4f}")
-    print(f"mean corrected:         {stats.mean_corrected:.4f}")
+    _print_sample_totals(
+        stats.n_records, stats.total_observed, stats.total_omitted, stats.omitted_rate,
+        stats.share_with_omission,
+    )
     if stats.pearson_r is None:
         print("pearson r:              undefined (zero variance)")
     else:
@@ -508,18 +487,25 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--direction",
         choices=[SECOND_KIND, FIRST_KIND],
-        help="error direction to model (default second-kind)",
+        help=f"error direction to model (default {NegBinModelSpec.direction})",
     )
-    fit.add_argument("--chains", type=int, help="MCMC chains (default 4)")
-    fit.add_argument("--warmup", type=int, help="warmup iterations per chain (default 1000)")
-    fit.add_argument("--keep", type=int, help="kept iterations per chain (default 1000)")
+    fit.add_argument("--chains", type=int, help=f"MCMC chains (default {McmcConfig.chains})")
     fit.add_argument(
-        "--target-acceptance", type=float, help="proposal adaptation target (default 0.3)"
+        "--warmup", type=int,
+        help=f"warmup iterations per chain (default {McmcConfig.warmup})",
     )
     fit.add_argument(
-        "--pseudocount", type=float, help="Dirichlet prior pseudocount (default 1.0)"
+        "--keep", type=int, help=f"kept iterations per chain (default {McmcConfig.keep})"
     )
-    fit.add_argument("--seed", type=int, help="random seed (default 0)")
+    fit.add_argument(
+        "--target-acceptance", type=float,
+        help=f"proposal adaptation target (default {McmcConfig.target_acceptance})",
+    )
+    fit.add_argument(
+        "--pseudocount", type=float,
+        help=f"Dirichlet prior pseudocount (default {DirichletPosterior.pseudocount})",
+    )
+    fit.add_argument("--seed", type=int, help=f"random seed (default {McmcConfig.seed})")
     fit.add_argument("--config", help="JSON config file (or a previous run manifest)")
     fit.add_argument("--strict", action="store_true", help="exit 3 if convergence fails")
     fit.add_argument("--out", required=True, help="output directory")
@@ -534,19 +520,26 @@ def build_parser() -> argparse.ArgumentParser:
             "--channels",
             help="comma-separated error channels: citations,doctypes (default both)",
         )
-        cmd.add_argument("--iterations", type=int, help="Monte Carlo iterations (default 2000)")
-        cmd.add_argument("--seed", type=int, help="random seed (default 0)")
+        cmd.add_argument(
+            "--iterations", type=int,
+            help=f"Monte Carlo iterations (default {PropagationConfig.iterations})",
+        )
+        cmd.add_argument(
+            "--seed", type=int, help=f"random seed (default {PropagationConfig.seed})"
+        )
         cmd.add_argument(
             "--key-mode",
             choices=["doctype", "doctype-year-field"],
-            help="normalization cell key (default doctype)",
+            help=f"normalization cell key (default {PropagationConfig.key_mode})",
         )
         cmd.add_argument(
-            "--workers", type=int, help="worker processes (default $BIBUQ_WORKERS or 1)"
+            "--workers", type=int,
+            help=f"worker processes (default $BIBUQ_WORKERS or {PropagationConfig.workers})",
         )
         cmd.add_argument(
             "--reference-only-normalization",
-            action="store_true",
+            dest="pooled_normalization",
+            action="store_false",
             default=None,
             help="exclude assessed units from the normalization universe",
         )
@@ -595,9 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
     exercise.add_argument("name", help=f"exercise name: {', '.join(list_exercises())}")
     exercise.add_argument(
         "--iterations", "--draws", dest="iterations", type=int,
-        help="Monte Carlo draws (default 2000)",
+        help=f"Monte Carlo draws (default {PropagationConfig.iterations})",
     )
-    exercise.add_argument("--seed", type=int, help="random seed (default 0)")
+    exercise.add_argument(
+        "--seed", type=int, help=f"random seed (default {PropagationConfig.seed})"
+    )
     exercise.add_argument("--citation-sample", help="override the synthesized training sample")
     exercise.add_argument("--doctype-confusion", help="override the synthetic confusion table")
     exercise.add_argument(

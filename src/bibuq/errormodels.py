@@ -127,6 +127,10 @@ class McmcDiagnostics:
     converged: bool
     rhat_available: bool = True
 
+    def __post_init__(self) -> None:
+        # A posterior read back from JSON passes a list.
+        object.__setattr__(self, "acceptance_rates", tuple(self.acceptance_rates))
+
 
 _PARAM_NAMES = ("intercept", "slope", "dispersion")
 
@@ -393,6 +397,9 @@ def fit_citation_error_model(
         acceptance_rates=acceptance,
     )
     diag = mcmc_diagnostics(posterior)
+    # Nothing else holds the posterior yet, so its diagnostics can be
+    # attached in place instead of validating the draws a second time.
+    object.__setattr__(posterior, "diagnostics", diag)
     if not diag.converged:
         warnings.warn(
             f"citation error model did not converge: max split R-hat "
@@ -400,13 +407,7 @@ def fit_citation_error_model(
             RuntimeWarning,
             stacklevel=2,
         )
-    return NegBinPosterior(
-        draws=full,
-        spec=spec,
-        config=config,
-        acceptance_rates=acceptance,
-        diagnostics=diag,
-    )
+    return posterior
 
 
 def mcmc_diagnostics(posterior: NegBinPosterior) -> McmcDiagnostics:
@@ -592,15 +593,7 @@ def load_posterior(path: str | Path) -> NegBinPosterior | DirichletPosterior:
             spec=NegBinModelSpec(**payload["spec"]),
             config=McmcConfig(**payload["config"]),
             acceptance_rates=tuple(payload["acceptance_rates"]),
-            diagnostics=McmcDiagnostics(
-                rhat=diag["rhat"],
-                ess=diag["ess"],
-                acceptance_rates=tuple(diag["acceptance_rates"]),
-                converged=diag["converged"],
-                rhat_available=diag["rhat_available"],
-            )
-            if diag
-            else None,
+            diagnostics=McmcDiagnostics(**diag) if diag else None,
         )
     if tag == _DIRICHLET_TAG:
         return DirichletPosterior(

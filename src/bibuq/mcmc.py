@@ -16,6 +16,9 @@ import numpy as np
 
 __all__ = ["ChainResult", "run_chain", "split_rhat", "effective_sample_size"]
 
+# Starting global proposal scale, before the 2.38 / sqrt(dim) factor.
+_INITIAL_SCALE = 0.1
+
 
 @dataclass(frozen=True)
 class ChainResult:
@@ -33,7 +36,6 @@ def run_chain(
     keep: int,
     rngs: Sequence[np.random.Generator],
     target_acceptance: float = 0.3,
-    initial_scale: float = 0.1,
 ) -> ChainResult:
     """Run independent adaptive Metropolis chains in lockstep.
 
@@ -60,7 +62,7 @@ def run_chain(
     if not np.isfinite(lp).all():
         raise ValueError("initial state has non-finite log density")
 
-    log_scale = np.full(chains, np.log(initial_scale * 2.38 / np.sqrt(dim)))
+    log_scale = np.full(chains, np.log(_INITIAL_SCALE * 2.38 / np.sqrt(dim)))
     # Welford accumulators for the warmup sample variance.
     mean = x.copy()
     m2 = np.zeros((chains, dim))

@@ -59,7 +59,6 @@ from .datamodel import (
     DocType,
     DOCTYPE_ORDER,
     DocTypeConfusionTable,
-    MissedCitationMarginal,
     Publication,
     PublicationSet,
     UsageError,
@@ -708,41 +707,32 @@ def _propagate_with_dump(ws: _Workspace, path: Path) -> tuple[np.ndarray, ...]:
 # Scenario generation
 # ---------------------------------------------------------------------------
 
-_DEFAULT_MIX = {
-    DocType.ARTICLE: 0.68,
-    DocType.REVIEW: 0.04,
-    DocType.LETTER: 0.03,
-    DocType.OTHER: 0.25,
-}
-_DEFAULT_SCALING = {
-    DocType.ARTICLE: 1.0,
-    DocType.REVIEW: 1.5,
-    DocType.LETTER: 0.2,
-    DocType.OTHER: 0.1,
-}
+# Doctype shares and per-doctype location factors, in DOCTYPE_ORDER.
+_SCENARIO_MIX = np.array([0.68, 0.04, 0.03, 0.25])
+_SCENARIO_SCALING = np.array([1.0, 1.5, 0.2, 0.1])
+_SCENARIO_SIGMA = 1.0
+_SCENARIO_YEAR = 2010
+_SCENARIO_REFERENCE_NAME = "reference"
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Synthetic multi-unit publication scenario.
 
-    Citation counts per publication are discretized lognormal draws; the
-    location parameter is the set's location scaled by a per-doctype
-    factor, so reviews run hotter and letters colder than articles.
-    Document types follow a fixed mixture.  All publications share one
-    year and carry no field label.
+    Each set (the units and the reference set, named "reference") has a
+    size and a location.  A publication's citation count is the floor of
+    a lognormal draw with sigma 1 whose location is its set's location
+    scaled by a per-doctype factor (article 1, review 1.5, letter 0.2,
+    other 0.1), so reviews run hotter and letters colder than articles.
+    Document types follow a fixed mixture (68% articles, 4% reviews, 3%
+    letters, 25% other).  All publications are dated 2010 and carry no
+    field label.
     """
 
     unit_sizes: Mapping[str, int]
     unit_locations: Mapping[str, float]
     reference_size: int
     reference_location: float
-    reference_name: str = "reference"
-    doctype_mix: Mapping[DocType, float] = field(default_factory=lambda: dict(_DEFAULT_MIX))
-    type_scaling: Mapping[DocType, float] = field(default_factory=lambda: dict(_DEFAULT_SCALING))
-    sigma: float = 1.0
-    year: int = 2010
-    discretization: str = "floor"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -752,34 +742,22 @@ class ScenarioConfig:
             raise ValidationError("need at least one unit")
         if any(size < 1 for size in self.unit_sizes.values()) or self.reference_size < 1:
             raise ValidationError("set sizes must be >= 1")
-        if self.reference_name in self.unit_sizes:
-            raise ValidationError(f"reference name {self.reference_name!r} collides with a unit")
-        mix_total = sum(self.doctype_mix.get(dt, 0.0) for dt in DOCTYPE_ORDER)
-        if any(p < 0 for p in self.doctype_mix.values()) or abs(mix_total - 1.0) > 1e-9:
-            raise ValidationError("doctype_mix must be non-negative and sum to 1")
-        if any(s <= 0 for s in self.type_scaling.values()):
-            raise ValidationError("type_scaling factors must be > 0")
-        if self.sigma <= 0:
-            raise ValidationError("sigma must be > 0")
-        if self.discretization not in ("floor", "round"):
-            raise ValidationError("discretization must be 'floor' or 'round'")
+        if _SCENARIO_REFERENCE_NAME in self.unit_sizes:
+            raise ValidationError(f"reference name {_SCENARIO_REFERENCE_NAME!r} collides with a unit")
 
 
 def _scenario_set(
-    rng: np.random.Generator, cfg: ScenarioConfig, name: str, size: int, location: float
+    rng: np.random.Generator, name: str, size: int, location: float
 ) -> PublicationSet:
-    probs = np.array([cfg.doctype_mix.get(dt, 0.0) for dt in DOCTYPE_ORDER])
-    codes = rng.choice(4, size=size, p=probs / probs.sum())
-    scaling = np.array([cfg.type_scaling[dt] for dt in DOCTYPE_ORDER])
-    raw = rng.lognormal(mean=location * scaling[codes], sigma=cfg.sigma)
-    counts = np.floor(raw) if cfg.discretization == "floor" else np.rint(raw)
-    counts = counts.astype(np.int64)
+    codes = rng.choice(4, size=size, p=_SCENARIO_MIX / _SCENARIO_MIX.sum())
+    raw = rng.lognormal(mean=location * _SCENARIO_SCALING[codes], sigma=_SCENARIO_SIGMA)
+    counts = np.floor(raw).astype(np.int64)
     members = tuple(
         Publication(
             id=f"{name}-{k:05d}",
             unit=name,
             doctype=DOCTYPE_ORDER[codes[k]],
-            year=cfg.year,
+            year=_SCENARIO_YEAR,
             citations=int(counts[k]),
         )
         for k in range(size)
@@ -791,11 +769,11 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[PublicationSet], Public
     """Draw the assessed units and the reference set of a scenario."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
     units = [
-        _scenario_set(rng, cfg, name, cfg.unit_sizes[name], cfg.unit_locations[name])
+        _scenario_set(rng, name, cfg.unit_sizes[name], cfg.unit_locations[name])
         for name in cfg.unit_sizes
     ]
     reference = _scenario_set(
-        rng, cfg, cfg.reference_name, cfg.reference_size, cfg.reference_location
+        rng, _SCENARIO_REFERENCE_NAME, cfg.reference_size, cfg.reference_location
     )
     return units, reference
 
@@ -805,36 +783,25 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[PublicationSet], Public
 # ---------------------------------------------------------------------------
 
 
-def synthesize_training_sample(
-    marginal: MissedCitationMarginal | None = None,
-    target_mean_c: float | None = None,
-    target_r: float = 0.31,
-    seed: int = 0,
-    tolerance: float = 0.05,
-) -> CitationErrorSample:
-    """Build a paired training sample from an omitted-count marginal.
+_SYNTH_TARGET_R = 0.31
+_SYNTH_TOLERANCE = 0.05
 
-    The omitted column reproduces the marginal histogram exactly.  The
-    observed column is a discretized lognormal calibrated to
-    ``target_mean_c``; the two columns are rank-coupled through a
+
+def synthesize_training_sample(seed: int = 0) -> CitationErrorSample:
+    """Build a paired training sample from the embedded 372-record audit.
+
+    The omitted column reproduces the embedded omitted-count histogram
+    exactly.  The observed column is a floored lognormal (sigma 1)
+    calibrated so that its mean matches the audited citation total, 6120
+    over 372 records.  The two columns are rank-coupled through a
     bivariate Gaussian copula whose correlation is searched so that the
-    realized Pearson r lands within ``tolerance`` of ``target_r``.  When
-    no coupling achieves the target (or r is undefined because a column
-    is constant), the best achievable sample is returned with a warning.
-
-    Defaults reproduce the built-in audit: its marginal and a mean
-    observed count matching the audited citation total.
+    realized Pearson r lands within 0.05 of 0.31; when no coupling gets
+    that close, the best achievable sample is returned with a warning.
+    All randomness derives from ``seed``.
     """
-    marginal = marginal or embedded_missed_citation_sample()
-    n = marginal.record_count()
-    if n < 2:
-        raise ValidationError("marginal must describe at least 2 records")
-    if target_mean_c is None:
-        target_mean_c = EMBEDDED_SAMPLE_OBSERVED_CITATIONS / 372
-    if target_mean_c < 0:
-        raise ValidationError("target_mean_c must be >= 0")
-
-    omitted_sorted = marginal.expand()
+    omitted_sorted = embedded_missed_citation_sample().expand()
+    n = omitted_sorted.size
+    target_mean_c = EMBEDDED_SAMPLE_OBSERVED_CITATIONS / n
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
     z_obs = rng.standard_normal(n)
     z_noise = rng.standard_normal(n)
@@ -848,9 +815,6 @@ def synthesize_training_sample(
 
     for _ in range(12):
         mean = observed_for(mu).mean()
-        if mean <= 0:
-            mu += 0.5
-            continue
         if abs(mean - target_mean_c) < 1e-6:
             break
         mu += math.log((target_mean_c + 1e-9) / mean)
@@ -862,22 +826,15 @@ def synthesize_training_sample(
         out[np.argsort(z_latent, kind="stable")] = omitted_sorted
         return out
 
-    def pearson(a: np.ndarray, b: np.ndarray) -> float | None:
-        if a.std() == 0.0 or b.std() == 0.0:
-            return None
+    def pearson(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.corrcoef(a.astype(float), b.astype(float))[0, 1])
-
-    if pearson(observed, coupled(0.0)) is None:
-        # Degenerate marginal or constant observed column: correlation is
-        # undefined for every coupling, so return the uncoupled pairing.
-        return CitationErrorSample(observed, coupled(0.0))
 
     best_rho, best_gap = 0.0, float("inf")
     grid = np.linspace(-0.999, 0.999, 81)
     for _ in range(2):
         for rho in grid:
             r = pearson(observed, coupled(float(rho)))
-            gap = abs(r - target_r)
+            gap = abs(r - _SYNTH_TARGET_R)
             if gap < best_gap:
                 best_rho, best_gap = float(rho), gap
         width = grid[1] - grid[0]
@@ -886,11 +843,10 @@ def synthesize_training_sample(
         )
 
     omitted = coupled(best_rho)
-    achieved = pearson(observed, omitted)
-    if best_gap > tolerance:
+    if best_gap > _SYNTH_TOLERANCE:
         warnings.warn(
-            f"target correlation {target_r:.3f} unreachable for this marginal; "
-            f"best achieved {achieved:.3f}",
+            f"target correlation {_SYNTH_TARGET_R:.3f} unreachable for this marginal; "
+            f"best achieved {pearson(observed, omitted):.3f}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -1097,12 +1053,11 @@ def render_result_table(result: PropagationResult) -> str:
 
 def run_exercise(
     name: str,
-    iterations: int = 2000,
+    iterations: int = PropagationConfig.iterations,
     seed: int = 0,
     citation_sample: CitationErrorSample | None = None,
     confusion: DocTypeConfusionTable | None = None,
-    mcmc_config: McmcConfig | None = None,
-    workers: int = 1,
+    workers: int = PropagationConfig.workers,
 ) -> ExerciseReport:
     """Run one of the built-in demonstration exercises.
 
@@ -1133,7 +1088,7 @@ def run_exercise(
     doctype_posterior = None
     if CHANNEL_CITATIONS in exercise.channels:
         spec = NegBinModelSpec(direction=exercise.direction)
-        cfg = mcmc_config or McmcConfig(seed=subseed(seed, 3))
+        cfg = McmcConfig(seed=subseed(seed, 3))
         citation_posterior = fit_citation_error_model(citation_sample, spec, cfg)
     if CHANNEL_DOCTYPES in exercise.channels:
         doctype_posterior = fit_doctype_error_model(confusion, direction=exercise.direction)

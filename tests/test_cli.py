@@ -7,12 +7,15 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from bibuq.datamodel import write_citation_error_sample, write_doctype_confusion
+from bibuq.errormodels import DirichletPosterior, McmcConfig, NegBinModelSpec
 from bibuq.simulation import (
+    PropagationConfig,
     ScenarioConfig,
     generate_scenario,
     synthesize_training_sample,
@@ -163,6 +166,123 @@ class TestFit:
     def test_requires_some_input(self, tmp_path):
         proc = run_cli("fit", "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
+
+    def test_manifest_reproduces_run(self, workdir, tmp_path):
+        first = tmp_path / "first"
+        proc = run_cli(
+            "fit",
+            "--citation-sample",
+            str(workdir / "sample.csv"),
+            "--doctype-confusion",
+            str(workdir / "confusion.csv"),
+            "--direction",
+            "first-kind",
+            "--pseudocount",
+            "0.5",
+            "--target-acceptance",
+            "0.35",
+            *FAST_FIT,
+            "--out",
+            str(first),
+        )
+        assert proc.returncode == 0, proc.stderr
+        second = tmp_path / "second"
+        proc = run_cli("fit", "--config", str(first / "run_manifest.json"), "--out", str(second))
+        assert proc.returncode == 0, proc.stderr
+        for name in ("citation_posterior.json", "doctype_posterior.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert json.loads((first / "run_manifest.json").read_text())["config"] == json.loads(
+            (second / "run_manifest.json").read_text()
+        )["config"]
+
+
+def test_flagless_manifests_record_library_defaults(workdir, tmp_path, monkeypatch):
+    monkeypatch.delenv("BIBUQ_WORKERS", raising=False)
+    models = tmp_path / "models"
+    proc = run_cli(
+        "fit",
+        "--citation-sample",
+        str(workdir / "sample.csv"),
+        "--doctype-confusion",
+        str(workdir / "confusion.csv"),
+        "--out",
+        str(models),
+    )
+    assert proc.returncode == 0, proc.stderr
+    config = json.loads((models / "run_manifest.json").read_text())["config"]
+    assert config == {
+        **asdict(McmcConfig()),
+        "direction": NegBinModelSpec.direction,
+        "pseudocount": DirichletPosterior.pseudocount,
+        "citation_sample": str(workdir / "sample.csv"),
+        "doctype_confusion": str(workdir / "confusion.csv"),
+    }
+
+    out = tmp_path / "prop"
+    proc = run_cli(
+        "propagate",
+        "--pubs",
+        str(workdir / "pubs.csv"),
+        "--citation-model",
+        str(models / "citation_posterior.json"),
+        "--doctype-model",
+        str(models / "doctype_posterior.json"),
+        "--out",
+        str(out),
+    )
+    assert proc.returncode == 0, proc.stderr
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    defaults = asdict(PropagationConfig())
+    defaults["channels"] = sorted(defaults["channels"])
+    assert {key: config[key] for key in defaults} == defaults
+
+    out = tmp_path / "ex"
+    proc = run_cli("exercise", "1", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert config["iterations"] == PropagationConfig.iterations
+    assert config["seed"] == PropagationConfig.seed
+    assert config["workers"] == PropagationConfig.workers
+
+
+class TestWorkersSetting:
+    def test_flag_wins_over_malformed_env(self):
+        proc = run_cli(
+            "exercise", "2", "--iterations", "10", "--workers", "1",
+            env={"BIBUQ_WORKERS": "abc"},
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_config_wins_over_malformed_env(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": 1, "iterations": 10}))
+        proc = run_cli("exercise", "2", "--config", str(config), env={"BIBUQ_WORKERS": "abc"})
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2"])
+    def test_env_must_be_a_positive_integer(self, raw, tmp_path):
+        for argv in (
+            ["exercise", "2", "--iterations", "10"],
+            ["propagate", "--pubs", "pubs.csv", "--out", str(tmp_path / "x")],
+        ):
+            proc = run_cli(*argv, env={"BIBUQ_WORKERS": raw})
+            assert proc.returncode == 2
+            assert "BIBUQ_WORKERS must be" in proc.stderr
+
+    def test_workers_flag_below_one_is_rejected(self, workdir, tmp_path):
+        proc = run_cli(
+            "propagate",
+            "--pubs",
+            str(workdir / "pubs.csv"),
+            "--citation-model",
+            str(workdir / "models2" / "citation_posterior.json"),
+            "--workers",
+            "0",
+            "--out",
+            str(tmp_path / "x"),
+        )
+        assert proc.returncode == 2
+        assert "workers must be >= 1" in proc.stderr
 
 
 class TestPropagate:
@@ -355,6 +475,20 @@ class TestPropagate:
         )
         assert proc.returncode == 0, proc.stderr
         assert (replay / "report.json").read_bytes() == (ref_only / "report.json").read_bytes()
+        # A config may name the choice reference_only_normalization instead;
+        # that key wins over pooled_normalization, and the flag over both.
+        config = json.loads((ref_only / "run_manifest.json").read_text())["config"]
+        for legacy, flag, expected in (
+            (True, [], ref_only),
+            (False, [], pooled),
+            (False, ["--reference-only-normalization"], ref_only),
+        ):
+            path = tmp_path / "legacy.json"
+            path.write_text(json.dumps({**config, "reference_only_normalization": legacy}))
+            out = tmp_path / f"legacy-{legacy}-{len(flag)}"
+            proc = run_cli("propagate", "--config", str(path), *flag, "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            assert (out / "report.json").read_bytes() == (expected / "report.json").read_bytes()
 
     def test_dump_items(self, workdir, tmp_path):
         out = tmp_path / "dump"
@@ -481,6 +615,20 @@ class TestExercise:
         assert payload["exercise"] == "2"
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == "exercise"
+
+    def test_manifest_reproduces_run(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("BIBUQ_WORKERS", raising=False)
+        first = tmp_path / "first"
+        proc = run_cli("exercise", "2", "--iterations", "40", "--seed", "3", "--out", str(first))
+        assert proc.returncode == 0, proc.stderr
+        second = tmp_path / "second"
+        proc = run_cli(
+            "exercise", "2", "--config", str(first / "run_manifest.json"), "--out", str(second)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (first / "exercise.json").read_bytes() == (second / "exercise.json").read_bytes()
+        config = json.loads((second / "run_manifest.json").read_text())["config"]
+        assert (config["iterations"], config["seed"], config["workers"]) == (40, 3, 1)
 
     def test_prints_table_without_out(self):
         proc = run_cli("exercise", "1", "--iterations", "30", "--seed", "0")

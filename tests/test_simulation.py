@@ -23,6 +23,7 @@ from bibuq.datamodel import (
     ValidationError,
     doctype_index,
     sample_statistics,
+    write_publications,
 )
 from bibuq.errormodels import FIRST_KIND, SECOND_KIND, NegBinPosterior
 from bibuq.indicators import KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD
@@ -170,7 +171,7 @@ class TestScenario:
         units, reference = generate_scenario(cfg)
         assert [u.name for u in units] == ["A", "B"]
         assert [len(u) for u in units] == [40, 50]
-        assert reference.name == cfg.reference_name
+        assert reference.name == "reference"
         assert len(reference) == 200
         units2, reference2 = generate_scenario(cfg)
         assert units == units2
@@ -202,6 +203,42 @@ class TestScenario:
             [p.doctype is DocType.ARTICLE for p in units[0].members]
         )
         assert share_article == pytest.approx(0.68, abs=0.03)
+
+
+# sha256 of synthesize_training_sample(seed) as little-endian int64
+# (observed row, then omitted row), and of the publications CSV of the
+# scenarios that exercises "2"-"4" and "A1"-"A3" draw at seed 0, recorded
+# before their tuning parameters became module constants.
+_PINNED_SYNTH_SHA256 = [
+    "2a7883b190489a0713520abd0d0e895de4a166b202916e1b6caaee54d9da2895",
+    "41e8200fabd996d2957b86cdb32624ff4860dbe594f1836e6fd1755c85e977de",
+    "210a660f9dd4d73fc811b403f3fb26dc493daeca47ae8065f3fe940d1cd3cedb",
+    "f2989d234ce4f37fb7644b0749a13682fca3c9b8df75ade4ff898d873b670823",
+    "16b05e3672c8fb9aed5e7aa8318c794515b252b11d6b2c0b2242285662eadb3d",
+]
+_PINNED_SCENARIO_SHA256 = {
+    "second-kind": "615dd76f9cbbfc31c1f44e2829e5d6c2ff9fddbf680d3da781744e84b34e1ab4",
+    "first-kind": "1f04fedcf70e11d866ff7b236598d2084d97b2cbd2f23637026f9ba38a2612bb",
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_synthesized_sample_bytes_are_pinned(seed):
+    sample = synthesize_training_sample(seed=seed)
+    data = np.stack([sample.observed, sample.omitted]).astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == _PINNED_SYNTH_SHA256[seed]
+
+
+@pytest.mark.parametrize("kind", sorted(_PINNED_SCENARIO_SHA256))
+def test_exercise_scenario_bytes_are_pinned(tmp_path, kind):
+    make = {
+        "second-kind": simulation._second_kind_scenario,
+        "first-kind": simulation._first_kind_scenario,
+    }[kind]
+    units, reference = generate_scenario(make(subseed(0, 1)))
+    path = tmp_path / "pubs.csv"
+    write_publications(units + [reference], path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_SCENARIO_SHA256[kind]
 
 
 class TestSynthesizedSample:
