@@ -128,18 +128,47 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
+def _check_config_value(name: str, value, default) -> None:
+    """Reject a config-file value whose type is not its default's.
+
+    A bool is not an integer, while an integer is a valid float.  A path
+    setting (default None) is a string or null, ``channels`` a comma
+    string or a list of names, and a callable default stands for an
+    integer read from the environment.
+    """
+    if isinstance(default, bool):
+        ok, expected = isinstance(value, bool), "true or false"
+    elif callable(default) or isinstance(default, int):
+        ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, expected = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif isinstance(default, frozenset):
+        ok = isinstance(value, str) or (
+            isinstance(value, list) and all(isinstance(v, str) for v in value)
+        )
+        expected = "a string or a list of strings"
+    elif default is None:
+        ok, expected = value is None or isinstance(value, str), "a string or null"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    if not ok:
+        raise UsageError(f"config value {name!r} must be {expected}, got {json.dumps(value)}")
+
+
 def _resolve(args: argparse.Namespace, config_file: dict, defaults: dict) -> dict:
     """Each setting named in ``defaults``: flag > config file > default.
 
-    A callable default is called only when neither source sets the value.
-    The result is what the command runs with and also the ``config``
-    block of its manifest, so passing the manifest back replays the run.
+    A config-file value must have its default's type.  A callable default
+    is called only when neither source sets the value.  The result is
+    what the command runs with and also the ``config`` block of its
+    manifest, so passing the manifest back replays the run.
     """
     settings = {}
     for name, default in defaults.items():
         if getattr(args, name, None) is not None:
             settings[name] = getattr(args, name)
         elif name in config_file:
+            _check_config_value(name, config_file[name], default)
             settings[name] = config_file[name]
         else:
             settings[name] = default() if callable(default) else default
@@ -274,7 +303,9 @@ def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> 
     settings.update(channels=sorted(set(channels)), direction=direction)
     # Config files may state the normalization universe the other way round.
     if args.pooled_normalization is None and "reference_only_normalization" in config_file:
-        settings["pooled_normalization"] = not config_file["reference_only_normalization"]
+        reference_only = config_file["reference_only_normalization"]
+        _check_config_value("reference_only_normalization", reference_only, False)
+        settings["pooled_normalization"] = not reference_only
 
     pubs_path = settings["pubs"]
     if pubs_path is None:

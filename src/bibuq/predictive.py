@@ -139,6 +139,25 @@ def draw_doctype_codes(
     return codes
 
 
+def draw_doctype_counts(
+    rng: np.random.Generator,
+    prob_rows: np.ndarray,
+    sizes: np.ndarray,
+    conditioning_codes: np.ndarray,
+) -> np.ndarray:
+    """Per-category counts of groups of items, one multinomial per group.
+
+    Group g has ``sizes[g]`` items, all conditioned on the category
+    ``conditioning_codes[g]``.  Given ``prob_rows`` the items are iid
+    categorical on that row, so the tally of their ``draw_doctype_codes``
+    codes is Multinomial(``sizes[g]``, ``prob_rows[conditioning_codes[g]]``):
+    this draws it directly, in time proportional to the groups rather than
+    the items.  Returns a (groups, 4) integer array; row g sums to
+    ``sizes[g]`` and a zero-probability category gets 0.
+    """
+    return rng.multinomial(sizes, prob_rows[conditioning_codes])
+
+
 def sample_probability_rows(rng: np.random.Generator, concentrations: np.ndarray) -> np.ndarray:
     """One Dirichlet draw per row of a (k, 4) concentration array.
 

@@ -14,22 +14,24 @@ how iterations are partitioned over worker processes.  Within an
 iteration one posterior parameter draw is shared by all publications:
 each iteration is one coherent hypothetical state of the world.
 
-Each iteration draws, in this order, the Dirichlet probability rows, one
-doctype code per publication, and the omitted citations.  Given the
-parameter draw, publications with the same unit (or the reference set),
-cell group, recorded doctype and citation count are iid, so the kernel
-groups them: the codes put k of a group's publications in each (group,
-doctype) cell, and the omitted citations of those k are one gamma-Poisson
-sum, ``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law
-of k summed negative binomial draws.  Cell sums and counts and the
-indicators follow exactly from these per-cell draws.  A publication is a
-group of its own where exactness needs its own value: first-kind
-citation redraws (the clamp at zero), uncited unit publications under
+Each iteration draws, in this order, the Dirichlet probability rows, the
+new doctypes, and the omitted citations.  Given the parameter draw,
+publications with the same unit (or the reference set), cell group,
+recorded doctype and citation count are iid, so the kernel groups them:
+one multinomial per group over its recorded doctype's probability row
+puts k of its publications in each (group, doctype) cell, and the
+omitted citations of those k are one gamma-Poisson sum,
+``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law of k
+summed negative binomial draws.  Cell sums and counts and the indicators
+follow exactly from these per-cell draws.  A publication is a group of
+its own where exactness needs its own value: first-kind citation
+redraws (the clamp at zero), uncited unit publications under
 reference-only normalization (the zero-mean-cell rule), and runs with an
 item dump.  When grouping would not narrow the kernel, every publication
-is drawn on its own, in layout order, as the 0.1.0 kernel did but with
-the doctype draws first; so the same seed gives different replicates
-than 0.1.0 did.
+is drawn on its own, in layout order, one uniform for its doctype, as
+the 0.1.0 kernel did but with the doctype draws first.  So the same seed
+gives different replicates than 0.1.0 did, and grouped runs differ from
+the builds that tallied one uniform per publication into the cells.
 
 Iterations run in fixed-size blocks: each iteration's draws fill one row
 of (block, columns) arrays, a column being a cell or a publication, and
@@ -88,6 +90,7 @@ from .indicators import (
 )
 from .predictive import (
     draw_doctype_codes,
+    draw_doctype_counts,
     draw_omitted,
     predict_doctype,
     predict_error_free_citations,
@@ -281,21 +284,23 @@ class _Workspace:
     set, and sorted into exchangeable groups (see ``_build_workspace``).
     The kernel works on columns.  When grouping would not narrow it
     (``per_item``), column j is publication j and its doctype is redrawn
-    in place.  Otherwise a column is a (group, doctype) cell, ``group * 4
-    + doctype``, when doctypes are redrawn, and a group when they are
-    not; its count of items is drawn per iteration or fixed.  Unit
-    columns come first, ``n_ucols`` of them.  A column's cell key is
+    in place from ``col_types``.  Otherwise a column is a (group,
+    doctype) cell, ``group * 4 + doctype``, when doctypes are redrawn,
+    and a group when they are not.  ``group_sizes`` holds each group's
+    item count and ``group_types`` its recorded (first kind: true)
+    doctype, the row a multinomial over its new doctypes is drawn from;
+    without doctype redraws the sizes are the columns' fixed counts.
+    Unit columns come first, ``n_ucols`` of them.  A column's cell key is
     ``col_base`` (its cell group times 4) plus its doctype, below
     ``n_cells``; ``norm`` selects the columns counted in the
     normalization cells.
     """
 
-    dt_codes: np.ndarray
-    item_cells: np.ndarray | None
     col_citations: np.ndarray
     col_log1p: np.ndarray
     col_types: np.ndarray
-    col_sizes: np.ndarray | None
+    group_sizes: np.ndarray | None
+    group_types: np.ndarray | None
     col_base: np.ndarray
     col_unit: np.ndarray
     n_ucols: int
@@ -330,13 +335,14 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     """Redraw the data for iterations [start, stop) and score every unit.
 
     Each iteration draws only from its own substream: first the
-    probability rows and one doctype code per publication, then the
-    omitted citations, one gamma-Poisson sum per column with the count of
-    items the codes put in it.  Its draws fill one row of (iterations,
-    columns) arrays.  The cells of all rows are then rebuilt together, one
-    ``bincount`` per sum over ``row * n_cells + cell key``, and
-    ``unit_indicators`` scores all rows' unit columns in slots ``row *
-    n_units + unit``.  Returns per iteration and unit P, C, MNCS and the
+    probability rows, then the doctypes, one code per publication when
+    ``per_item`` and otherwise one multinomial per group giving the count
+    of items in each of its columns, then the omitted citations, one
+    gamma-Poisson sum per column with its count of items.  Its draws fill
+    one row of (iterations, columns) arrays.  The cells of all rows are
+    then rebuilt together, one ``bincount`` per sum over ``row * n_cells
+    + cell key``, and ``unit_indicators`` scores all rows' unit columns in
+    slots ``row * n_units + unit``.  Returns per iteration and unit P, C, MNCS and the
     MNCS exclusion count, then the redrawn citations and doctype codes of
     the unit columns (one per publication when ``per_item``, for the item
     dump).
@@ -350,21 +356,22 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
         k = None
         types = np.empty((rows, m), dtype=np.int64) if redraw_doctypes else ws.col_types
     else:
-        k = np.empty((rows, m), dtype=np.int64) if redraw_doctypes else ws.col_sizes
+        k = np.empty((rows, m), dtype=np.int64) if redraw_doctypes else ws.group_sizes
         types = ws.col_types
     if redraw_citations:
         omitted = np.empty((rows, m), dtype=np.int64)
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
     for b, iteration in enumerate(range(start, stop)):
         rng = iteration_rng(cfg.seed, iteration)
-        sizes = ws.col_sizes
+        sizes = ws.group_sizes
         if redraw_doctypes:
             prob_rows = sample_probability_rows(rng, ws.dirichlet.concentrations)
-            codes = draw_doctype_codes(rng, prob_rows, ws.dt_codes)
             if k is None:
-                types[b] = codes
+                types[b] = draw_doctype_codes(rng, prob_rows, ws.col_types)
             else:
-                sizes = k[b] = np.bincount(ws.item_cells + codes, minlength=m)
+                sizes = k[b] = draw_doctype_counts(
+                    rng, prob_rows, ws.group_sizes, ws.group_types
+                ).ravel()
         if redraw_citations:
             omitted[b] = draw_omitted(rng, params[b], ws.col_log1p, sizes)
 
@@ -534,22 +541,20 @@ def _build_workspace(
         n_exchangeable = int(starts.sum())
     width = 4 * n_exchangeable if redraw_doctypes else n_exchangeable
 
-    item_cells = col_sizes = None
+    group_sizes = group_types = None
     if width >= n:
         # One column per publication, in layout order.
         rep = np.arange(n)
         col_types = dt_codes
     else:
-        group = np.empty(n, dtype=np.int64)
-        group[order] = np.cumsum(starts) - 1
         rep = order[starts]
+        group_sizes = np.diff(np.flatnonzero(np.append(starts, True)))
         if redraw_doctypes:
-            item_cells = group * 4
+            group_types = dt_codes[rep]
             rep = np.repeat(rep, 4)
             col_types = np.tile(np.arange(4, dtype=np.int64), n_exchangeable)
         else:
             col_types = dt_codes[rep]
-            col_sizes = np.bincount(group)
 
     # Groups sort by unit slot, so the unit columns come first.
     n_ucols = int(np.count_nonzero(unit_slot[rep] < len(units)))
@@ -558,12 +563,11 @@ def _build_workspace(
         norm = slice(int(norm[0]), int(norm[-1]) + 1)  # a view, not a gather
     col_citations = citations[rep]
     return _Workspace(
-        dt_codes=dt_codes,
-        item_cells=item_cells,
         col_citations=col_citations,
         col_log1p=np.log1p(col_citations.astype(np.float64)),
         col_types=col_types,
-        col_sizes=col_sizes,
+        group_sizes=group_sizes,
+        group_types=group_types,
         col_base=cellgroup[rep] * 4,
         col_unit=unit_slot[rep[:n_ucols]],
         n_ucols=n_ucols,
@@ -1074,10 +1078,22 @@ def run_exercise(
     embedded audit marginal and the synthetic confusion stand-in; pass
     explicit inputs to override.  All randomness derives from ``seed``.
     """
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must be a non-negative 64-bit integer")
     defs = _exercise_defs(subseed(seed, 1))
     if name not in defs:
         raise UsageError(f"unknown exercise {name!r}; valid names: {', '.join(list_exercises())}")
     exercise = defs[name]
+    # Built before any fit, so every exercise checks its settings; "1"
+    # uses only the iteration count.
+    config = PropagationConfig(
+        iterations=iterations,
+        seed=subseed(seed, 4),
+        channels=exercise.channels,
+        direction=exercise.direction,
+        key_mode=KEY_DOCTYPE,
+        workers=workers,
+    )
 
     if citation_sample is None:
         citation_sample = synthesize_training_sample(seed=subseed(seed, 2))
@@ -1130,14 +1146,6 @@ def run_exercise(
         )
 
     units, reference = generate_scenario(exercise.scenario)
-    config = PropagationConfig(
-        iterations=iterations,
-        seed=subseed(seed, 4),
-        channels=exercise.channels,
-        direction=exercise.direction,
-        key_mode=KEY_DOCTYPE,
-        workers=workers,
-    )
     result = propagate(
         units,
         reference,

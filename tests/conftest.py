@@ -3,11 +3,16 @@
 The MCMC fits are the slow part of the suite, so the posteriors used by
 several test modules are fitted once per session on the synthesized
 training sample.
+
+The ``ci`` hypothesis profile (``pytest --hypothesis-profile=ci``) draws
+the same examples on every run and prints the blob that replays a
+failure, so a CI failure reproduces locally.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from bibuq.errormodels import (
     FIRST_KIND,
@@ -17,6 +22,8 @@ from bibuq.errormodels import (
     fit_doctype_error_model,
 )
 from bibuq.simulation import synthesize_training_sample, synthetic_confusion_table
+
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -5,10 +5,12 @@ consumes the random stream in the same order, so the package must match
 it bit for bit: ``rng.gamma`` with a scale for the negative binomial,
 an (n, 4) cumulative-sum argmax for the category draw, and one Monte
 Carlo iteration at a time, one publication at a time, for the
-propagation kernel.  The kernel draws one sum per group of exchangeable
-publications instead, so it matches ``simulate_one`` bit for bit only
-where every publication is its own group; elsewhere only P and the
-doctype draws match exactly and the rest agree in distribution.
+propagation kernel.  The kernel draws one doctype multinomial and one
+citation sum per group of exchangeable publications instead, so it
+matches ``simulate_one`` bit for bit only where every publication is its
+own group; elsewhere the probability rows are the same draws, P matches
+exactly only when doctypes are not redrawn, and the rest agree in
+distribution.
 
 ``indicators_scalar`` is the per-publication form of ``indicators_for``
 and ``ncs_scalar`` that of ``ncs``.  The scores are summed in an explicit

@@ -22,6 +22,7 @@ from bibuq.simulation import (
     synthetic_confusion_table,
 )
 from bibuq.datamodel import write_publications
+from bibuq.cli import main
 
 FAST_FIT = ["--chains", "2", "--warmup", "600", "--keep", "500", "--seed", "5"]
 
@@ -600,6 +601,130 @@ class TestInject:
         assert report["direction"] == "first-kind"
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == "inject"
+
+
+    def test_manifest_reproduces_run(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.delenv("BIBUQ_WORKERS", raising=False)
+        first = tmp_path / "first"
+        models = workdir / "models1"
+        argv = [
+            "inject",
+            "--pubs",
+            str(workdir / "pubs.csv"),
+            "--citation-model",
+            str(models / "citation_posterior.json"),
+            "--doctype-model",
+            str(models / "doctype_posterior.json"),
+            "--channels",
+            "citations",
+            "--iterations",
+            "20",
+            "--seed",
+            "8",
+        ]
+        assert main([*argv, "--out", str(first)]) == 0
+        second = tmp_path / "second"
+        assert main(["inject", "--config", str(first / "run_manifest.json"), "--out", str(second)]) == 0
+        assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+
+
+# Config-file values of the wrong type, per command: (command, key, value).
+# Each must exit 2 with an error naming the key, before any work is done.
+_WRONG_TYPES = [
+    ("exercise", "iterations", "40"),
+    ("exercise", "iterations", 40.0),
+    ("exercise", "iterations", True),
+    ("exercise", "seed", "3"),
+    ("exercise", "seed", None),
+    ("exercise", "workers", True),
+    ("exercise", "workers", "2"),
+    ("exercise", "citation_sample", 5),
+    ("propagate", "iterations", "40"),
+    ("propagate", "seed", 1.5),
+    ("propagate", "workers", [1]),
+    ("propagate", "pooled_normalization", "no"),
+    ("propagate", "pooled_normalization", 1),
+    ("propagate", "reference_only_normalization", 0),
+    ("propagate", "channels", 3),
+    ("propagate", "channels", ["citations", 1]),
+    ("propagate", "channels", None),
+    ("propagate", "key_mode", 0),
+    ("propagate", "pubs", ["pubs.csv"]),
+    ("inject", "dump_items", True),
+    ("fit", "chains", "2"),
+    ("fit", "target_acceptance", "0.3"),
+    ("fit", "pseudocount", False),
+    ("fit", "direction", None),
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, key, value", _WRONG_TYPES)
+    def test_wrong_type_is_usage_error(self, command, key, value, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        argv = [command, "2"] if command == "exercise" else [command, "--out", str(tmp_path / "x")]
+        assert main([*argv, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config value {key!r} must be" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_accepted_forms(self, workdir, tmp_path, monkeypatch):
+        # channels as a comma string or a list, null paths, an integer
+        # where a float is expected.
+        monkeypatch.delenv("BIBUQ_WORKERS", raising=False)
+        base = {
+            "pubs": str(workdir / "pubs.csv"),
+            "reference": None,
+            "citation_model": str(workdir / "models2" / "citation_posterior.json"),
+            "doctype_model": None,
+            "iterations": 15,
+            "seed": 2,
+            "pooled_normalization": True,
+        }
+        reports = []
+        for k, channels in enumerate(("citations", ["citations"], "citations,")):
+            config = tmp_path / f"config{k}.json"
+            config.write_text(json.dumps({**base, "channels": channels}))
+            out = tmp_path / f"out{k}"
+            assert main(["propagate", "--config", str(config), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[1:] == reports[:-1]
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"pseudocount": 2, "citation_sample": None}))
+        argv = ["fit", "--doctype-confusion", str(workdir / "confusion.csv"), "--config", str(config)]
+        assert main([*argv, "--out", str(tmp_path / "fit")]) == 0
+
+
+class TestExerciseSettings:
+    """Every exercise checks its settings, also "1", which propagates nothing."""
+
+    @pytest.mark.parametrize("name", ["1", "2"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            (["--workers", "0"], "workers must be >= 1"),
+            (["--workers", "-3"], "workers must be >= 1"),
+            (["--iterations", "0"], "iterations must be >= 1"),
+            (["--seed", "-1"], "seed must be a non-negative"),
+        ],
+    )
+    def test_flag_out_of_range_is_usage_error(self, name, setting, message, capsys):
+        assert main(["exercise", name, *setting]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["1", "2"])
+    def test_config_workers_below_one_is_usage_error(self, name, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"workers": 0}))
+        assert main(["exercise", name, "--config", str(config)]) == 2
+        assert "workers must be >= 1" in capsys.readouterr().err
+
+    def test_out_of_range_exits_2_from_the_command_line(self):
+        for name in ("1", "2"):
+            proc = run_cli("exercise", name, "--workers", "0")
+            assert proc.returncode == 2, proc.stderr
+            assert "workers must be >= 1" in proc.stderr
 
 
 class TestExercise:

@@ -14,6 +14,7 @@ from bibuq.datamodel import DOCTYPE_ORDER, DocType, UsageError
 from bibuq.predictive import (
     cycled_params,
     draw_doctype_codes,
+    draw_doctype_counts,
     draw_omitted,
     predict_doctype,
     predict_error_affected_citations,
@@ -221,6 +222,85 @@ class TestDrawExactness:
         drawn = predict_doctype(doctype_posterior, conditioning, n=500, seed=15)
         codes = oracle.predict_doctype_codes(doctype_posterior, conditioning, 500, 15)
         assert drawn == [DOCTYPE_ORDER[code] for code in codes]
+
+
+class TestDoctypeCounts:
+    """``draw_doctype_counts``: one multinomial per group of iid items."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        weights=st.lists(_weights, min_size=1, max_size=5),
+        data=st.data(),
+    )
+    def test_rows_sum_to_sizes_and_skip_impossible_categories(self, weights, data):
+        prob_rows = np.array(weights) / np.array(weights).sum(axis=1, keepdims=True)
+        groups = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, prob_rows.shape[0] - 1), st.integers(0, 10**6)),
+                min_size=0,
+                max_size=20,
+            )
+        )
+        cond = np.array([g for g, _ in groups], dtype=np.int64)
+        sizes = np.array([n for _, n in groups], dtype=np.int64)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        counts = draw_doctype_counts(np.random.default_rng(seed), prob_rows, sizes, cond)
+        assert counts.shape == (sizes.size, 4)
+        assert np.issubdtype(counts.dtype, np.integer)
+        assert counts.min(initial=0) >= 0
+        assert np.array_equal(counts.sum(axis=1), sizes)
+        assert np.all(counts[prob_rows[cond] == 0.0] == 0)
+
+    def test_point_mass_row_takes_the_whole_group(self):
+        # The first row's gamma draws all underflow, so it is the point
+        # mass on its largest concentration (category 1).
+        concentrations = np.array([[1e-300, 3e-300, 2e-300, 0.0], [1.0, 2.0, 3.0, 4.0]])
+        rng = np.random.default_rng(0)
+        prob_rows = sample_probability_rows(rng, concentrations)
+        sizes = np.array([5, 1, 10**6, 0])
+        counts = draw_doctype_counts(rng, prob_rows, sizes, np.zeros(4, dtype=np.int64))
+        assert counts.tolist() == [[0, 5, 0, 0], [0, 1, 0, 0], [0, 10**6, 0, 0], [0, 0, 0, 0]]
+
+    # (group size, probability row): one item, a row with an impossible
+    # category, a near-certain category and a large group.
+    _CASES = [
+        (1, (0.25, 0.25, 0.3, 0.2)),
+        (7, (0.62, 0.08, 0.0, 0.30)),
+        (40, (0.97, 0.01, 0.005, 0.015)),
+        (150, (0.4, 0.1, 0.2, 0.3)),
+    ]
+
+    @pytest.mark.parametrize("size, row", _CASES)
+    def test_counts_have_the_law_of_tallied_item_draws(self, size, row):
+        # 10000 group counts against 10000 tallies of ``size`` per-item
+        # codes from an independent stream.  Per category, each sample's
+        # mean must lie within 5 standard errors of size * p and its
+        # variance within 5 standard errors of size * p * q (the binomial
+        # fourth central moment size * pq * (1 + 3pq(size - 2)) gives the
+        # variance's standard error), and the two means within 5 standard
+        # errors of each other.
+        n = 10_000
+        prob_rows = np.array([row, (0.0, 0.0, 0.0, 1.0)])
+        cond = np.zeros(n, dtype=np.int64)
+        counts = draw_doctype_counts(
+            np.random.default_rng(1), prob_rows, np.full(n, size), cond
+        )
+        items = np.zeros(n * size, dtype=np.int64)
+        codes = draw_doctype_codes(np.random.default_rng(2), prob_rows, items)
+        tallies = np.zeros((n, 4), dtype=np.int64)
+        np.add.at(tallies, (np.repeat(np.arange(n), size), codes), 1)
+        for k, p in enumerate(row):
+            pq = p * (1.0 - p)
+            var = size * pq
+            if var == 0.0:
+                assert not counts[:, k].any() and not tallies[:, k].any()
+                continue
+            mu4 = size * pq * (1.0 + 3.0 * pq * (size - 2))
+            var_se = np.sqrt((mu4 - var * var) / n)
+            for sample in (counts[:, k], tallies[:, k]):
+                assert abs(sample.mean() - size * p) < 5 * np.sqrt(var / n)
+                assert abs(sample.var(ddof=1) - var) < 5 * var_se
+            assert abs(counts[:, k].mean() - tallies[:, k].mean()) < 5 * np.sqrt(2 * var / n)
 
 
 _params = st.tuples(
