@@ -158,11 +158,18 @@ def _check_config_value(name: str, value, default) -> None:
 def _resolve(args: argparse.Namespace, config_file: dict, defaults: dict) -> dict:
     """Each setting named in ``defaults``: flag > config file > default.
 
-    A config-file value must have its default's type.  A callable default
-    is called only when neither source sets the value.  The result is
-    what the command runs with and also the ``config`` block of its
-    manifest, so passing the manifest back replays the run.
+    A config file may hold only these settings, and each value must have
+    its default's type.  A callable default is called only when neither
+    source sets the value.  The result is what the command runs with and
+    also the ``config`` block of its manifest, so passing the manifest
+    back replays the run.
     """
+    unknown = sorted(set(config_file) - set(defaults))
+    if unknown:
+        raise UsageError(
+            f"unknown config key {unknown[0]!r}; {args.command} reads "
+            f"{', '.join(sorted(defaults))}"
+        )
     settings = {}
     for name, default in defaults.items():
         if getattr(args, name, None) is not None:
@@ -285,31 +292,28 @@ def _load_models(
     return FittedModels(citation=citation, doctype=doctype), inputs
 
 
-def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> int:
-    config_file = _load_config_file(args.config)
+def _run_propagation(args: argparse.Namespace, direction: str) -> int:
     settings = _resolve(
         args,
-        config_file,
+        _load_config_file(args.config),
         {
             **dict.fromkeys(("pubs", "reference", "citation_model", "doctype_model", "dump_items")),
             **asdict(PropagationConfig()),
+            "direction": direction,
             "workers": _env_workers,
         },
     )
+    if settings["direction"] != direction:
+        raise UsageError(f"{args.command} runs {direction}, not {settings['direction']!r}")
     channels = settings["channels"]
     # flags give channels as a comma string, manifests as a list
     if isinstance(channels, str):
         channels = [c.strip() for c in channels.split(",") if c.strip()]
-    settings.update(channels=sorted(set(channels)), direction=direction)
-    # Config files may state the normalization universe the other way round.
-    if args.pooled_normalization is None and "reference_only_normalization" in config_file:
-        reference_only = config_file["reference_only_normalization"]
-        _check_config_value("reference_only_normalization", reference_only, False)
-        settings["pooled_normalization"] = not reference_only
+    settings["channels"] = sorted(set(channels))
 
     pubs_path = settings["pubs"]
     if pubs_path is None:
-        raise UsageError(f"{command} needs --pubs")
+        raise UsageError(f"{args.command} needs --pubs")
     units = load_publications(pubs_path)
     inputs = [Path(pubs_path)]
 
@@ -325,14 +329,6 @@ def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> 
     inputs.extend(model_inputs)
 
     config = _config_of(PropagationConfig, settings)
-    # Manifests written before per-publication parameter sharing was
-    # removed may still name it; only the per-iteration value replays.
-    sharing = config_file.get("parameter_sharing", "iteration")
-    if sharing != "iteration":
-        raise UsageError(
-            f"parameter_sharing {sharing!r} is no longer supported; "
-            "every iteration shares one posterior draw"
-        )
     if args.strict and models.citation is not None and models.citation.diagnostics is not None:
         if not models.citation.diagnostics.converged:
             print("loaded citation model failed convergence and --strict is set", file=sys.stderr)
@@ -362,18 +358,18 @@ def _run_propagation(args: argparse.Namespace, direction: str, command: str) -> 
     if dump:
         outputs.append(str(dump))
 
-    _write_manifest(out_dir, command, settings, inputs, outputs, result.run_info)
+    _write_manifest(out_dir, args.command, settings, inputs, outputs, result.run_info)
     print(render_result_table(result))
     print(f"report written to {out_dir / REPORT_NAME}")
     return EXIT_OK
 
 
 def _cmd_propagate(args: argparse.Namespace) -> int:
-    return _run_propagation(args, SECOND_KIND, "propagate")
+    return _run_propagation(args, SECOND_KIND)
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
-    return _run_propagation(args, FIRST_KIND, "inject")
+    return _run_propagation(args, FIRST_KIND)
 
 
 def _cmd_exercise(args: argparse.Namespace) -> int:
@@ -381,13 +377,16 @@ def _cmd_exercise(args: argparse.Namespace) -> int:
         args,
         _load_config_file(args.config),
         {
+            "exercise": None,
             "iterations": PropagationConfig.iterations,
             "seed": PropagationConfig.seed,
             **dict.fromkeys(("citation_sample", "doctype_confusion")),
+            "no_synthesize": False,
             "workers": _env_workers,
         },
     )
-    settings.update(exercise=args.name, no_synthesize=args.no_synthesize)
+    if settings["exercise"] is None:
+        raise UsageError(f"exercise needs a name: {', '.join(list_exercises())}")
 
     inputs: list[Path] = []
     citation_sample = None
@@ -401,18 +400,14 @@ def _cmd_exercise(args: argparse.Namespace) -> int:
         confusion = load_doctype_confusion(confusion_path)
         inputs.append(Path(confusion_path))
 
-    if args.no_synthesize:
-        if citation_sample is None:
-            raise UsageError(
-                "--no-synthesize is set but no --citation-sample file was supplied"
-            )
-        if confusion is None:
-            raise UsageError(
-                "--no-synthesize is set but no --doctype-confusion file was supplied"
-            )
+    if settings["no_synthesize"]:
+        supplied = {"--citation-sample": citation_sample, "--doctype-confusion": confusion}
+        for flag, given in supplied.items():
+            if given is None:
+                raise UsageError(f"--no-synthesize is set but no {flag} file was supplied")
 
     report = run_exercise(
-        args.name,
+        settings["exercise"],
         iterations=settings["iterations"],
         seed=settings["seed"],
         citation_sample=citation_sample,
@@ -616,7 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
             "synthesized from embedded data unless explicit files are given."
         ),
     )
-    exercise.add_argument("name", help=f"exercise name: {', '.join(list_exercises())}")
+    exercise.add_argument(
+        "exercise", nargs="?", help=f"exercise name: {', '.join(list_exercises())}"
+    )
     exercise.add_argument(
         "--iterations", "--draws", dest="iterations", type=int,
         help=f"Monte Carlo draws (default {PropagationConfig.iterations})",
@@ -629,6 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     exercise.add_argument(
         "--no-synthesize",
         action="store_true",
+        default=None,
         help="fail instead of synthesizing missing training inputs",
     )
     exercise.add_argument("--workers", type=int, help="worker processes")

@@ -6,8 +6,10 @@ record grows log-linearly with its citation count, with a free
 dispersion.  The model can be fitted in two directions: "second-kind"
 conditions on the observed (error-affected) count and supports
 correction, "first-kind" conditions on the error-free count and supports
-error injection.  Document-type misassignment is a Dirichlet-categorical
-model fitted in closed form from a confusion table.
+error injection.  The priors are fixed weakly informative normals
+(:data:`PRIORS`): N(0, 0.8) on the intercept, N(0, 1) on the slope and
+N(0, 1) on the log dispersion.  Document-type misassignment is a
+Dirichlet-categorical model fitted in closed form from a confusion table.
 
 The negative binomial posterior is sampled with the adaptive
 random-walk Metropolis kernel from :mod:`bibuq.mcmc`; the Dirichlet
@@ -63,35 +65,40 @@ _DIRECTIONS = (SECOND_KIND, FIRST_KIND)
 
 RHAT_THRESHOLD = 1.05
 
+# Normal priors (mean, sd) of the omitted-citation regression, keyed by
+# sampled coordinate; the intercept prior is on the actual intercept.
+PRIORS = {"intercept": (0.0, 0.8), "slope": (0.0, 1.0), "log_dispersion": (0.0, 1.0)}
+# The priors as posterior files record them in their "spec" block.
+_PRIOR_RECORD = {
+    f"{name}_prior_{stat}": v for name, p in PRIORS.items() for stat, v in zip(("mean", "sd"), p)
+}
+
+
+def substream_rng(seed: int, key: int) -> np.random.Generator:
+    """The independent random substream ``key`` of ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
 
 @dataclass(frozen=True)
 class NegBinModelSpec:
-    """Model structure and priors for the omitted-citation regression.
+    """Model structure of the omitted-citation regression.
 
     The linear predictor is ``intercept + slope * log1p(predictor)``
     where the predictor is the observed count (second kind) or the
-    error-free count (first kind).  Priors are normal on the intercept,
-    the slope, and the log of the dispersion.  ``fixed_slope`` and
-    ``fixed_dispersion`` pin a parameter instead of sampling it, which
-    is mainly useful for reduced sub-models in validation studies.
+    error-free count (first kind).  The priors are fixed (``PRIORS``):
+    N(0, 0.8) on the intercept, N(0, 1) on the slope and N(0, 1) on the
+    log of the dispersion.  ``fixed_slope`` and ``fixed_dispersion`` pin
+    a parameter instead of sampling it, which is mainly useful for
+    reduced sub-models in validation studies.
     """
 
     direction: str = SECOND_KIND
-    intercept_prior_mean: float = 0.0
-    intercept_prior_sd: float = 0.8
-    slope_prior_mean: float = 0.0
-    slope_prior_sd: float = 1.0
-    log_dispersion_prior_mean: float = 0.0
-    log_dispersion_prior_sd: float = 1.0
     fixed_slope: float | None = None
     fixed_dispersion: float | None = None
 
     def __post_init__(self) -> None:
         if self.direction not in _DIRECTIONS:
             raise UsageError(f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
-        for name in ("intercept_prior_sd", "slope_prior_sd", "log_dispersion_prior_sd"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0")
         if self.fixed_dispersion is not None and self.fixed_dispersion <= 0:
             raise ValidationError("fixed_dispersion must be > 0")
 
@@ -278,10 +285,6 @@ def negbin_rvs(
     return rng.poisson(lam * scale)
 
 
-def _chain_rng(seed: int, chain: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain,)))
-
-
 class _CitationLogPosterior:
     """Log posterior of the omitted-citation model over the audit.
 
@@ -308,19 +311,15 @@ class _CitationLogPosterior:
         self.x_centered = np.log1p(pairs[:, 0].astype(np.float64)) - self.x_center
         self.y = pairs[:, 1].astype(np.float64)
         self.counts = counts.astype(np.float64)
-        # Normal priors on the free parameters: the actual intercept, then
-        # the slope and the log dispersion unless they are pinned.
-        means = [spec.intercept_prior_mean]
-        sds = [spec.intercept_prior_sd]
+        # Priors of the free parameters: the actual intercept, then the
+        # slope and the log dispersion unless they are pinned.
+        free = ["intercept"]
         if spec.fixed_slope is None:
-            means.append(spec.slope_prior_mean)
-            sds.append(spec.slope_prior_sd)
+            free.append("slope")
         if spec.fixed_dispersion is None:
-            means.append(spec.log_dispersion_prior_mean)
-            sds.append(spec.log_dispersion_prior_sd)
-        self.prior_mean = np.array(means)
-        self.prior_sd = np.array(sds)
-        self.dim = len(means)
+            free.append("log_dispersion")
+        self.prior_loc, self.prior_scale = np.array([PRIORS[name] for name in free]).T
+        self.dim = len(free)
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Intercept, slope and log dispersion of states ``z`` (..., dim)."""
@@ -345,7 +344,7 @@ class _CitationLogPosterior:
         ll = (negbin_logpmf(self.y, mu, np.exp(log_theta)[:, None]) * self.counts).sum(axis=1)
         free = z.copy()
         free[:, 0] = b0
-        lp = (-0.5 * ((free - self.prior_mean) / self.prior_sd) ** 2).sum(axis=1)
+        lp = (-0.5 * ((free - self.prior_loc) / self.prior_scale) ** 2).sum(axis=1)
         return ll + lp
 
 
@@ -368,9 +367,9 @@ def fit_citation_error_model(
     config = config or McmcConfig()
     log_post = _CitationLogPosterior(sample, spec)
 
-    rngs = [_chain_rng(config.seed, chain) for chain in range(config.chains)]
+    rngs = [substream_rng(config.seed, chain) for chain in range(config.chains)]
     z0 = 0.1 * np.stack([rng.standard_normal(log_post.dim) for rng in rngs])
-    z0[:, 0] += spec.intercept_prior_mean + (spec.fixed_slope or 0.0) * log_post.x_center
+    z0[:, 0] += PRIORS["intercept"][0] + (spec.fixed_slope or 0.0) * log_post.x_center
     result = mcmc.run_chain(
         log_post,
         z0,
@@ -506,17 +505,15 @@ def prior_predictive_check(
     """
     spec = spec or NegBinModelSpec()
     config = config or McmcConfig()
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=(999,)))
+    rng = substream_rng(config.seed, 999)
 
-    b0 = rng.normal(spec.intercept_prior_mean, spec.intercept_prior_sd, size=n_draws)
+    b0 = rng.normal(*PRIORS["intercept"], size=n_draws)
     if spec.fixed_slope is None:
-        b1 = rng.normal(spec.slope_prior_mean, spec.slope_prior_sd, size=n_draws)
+        b1 = rng.normal(*PRIORS["slope"], size=n_draws)
     else:
         b1 = np.full(n_draws, spec.fixed_slope)
     if spec.fixed_dispersion is None:
-        theta = np.exp(
-            rng.normal(spec.log_dispersion_prior_mean, spec.log_dispersion_prior_sd, size=n_draws)
-        )
+        theta = np.exp(rng.normal(*PRIORS["log_dispersion"], size=n_draws))
     else:
         theta = np.full(n_draws, spec.fixed_dispersion)
 
@@ -530,14 +527,11 @@ def prior_predictive_check(
         count_quantiles[float(c)] = (float(q[0]), float(q[1]), float(q[2]))
         mean_median[float(c)] = float(np.median(mu))
 
+    intercept_mean, intercept_sd = PRIORS["intercept"]
     return PriorPredictiveSummary(
-        intercept_scale_low=float(
-            np.exp(spec.intercept_prior_mean - 2.0 * spec.intercept_prior_sd)
-        ),
-        intercept_scale_high=float(
-            np.exp(spec.intercept_prior_mean + 2.0 * spec.intercept_prior_sd)
-        ),
-        intercept_scale_median=float(np.exp(spec.intercept_prior_mean)),
+        intercept_scale_low=float(np.exp(intercept_mean - 2.0 * intercept_sd)),
+        intercept_scale_high=float(np.exp(intercept_mean + 2.0 * intercept_sd)),
+        intercept_scale_median=float(np.exp(intercept_mean)),
         grid=tuple(float(c) for c in grid),
         count_quantiles=count_quantiles,
         mean_median=mean_median,
@@ -559,7 +553,7 @@ def save_posterior(posterior: NegBinPosterior | DirichletPosterior, path: str | 
     if isinstance(posterior, NegBinPosterior):
         payload = {
             "model": _NEGBIN_TAG,
-            "spec": asdict(posterior.spec),
+            "spec": {**asdict(posterior.spec), **_PRIOR_RECORD},
             "config": asdict(posterior.config),
             "draws": posterior.draws.tolist(),
             "acceptance_rates": list(posterior.acceptance_rates),
@@ -587,10 +581,15 @@ def load_posterior(path: str | Path) -> NegBinPosterior | DirichletPosterior:
         payload = json.load(handle)
     tag = payload.get("model")
     if tag == _NEGBIN_TAG:
+        spec = dict(payload["spec"])
+        for name, value in _PRIOR_RECORD.items():
+            stored = spec.pop(name, value)
+            if stored != value:
+                raise ValidationError(f"{path}: {name} is {stored!r}, not the fixed {value}")
         diag = payload.get("diagnostics")
         return NegBinPosterior(
             draws=np.array(payload["draws"], dtype=np.float64),
-            spec=NegBinModelSpec(**payload["spec"]),
+            spec=NegBinModelSpec(**spec),
             config=McmcConfig(**payload["config"]),
             acceptance_rates=tuple(payload["acceptance_rates"]),
             diagnostics=McmcDiagnostics(**diag) if diag else None,

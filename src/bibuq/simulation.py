@@ -78,6 +78,7 @@ from .errormodels import (
     NegBinPosterior,
     fit_citation_error_model,
     fit_doctype_error_model,
+    substream_rng,
 )
 from .indicators import (
     KEY_DOCTYPE,
@@ -135,9 +136,7 @@ def subseed(seed: int, index: int) -> int:
     return int(state[0])
 
 
-def iteration_rng(seed: int, iteration: int) -> np.random.Generator:
-    """The dedicated random substream of one Monte Carlo iteration."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(iteration,)))
+iteration_rng = substream_rng  # the kernel's name for one iteration's substream
 
 
 # ---------------------------------------------------------------------------
@@ -638,27 +637,26 @@ def propagate(
                 file=sys.stderr,
             )
         p_rep, c_rep, m_rep, x_rep = _propagate_with_dump(ws, Path(dump_items))
-    elif config.workers == 1 or iters < 2 * config.workers:
-        p_rep, c_rep, m_rep, x_rep = _simulate_range(ws, 0, iters)
     else:
-        bounds = []
-        edges = np.linspace(0, iters, config.workers + 1, dtype=int)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi > lo:
-                bounds.append((int(lo), int(hi)))
-        cpus = os.cpu_count()
-        processes = pool_processes(config.workers, len(bounds), cpus)
-        if processes < config.workers:
-            print(
-                f"note: running {processes} of {config.workers} requested worker processes "
-                f"({cpus} CPUs, {len(bounds)} chunks)",
-                file=sys.stderr,
-            )
-        with multiprocessing.Pool(
-            processes=processes, initializer=_init_worker, initargs=(ws,)
-        ) as pool:
-            parts = pool.map(_worker_chunk, bounds)
-        p_rep, c_rep, m_rep, x_rep = (np.concatenate(column) for column in zip(*parts))
+        if config.workers > 1 and iters >= 2 * config.workers:
+            edges = np.linspace(0, iters, config.workers + 1, dtype=int)
+            bounds = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+            cpus = os.cpu_count()
+            processes = pool_processes(config.workers, len(bounds), cpus)
+            if processes < config.workers:
+                print(
+                    f"note: running {processes} of {config.workers} requested worker "
+                    f"processes ({cpus} CPUs, {len(bounds)} chunks)",
+                    file=sys.stderr,
+                )
+        if processes == 1:
+            p_rep, c_rep, m_rep, x_rep = _simulate_range(ws, 0, iters)
+        else:
+            with multiprocessing.Pool(
+                processes=processes, initializer=_init_worker, initargs=(ws,)
+            ) as pool:
+                parts = pool.map(_worker_chunk, bounds)
+            p_rep, c_rep, m_rep, x_rep = (np.concatenate(column) for column in zip(*parts))
 
     distributions: dict[str, dict[str, IndicatorDistribution]] = {}
     for u, pubset in enumerate(units):
@@ -806,7 +804,7 @@ def synthesize_training_sample(seed: int = 0) -> CitationErrorSample:
     omitted_sorted = embedded_missed_citation_sample().expand()
     n = omitted_sorted.size
     target_mean_c = EMBEDDED_SAMPLE_OBSERVED_CITATIONS / n
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(11,)))
+    rng = substream_rng(seed, 11)
     z_obs = rng.standard_normal(n)
     z_noise = rng.standard_normal(n)
 

@@ -40,6 +40,16 @@ def run_cli(*argv: str, cwd=None, env=None) -> subprocess.CompletedProcess:
     )
 
 
+def assert_same_data_files(first, second) -> None:
+    """Both runs wrote the same files, byte for byte, manifests aside."""
+    names = sorted(path.name for path in first.iterdir() if path.name != "run_manifest.json")
+    assert names == sorted(
+        path.name for path in second.iterdir() if path.name != "run_manifest.json"
+    )
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Input files plus fitted models shared by the command tests."""
@@ -190,8 +200,7 @@ class TestFit:
         second = tmp_path / "second"
         proc = run_cli("fit", "--config", str(first / "run_manifest.json"), "--out", str(second))
         assert proc.returncode == 0, proc.stderr
-        for name in ("citation_posterior.json", "doctype_posterior.json"):
-            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert_same_data_files(first, second)
         assert json.loads((first / "run_manifest.json").read_text())["config"] == json.loads(
             (second / "run_manifest.json").read_text()
         )["config"]
@@ -372,7 +381,7 @@ class TestPropagate:
             str(second),
         )
         assert proc.returncode == 0, proc.stderr
-        assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+        assert_same_data_files(first, second)
 
     def test_manifest_records_environment_and_grouping(self, workdir, tmp_path):
         out = tmp_path / "prop"
@@ -427,18 +436,23 @@ class TestPropagate:
         assert run_cli(*args, "--out", str(first)).returncode == 0
         proc = run_cli(*args, "--parameter-sharing", "iteration", "--out", str(tmp_path / "flag"))
         assert proc.returncode == 2
+        replay = tmp_path / "replay"
+        proc = run_cli(
+            "propagate", "--config", str(first / "run_manifest.json"), "--out", str(replay)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (replay / "report.json").read_bytes() == (first / "report.json").read_bytes()
+        # The removed setting is an unknown key, whatever its value.
         manifest = json.loads((first / "run_manifest.json").read_text())
-        for sharing, code in (("iteration", 0), ("publication", 2)):
+        for sharing in ("iteration", "publication"):
             manifest["config"]["parameter_sharing"] = sharing
             path = tmp_path / f"{sharing}.json"
             path.write_text(json.dumps(manifest))
             out = tmp_path / sharing
             proc = run_cli("propagate", "--config", str(path), "--out", str(out))
-            assert proc.returncode == code, proc.stderr
-            if code:
-                assert "parameter_sharing 'publication' is no longer supported" in proc.stderr
-            else:
-                assert (out / "report.json").read_bytes() == (first / "report.json").read_bytes()
+            assert proc.returncode == 2, proc.stderr
+            assert "unknown config key 'parameter_sharing'" in proc.stderr
+            assert not out.exists()
 
     def test_reference_only_normalization_survives_replay(self, workdir, tmp_path):
         base_args = [
@@ -476,20 +490,17 @@ class TestPropagate:
         )
         assert proc.returncode == 0, proc.stderr
         assert (replay / "report.json").read_bytes() == (ref_only / "report.json").read_bytes()
-        # A config may name the choice reference_only_normalization instead;
-        # that key wins over pooled_normalization, and the flag over both.
+        # The choice has one config name, pooled_normalization; the
+        # inverted spelling is an unknown key, also next to the flag.
         config = json.loads((ref_only / "run_manifest.json").read_text())["config"]
-        for legacy, flag, expected in (
-            (True, [], ref_only),
-            (False, [], pooled),
-            (False, ["--reference-only-normalization"], ref_only),
-        ):
+        for legacy, flag in ((True, []), (False, []), (False, ["--reference-only-normalization"])):
             path = tmp_path / "legacy.json"
             path.write_text(json.dumps({**config, "reference_only_normalization": legacy}))
             out = tmp_path / f"legacy-{legacy}-{len(flag)}"
             proc = run_cli("propagate", "--config", str(path), *flag, "--out", str(out))
-            assert proc.returncode == 0, proc.stderr
-            assert (out / "report.json").read_bytes() == (expected / "report.json").read_bytes()
+            assert proc.returncode == 2, proc.stderr
+            assert "unknown config key 'reference_only_normalization'" in proc.stderr
+            assert not out.exists()
 
     def test_dump_items(self, workdir, tmp_path):
         out = tmp_path / "dump"
@@ -625,7 +636,7 @@ class TestInject:
         assert main([*argv, "--out", str(first)]) == 0
         second = tmp_path / "second"
         assert main(["inject", "--config", str(first / "run_manifest.json"), "--out", str(second)]) == 0
-        assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+        assert_same_data_files(first, second)
 
 
 # Config-file values of the wrong type, per command: (command, key, value).
@@ -666,7 +677,11 @@ class TestConfigTypes:
         argv = [command, "2"] if command == "exercise" else [command, "--out", str(tmp_path / "x")]
         assert main([*argv, "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert f"config value {key!r} must be" in err
+        if key == "reference_only_normalization":
+            # A setting with no reader any more: unknown, whatever its type.
+            assert f"unknown config key {key!r}" in err
+        else:
+            assert f"config value {key!r} must be" in err
         assert not (tmp_path / "x").exists()
 
     def test_accepted_forms(self, workdir, tmp_path, monkeypatch):
@@ -694,6 +709,48 @@ class TestConfigTypes:
         config.write_text(json.dumps({"pseudocount": 2, "citation_sample": None}))
         argv = ["fit", "--doctype-confusion", str(workdir / "confusion.csv"), "--config", str(config)]
         assert main([*argv, "--out", str(tmp_path / "fit")]) == 0
+
+
+class TestUnknownConfigKeys:
+    @pytest.mark.parametrize("command", ["fit", "propagate", "inject", "exercise"])
+    def test_misspelled_key_is_usage_error(self, command, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"iteration": 5}))
+        argv = [command, "2"] if command == "exercise" else [command]
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert "unknown config key 'iteration'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_manifest_of_another_command_is_usage_error(self, workdir, tmp_path, capsys):
+        # A fit manifest names no propagation setting, and an inject
+        # manifest's direction is not the one propagate runs.
+        fit_manifest = workdir / "models2" / "run_manifest.json"
+        argv = ["propagate", "--out", str(tmp_path / "x"), "--config"]
+        assert main([*argv, str(fit_manifest)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+        config = tmp_path / "inject.json"
+        config.write_text(json.dumps({"pubs": "pubs.csv", "direction": "first-kind"}))
+        assert main([*argv, str(config)]) == 2
+        assert "propagate runs second-kind, not 'first-kind'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_posterior_with_another_prior_is_usage_error(self, workdir, tmp_path):
+        payload = json.loads((workdir / "models2" / "citation_posterior.json").read_text())
+        payload["spec"]["intercept_prior_sd"] = 2.0
+        model = tmp_path / "citation_posterior.json"
+        model.write_text(json.dumps(payload))
+        proc = run_cli(
+            "propagate",
+            "--pubs",
+            str(workdir / "pubs.csv"),
+            "--citation-model",
+            str(model),
+            "--out",
+            str(tmp_path / "x"),
+        )
+        assert proc.returncode == 2
+        assert "intercept_prior_sd is 2.0" in proc.stderr
+        assert not (tmp_path / "x").exists()
 
 
 class TestExerciseSettings:
@@ -747,13 +804,24 @@ class TestExercise:
         proc = run_cli("exercise", "2", "--iterations", "40", "--seed", "3", "--out", str(first))
         assert proc.returncode == 0, proc.stderr
         second = tmp_path / "second"
-        proc = run_cli(
-            "exercise", "2", "--config", str(first / "run_manifest.json"), "--out", str(second)
-        )
+        manifest = str(first / "run_manifest.json")
+        proc = run_cli("exercise", "--config", manifest, "--out", str(second))
         assert proc.returncode == 0, proc.stderr
-        assert (first / "exercise.json").read_bytes() == (second / "exercise.json").read_bytes()
+        assert_same_data_files(first, second)
         config = json.loads((second / "run_manifest.json").read_text())["config"]
         assert (config["iterations"], config["seed"], config["workers"]) == (40, 3, 1)
+        assert (config["exercise"], config["no_synthesize"]) == ("2", False)
+        # The positional name overrides the manifest like any flag.
+        third = tmp_path / "third"
+        proc = run_cli("exercise", "1", "--config", manifest, "--out", str(third))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((third / "exercise.json").read_text())["exercise"] == "1"
+
+    def test_name_is_required(self, tmp_path):
+        proc = run_cli("exercise", "--iterations", "10", "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert "exercise needs a name" in proc.stderr
+        assert not (tmp_path / "x").exists()
 
     def test_prints_table_without_out(self):
         proc = run_cli("exercise", "1", "--iterations", "30", "--seed", "0")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,15 +186,12 @@ def _record_by_record_log_posterior(sample, spec, z):
         total = sum(
             float(negbin_logpmf(y, m, np.exp(log_theta))) for y, m in zip(sample.omitted, mu)
         )
-        total -= 0.5 * ((b0 - spec.intercept_prior_mean) / spec.intercept_prior_sd) ** 2
+        # Priors N(0, 0.8), N(0, 1) and N(0, 1), up to a constant.
+        total -= 0.5 * (b0 / 0.8) ** 2
         if spec.fixed_slope is None:
-            total -= 0.5 * ((b1 - spec.slope_prior_mean) / spec.slope_prior_sd) ** 2
+            total -= 0.5 * b1**2
         if spec.fixed_dispersion is None:
-            total -= (
-                0.5
-                * ((log_theta - spec.log_dispersion_prior_mean) / spec.log_dispersion_prior_sd)
-                ** 2
-            )
+            total -= 0.5 * log_theta**2
         out.append(total)
     return np.array(out)
 
@@ -313,8 +312,47 @@ class TestPersistence:
         save_posterior(doctype_posterior, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_earlier_file_loads_and_keeps_its_bytes(self, tmp_path):
+        # Files written while the priors were settable record them in "spec".
+        path = tmp_path / "earlier.json"
+        text = json.dumps(_EARLIER_POSTERIOR, sort_keys=True, indent=1) + "\n"
+        path.write_text(text)
+        loaded = load_posterior(path)
+        assert loaded.spec == NegBinModelSpec()
+        save_posterior(loaded, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_text() == text
+
+    def test_other_stored_prior_rejected(self, tmp_path):
+        payload = json.loads(json.dumps(_EARLIER_POSTERIOR))
+        payload["spec"]["intercept_prior_sd"] = 2.0
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="intercept_prior_sd is 2.0"):
+            load_posterior(path)
+
     def test_unknown_tag_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"model": "mystery"}')
         with pytest.raises(ValidationError):
             load_posterior(path)
+
+
+# A citation posterior as files record it, trimmed to one draw per chain.
+_EARLIER_POSTERIOR = {
+    "acceptance_rates": [0.31, 0.29],
+    "config": {"chains": 2, "keep": 100, "seed": 5, "target_acceptance": 0.3, "warmup": 100},
+    "diagnostics": None,
+    "draws": [[[-0.52, 0.41, 1.25]], [[-0.49, 0.38, 1.31]]],
+    "model": "negbin-citation-error",
+    "spec": {
+        "direction": "second-kind",
+        "fixed_dispersion": None,
+        "fixed_slope": None,
+        "intercept_prior_mean": 0.0,
+        "intercept_prior_sd": 0.8,
+        "log_dispersion_prior_mean": 0.0,
+        "log_dispersion_prior_sd": 1.0,
+        "slope_prior_mean": 0.0,
+        "slope_prior_sd": 1.0,
+    },
+}

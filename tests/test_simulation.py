@@ -337,6 +337,33 @@ class TestPropagate:
         assert pool_processes(10**6, 10**6, None) == 1
         assert pool_processes(3, 0, 4) == 1
 
+    def test_one_cpu_runs_in_process(
+        self, monkeypatch, capsys, small_unit, small_reference, small_models
+    ):
+        def run(workers: int):
+            cfg = PropagationConfig(iterations=40, seed=4, workers=workers)
+            return propagate(
+                small_unit, reference=small_reference, models=small_models, config=cfg
+            )
+
+        expected = run(1)
+        monkeypatch.setattr(simulation.os, "cpu_count", lambda: 1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-process pool was opened")
+
+        monkeypatch.setattr(simulation.multiprocessing, "Pool", no_pool)
+        capsys.readouterr()
+        result = run(4)
+        assert result.run_info["worker_processes"] == 1
+        assert "note: running 1 of 4 requested worker processes (1 CPUs" in capsys.readouterr().err
+        for unit in result.units:
+            for indicator in ("P", "C", "MNCS"):
+                np.testing.assert_array_equal(
+                    result.distribution(unit, indicator).replicates,
+                    expected.distribution(unit, indicator).replicates,
+                )
+
     def test_reference_only_normalization_changes_mncs(
         self, small_unit, small_reference, small_models
     ):
