@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -148,8 +148,9 @@ class NegBinPosterior:
 
     ``draws`` has shape (chains, kept, 3) with columns intercept, slope,
     dispersion (dispersion on the natural scale, always positive).
-    Flattened accessors run chain-major, which also fixes the cycling
-    order used by the predictive operations.
+    Flattened accessors run chain-major; the predictive operations cycle
+    through the draws with the chains interleaved instead (see
+    ``predictive.cycled_params``).
     """
 
     draws: np.ndarray
@@ -268,6 +269,9 @@ def negbin_rvs(
     ``gamma(shape, scale)`` as ``scale * standard_gamma(shape)``, so the
     draws equal ``rng.gamma(shape=theta, scale=mu / theta)`` bit for bit;
     calling ``standard_gamma`` skips the second broadcast argument.
+    ``theta`` broadcasts against ``mu``: a (rows, 1) dispersion with
+    (rows, n) means draws a block, one dispersion per row, all its gamma
+    variables before its Poisson ones.
 
     ``counts`` optionally gives per element a number k of iid NB(theta,
     mu) items and returns the sum of their draws: the k gamma variables
@@ -277,9 +281,13 @@ def negbin_rvs(
     numbers, and a count of 1 gives the same value as no count.
     """
     mu = np.minimum(np.asarray(mu, dtype=np.float64), 1e12)
+    theta = np.asarray(theta, dtype=np.float64)
     scale = mu / theta
     if counts is None:
-        lam = rng.standard_gamma(theta, size=scale.shape)
+        # A single dispersion (one block row) goes in as a 0-d array:
+        # numpy then draws on its scalar-shape path, the same values at
+        # several ns less per draw than a broadcast shape array.
+        lam = rng.standard_gamma(theta.reshape(()) if theta.size == 1 else theta, size=scale.shape)
     else:
         lam = rng.standard_gamma(theta * counts)
     return rng.poisson(lam * scale)
@@ -574,30 +582,74 @@ def save_posterior(posterior: NegBinPosterior | DirichletPosterior, path: str | 
         handle.write("\n")
 
 
+def _stored(path: Path, payload: dict, *keys: str) -> list:
+    """The values of ``keys`` in a posterior file; each one must be there."""
+    for key in keys:
+        if key not in payload:
+            raise ValidationError(f"{path}: posterior file has no {key!r} key")
+    return [payload[key] for key in keys]
+
+
+def _stored_fields(path: Path, name: str, block, cls, also=()) -> dict:
+    """A copy of a posterior file's ``name`` block, checked against ``cls``.
+
+    Every key must name a field of the dataclass ``cls`` or be one of
+    ``also``, and every field without a default must be given.
+    """
+    if not isinstance(block, dict):
+        raise ValidationError(f"{path}: {name!r} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    for key in block:
+        if key not in names and key not in also:
+            raise ValidationError(f"{path}: unknown key {key!r} in {name!r}")
+    for f in fields(cls):
+        if f.name not in block and f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"{path}: {name!r} has no {f.name!r} key")
+    return dict(block)
+
+
 def load_posterior(path: str | Path) -> NegBinPosterior | DirichletPosterior:
-    """Read back a posterior written by :func:`save_posterior`."""
+    """Read back a posterior written by :func:`save_posterior`.
+
+    A file that is not such a posterior (not JSON, a missing key, or a
+    key its model does not know) raises ValidationError naming the file
+    and the key.
+    """
     path = Path(path)
     with path.open(encoding="utf-8") as handle:
-        payload = json.load(handle)
-    tag = payload.get("model")
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as err:
+            raise ValidationError(f"{path}: not a JSON posterior file ({err})") from None
+    tag = payload.get("model") if isinstance(payload, dict) else None
     if tag == _NEGBIN_TAG:
-        spec = dict(payload["spec"])
+        draws, spec, config, rates = _stored(
+            path, payload, "draws", "spec", "config", "acceptance_rates"
+        )
+        spec = _stored_fields(path, "spec", spec, NegBinModelSpec, also=_PRIOR_RECORD)
         for name, value in _PRIOR_RECORD.items():
             stored = spec.pop(name, value)
             if stored != value:
                 raise ValidationError(f"{path}: {name} is {stored!r}, not the fixed {value}")
         diag = payload.get("diagnostics")
         return NegBinPosterior(
-            draws=np.array(payload["draws"], dtype=np.float64),
+            draws=np.array(draws, dtype=np.float64),
             spec=NegBinModelSpec(**spec),
-            config=McmcConfig(**payload["config"]),
-            acceptance_rates=tuple(payload["acceptance_rates"]),
-            diagnostics=McmcDiagnostics(**diag) if diag else None,
+            config=McmcConfig(**_stored_fields(path, "config", config, McmcConfig)),
+            acceptance_rates=tuple(rates),
+            diagnostics=(
+                McmcDiagnostics(**_stored_fields(path, "diagnostics", diag, McmcDiagnostics))
+                if diag
+                else None
+            ),
         )
     if tag == _DIRICHLET_TAG:
+        concentrations, direction, pseudocount = _stored(
+            path, payload, "concentrations", "direction", "pseudocount"
+        )
         return DirichletPosterior(
-            concentrations=np.array(payload["concentrations"], dtype=np.float64),
-            direction=payload["direction"],
-            pseudocount=payload["pseudocount"],
+            concentrations=np.array(concentrations, dtype=np.float64),
+            direction=direction,
+            pseudocount=pseudocount,
         )
     raise ValidationError(f"{path}: unknown posterior payload (model={tag!r})")

@@ -2,10 +2,16 @@
 
 These operations turn fitted error models into Monte Carlo replicates of
 a publication's citation count or document type.  Parameter uncertainty
-is propagated by cycling through the stored posterior draws: replicate j
-uses posterior draw j modulo the number of draws.  The document-type
-model is exact, so each replicate samples a fresh probability vector
-from the conditioning row's Dirichlet and then a category from it.
+is propagated by cycling through the stored posterior draws with the
+chains interleaved: replicate j uses chain j mod C and that chain's kept
+draw (j div C) mod kept (``cycled_params``), so every chain is used from
+the first replicates on.  The document-type model is exact, so each
+replicate samples a fresh probability vector from the conditioning row's
+Dirichlet and then a category from it.
+
+The samplers take an optional leading block axis: the Monte Carlo kernel
+draws a whole block of iterations with one call per kind of draw, one
+row of each array per iteration.
 """
 
 from __future__ import annotations
@@ -45,10 +51,13 @@ def _check_citations(c: int) -> None:
 
 
 def cycled_params(posterior: NegBinPosterior, n: int) -> np.ndarray:
-    """Posterior parameter rows for n replicates, cycling draw j % n_draws."""
-    flat = posterior.flat()
-    idx = np.arange(n) % flat.shape[0]
-    return flat[idx]
+    """Posterior parameter rows for n replicates, the chains interleaved.
+
+    Row j is chain j mod C, kept draw (j div C) mod kept: the draws in
+    kept-major order, cycled.
+    """
+    interleaved = posterior.draws.swapaxes(0, 1).reshape(-1, 3)
+    return interleaved[np.arange(n) % interleaved.shape[0]]
 
 
 def draw_omitted(
@@ -59,11 +68,13 @@ def draw_omitted(
 ) -> np.ndarray:
     """Vectorized omitted-count draws.
 
-    ``params`` is either one (3,) parameter row applied to every element
-    of ``log1p_predictor`` (the model predictor through ``np.log1p``) or
-    an (n, 3) array aligned with it.  ``counts`` optionally makes element
-    i the summed omissions of ``counts[i]`` iid items that share its
-    predictor (see ``negbin_rvs``).
+    ``params`` holds (intercept, slope, dispersion) in its last axis; the
+    rest of its shape broadcasts against ``log1p_predictor`` (the model
+    predictor through ``np.log1p``).  So one (3,) row applies to every
+    element, an (n, 3) array lines up with n predictors, and a (rows, 1,
+    3) array draws a (rows, n) block, one parameter row per block row.
+    ``counts`` optionally makes an element the summed omissions of that
+    many iid items that share its predictor (see ``negbin_rvs``).
     """
     params = np.asarray(params, dtype=np.float64)
     b0 = params[..., 0]
@@ -123,19 +134,20 @@ def draw_doctype_codes(
     """Sample category codes given per-category probability rows.
 
     ``prob_rows`` is (k, 4): a probability vector per conditioning
-    category.  ``conditioning_codes`` selects the row per item.  Item i
+    category, or (rows, k, 4) for a block of rows, which gives (rows, n)
+    codes.  ``conditioning_codes`` (n,) selects the row per item.  Item i
     gets the first category whose cumulative probability exceeds its
     uniform draw ``u``.  The cumulative sums never decrease and ``u`` is
     below 1, so that category is the number of the first three
     cumulative sums that ``u`` reaches; the last sum is never compared.
     """
-    # One contiguous row of thresholds per comparison: ``take`` from it
-    # is cheaper than a 2-d fancy index.
-    thresholds = np.cumsum(prob_rows, axis=1).T.copy()
-    u = rng.random(conditioning_codes.shape[0])
-    codes = (u >= thresholds[0].take(conditioning_codes)).astype(np.int64)
-    codes += u >= thresholds[1].take(conditioning_codes)
-    codes += u >= thresholds[2].take(conditioning_codes)
+    # One contiguous array of thresholds per comparison: ``take`` from it
+    # is cheaper than a fancy index over the category axis too.
+    thresholds = np.moveaxis(np.cumsum(prob_rows, axis=-1), -1, 0).copy()
+    u = rng.random(prob_rows.shape[:-2] + conditioning_codes.shape)
+    codes = (u >= thresholds[0].take(conditioning_codes, axis=-1)).astype(np.int64)
+    codes += u >= thresholds[1].take(conditioning_codes, axis=-1)
+    codes += u >= thresholds[2].take(conditioning_codes, axis=-1)
     return codes
 
 
@@ -152,26 +164,28 @@ def draw_doctype_counts(
     categorical on that row, so the tally of their ``draw_doctype_codes``
     codes is Multinomial(``sizes[g]``, ``prob_rows[conditioning_codes[g]]``):
     this draws it directly, in time proportional to the groups rather than
-    the items.  Returns a (groups, 4) integer array; row g sums to
-    ``sizes[g]`` and a zero-probability category gets 0.
+    the items.  Returns a (groups, 4) integer array, (rows, groups, 4)
+    for a (rows, k, 4) block of probability rows; each group's counts sum
+    to ``sizes[g]`` and a zero-probability category gets 0.
     """
-    return rng.multinomial(sizes, prob_rows[conditioning_codes])
+    return rng.multinomial(sizes, prob_rows[..., conditioning_codes, :])
 
 
 def sample_probability_rows(rng: np.random.Generator, concentrations: np.ndarray) -> np.ndarray:
     """One Dirichlet draw per row of a (k, 4) concentration array.
 
-    Rows whose gamma draws all underflow to zero (possible only for
-    vanishing concentrations) fall back to a point mass on the row's
-    largest concentration.
+    A (rows, k, 4) array, a block of rows, works the same way.  Rows
+    whose gamma draws all underflow to zero (possible only for vanishing
+    concentrations) fall back to a point mass on the row's largest
+    concentration.
     """
     gams = rng.standard_gamma(concentrations)
-    sums = gams.sum(axis=1, keepdims=True)
-    bad = np.flatnonzero(sums == 0.0)
-    if bad.size:
+    sums = gams.sum(axis=-1, keepdims=True)
+    bad = np.nonzero(sums[..., 0] == 0.0)
+    if bad[0].size:
         gams[bad] = 0.0
-        gams[bad, concentrations[bad].argmax(axis=1)] = 1.0
-        sums = gams.sum(axis=1, keepdims=True)
+        gams[bad + (concentrations[bad].argmax(axis=-1),)] = 1.0
+        sums = gams.sum(axis=-1, keepdims=True)
     return gams / sums
 
 

@@ -8,37 +8,42 @@ scores the observed values too).  Collecting the per-iteration values
 yields one empirical distribution per unit and indicator, summarized by
 the median, a central 95% interval, and the relative uncertainty.
 
-Iterations are independent and draw their randomness from substreams
-keyed by (seed, iteration), so results are bit-identical regardless of
-how iterations are partitioned over worker processes.  Within an
-iteration one posterior parameter draw is shared by all publications:
-each iteration is one coherent hypothetical state of the world.
+Within an iteration one posterior parameter draw is shared by all
+publications: each iteration is one coherent hypothetical state of the
+world.  Iteration i takes chain i mod C and that chain's kept draw
+(i div C) mod kept (``predictive.cycled_params``), so even a short run
+uses every chain.
 
-Each iteration draws, in this order, the Dirichlet probability rows, the
-new doctypes, and the omitted citations.  Given the parameter draw,
-publications with the same unit (or the reference set), cell group,
-recorded doctype and citation count are iid, so the kernel groups them:
-one multinomial per group over its recorded doctype's probability row
-puts k of its publications in each (group, doctype) cell, and the
-omitted citations of those k are one gamma-Poisson sum,
-``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law of k
-summed negative binomial draws.  Cell sums and counts and the indicators
-follow exactly from these per-cell draws.  A publication is a group of
-its own where exactness needs its own value: first-kind citation
-redraws (the clamp at zero), uncited unit publications under
+Iterations run in kernel blocks: each iteration's draws fill one row of
+(block, columns) arrays, a column being a cell or a publication, and the
+cells and indicators of the whole block are computed together.  The
+block size is set by a memory budget (``BLOCK_BUDGET`` column-iterations)
+and the column count, not by the worker count.  Each block draws its
+randomness from its own substream, keyed by (seed, block index), with
+one call per kind of draw: the Dirichlet probability rows of every
+iteration, then the new doctypes, then the omitted citations.  Worker
+processes get whole blocks, so results are bit-identical regardless of
+how iterations are partitioned over workers; they do depend on the block
+size, that is on ``BLOCK_BUDGET`` and the column count.  Past half of
+``BLOCK_BUDGET`` columns a block is one iteration, keyed by (seed,
+iteration), and draws exactly as the kernel that keyed one substream per
+iteration did.
+
+Given the parameter draw, publications with the same unit (or the
+reference set), cell group, recorded doctype and citation count are iid,
+so the kernel groups them: one multinomial per group over its recorded
+doctype's probability row puts k of its publications in each (group,
+doctype) cell, and the omitted citations of those k are one gamma-Poisson
+sum, ``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law
+of k summed negative binomial draws.  Cell sums and counts and the
+indicators follow exactly from these per-cell draws.  A publication is a
+group of its own where exactness needs its own value: first-kind
+citation redraws (the clamp at zero), uncited unit publications under
 reference-only normalization (the zero-mean-cell rule), and runs with an
 item dump.  When grouping would not narrow the kernel, every publication
-is drawn on its own, in layout order, one uniform for its doctype, as
-the 0.1.0 kernel did but with the doctype draws first.  So the same seed
-gives different replicates than 0.1.0 did, and grouped runs differ from
-the builds that tallied one uniform per publication into the cells.
-
-Iterations run in fixed-size blocks: each iteration's draws fill one row
-of (block, columns) arrays, a column being a cell or a publication, and
-the cells and indicators of the whole block are computed together.  The
-block size is set by a memory budget (``BLOCK_BUDGET`` column-iterations),
-not by the worker count, and since every iteration still draws only from
-its own substream it does not change any result.
+is drawn on its own, in layout order, one uniform for its doctype.  So
+the same seed gives different replicates than 0.1.0 did, which drew
+citations before doctypes, one publication and one iteration at a time.
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ from .indicators import (
     unit_indicators,
 )
 from .predictive import (
+    cycled_params,
     draw_doctype_codes,
     draw_doctype_counts,
     draw_omitted,
@@ -136,7 +142,7 @@ def subseed(seed: int, index: int) -> int:
     return int(state[0])
 
 
-iteration_rng = substream_rng  # the kernel's name for one iteration's substream
+iteration_rng = substream_rng  # the kernel's name for one block's substream
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +218,8 @@ class PropagationConfig:
     chooses correction (second kind: observed data is corrected upward)
     or injection (first kind: error-free data is corrupted).
     Every iteration uses one posterior parameter draw for all
-    publications, draw ``iteration % n_draws``.
+    publications: chain ``iteration % chains``, kept draw
+    ``(iteration // chains) % kept``.
     ``pooled_normalization`` includes the assessed units in the
     normalization universe alongside the reference set.
     """
@@ -333,51 +340,51 @@ def _worker_chunk(bounds: tuple[int, int]):
 def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, ...]:
     """Redraw the data for iterations [start, stop) and score every unit.
 
-    Each iteration draws only from its own substream: first the
-    probability rows, then the doctypes, one code per publication when
-    ``per_item`` and otherwise one multinomial per group giving the count
-    of items in each of its columns, then the omitted citations, one
-    gamma-Poisson sum per column with its count of items.  Its draws fill
-    one row of (iterations, columns) arrays.  The cells of all rows are
-    then rebuilt together, one ``bincount`` per sum over ``row * n_cells
-    + cell key``, and ``unit_indicators`` scores all rows' unit columns in
-    slots ``row * n_units + unit``.  Returns per iteration and unit P, C, MNCS and the
-    MNCS exclusion count, then the redrawn citations and doctype codes of
-    the unit columns (one per publication when ``per_item``, for the item
-    dump).
+    [start, stop) is one kernel block: ``start`` is a multiple of
+    ``ws.block_size`` and the block draws from the substream keyed by
+    (seed, ``start // ws.block_size``), one call per kind of draw, each
+    iteration one row of (iterations, ...) arrays.  In order: the
+    (iterations, 4, 4) Dirichlet gammas of the probability rows; the new
+    doctypes, (iterations, columns) uniforms when ``per_item`` and
+    otherwise one multinomial per (iteration, group) giving the count of
+    items in each of its columns; then the omitted citations, one
+    gamma-Poisson sum per (iteration, column) with its count of items
+    and its iteration's parameter row, all gammas before all Poissons.
+    The draws therefore depend on ``BLOCK_BUDGET`` and the column count,
+    which set the block size, and on where the run's last block ends,
+    but not on the worker count.  A block of one iteration draws exactly
+    as a per-iteration substream keyed by (seed, iteration) did.
+
+    The cells of all rows are then rebuilt together, one ``bincount`` per
+    sum over ``row * n_cells + cell key``, and ``unit_indicators`` scores
+    all rows' unit columns in slots ``row * n_units + unit``.  Returns per
+    iteration and unit P, C, MNCS and the MNCS exclusion count, then the
+    redrawn citations and doctype codes of the unit columns (one per
+    publication when ``per_item``, for the item dump).
     """
     cfg = ws.config
     rows = stop - start
     m = ws.col_citations.size
-    redraw_citations = CHANNEL_CITATIONS in cfg.channels
-    redraw_doctypes = CHANNEL_DOCTYPES in cfg.channels
-    if ws.per_item:
-        k = None
-        types = np.empty((rows, m), dtype=np.int64) if redraw_doctypes else ws.col_types
-    else:
-        k = np.empty((rows, m), dtype=np.int64) if redraw_doctypes else ws.group_sizes
-        types = ws.col_types
-    if redraw_citations:
-        omitted = np.empty((rows, m), dtype=np.int64)
+    rng = iteration_rng(cfg.seed, start // ws.block_size)
+    # Items per column: none when every column is one publication, else
+    # the group sizes or, once doctypes are redrawn, the drawn counts.
+    k = ws.group_sizes
+    types = ws.col_types
+    if CHANNEL_DOCTYPES in cfg.channels:
+        prob_rows = sample_probability_rows(
+            rng, np.broadcast_to(ws.dirichlet.concentrations, (rows, 4, 4))
+        )
+        if ws.per_item:
+            types = draw_doctype_codes(rng, prob_rows, ws.col_types)
+        else:
+            k = draw_doctype_counts(rng, prob_rows, ws.group_sizes, ws.group_types).reshape(rows, m)
+    c = ws.col_citations if k is None else k * ws.col_citations
+    if CHANNEL_CITATIONS in cfg.channels:
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
-    for b, iteration in enumerate(range(start, stop)):
-        rng = iteration_rng(cfg.seed, iteration)
-        sizes = ws.group_sizes
-        if redraw_doctypes:
-            prob_rows = sample_probability_rows(rng, ws.dirichlet.concentrations)
-            if k is None:
-                types[b] = draw_doctype_codes(rng, prob_rows, ws.col_types)
-            else:
-                sizes = k[b] = draw_doctype_counts(
-                    rng, prob_rows, ws.group_sizes, ws.group_types
-                ).ravel()
-        if redraw_citations:
-            omitted[b] = draw_omitted(rng, params[b], ws.col_log1p, sizes)
+        omitted = draw_omitted(rng, params[:, None, :], ws.col_log1p, k)
+        c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
 
     shape = (rows, m)
-    c = ws.col_citations if k is None else k * ws.col_citations
-    if redraw_citations:
-        c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
     c = np.broadcast_to(c, shape)
     types = np.broadcast_to(types, shape)
     if k is not None:
@@ -573,7 +580,11 @@ def _build_workspace(
         norm=norm,
         n_cells=(n_cellgroups + 1) * 4,
         n_units=len(units),
-        params=models.citation.flat().copy() if models.citation is not None else None,
+        params=(
+            cycled_params(models.citation, models.citation.n_draws)
+            if models.citation is not None
+            else None
+        ),
         dirichlet=models.doctype,
         config=config,
         block_size=max(1, BLOCK_BUDGET // max(rep.size, 1)),
@@ -639,7 +650,11 @@ def propagate(
         p_rep, c_rep, m_rep, x_rep = _propagate_with_dump(ws, Path(dump_items))
     else:
         if config.workers > 1 and iters >= 2 * config.workers:
-            edges = np.linspace(0, iters, config.workers + 1, dtype=int)
+            # Chunks hold whole kernel blocks, so every block is drawn as
+            # one process would draw it.
+            blocks = -(-iters // ws.block_size)
+            edges = np.linspace(0, blocks, config.workers + 1, dtype=int) * ws.block_size
+            edges = np.minimum(edges, iters)
             bounds = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
             cpus = os.cpu_count()
             processes = pool_processes(config.workers, len(bounds), cpus)

@@ -3,14 +3,18 @@
 Each routine here is the direct per-item form of a package function and
 consumes the random stream in the same order, so the package must match
 it bit for bit: ``rng.gamma`` with a scale for the negative binomial,
-an (n, 4) cumulative-sum argmax for the category draw, and one Monte
-Carlo iteration at a time, one publication at a time, for the
-propagation kernel.  The kernel draws one doctype multinomial and one
-citation sum per group of exchangeable publications instead, so it
-matches ``simulate_one`` bit for bit only where every publication is its
-own group; elsewhere the probability rows are the same draws, P matches
-exactly only when doctypes are not redrawn, and the rest agree in
-distribution.
+an (n, 4) cumulative-sum argmax for the category draw, and for the
+propagation kernel one publication at a time, scored one Monte Carlo
+iteration at a time.  ``simulate_block`` draws a kernel block's
+randomness in the kernel's order from the block's substream;
+``simulate_one`` is the per-iteration form the kernel used before it
+keyed substreams by block, one substream per iteration, which a block of
+one iteration still reproduces.  The kernel draws one doctype
+multinomial and one citation sum per group of exchangeable publications
+instead, so it matches the oracle bit for bit only where every
+publication is its own group; elsewhere the probability rows are the
+same draws, P matches exactly only when doctypes are not redrawn, and
+the rest agree in distribution.
 
 ``indicators_scalar`` is the per-publication form of ``indicators_for``
 and ``ncs_scalar`` that of ``ncs``.  The scores are summed in an explicit
@@ -39,14 +43,12 @@ def negbin_rvs(rng, mu, theta):
 
 def sample_probability_rows(rng, concentrations):
     gams = rng.gamma(shape=concentrations)
-    sums = gams.sum(axis=1, keepdims=True)
-    bad = (sums == 0.0).ravel()
-    if bad.any():
-        for i in np.flatnonzero(bad):
+    sums = gams.sum(axis=-1, keepdims=True)
+    for i in np.ndindex(sums.shape[:-1]):
+        if sums[i] == 0.0:
             gams[i] = 0.0
-            gams[i, int(concentrations[i].argmax())] = 1.0
-        sums = gams.sum(axis=1, keepdims=True)
-    return gams / sums
+            gams[i + (int(concentrations[i].argmax()),)] = 1.0
+    return gams / gams.sum(axis=-1, keepdims=True)
 
 
 def draw_doctype_codes(rng, prob_rows, conditioning_codes):
@@ -113,15 +115,25 @@ def publication_layout(units, reference, config):
     )
 
 
-def simulate_one(layout, models, cfg, iteration):
-    """One Monte Carlo iteration, one publication at a time.
+def posterior_draw(posterior, iteration):
+    """The parameter row iteration i uses: chain i mod C, draw (i div C) mod kept."""
+    chains, kept = posterior.draws.shape[:2]
+    return posterior.draws[iteration % chains, (iteration // chains) % kept]
 
-    ``layout`` is ``publication_layout`` of the run.  The iteration's
-    substream gives first the probability rows and one doctype code per
-    publication, then one omitted count per publication under posterior
-    draw ``iteration % n_draws``.  Returns per unit P, C, MNCS and the
-    number of core items the MNCS left out, then the redrawn citations
-    and doctype codes of every publication.
+
+def _redrawn_citations(cfg, citations, omitted):
+    if cfg.direction == SECOND_KIND:
+        return citations + omitted
+    return np.maximum(citations - omitted, 0)
+
+
+def simulate_one(layout, models, cfg, iteration):
+    """One Monte Carlo iteration from its own (seed, iteration) substream.
+
+    ``layout`` is ``publication_layout`` of the run.  The substream gives
+    first the probability rows and one doctype code per publication, then
+    one omitted count per publication under the iteration's posterior
+    draw.  Returns what ``score`` returns.
     """
     rng = iteration_rng(cfg.seed, iteration)
     c = layout.citations
@@ -131,13 +143,56 @@ def simulate_one(layout, models, cfg, iteration):
         dt = draw_doctype_codes(rng, rows, dt)
 
     if CHANNEL_CITATIONS in cfg.channels:
-        flat = models.citation.flat()
-        params = flat[iteration % flat.shape[0]]
+        params = posterior_draw(models.citation, iteration)
         with np.errstate(over="ignore"):
             mu = np.exp(params[0] + params[1] * np.log1p(c.astype(np.float64)))
-        omitted = negbin_rvs(rng, mu, params[2])
-        c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
+        c = _redrawn_citations(cfg, c, negbin_rvs(rng, mu, params[2]))
+    return score(layout, c, dt)
 
+
+def simulate_block(layout, models, cfg, start, stop, block_size):
+    """Iterations [start, stop) of the kernel block that starts at ``start``.
+
+    The block's substream is keyed by (seed, start // block_size).  It
+    gives, one publication at a time in layout order: the Dirichlet rows
+    of every iteration, then a uniform per (iteration, publication) for
+    the doctype draws, then a gamma per (iteration, publication) and
+    last a Poisson per (iteration, publication), the omitted count under
+    the iteration's posterior draw.  Returns one ``score`` per iteration.
+    """
+    assert start % block_size == 0 and 0 < stop - start <= block_size
+    rng = iteration_rng(cfg.seed, start // block_size)
+    iterations = range(start, stop)
+    n = layout.citations.size
+    c = np.tile(layout.citations, (len(iterations), 1))
+    dt = np.tile(layout.dt_codes, (len(iterations), 1))
+    if CHANNEL_DOCTYPES in cfg.channels:
+        conc = models.doctype.concentrations
+        rows = sample_probability_rows(rng, np.stack([conc] * len(iterations)))
+        u = rng.random((len(iterations), n))
+        for r in range(len(iterations)):
+            cum = np.cumsum(rows[r][dt[r]], axis=1)
+            cum[:, -1] = 1.0
+            dt[r] = (u[r][:, None] < cum).argmax(axis=1)
+
+    if CHANNEL_CITATIONS in cfg.channels:
+        params = np.array([posterior_draw(models.citation, j) for j in iterations])
+        with np.errstate(over="ignore"):
+            mu = np.exp(params[:, :1] + params[:, 1:2] * np.log1p(c.astype(np.float64)))
+        mu = np.minimum(mu, 1e12)
+        theta = np.repeat(params[:, 2:], n, axis=1)
+        lam = rng.gamma(shape=theta, scale=mu / theta)
+        c = _redrawn_citations(cfg, c, rng.poisson(lam))
+    return [score(layout, c[r], dt[r]) for r in range(len(iterations))]
+
+
+def score(layout, c, dt):
+    """One iteration's indicators from its redrawn citations and doctypes.
+
+    Returns per unit P, C, MNCS and the number of core items the MNCS
+    left out, then the redrawn citations and doctype codes of every
+    publication.
+    """
     unit_index, n_units = layout.unit_index, layout.n_units
     n_cells = layout.n_cellgroups * 4
     has_group = layout.cell_codes >= 0

@@ -752,6 +752,32 @@ class TestUnknownConfigKeys:
         assert "intercept_prior_sd is 2.0" in proc.stderr
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "block, key, message",
+        [
+            ("spec", "fixed_slop", "unknown key 'fixed_slop' in 'spec'"),
+            ("config", "chain", "unknown key 'chain' in 'config'"),
+            (None, "draws", "posterior file has no 'draws' key"),
+            (None, "config", "posterior file has no 'config' key"),
+        ],
+    )
+    def test_posterior_with_unknown_or_missing_key_is_usage_error(
+        self, workdir, tmp_path, capsys, block, key, message
+    ):
+        payload = json.loads((workdir / "models2" / "citation_posterior.json").read_text())
+        if block is None:
+            del payload[key]
+        else:
+            payload[block][key] = 1
+        model = tmp_path / "citation_posterior.json"
+        model.write_text(json.dumps(payload))
+        argv = ["propagate", "--pubs", str(workdir / "pubs.csv"), "--citation-model", str(model)]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {model}: {message}" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestExerciseSettings:
     """Every exercise checks its settings, also "1", which propagates nothing."""

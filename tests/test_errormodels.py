@@ -336,6 +336,60 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             load_posterior(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["spec"].update(fixed_slop=0.5), "unknown key 'fixed_slop' in 'spec'"),
+            (lambda p: p["config"].update(chain=2), "unknown key 'chain' in 'config'"),
+            (lambda p: p.pop("draws"), "posterior file has no 'draws' key"),
+            (lambda p: p.pop("spec"), "posterior file has no 'spec' key"),
+            (lambda p: p.pop("config"), "posterior file has no 'config' key"),
+            (lambda p: p.pop("acceptance_rates"), "no 'acceptance_rates' key"),
+            (lambda p: p.update(config=[2, 100]), "'config' must be a JSON object"),
+            (
+                lambda p: p.update(diagnostics={"rhat": {}, "ess": {}, "converged": True}),
+                "'diagnostics' has no 'acceptance_rates' key",
+            ),
+            (
+                lambda p: p.update(
+                    diagnostics={
+                        "rhat": {},
+                        "ess": {},
+                        "acceptance_rates": [],
+                        "converged": True,
+                        "rhats": {},
+                    }
+                ),
+                "unknown key 'rhats' in 'diagnostics'",
+            ),
+        ],
+    )
+    def test_citation_file_keys_checked(self, tmp_path, edit, message):
+        payload = json.loads(json.dumps(_EARLIER_POSTERIOR))
+        edit(payload)
+        path = tmp_path / "citation.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=message) as info:
+            load_posterior(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("key", ["concentrations", "direction", "pseudocount"])
+    def test_doctype_file_keys_checked(self, tmp_path, doctype_posterior, key):
+        path = tmp_path / "doctype.json"
+        save_posterior(doctype_posterior, path)
+        payload = json.loads(path.read_text())
+        del payload[key]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"{path}: posterior file has no {key!r} key"):
+            load_posterior(path)
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    def test_not_a_posterior_file(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=str(path)):
+            load_posterior(path)
+
 
 # A citation posterior as files record it, trimmed to one draw per chain.
 _EARLIER_POSTERIOR = {

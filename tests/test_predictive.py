@@ -72,12 +72,25 @@ class TestCitationChannels:
 
 class TestCycledParams:
     def test_wraps_around_posterior_draws(self, second_kind_posterior):
-        flat = second_kind_posterior.flat()
-        n = flat.shape[0] + 7
+        draws = second_kind_posterior.draws
+        chains, kept = draws.shape[:2]
+        n = chains * kept + 7
         params = cycled_params(second_kind_posterior, n)
         assert params.shape == (n, 3)
-        assert np.array_equal(params[: flat.shape[0]], flat)
-        assert np.array_equal(params[flat.shape[0] :], flat[:7])
+        # Replicate j takes chain j mod C, kept draw (j div C) mod kept.
+        for j in (0, 1, chains - 1, chains, 5 * chains + 2, chains * kept - 1, n - 1):
+            assert np.array_equal(params[j], draws[j % chains, (j // chains) % kept])
+        assert np.array_equal(params[chains * kept :], params[:7])
+        # Every draw is used once per cycle.
+        cycle = params[: chains * kept]
+        assert np.array_equal(np.unique(cycle, axis=0), np.unique(draws.reshape(-1, 3), axis=0))
+
+    def test_first_replicates_use_every_chain(self, second_kind_posterior):
+        draws = second_kind_posterior.draws
+        chains = draws.shape[0]
+        assert chains > 1
+        params = cycled_params(second_kind_posterior, chains)
+        assert np.array_equal(params, draws[:, 0])
 
 
 class TestDoctypeDraws:
@@ -129,8 +142,8 @@ class _StubRng:
     def __init__(self, u: np.ndarray) -> None:
         self.u = u
 
-    def random(self, n: int) -> np.ndarray:
-        assert n == self.u.size
+    def random(self, size: int | tuple[int, ...]) -> np.ndarray:
+        assert (size if isinstance(size, tuple) else (size,)) == self.u.shape
         return self.u.copy()
 
 
@@ -382,6 +395,77 @@ class TestCountedOmittedDraws:
         params = np.array([40.0, 0.0, 50.0])
         draws = draw_omitted(np.random.default_rng(3), params, np.zeros(2000), np.full(2000, 4))
         assert abs(draws.mean() / 4e12 - 1.0) < 0.01
+
+
+class TestBlockAxis:
+    """The samplers with a leading block axis, one row per iteration."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(_weights, min_size=1, max_size=4),
+        block=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_block_draws_equal_successive_row_draws(self, weights, block, data):
+        # The Dirichlet rows, the category codes and the group counts of a
+        # block are, draw for draw, the 2-d calls made once per row.
+        concentrations = np.array(weights) * 3.0
+        k = concentrations.shape[0]
+        cond = np.array(
+            data.draw(st.lists(st.integers(0, k - 1), min_size=0, max_size=12)), dtype=np.int64
+        )
+        sizes = np.array(
+            data.draw(st.lists(st.integers(0, 50), min_size=cond.size, max_size=cond.size)),
+            dtype=np.int64,
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        stacked = np.broadcast_to(concentrations, (block, k, 4))
+        def counts(rng, rows, c):
+            return draw_doctype_counts(rng, rows, sizes, c)
+
+        for draw in (draw_doctype_codes, counts):
+            block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = sample_probability_rows(block_rng, stacked)
+            assert rows.shape == (block, k, 4)
+            drawn = draw(block_rng, rows, cond)
+            for r in range(block):
+                assert np.array_equal(rows[r], sample_probability_rows(row_rng, concentrations))
+            for r in range(block):
+                assert np.array_equal(drawn[r], draw(row_rng, rows[r], cond))
+            assert block_rng.random() == row_rng.random()
+
+    def test_block_underflow_falls_back_per_row(self):
+        concentrations = np.array([[1e-300, 3e-300, 2e-300, 0.0], [1.0, 2.0, 3.0, 4.0]])
+        stacked = np.broadcast_to(concentrations, (3, 2, 4))
+        rows = sample_probability_rows(np.random.default_rng(0), stacked)
+        assert rows[:, 0].tolist() == [[0.0, 1.0, 0.0, 0.0]] * 3
+        assert np.allclose(rows[:, 1].sum(axis=1), 1.0)
+        reference = oracle.sample_probability_rows(np.random.default_rng(0), stacked)
+        assert np.array_equal(rows, reference)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        params=st.lists(_params, min_size=1, max_size=4),
+        citations=st.lists(st.integers(0, 10**4), min_size=0, max_size=12),
+        counted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_omitted_draws_gammas_then_poissons(self, params, citations, counted, seed):
+        # Row r uses parameter row r; the block draws every gamma, then
+        # every Poisson, as rng.gamma with a scale followed by rng.poisson.
+        params = np.array(params)
+        x = np.log1p(np.array(citations, dtype=np.float64))
+        counts = np.arange(x.size) % 3 if counted else None
+        ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = draw_omitted(ours_rng, params[:, None, :], x, counts)
+        assert drawn.shape == (params.shape[0], x.size)
+        mu = np.minimum(np.exp(params[:, :1] + params[:, 1:2] * x), 1e12)
+        shape = np.broadcast_to(params[:, 2:], mu.shape)
+        if counts is not None:
+            shape = shape * counts
+        lam = ref_rng.gamma(shape=shape, scale=mu / params[:, 2:])
+        assert np.array_equal(drawn, ref_rng.poisson(lam))
+        assert ours_rng.random() == ref_rng.random()
 
 
 def _csv_writer_bytes(draws, ids) -> bytes:

@@ -662,10 +662,25 @@ def _repeated(pubset: PublicationSet, times: int) -> PublicationSet:
     return PublicationSet(name=pubset.name, members=members)
 
 
-def _oracle_replicates(units, reference, models, config):
-    """Per iteration and unit: P, C, MNCS, exclusions; unit citations, codes."""
+def _oracle_replicates(units, reference, models, config, block_size=None):
+    """Per iteration and unit: P, C, MNCS, exclusions; unit citations, codes.
+
+    Drawn block by block as ``oracle.simulate_block`` draws them, or one
+    substream per iteration by ``oracle.simulate_one`` when
+    ``block_size`` is None.
+    """
     layout = oracle.publication_layout(units, reference, config)
-    steps = [oracle.simulate_one(layout, models, config, j) for j in range(config.iterations)]
+    n = config.iterations
+    if block_size is None:
+        steps = [oracle.simulate_one(layout, models, config, j) for j in range(n)]
+    else:
+        steps = [
+            step
+            for lo in range(0, n, block_size)
+            for step in oracle.simulate_block(
+                layout, models, config, lo, min(lo + block_size, n), block_size
+            )
+        ]
     of_unit = layout.unit_index >= 0
     out = [np.array([step[k] for step in steps]) for k in range(4)]
     out += [np.array([step[k][of_unit] for step in steps]) for k in (4, 5)]
@@ -732,6 +747,14 @@ def _case_config(case: int, iterations: int) -> PropagationConfig:
     )
 
 
+def _assert_matches(result, oracle_values):
+    p, c, m, x = oracle_values[:4]
+    assert np.array_equal(_replicates(result, "P"), p)
+    assert np.array_equal(_replicates(result, "C"), c)
+    assert np.array_equal(_replicates(result, "MNCS"), m, equal_nan=True)
+    assert np.array_equal(_excluded(result), x)
+
+
 @pytest.mark.parametrize("budget", sorted(_BUDGETS))
 @pytest.mark.parametrize("case", range(len(_ORACLE_CASES)))
 def test_block_kernel_matches_oracle(
@@ -746,22 +769,21 @@ def test_block_kernel_matches_oracle(
 ):
     """The kernel against the per-publication oracle at three block sizes.
 
-    Every doctype draw comes first from each iteration's substream.
-    Where every publication is its own group (first-kind citation
-    redraws, and any dump run) all outputs and the dumped draws match the
-    oracle bit for bit.  With citations alone the doctypes stay put, so P
-    matches too.  Grouped doctype redraws tally each group's new types
-    with one multinomial instead of one uniform per publication, and
-    grouped citation draws sum a cell's omissions in one draw; those
-    agree with the oracle only in distribution (see
-    test_grouped_draws_agree_with_oracle_in_distribution), and here they
-    must not depend on the block size.
+    Each kernel block draws from its own substream, every doctype draw
+    first, and the oracle draws the same blocks.  Where every publication
+    is its own group (first-kind citation redraws, and any dump run) all
+    outputs and the dumped draws match the oracle at that block size bit
+    for bit.  With citations alone the doctypes stay put, so P matches
+    too.  Grouped doctype redraws tally each group's new types with one
+    multinomial instead of one uniform per publication, and grouped
+    citation draws sum a cell's omissions in one draw; those agree with
+    the oracle only in distribution (see
+    test_grouped_draws_agree_with_oracle_in_distribution).
     """
     direction, _, channels, _ = _ORACLE_CASES[case]
     models = small_models if direction == SECOND_KIND else first_kind_models
     cfg = _case_config(case, _ORACLE_ITERATIONS)
     all_single = direction == FIRST_KIND and CHANNEL_CITATIONS in channels
-    unblocked = propagate(grouped_units, grouped_reference, models, cfg)
     columns = _build_workspace(grouped_units, grouped_reference, models, cfg).col_citations.size
     monkeypatch.setattr(simulation, "BLOCK_BUDGET", _BUDGETS[budget](columns))
     ws = _build_workspace(grouped_units, grouped_reference, models, cfg)
@@ -773,31 +795,86 @@ def test_block_kernel_matches_oracle(
         assert ws.block_size > cfg.iterations
     else:
         assert ws.block_size == expected_block
+    dump_block = _build_workspace(
+        grouped_units, grouped_reference, models, cfg, keep_ids=True
+    ).block_size
 
-    p, c, m, x, c_sim, dt_sim = _oracle_replicates(grouped_units, grouped_reference, models, cfg)
+    expected = _oracle_replicates(grouped_units, grouped_reference, models, cfg, ws.block_size)
+    expected_dump = _oracle_replicates(
+        grouped_units, grouped_reference, models, cfg, dump_block
+    )
     dump = tmp_path / "items.csv"
     plain = propagate(grouped_units, grouped_reference, models, cfg)
     dumped = propagate(grouped_units, grouped_reference, models, cfg, dump_items=dump)
     assert dumped.run_info["grouped_draws"] is False
     assert plain.run_info["grouped_draws"] is not all_single
-    for indicator in ("P", "C", "MNCS"):
-        assert np.array_equal(
-            _replicates(plain, indicator), _replicates(unblocked, indicator), equal_nan=True
-        )
-    assert np.array_equal(_excluded(plain), _excluded(unblocked))
     for result in (plain, dumped):
         assert _excluded(result).dtype == np.int64
-    exact = [dumped] + ([plain] if all_single else [])
-    for result in exact:
-        assert np.array_equal(_replicates(result, "P"), p)
-        assert np.array_equal(_replicates(result, "C"), c)
-        assert np.array_equal(_replicates(result, "MNCS"), m, equal_nan=True)
-        assert np.array_equal(_excluded(result), x)
+    _assert_matches(dumped, expected_dump)
+    if all_single:
+        _assert_matches(plain, expected)
     if CHANNEL_DOCTYPES not in channels:
-        assert np.array_equal(_replicates(plain, "P"), p)
+        assert np.array_equal(_replicates(plain, "P"), expected[0])
     dumped_citations, dumped_codes = _read_dump(dump, grouped_units, cfg.iterations)
-    assert np.array_equal(dumped_citations, c_sim)
-    assert np.array_equal(dumped_codes, dt_sim)
+    assert np.array_equal(dumped_citations, expected_dump[4])
+    assert np.array_equal(dumped_codes, expected_dump[5])
+
+
+@pytest.mark.parametrize("case", range(len(_ORACLE_CASES)))
+def test_blocks_of_one_iteration_draw_per_iteration_substreams(
+    tmp_path, monkeypatch, case, grouped_units, grouped_reference, small_models, first_kind_models
+):
+    """A block of one iteration is keyed and drawn as iteration keying was.
+
+    With one iteration per block (the kernel's choice past
+    ``BLOCK_BUDGET`` columns) every per-publication run matches
+    ``oracle.simulate_one``, one (seed, iteration) substream each.
+    """
+    direction, _, channels, _ = _ORACLE_CASES[case]
+    models = small_models if direction == SECOND_KIND else first_kind_models
+    cfg = _case_config(case, _ORACLE_ITERATIONS)
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", 1)
+    expected = _oracle_replicates(grouped_units, grouped_reference, models, cfg)
+    dump = tmp_path / "items.csv"
+    dumped = propagate(grouped_units, grouped_reference, models, cfg, dump_items=dump)
+    _assert_matches(dumped, expected)
+    dumped_citations, dumped_codes = _read_dump(dump, grouped_units, cfg.iterations)
+    assert np.array_equal(dumped_citations, expected[4])
+    assert np.array_equal(dumped_codes, expected[5])
+    if direction == FIRST_KIND and CHANNEL_CITATIONS in channels:
+        _assert_matches(propagate(grouped_units, grouped_reference, models, cfg), expected)
+
+
+# sha256 of the field-keyed run's report.json (see
+# test_field_keyed_report_bytes_are_pinned) with a one-chain citation
+# posterior, recorded by the kernel that keyed a substream per iteration.
+# A one-chain posterior is cycled in the same order chain-major and
+# interleaved, so the bytes pin the grouped draws of one iteration.
+_PER_ITERATION_FIELD_KEYED_SHA256 = (
+    "2087424a86a26871559f575c8f0ec7ec09118f404a0db0709d66d41bdd7a314e"
+)
+
+
+def test_grouped_blocks_of_one_iteration_keep_per_iteration_bytes(
+    tmp_path,
+    monkeypatch,
+    grouped_units,
+    grouped_reference,
+    second_kind_posterior,
+    doctype_posterior,
+):
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", 1)
+    models = FittedModels(
+        citation=NegBinPosterior(draws=second_kind_posterior.draws[:1]), doctype=doctype_posterior
+    )
+    config = PropagationConfig(
+        iterations=300, seed=0, key_mode=KEY_DOCTYPE_YEAR_FIELD, pooled_normalization=False
+    )
+    result = propagate(grouped_units, grouped_reference, models, config)
+    assert result.run_info["grouped_draws"]
+    path = tmp_path / "report.json"
+    write_report_json(result, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PER_ITERATION_FIELD_KEYED_SHA256
 
 
 # Paired z-score bound for the grouped-versus-oracle mean differences and
@@ -816,7 +893,8 @@ _AGREEMENT_SD_RATIO = (0.85, 1.15)
 def _assert_same_law(result, units, reference, models, cfg):
     """P, C, MNCS and MNCS exclusions of a grouped run against the oracle."""
     assert result.run_info["grouped_draws"] is True
-    p, c, m, x, _, _ = _oracle_replicates(units, reference, models, cfg)
+    block_size = _build_workspace(units, reference, models, cfg).block_size
+    p, c, m, x, _, _ = _oracle_replicates(units, reference, models, cfg, block_size)
     pairs = (
         (_replicates(result, "P"), p),
         (_replicates(result, "C"), c),
@@ -923,6 +1001,51 @@ def test_workers_agree_when_chunk_edges_split_blocks(
             assert np.array_equal(a, b, equal_nan=True)
 
 
+def test_worker_chunks_hold_whole_blocks(
+    monkeypatch, grouped_units, grouped_reference, small_models
+):
+    # An in-process stand-in for the pool records the chunk bounds.
+    cfg = PropagationConfig(iterations=61, seed=41, key_mode=KEY_DOCTYPE_YEAR_FIELD)
+    columns = _build_workspace(grouped_units, grouped_reference, small_models, cfg)
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", 7 * columns.col_citations.size)
+    monkeypatch.setattr(simulation, "_WORKER_WS", None)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
+    chunks = []
+
+    class RecordingPool:
+        def __init__(self, processes, initializer, initargs):
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, bounds):
+            chunks.extend(bounds)
+            return [fn(b) for b in bounds]
+
+    monkeypatch.setattr(simulation.multiprocessing, "Pool", RecordingPool)
+    expected = propagate(grouped_units, grouped_reference, small_models, cfg)
+    for workers, bounds in ((2, [(0, 28), (28, 61)]), (3, [(0, 21), (21, 42), (42, 61)])):
+        chunks.clear()
+        result = propagate(
+            grouped_units,
+            grouped_reference,
+            small_models,
+            PropagationConfig(
+                iterations=cfg.iterations, seed=cfg.seed, key_mode=cfg.key_mode, workers=workers
+            ),
+        )
+        assert result.run_info["worker_processes"] == workers
+        assert chunks == bounds  # nine blocks of seven, the last one of five
+        for indicator in ("P", "C", "MNCS"):
+            assert np.array_equal(
+                _replicates(result, indicator), _replicates(expected, indicator), equal_nan=True
+            )
+
+
 def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models):
     # Pooled normalization without a reference set: the dump holds the
     # whole normalization universe, so every exclusion can be recounted.
@@ -958,19 +1081,17 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # sha256 of report.json for run_exercise(name, iterations=300, seed=0).
 # They pin numpy's random stream as consumed by the kernel; a change that
 # alters the stream must re-baseline them on purpose, with the reason in
-# CHANGES.md.  Re-pinned when the kernel moved to doctype draws first and
-# one citation draw per exchangeable group: "2" and "4" draw per group,
-# "A3" (first-kind citations) per publication in the new order.
-# "field-keyed" is the run of test_field_keyed_report_bytes_are_pinned.
-# "4" and "field-keyed" were re-pinned again when grouped runs moved from
-# one uniform per publication to one multinomial per group for the new
-# doctypes.  "2" redraws no doctypes and "A3" draws per publication, so
-# their pins are the ones recorded before that change.
+# CHANGES.md.  "field-keyed" is the run of
+# test_field_keyed_report_bytes_are_pinned.  All four were last re-pinned
+# when the kernel moved from one substream per iteration to one per
+# kernel block, and the iterations from chain-major posterior draws to
+# interleaved chains; _PER_ITERATION_FIELD_KEYED_SHA256 keeps the
+# field-keyed run's earlier bytes.
 _PINNED_REPORT_SHA256 = {
-    "2": "2282e63cc0b01855d0999aa4526f0fd200e33dcba60195b6150e07f0e9f0775f",
-    "4": "337b3ec6e0de9123c7c27f064cc87acb2dadba27d276443824bc3ca9174669a8",
-    "A3": "3ed3c051a194f5d33cdf0b18932e106d9e0df6057948b364d20b10c89219fd28",
-    "field-keyed": "2087424a86a26871559f575c8f0ec7ec09118f404a0db0709d66d41bdd7a314e",
+    "2": "294561f59f3e68cf4cc36d48f3a1719dffd666b252933c5b293219c5b3885204",
+    "4": "bff9e65903b3a1af0753f036c564505ee465447211ab2959385092207d449a7e",
+    "A3": "884b4dbfffe337225a65dcfa8cca752066a7799aad72370f333770b81fe5f39d",
+    "field-keyed": "80fd36777f937dd8beace89ca93e1be336a5245ec1314c61af75999e369d5bf9",
 }
 
 
