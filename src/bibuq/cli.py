@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .datamodel import (
+    PublicationSet,
     UsageError,
     ValidationError,
     embedded_missed_citation_sample,
@@ -321,8 +322,8 @@ def _run_propagation(args: argparse.Namespace, direction: str) -> int:
     reference_path = settings["reference"]
     if reference_path is not None:
         ref_sets = load_publications(reference_path)
-        members = tuple(p for pubset in ref_sets for p in pubset)
-        reference = ref_sets[0].with_members(members) if len(ref_sets) > 1 else ref_sets[0]
+        # One reference set, named after its first unit, whatever units its rows name.
+        reference = PublicationSet.concat(ref_sets[0].name, ref_sets)
         inputs.append(Path(reference_path))
 
     models, model_inputs = _load_models(settings["citation_model"], settings["doctype_model"])

@@ -1,18 +1,24 @@
 """Core data types and file formats for error-aware bibliometric data.
 
 Publications carry the minimal attributes the indicators need (document
-type, year, subject field, citation count).  Error-model training data
+type, year, subject field, citation count).  A ``PublicationSet`` holds
+them as columns: ids and units, int64 arrays of citations, doctype codes
+and years, and field codes into a table of labels.  Iterating a set
+yields a ``Publication`` view of each row.  Error-model training data
 comes in two forms: paired observed/omitted citation counts from a manual
 correction audit, and a document-type confusion table of true vs observed
-labels.  All CSV readers validate eagerly and report the offending line.
+labels.  All CSV readers share one column reader: a single ``csv.reader``
+pass, then whole-column conversion and checks.  They validate eagerly and
+report the offending line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -108,30 +114,143 @@ class Publication:
             )
 
 
-@dataclass(frozen=True)
 class PublicationSet:
-    """A named collection of publications with unique ids."""
+    """A named collection of publications with unique ids, held as columns.
 
-    name: str
-    members: tuple[Publication, ...]
+    ``ids`` and ``units`` are tuples with one string per row; a set merged
+    from several units keeps each row's own unit.  ``citations``,
+    ``doctypes`` (codes in ``DOCTYPE_ORDER``) and ``years`` are read-only
+    int64 arrays.  ``fields`` holds each row's index into
+    ``field_labels``, or -1 for a row without a field.  Iterating a set
+    yields a ``Publication`` view of each row, in row order.
+    """
 
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for pub in self.members:
-            if pub.id in seen:
-                raise ValidationError(
-                    f"publication set {self.name!r}: duplicate id {pub.id!r}"
-                )
-            seen.add(pub.id)
+    __slots__ = ("name", "ids", "units", "citations", "doctypes", "years", "fields", "field_labels")
+
+    def __init__(self, name: str, members: Iterable[Publication] = ()) -> None:
+        members = tuple(members)
+        labels: dict[str, int] = {}
+        self._assign(
+            name,
+            ids=tuple(p.id for p in members),
+            units=tuple(p.unit for p in members),
+            citations=[p.citations for p in members],
+            doctypes=[doctype_index(p.doctype) for p in members],
+            years=[p.year for p in members],
+            fields=[
+                -1 if p.field is None else labels.setdefault(p.field, len(labels))
+                for p in members
+            ],
+            field_labels=tuple(labels),
+        )
+        repeat = _first_repeat(self.ids)
+        if repeat is not None:
+            raise ValidationError(
+                f"publication set {name!r}: duplicate id {self.ids[repeat]!r}"
+            )
+
+    @classmethod
+    def from_columns(
+        cls, name: str, ids, units, citations, doctypes, years, fields, field_labels
+    ) -> "PublicationSet":
+        """A set of the given columns, taken as valid and not checked."""
+        pubset = cls.__new__(cls)
+        pubset._assign(name, ids, units, citations, doctypes, years, fields, field_labels)
+        return pubset
+
+    @classmethod
+    def concat(cls, name: str, sets: Sequence["PublicationSet"]) -> "PublicationSet":
+        """Every row of ``sets``, in order, as one set named ``name``.
+
+        Each row keeps its own unit; equal field labels share one code.
+        Ids are not checked for uniqueness across the sets.
+        """
+        if not sets:
+            return cls(name)
+        labels: dict[str, int] = {}
+        fields = []
+        for pubset in sets:
+            codes = [labels.setdefault(label, len(labels)) for label in pubset.field_labels]
+            # A code of -1 picks the trailing -1: no field stays no field.
+            fields.append(np.array(codes + [-1], dtype=np.int64)[pubset.fields])
+        return cls.from_columns(
+            name,
+            ids=tuple(chain.from_iterable(s.ids for s in sets)),
+            units=tuple(chain.from_iterable(s.units for s in sets)),
+            citations=np.concatenate([s.citations for s in sets]),
+            doctypes=np.concatenate([s.doctypes for s in sets]),
+            years=np.concatenate([s.years for s in sets]),
+            fields=np.concatenate(fields),
+            field_labels=tuple(labels),
+        )
+
+    def subset(self, name: str, rows: np.ndarray) -> "PublicationSet":
+        """The rows at the indices ``rows``, in that order, as a set named ``name``."""
+        picked = rows.tolist()
+        return PublicationSet.from_columns(
+            name,
+            ids=tuple(self.ids[k] for k in picked),
+            units=tuple(self.units[k] for k in picked),
+            citations=self.citations[rows],
+            doctypes=self.doctypes[rows],
+            years=self.years[rows],
+            fields=self.fields[rows],
+            field_labels=self.field_labels,
+        )
+
+    def _assign(self, name, ids, units, citations, doctypes, years, fields, field_labels) -> None:
+        self.name = name
+        self.ids = tuple(ids)
+        self.units = tuple(units)
+        for attr, values in (
+            ("citations", citations), ("doctypes", doctypes), ("years", years), ("fields", fields)
+        ):
+            column = np.asarray(values, dtype=np.int64)
+            column.flags.writeable = False
+            setattr(self, attr, column)
+        self.field_labels = tuple(field_labels)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.ids)
 
     def __iter__(self):
-        return iter(self.members)
+        # Index -1 of the extended labels is None: no field.
+        labels = self.field_labels + (None,)
+        for pid, unit, code, year, citations, field in zip(
+            self.ids,
+            self.units,
+            self.doctypes.tolist(),
+            self.years.tolist(),
+            self.citations.tolist(),
+            self.fields.tolist(),
+        ):
+            yield Publication(pid, unit, DOCTYPE_ORDER[code], year, citations, labels[field])
 
-    def with_members(self, members: Sequence[Publication]) -> "PublicationSet":
-        return replace(self, members=tuple(members))
+    @property
+    def members(self) -> tuple[Publication, ...]:
+        return tuple(self)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PublicationSet):
+            return NotImplemented
+        return self.name == other.name and self.members == other.members
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"PublicationSet(name={self.name!r}, {len(self)} publications)"
+
+
+def _first_repeat(values: Sequence) -> int | None:
+    """Index of the first value that an earlier one equals, or None."""
+    if len(set(values)) == len(values):
+        return None
+    seen = set()
+    for k, value in enumerate(values):
+        if value in seen:
+            return k
+        seen.add(value)
+    return None
 
 
 @dataclass(frozen=True)
@@ -324,29 +443,104 @@ def sample_statistics(sample: CitationErrorSample) -> SampleStatistics:
 _PUB_HEADER = ["id", "unit", "doctype", "year", "field", "citations"]
 _SAMPLE_HEADER = ["observed_citations", "omitted_citations"]
 _CONFUSION_HEADER = ["true_type", "observed_type", "count"]
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
-def _open_rows(path: str | Path, expected: list[str]):
-    path = Path(path)
-    handle = path.open(newline="", encoding="utf-8")
-    reader = csv.DictReader(handle)
-    got = reader.fieldnames or []
-    missing = [c for c in expected if c not in got]
-    if missing:
-        handle.close()
-        raise ValidationError(f"{path}: missing columns {missing}, header is {got}")
-    return handle, reader
+def _read_columns(path: Path, expected: list[str]) -> list[list[str]]:
+    """The raw cells of each ``expected`` column, one per non-blank record.
+
+    One ``csv.reader`` pass appends each cell to its column's list.  Blank
+    lines are skipped, and a record shorter than the header reads "" for
+    its missing cells.
+    """
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [c for c in expected if c not in header]
+        if missing:
+            raise ValidationError(f"{path}: missing columns {missing}, header is {header}")
+        position = {name: i for i, name in enumerate(header)}
+        columns: list[list[str]] = [[] for _ in expected]
+        cells = [(column.append, position[name]) for column, name in zip(columns, expected)]
+        width = max(i for _, i in cells) + 1
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                row += [""] * (width - len(row))
+            for append, i in cells:
+                append(row[i])
+    return columns
 
 
-def _int_cell(row: dict, column: str, path: Path, line: int, minimum: int = 0) -> int:
-    raw = (row.get(column) or "").strip()
+def _line_of(path: Path, record: int) -> int:
+    """Line on which the ``record``-th non-blank data record (from 0) ends."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader, None)
+        records = (reader.line_num for row in reader if row)
+        return next(islice(records, record, None))
+
+
+def _raise_first(path: Path, failures: list[tuple[int, str]]) -> None:
+    """Raise the failure of the earliest record, the first one listed on a tie.
+
+    Failures are listed in the order a record's cells are checked, so the
+    error is the one a row-by-row reader would have stopped at.
+    """
+    if failures:
+        record, message = min(failures, key=lambda failure: failure[0])
+        raise ValidationError(f"{path}:{_line_of(path, record)}: {message}")
+
+
+def _int_column(
+    cells: list[str], column: str, minimum: int, failures: list[tuple[int, str]]
+) -> np.ndarray:
+    """Parse a column of integer cells, listing its first failure.
+
+    On a cell that is not an integer (or not an int64) the values stop
+    short of it, so the minimum is checked on the cells before it.
+    """
     try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"{path}:{line}: {column} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise ValidationError(f"{path}:{line}: {column} must be >= {minimum}, got {value}")
-    return value
+        values = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
+    except (ValueError, OverflowError):
+        parsed: list[int] = []
+        for k, cell in enumerate(cells):
+            raw = cell.strip()
+            try:
+                value = int(raw)
+            except ValueError:
+                failures.append((k, f"{column} must be an integer, got {raw!r}"))
+                break
+            if not _INT64_MIN <= value <= _INT64_MAX:
+                failures.append((k, f"{column} must fit in 64 bits, got {value}"))
+                break
+            parsed.append(value)
+        values = np.array(parsed, dtype=np.int64)
+    low = np.flatnonzero(values < minimum)
+    if low.size:
+        failures.append((int(low[0]), f"{column} must be >= {minimum}, got {values[low[0]]}"))
+    return values
+
+
+def _doctype_codes(cells: list[str]) -> np.ndarray:
+    """``DOCTYPE_ORDER`` code of each label, parsed once per distinct label."""
+    code = {label: doctype_index(DocType.parse(label)) for label in set(cells)}
+    return np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))
+
+
+def _label_codes(cells: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Each cell's index into the stripped labels in first-seen order.
+
+    A cell that strips to "" gets -1.  Each distinct cell is stripped once.
+    """
+    labels: dict[str, int] = {}
+    code = {}
+    for raw in dict.fromkeys(cells):
+        label = raw.strip()
+        code[raw] = labels.setdefault(label, len(labels)) if label else -1
+    codes = np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))
+    return codes, tuple(labels)
 
 
 def load_publications(path: str | Path) -> list[PublicationSet]:
@@ -356,35 +550,38 @@ def load_publications(path: str | Path) -> list[PublicationSet]:
     are parsed case-insensitively, unknown labels collapse to "other",
     and an empty field column becomes None.  Units appear in first-seen
     order.  Raises ValidationError naming the line for malformed cells
-    and for duplicate publication ids.
+    and for duplicate publication ids.  The file is read once into
+    columns, which are converted and checked whole; the line of a
+    failure is looked up only when a check fails.
     """
     path = Path(path)
-    handle, reader = _open_rows(path, _PUB_HEADER)
-    by_unit: dict[str, list[Publication]] = {}
-    seen_ids: set[str] = set()
-    with handle:
-        for row in reader:
-            line = reader.line_num
-            pid = (row.get("id") or "").strip()
-            unit = (row.get("unit") or "").strip()
-            if not pid:
-                raise ValidationError(f"{path}:{line}: empty publication id")
-            if not unit:
-                raise ValidationError(f"{path}:{line}: empty unit name")
-            if pid in seen_ids:
-                raise ValidationError(f"{path}:{line}: duplicate publication id {pid!r}")
-            seen_ids.add(pid)
-            field_label = (row.get("field") or "").strip() or None
-            pub = Publication(
-                id=pid,
-                unit=unit,
-                doctype=DocType.parse(row.get("doctype") or ""),
-                year=_int_cell(row, "year", path, line, minimum=-(10**9)),
-                citations=_int_cell(row, "citations", path, line),
-                field=field_label,
-            )
-            by_unit.setdefault(unit, []).append(pub)
-    return [PublicationSet(name=unit, members=tuple(pubs)) for unit, pubs in by_unit.items()]
+    id_cells, unit_cells, doctype_cells, year_cells, field_cells, citation_cells = (
+        _read_columns(path, _PUB_HEADER)
+    )
+    ids = tuple(map(str.strip, id_cells))
+    unit_slot, names = _label_codes(unit_cells)
+    failures: list[tuple[int, str]] = []
+    if "" in ids:
+        failures.append((ids.index(""), "empty publication id"))
+    if unit_slot.size and unit_slot.min() < 0:
+        failures.append((int(np.argmin(unit_slot)), "empty unit name"))
+    repeat = _first_repeat(ids)
+    if repeat is not None:
+        failures.append((repeat, f"duplicate publication id {ids[repeat]!r}"))
+    years = _int_column(year_cells, "year", -(10**9), failures)
+    citations = _int_column(citation_cells, "citations", 0, failures)
+    _raise_first(path, failures)
+    columns = (citations, _doctype_codes(doctype_cells), years, *_label_codes(field_cells))
+
+    # Units in first-seen order; each keeps its rows in file order.
+    if len(names) <= 1:
+        return [
+            PublicationSet.from_columns(name, ids, (name,) * len(ids), *columns) for name in names
+        ]
+    whole = PublicationSet.from_columns("", ids, [names[u] for u in unit_slot.tolist()], *columns)
+    order = np.argsort(unit_slot, kind="stable")
+    bounds = np.cumsum(np.bincount(unit_slot))[:-1]
+    return [whole.subset(name, rows) for name, rows in zip(names, np.split(order, bounds))]
 
 
 def write_publications(sets: Iterable[PublicationSet], path: str | Path) -> None:
@@ -403,17 +600,16 @@ def write_publications(sets: Iterable[PublicationSet], path: str | Path) -> None
 def load_citation_error_sample(path: str | Path) -> CitationErrorSample:
     """Read an observed/omitted citation-count CSV."""
     path = Path(path)
-    handle, reader = _open_rows(path, _SAMPLE_HEADER)
-    obs: list[int] = []
-    omi: list[int] = []
-    with handle:
-        for row in reader:
-            line = reader.line_num
-            obs.append(_int_cell(row, "observed_citations", path, line))
-            omi.append(_int_cell(row, "omitted_citations", path, line))
-    if len(obs) < 2:
-        raise ValidationError(f"{path}: need at least 2 rows to fit a model, got {len(obs)}")
-    return CitationErrorSample(np.array(obs), np.array(omi))
+    observed_cells, omitted_cells = _read_columns(path, _SAMPLE_HEADER)
+    failures: list[tuple[int, str]] = []
+    observed = _int_column(observed_cells, "observed_citations", 0, failures)
+    omitted = _int_column(omitted_cells, "omitted_citations", 0, failures)
+    _raise_first(path, failures)
+    if observed.size < 2:
+        raise ValidationError(
+            f"{path}: need at least 2 rows to fit a model, got {observed.size}"
+        )
+    return CitationErrorSample(observed, omitted)
 
 
 def write_citation_error_sample(sample: CitationErrorSample, path: str | Path) -> None:
@@ -432,17 +628,13 @@ def load_doctype_confusion(path: str | Path) -> DocTypeConfusionTable:
     collapse-to-other rule as publications.
     """
     path = Path(path)
-    handle, reader = _open_rows(path, _CONFUSION_HEADER)
-    counts = np.zeros((4, 4), dtype=np.int64)
-    with handle:
-        for row in reader:
-            line = reader.line_num
-            true_dt = DocType.parse(row.get("true_type") or "")
-            obs_dt = DocType.parse(row.get("observed_type") or "")
-            counts[doctype_index(true_dt), doctype_index(obs_dt)] += _int_cell(
-                row, "count", path, line
-            )
-    return DocTypeConfusionTable(counts)
+    true_cells, observed_cells, count_cells = _read_columns(path, _CONFUSION_HEADER)
+    failures: list[tuple[int, str]] = []
+    values = _int_column(count_cells, "count", 0, failures)
+    _raise_first(path, failures)
+    counts = np.zeros(16, dtype=np.int64)
+    np.add.at(counts, 4 * _doctype_codes(true_cells) + _doctype_codes(observed_cells), values)
+    return DocTypeConfusionTable(counts.reshape(4, 4))
 
 
 def write_doctype_confusion(table: DocTypeConfusionTable, path: str | Path) -> None:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .datamodel import (
     CORE_TYPES,
+    DOCTYPE_ORDER,
     DocType,
     Publication,
     PublicationSet,
@@ -46,7 +47,8 @@ KEY_MODES = (KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD)
 
 def select_core(pubset: PublicationSet) -> PublicationSet:
     """Keep only articles and reviews, preserving order."""
-    return pubset.with_members([p for p in pubset if p.doctype in CORE_TYPES])
+    core = np.isin(pubset.doctypes, [doctype_index(dt) for dt in CORE_TYPES])
+    return pubset.subset(pubset.name, np.flatnonzero(core))
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,64 @@ class NormalizationCells:
         return self.cells.get(key)
 
 
+def cell_groups(pubset: PublicationSet, key_mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Cell group of each row, and the first row of each group.
+
+    A row's cell is ``4 * group + doctype code``.  Under the doctype-only
+    mode every row is in group 0, whose first row is taken as 0.  Under
+    the field-aware mode the groups number the distinct (year, field)
+    pairs in order of first appearance, and a row without a field gets
+    the code one past the last group, which has no cells.
+    """
+    if key_mode == KEY_DOCTYPE:
+        return np.zeros(len(pubset), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    if key_mode != KEY_DOCTYPE_YEAR_FIELD:
+        raise UsageError(f"unknown key mode {key_mode!r}, expected one of {KEY_MODES}")
+    has_field = np.flatnonzero(pubset.fields >= 0)
+    codes, firsts = first_seen_codes(pubset.years[has_field], pubset.fields[has_field])
+    groups = np.full(len(pubset), firsts.size, dtype=np.int64)
+    groups[has_field] = codes
+    return groups, has_field[firsts]
+
+
+def _group_label(pubset: PublicationSet, row: int, key_mode: str) -> tuple:
+    """(year, field) of the cell group whose first row is ``row``; () without fields."""
+    if key_mode == KEY_DOCTYPE:
+        return ()
+    return int(pubset.years[row]), pubset.field_labels[pubset.fields[row]]
+
+
+def first_seen_codes(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct key tuples in order of first appearance.
+
+    ``keys`` are equal-length int arrays, read as one tuple per index.
+    Returns each index's code and the first index of each code.
+    """
+    order, starts = sorted_runs(keys)
+    firsts = order[starts]  # a stable sort puts each run's first index first
+    rank = np.empty(firsts.size, dtype=np.int64)
+    rank[np.argsort(firsts)] = np.arange(firsts.size)
+    codes = np.empty(order.size, dtype=np.int64)
+    codes[order] = rank[np.cumsum(starts) - 1]
+    return codes, np.sort(firsts)
+
+
+def sorted_runs(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of the key tuples, and where each run of equal tuples starts.
+
+    The first key sorts first.  ``starts`` flags, in sorted order, the
+    first index of each run.
+    """
+    order = np.lexsort(keys[::-1])
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        same &= ordered[1:] == ordered[:-1]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = ~same
+    return order, starts
+
+
 def build_normalization(
     sets: PublicationSet | Iterable[PublicationSet], key_mode: str = KEY_DOCTYPE
 ) -> NormalizationCells:
@@ -101,32 +161,30 @@ def build_normalization(
     ``sets`` may be a single publication set or any iterable of them;
     all members are pooled.  A cell appears only if at least one
     publication falls into it.  All document types contribute to cells,
-    including non-core ones.
+    including non-core ones.  Cells are listed in order of their first
+    publication.
     """
-    if isinstance(sets, PublicationSet):
-        sets = [sets]
-    if key_mode not in KEY_MODES:
-        raise UsageError(f"unknown key mode {key_mode!r}, expected one of {KEY_MODES}")
-    sums: dict[tuple, int] = {}
-    counts: dict[tuple, int] = {}
-    for pubset in sets:
-        for pub in pubset:
-            key = cell_key(pub, key_mode)
-            if key is None:
-                continue
-            sums[key] = sums.get(key, 0) + pub.citations
-            counts[key] = counts.get(key, 0) + 1
+    pool = sets if isinstance(sets, PublicationSet) else PublicationSet.concat("", list(sets))
+    groups, firsts = cell_groups(pool, key_mode)
+    n_cells = 4 * firsts.size
+    has_cell = groups < firsts.size
+    key = (4 * groups + pool.doctypes)[has_cell]
+    counts = np.bincount(key, minlength=n_cells).tolist()
+    # Citation sums are exact in float64 up to 2**53.
+    sums = np.bincount(key, weights=pool.citations[has_cell], minlength=n_cells).tolist()
+    occupied, first = np.unique(key, return_index=True)
     cells = {}
-    for key, count in counts.items():
-        doctype = key[0]
-        year = key[1] if len(key) == 3 else None
-        field = key[2] if len(key) == 3 else None
-        cells[key] = NormalizationCell(
+    for k in occupied[np.argsort(first)].tolist():
+        group, code = divmod(k, 4)
+        doctype = DOCTYPE_ORDER[code]
+        label = _group_label(pool, firsts[group], key_mode)
+        year, field = label or (None, None)
+        cells[(doctype, *label)] = NormalizationCell(
             doctype=doctype,
             year=year,
             field=field,
-            expected_citations=sums[key] / count,
-            size=count,
+            expected_citations=sums[k] / counts[k],
+            size=counts[k],
         )
     if not cells:
         raise UsageError("normalization universe is empty")
@@ -172,16 +230,31 @@ def unit_indicators(units, n_units, citations, types, count, expected, sizes=Non
     return p, c_total, mncs_values, excluded.astype(np.int64)
 
 
-def _score(pubs: Sequence[Publication], types: np.ndarray, cells: NormalizationCells):
-    """``unit_indicators`` of publications in one slot, each against its own cell."""
-    found = [cells.lookup(pub) for pub in pubs]
+def _cell_columns(pubset: PublicationSet, cells: NormalizationCells):
+    """Item count and mean citations of each row's cell, 0 and 0.0 for none."""
+    groups, firsts = cell_groups(pubset, cells.key_mode)
+    # One table entry per (group, doctype), plus zeros for field-less rows.
+    size = np.zeros(4 * (firsts.size + 1), dtype=np.int64)
+    mean = np.zeros(size.size)
+    for group, row in enumerate(firsts.tolist()):
+        label = _group_label(pubset, row, cells.key_mode)
+        for code, doctype in enumerate(DOCTYPE_ORDER):
+            cell = cells.cells.get((doctype, *label))
+            if cell is not None:
+                size[4 * group + code] = cell.size
+                mean[4 * group + code] = cell.expected_citations
+    key = 4 * groups + pubset.doctypes
+    return size[key], mean[key]
+
+
+def _score(pubset: PublicationSet, types: np.ndarray, cells: NormalizationCells):
+    """``unit_indicators`` of a set's publications in one slot, each against its own cell."""
     return unit_indicators(
-        np.zeros(len(pubs), dtype=np.int64),
+        np.zeros(len(pubset), dtype=np.int64),
         1,
-        np.array([pub.citations for pub in pubs], dtype=np.int64),
+        pubset.citations,
         types,
-        np.array([0 if cell is None else cell.size for cell in found], dtype=np.int64),
-        np.array([0.0 if cell is None else cell.expected_citations for cell in found]),
+        *_cell_columns(pubset, cells),
     )
 
 
@@ -191,7 +264,7 @@ def ncs(pub: Publication, cells: NormalizationCells) -> float | None:
     None when ``unit_indicators`` would leave it out of an MNCS.
     """
     # Code 0 scores it as a core item.
-    score = _score([pub], np.zeros(1, dtype=np.int64), cells)[2][0]
+    score = _score(PublicationSet(pub.unit, (pub,)), np.zeros(1, dtype=np.int64), cells)[2][0]
     return None if np.isnan(score) else float(score)
 
 
@@ -218,8 +291,7 @@ class IndicatorResult:
 
 def indicators_for(pubset: PublicationSet, cells: NormalizationCells) -> IndicatorResult:
     """P, C, and MNCS of one unit against a fixed normalization."""
-    types = np.array([doctype_index(pub.doctype) for pub in pubset], dtype=np.int64)
-    p, c, mean_score, excluded = _score(pubset.members, types, cells)
+    p, c, mean_score, excluded = _score(pubset, pubset.doctypes, cells)
     return IndicatorResult(
         unit=pubset.name,
         p=int(p[0]),

@@ -70,7 +70,6 @@ from .datamodel import (
     PublicationSet,
     UsageError,
     ValidationError,
-    doctype_index,
     embedded_missed_citation_sample,
     EMBEDDED_SAMPLE_OBSERVED_CITATIONS,
 )
@@ -87,11 +86,12 @@ from .errormodels import (
 )
 from .indicators import (
     KEY_DOCTYPE,
-    KEY_DOCTYPE_YEAR_FIELD,
     KEY_MODES,
     IndicatorResult,
     build_normalization,
+    cell_groups,
     indicators_for,
+    sorted_runs,
     unit_indicators,
 )
 from .predictive import (
@@ -498,32 +498,20 @@ def _build_workspace(
     if not units:
         raise UsageError("need at least one assessed unit")
 
-    pubs: list[Publication] = [pub for pubset in units for pub in pubset]
-    n_unit_pubs = len(pubs)
-    if reference is not None:
-        pubs.extend(reference)
-    n = len(pubs)
+    pool = PublicationSet.concat("", [*units, reference] if reference is not None else units)
+    n = len(pool)
+    n_unit_pubs = sum(len(u) for u in units)
     unit_slot = np.repeat(np.arange(len(units) + 1), [len(u) for u in units] + [n - n_unit_pubs])
-    citations = np.array([p.citations for p in pubs], dtype=np.int64)
-    dt_codes = np.array([doctype_index(p.doctype) for p in pubs], dtype=np.int64)
+    citations = pool.citations
+    dt_codes = pool.doctypes
     in_norm = np.arange(n) >= (0 if config.pooled_normalization else n_unit_pubs)
 
-    # Cell group per publication.  Field-less publications under
-    # doctype-year-field get one extra group past the real ones; no
-    # normalization publication is counted in it, so its cells are never
-    # occupied and those publications are never scored.
-    if config.key_mode == KEY_DOCTYPE_YEAR_FIELD:
-        cellgroups: dict[tuple[int, str], int] = {}
-        for pub in pubs:
-            if pub.field is not None:
-                cellgroups.setdefault((pub.year, pub.field), len(cellgroups))
-        n_cellgroups = len(cellgroups)
-        cellgroup = np.array(
-            [cellgroups.get((p.year, p.field), n_cellgroups) for p in pubs], dtype=np.int64
-        )
-    else:
-        n_cellgroups = 1
-        cellgroup = np.zeros(n, dtype=np.int64)
+    # Field-less publications under doctype-year-field get one extra
+    # group past the real ones; no normalization publication is counted
+    # in it, so its cells are never occupied and those publications are
+    # never scored.
+    cellgroup, firsts = cell_groups(pool, config.key_mode)
+    n_cellgroups = firsts.size
     in_norm &= cellgroup < n_cellgroups
 
     redraw_citations = CHANNEL_CITATIONS in config.channels
@@ -537,13 +525,7 @@ def _build_workspace(
         n_exchangeable = n
     else:
         keys = (unit_slot, cellgroup, dt_codes, citations, np.where(single, np.arange(n), -1))
-        order = np.lexsort(keys[::-1])
-        same = np.ones(n - 1, dtype=bool)
-        for key in keys:
-            ordered = key[order]
-            same &= ordered[1:] == ordered[:-1]
-        starts = np.ones(n, dtype=bool)  # the first publication of each group
-        starts[1:] = ~same
+        order, starts = sorted_runs(keys)  # starts flags each group's first publication
         n_exchangeable = int(starts.sum())
     width = 4 * n_exchangeable if redraw_doctypes else n_exchangeable
 
@@ -591,7 +573,7 @@ def _build_workspace(
         publications=n,
         groups=n_exchangeable,
         per_item=width >= n,
-        ids=[p.id for p in pubs] if keep_ids else None,
+        ids=list(pool.ids) if keep_ids else None,
     )
 
 

@@ -16,6 +16,10 @@ publication is its own group; elsewhere the probability rows are the
 same draws, P matches exactly only when doctypes are not redrawn, and
 the rest agree in distribution.
 
+``load_publications_rows`` is the row-by-row form of ``load_publications``:
+one ``csv.DictReader`` row and one validated ``Publication`` at a time,
+raising at the first bad cell with the reader's line number.
+
 ``indicators_scalar`` is the per-publication form of ``indicators_for``
 and ``ncs_scalar`` that of ``ncs``.  The scores are summed in an explicit
 left-to-right loop, the order of the package's ``bincount`` over the
@@ -25,11 +29,20 @@ Python 3.12 on.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from bibuq.datamodel import CORE_TYPES, doctype_index
+from bibuq.datamodel import (
+    CORE_TYPES,
+    DocType,
+    Publication,
+    PublicationSet,
+    ValidationError,
+    doctype_index,
+)
 from bibuq.errormodels import SECOND_KIND
 from bibuq.indicators import KEY_DOCTYPE_YEAR_FIELD, IndicatorResult
 from bibuq.simulation import CHANNEL_CITATIONS, CHANNEL_DOCTYPES, iteration_rng
@@ -260,3 +273,51 @@ def indicators_scalar(pubset, cells):
         mncs=total / scored if scored else None,
         excluded=excluded,
     )
+
+
+_PUB_HEADER = ["id", "unit", "doctype", "year", "field", "citations"]
+
+
+def _int_cell(row: dict, column: str, path: Path, line: int, minimum: int = 0) -> int:
+    raw = (row.get(column) or "").strip()
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValidationError(f"{path}:{line}: {column} must be an integer, got {raw!r}") from None
+    if value < minimum:
+        raise ValidationError(f"{path}:{line}: {column} must be >= {minimum}, got {value}")
+    return value
+
+
+def load_publications_rows(path) -> list[PublicationSet]:
+    """Publication sets of a CSV, read and checked one row at a time."""
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        got = reader.fieldnames or []
+        missing = [c for c in _PUB_HEADER if c not in got]
+        if missing:
+            raise ValidationError(f"{path}: missing columns {missing}, header is {got}")
+        by_unit: dict[str, list[Publication]] = {}
+        seen_ids: set[str] = set()
+        for row in reader:
+            line = reader.line_num
+            pid = (row.get("id") or "").strip()
+            unit = (row.get("unit") or "").strip()
+            if not pid:
+                raise ValidationError(f"{path}:{line}: empty publication id")
+            if not unit:
+                raise ValidationError(f"{path}:{line}: empty unit name")
+            if pid in seen_ids:
+                raise ValidationError(f"{path}:{line}: duplicate publication id {pid!r}")
+            seen_ids.add(pid)
+            pub = Publication(
+                id=pid,
+                unit=unit,
+                doctype=DocType.parse(row.get("doctype") or ""),
+                year=_int_cell(row, "year", path, line, minimum=-(10**9)),
+                citations=_int_cell(row, "citations", path, line),
+                field=(row.get("field") or "").strip() or None,
+            )
+            by_unit.setdefault(unit, []).append(pub)
+    return [PublicationSet(name=unit, members=pubs) for unit, pubs in by_unit.items()]

@@ -7,7 +7,7 @@ import os
 import platform
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from bibuq.simulation import (
     synthesize_training_sample,
     synthetic_confusion_table,
 )
-from bibuq.datamodel import write_publications
+from bibuq.datamodel import PublicationSet, load_publications, write_publications
 from bibuq.cli import main
 
 FAST_FIT = ["--chains", "2", "--warmup", "600", "--keep", "500", "--seed", "5"]
@@ -324,6 +324,60 @@ class TestPropagate:
         manifest = json.loads((out / "run_manifest.json").read_text())
         assert manifest["command"] == "propagate"
         assert manifest["config"]["iterations"] == 60
+
+    @pytest.mark.parametrize("key_mode", ["doctype", "doctype-year-field"])
+    @pytest.mark.parametrize("normalization", [[], ["--reference-only-normalization"]])
+    def test_reference_rows_under_several_units(self, workdir, tmp_path, key_mode, normalization):
+        # The same reference rows, in the same order, under three unit
+        # names or under one.  Each unit meets the field labels in
+        # another order, and the last one adds a label.
+        units, reference = generate_scenario(
+            ScenarioConfig(
+                unit_sizes={"A": 20, "B": 25},
+                unit_locations={"A": 0.9, "B": 1.1},
+                reference_size=90,
+                reference_location=1.0,
+                seed=23,
+            )
+        )
+        def field(k):
+            if k >= 60:
+                return ("math", None, "bio")[k % 3]
+            return ("bio", "chem", None, "phys", "geo")[k % 7 % 5]
+
+        def labelled(pubs, unit_of):
+            return [
+                replace(pub, unit=unit_of(k), year=2010 + k % 2, field=field(k))
+                for k, pub in enumerate(pubs)
+            ]
+
+        unit_pubs = [labelled(u, lambda k, name=u.name: name) for u in units]
+        write_publications([PublicationSet(u.name, p) for u, p in zip(units, unit_pubs)],
+                           tmp_path / "pubs.csv")
+        split = labelled(reference, lambda k: f"R{k // 30}")
+        write_publications([PublicationSet("all", split)], tmp_path / "split.csv")
+        whole = labelled(reference, lambda k: "reference")
+        write_publications([PublicationSet("reference", whole)], tmp_path / "whole.csv")
+        assert len(load_publications(tmp_path / "split.csv")) == 3
+
+        reports = []
+        for name in ("split", "whole"):
+            out = tmp_path / f"out-{name}"
+            argv = [
+                "propagate",
+                "--pubs", str(tmp_path / "pubs.csv"),
+                "--reference", str(tmp_path / f"{name}.csv"),
+                "--citation-model", str(workdir / "models2" / "citation_posterior.json"),
+                "--doctype-model", str(workdir / "models2" / "doctype_posterior.json"),
+                "--key-mode", key_mode,
+                *normalization,
+                "--iterations", "40",
+                "--seed", "6",
+                "--out", str(out),
+            ]
+            assert main(argv) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_worker_count_invariance(self, workdir, tmp_path):
         outs = []

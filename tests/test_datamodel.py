@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import oracle
 
 from bibuq.datamodel import (
     EMBEDDED_SAMPLE_OBSERVED_CITATIONS,
@@ -200,6 +203,125 @@ class TestPublicationCsv:
         assert len(loaded) == 1
         assert loaded[0].members == tuple(pubs)
 
+    def test_year_beyond_int64_rejected_with_line(self, tmp_path):
+        path = tmp_path / "pubs.csv"
+        path.write_text(
+            "id,unit,doctype,year,field,citations\n"
+            "p1,A,article,2010,,3\n"
+            f"p2,A,article,{2**63},,3\n"
+        )
+        with pytest.raises(ValidationError) as info:
+            load_publications(path)
+        assert str(info.value) == f"{path}:3: year must fit in 64 bits, got {2**63}"
+
+    def test_multi_line_cell_reports_the_line_its_record_ends_on(self, tmp_path):
+        path = tmp_path / "pubs.csv"
+        path.write_text(
+            "id,unit,doctype,year,field,citations\n"
+            '"p\n1",A,article,2010,,3\n'
+            "\n"
+            '"p\n\n2",A,article,2010,,-4\n'
+        )
+        with pytest.raises(ValidationError) as info:
+            load_publications(path)
+        assert str(info.value) == f"{path}:7: citations must be >= 0, got -4"
+
+
+# A mostly valid file and up to three faults.  Valid ids hold the
+# characters CSV quotes; labels come padded and in mixed case.  Faults are
+# empty, repeated, bad and negative cells, blank lines and short rows.
+_ID_TEXT = st.text(alphabet=["a", ",", '"', "\r", "\n", " "], max_size=3)
+_PUB_ROW = st.fixed_dictionaries(
+    {
+        "id": _ID_TEXT,
+        "unit": st.sampled_from(["A", " B ", "b", "C,D", 'q"u']),
+        "doctype": st.sampled_from(["article", " Article ", "REVIEW", "letter", "note", ""]),
+        "year": st.one_of(st.integers(1990, 2030).map(str), st.just(" 2010 ")),
+        "field": st.sampled_from(["", " ", "bio", " phys ", "Bio", "x\ny"]),
+        "citations": st.one_of(st.integers(0, 50).map(str), st.just(" 7\t")),
+    }
+)
+_FAULT = st.one_of(
+    st.tuples(st.just("id"), st.sampled_from(["", " ", "\n"])),
+    st.tuples(st.just("repeated id"), st.none()),
+    st.tuples(st.just("unit"), st.sampled_from(["", " "])),
+    st.tuples(
+        st.sampled_from(["year", "citations"]),
+        st.sampled_from(["", "x", "3.0", "1_000", "+7", "-1", " -3 ", "-1000000001"]),
+    ),
+    st.tuples(st.just("blank line"), st.none()),
+    st.tuples(st.just("short row"), st.integers(1, 5)),
+)
+
+
+def _sets_or_error(load, path):
+    try:
+        sets = load(path)
+    except ValidationError as exc:
+        return str(exc)
+    return [(s.name, s.members) for s in sets]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.permutations(["id", "unit", "doctype", "year", "field", "citations"]),
+    rows=st.lists(_PUB_ROW, min_size=1, max_size=10),
+    faults=st.lists(st.tuples(st.integers(0, 9), _FAULT), max_size=3),
+)
+@example(
+    header=["id", "unit", "doctype", "year", "field", "citations"],
+    rows=[
+        {"id": "\r", "unit": "A", "doctype": "article", "year": "2010", "field": "",
+         "citations": "2"},
+        {"id": ",", "unit": "B", "doctype": "Review", "year": "2011", "field": "bio",
+         "citations": "0"},
+        {"id": '"', "unit": "A", "doctype": "letter", "year": "2010", "field": " bio ",
+         "citations": "5"},
+        {"id": "a\na", "unit": "B", "doctype": "other", "year": "2012", "field": "phys",
+         "citations": "1"},
+    ],
+    faults=[(3, ("citations", "-1")), (2, ("blank line", None))],
+)
+@example(
+    header=["citations", "field", "year", "doctype", "unit", "id"],
+    rows=[
+        {"id": "a", "unit": "A", "doctype": "article", "year": "2010", "field": "x\ny",
+         "citations": "2"},
+        {"id": "a", "unit": "A", "doctype": "article", "year": "2010", "field": "",
+         "citations": "2"},
+    ],
+    faults=[(1, ("repeated id", None)), (1, ("year", "-1000000001"))],
+)
+def test_column_loader_matches_row_oracle(tmp_path_factory, header, rows, faults):
+    """Same sets as the row-by-row reader, or the same ValidationError text."""
+    cells = [[row[c] for c in header] for row in rows]
+    for k, row in enumerate(cells):
+        row[header.index("id")] += str(k)  # unique unless a fault repeats one
+    blank, short = set(), {}
+    for k, (kind, value) in faults:
+        k %= len(cells)
+        if kind == "blank line":
+            blank.add(k)
+        elif kind == "short row":
+            short[k] = value
+        elif kind == "repeated id":
+            cells[k][header.index("id")] = cells[k // 2][header.index("id")]
+        else:
+            cells[k][header.index(kind)] = value
+    for k, width in short.items():
+        del cells[k][width:]
+    path = tmp_path_factory.mktemp("oracle") / "pubs.csv"
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for k, row in enumerate(cells):
+            if k in blank:
+                writer.writerow([])
+            writer.writerow(row)
+    assert _sets_or_error(load_publications, path) == _sets_or_error(
+        oracle.load_publications_rows, path
+    )
+
 
 class TestCitationSampleCsv:
     def test_round_trip(self, tmp_path):
@@ -215,6 +337,27 @@ class TestCitationSampleCsv:
         path.write_text("observed_citations,omitted_citations\n5,-1\n")
         with pytest.raises(ValidationError, match=r":2:"):
             load_citation_error_sample(path)
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("observed,omitted_citations\n1,2\n",
+             ": missing columns ['observed_citations'], "
+             "header is ['observed', 'omitted_citations']"),
+            ("observed_citations,omitted_citations\n1,0\n\n2,0\n4,x\n",
+             ":5: omitted_citations must be an integer, got 'x'"),
+            ('observed_citations,omitted_citations\n"1\n",-2\n3, y\n',
+             ":3: omitted_citations must be >= 0, got -2"),
+            ("observed_citations,omitted_citations\n4,1\n",
+             ": need at least 2 rows to fit a model, got 1"),
+        ],
+    )
+    def test_errors_name_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "sample.csv"
+        path.write_text(body)
+        with pytest.raises(ValidationError) as info:
+            load_citation_error_sample(path)
+        assert str(info.value) == f"{path}{message}"
 
 
 class TestConfusionCsv:
@@ -241,6 +384,13 @@ class TestConfusionCsv:
         path.write_text("true_type,observed_type,count\narticle,article,-2\n")
         with pytest.raises(ValidationError, match=r":2:"):
             load_doctype_confusion(path)
+
+    def test_bad_count_reports_line_and_value(self, tmp_path):
+        path = tmp_path / "confusion.csv"
+        path.write_text("true_type,observed_type,count\narticle,article,5\nreview,letter, 2x \n")
+        with pytest.raises(ValidationError) as info:
+            load_doctype_confusion(path)
+        assert str(info.value) == f"{path}:3: count must be an integer, got '2x'"
 
     def test_table_shape_is_4x4(self, confusion_table):
         assert confusion_table.counts.shape == (4, 4)
