@@ -322,6 +322,8 @@ def _run_propagation(args: argparse.Namespace, direction: str) -> int:
     reference_path = settings["reference"]
     if reference_path is not None:
         ref_sets = load_publications(reference_path)
+        if not ref_sets:
+            raise ValidationError(f"{reference_path}: reference file has no publications")
         # One reference set, named after its first unit, whatever units its rows name.
         reference = PublicationSet.concat(ref_sets[0].name, ref_sets)
         inputs.append(Path(reference_path))

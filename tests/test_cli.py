@@ -108,6 +108,22 @@ class TestHelpAndVersion:
         proc = run_cli()
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["-c", "import bibuq"], ["-m", "bibuq.cli", "--help"]],
+        ids=["import", "cli-help"],
+    )
+    def test_scipy_is_not_imported(self, argv):
+        # numpy is the one runtime dependency; scipy is for the tests only.
+        # -X importtime lists every module the process imports on stderr.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "bibuq.errormodels" in imported
+        assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
 
 class TestStats:
     def test_embedded_audit(self):
@@ -378,6 +394,23 @@ class TestPropagate:
             assert main(argv) == 0
             reports.append((out / "report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_empty_reference_file_rejected(self, workdir, tmp_path):
+        # A header and no rows: a usage error naming the file, not a crash.
+        empty = tmp_path / "empty_ref.csv"
+        write_publications([], empty)
+        proc = run_cli(
+            "propagate",
+            "--pubs", str(workdir / "pubs.csv"),
+            "--reference", str(empty),
+            "--doctype-model", str(workdir / "models2" / "doctype_posterior.json"),
+            "--channels", "doctypes",
+            "--iterations", "5",
+            "--out", str(tmp_path / "out"),
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert str(empty) in proc.stderr
+        assert "no publications" in proc.stderr
 
     def test_worker_count_invariance(self, workdir, tmp_path):
         outs = []
