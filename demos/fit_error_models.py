@@ -1,10 +1,10 @@
 """Fit both error models and inspect their posteriors.
 
 The omitted-citation model is a negative binomial regression of the
-number of missing citations on the (log1p) observed count, sampled with
-an adaptive random-walk algorithm.  The document-type model is a
-conjugate Dirichlet update of a confusion table, so it needs no
-sampling at all.
+number of missing citations on the (log1p) observed count, sampled by
+independence Metropolis-Hastings around its posterior mode.  The
+document-type model is a conjugate Dirichlet update of a confusion
+table, so it needs no sampling at all.
 """
 
 import numpy as np

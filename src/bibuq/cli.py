@@ -521,14 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--chains", type=int, help=f"MCMC chains (default {McmcConfig.chains})")
     fit.add_argument(
         "--warmup", type=int,
-        help=f"warmup iterations per chain (default {McmcConfig.warmup})",
+        help=f"draws per chain discarded before the kept ones (default {McmcConfig.warmup})",
     )
     fit.add_argument(
-        "--keep", type=int, help=f"kept iterations per chain (default {McmcConfig.keep})"
-    )
-    fit.add_argument(
-        "--target-acceptance", type=float,
-        help=f"proposal adaptation target (default {McmcConfig.target_acceptance})",
+        "--keep", type=int, help=f"kept draws per chain (default {McmcConfig.keep})"
     )
     fit.add_argument(
         "--pseudocount", type=float,

@@ -11,8 +11,8 @@ error injection.  The priors are fixed weakly informative normals
 N(0, 1) on the log dispersion.  Document-type misassignment is a
 Dirichlet-categorical model fitted in closed form from a confusion table.
 
-The negative binomial posterior is sampled with the adaptive
-random-walk Metropolis kernel from :mod:`bibuq.mcmc`; the Dirichlet
+The negative binomial posterior is sampled by independence
+Metropolis-Hastings around its mode (:mod:`bibuq.mcmc`); the Dirichlet
 posterior is conjugate and exact.
 """
 
@@ -72,6 +72,9 @@ PRIORS = {"intercept": (0.0, 0.8), "slope": (0.0, 1.0), "log_dispersion": (0.0, 
 _PRIOR_RECORD = {
     f"{name}_prior_{stat}": v for name, p in PRIORS.items() for stat, v in zip(("mean", "sd"), p)
 }
+# Sampler settings that earlier posterior files record in their "config"
+# block; they are read and dropped.
+_RETIRED_CONFIG = ("target_acceptance",)
 
 
 def substream_rng(seed: int, key: int) -> np.random.Generator:
@@ -105,21 +108,18 @@ class NegBinModelSpec:
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Sampler settings: chain count, warmup/kept iterations, seed."""
+    """Sampler settings: chain count, discarded and kept draws per chain, seed."""
 
     chains: int = 4
     warmup: int = 1000
     keep: int = 1000
     seed: int = 0
-    target_acceptance: float = 0.3
 
     def __post_init__(self) -> None:
         if self.chains < 1:
             raise ValidationError("chains must be >= 1")
         if self.warmup < 100 or self.keep < 100:
             raise ValidationError("warmup and keep must each be >= 100")
-        if not 0 < self.target_acceptance < 1:
-            raise ValidationError("target_acceptance must be in (0, 1)")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be a non-negative 64-bit integer")
 
@@ -337,40 +337,41 @@ class _CitationLogPosterior:
     the slope and the log dispersion unless the spec pins them.  Sampling
     the intercept at ``x_center``, the mean of log1p(predictor) over all
     records, instead of at zero leaves it almost uncorrelated with the
-    slope, which a diagonal proposal needs.  This is a pure
+    slope, which keeps the mode search well conditioned.  This is a pure
     reparameterization; the prior is still evaluated on the actual
     intercept.
 
     The likelihood is :func:`negbin_logpmf` summed over the records,
-    split so that each step computes only what depends on the state.
-    With linear predictor eta = log(mu), a record's term is
+    split so that each state costs only what depends on it.  With
+    linear predictor eta = log(mu), a record's term is
 
         y * eta - (y + theta) * log(exp(eta) + theta) + theta * log(theta)
         + [lgamma(y + theta) - lgamma(theta)] - lgamma(y + 1).
 
     The last term is a constant, computed once.  The first is linear in
     the coordinates, so its sum comes from two audit totals.  The
-    second runs over the audit's unique (predictor, omitted) pairs, each
-    weighted by how often it occurs; it is the step's one exp and one
-    log.  The bracket depends on theta alone: for counts up to
-    ``_LOG_TABLE_MAX`` it is sum over k of N(y > k) * log(theta + k),
+    second depends on the record only through its predictor x and its
+    count y, so its sum is, over the audit's unique predictors,
+    (Sum y_x + theta * N_x) * log(exp(eta(x)) + theta) with Sum y_x the
+    omitted citations and N_x the records at x: one exp and one log per
+    unique predictor.  The bracket depends on theta alone: for counts up
+    to ``_LOG_TABLE_MAX`` it is sum over k of N(y > k) * log(theta + k),
     past that a log-gamma over the distinct counts.  Every sum runs
-    along a chain's own row, so a chain's log density does not depend
-    on how many chains are evaluated with it.
+    along a state's own row, so a state's log density does not depend
+    on which states are evaluated with it.
     """
 
     def __init__(self, sample: CitationErrorSample, spec: NegBinModelSpec) -> None:
         predictor = sample.observed if spec.direction == SECOND_KIND else sample.corrected
         self.spec = spec
         self.x_center = float(np.log1p(predictor.astype(np.float64)).mean())
-        pairs, counts = np.unique(
-            np.column_stack([predictor, sample.omitted]), axis=0, return_counts=True
-        )
-        self.x_centered = np.log1p(pairs[:, 0].astype(np.float64)) - self.x_center
+        x_values, x_index, counts = np.unique(predictor, return_inverse=True, return_counts=True)
+        self.x_centered = np.log1p(x_values.astype(np.float64)) - self.x_center
         self.counts = counts.astype(np.float64)
-        self.weighted_y = self.counts * pairs[:, 1]
-        self.sum_y = float(self.weighted_y.sum())
-        self.sum_xy = float((self.weighted_y * self.x_centered).sum())
+        # Omitted citations per unique predictor.
+        self.sum_y_at = np.bincount(x_index, weights=sample.omitted, minlength=x_values.size)
+        self.sum_y = float(self.sum_y_at.sum())
+        self.sum_xy = float((self.sum_y_at * self.x_centered).sum())
         self.n_records = float(sample.omitted.size)
         values, records = np.unique(sample.omitted, return_counts=True)
         self.log_factorials = sum(
@@ -393,6 +394,10 @@ class _CitationLogPosterior:
             free.append("log_dispersion")
         self.prior_loc, self.prior_scale = np.array([PRIORS[name] for name in free]).T
         self.dim = len(free)
+        # The prior mean in the sampled coordinates, where the mode search starts.
+        b1 = PRIORS["slope"][0] if spec.fixed_slope is None else spec.fixed_slope
+        self.prior_mean = self.prior_loc.copy()
+        self.prior_mean[0] += b1 * self.x_center
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Intercept, slope and log dispersion of states ``z`` (..., dim)."""
@@ -410,7 +415,7 @@ class _CitationLogPosterior:
         return z[..., 0] - b1 * self.x_center, b1, log_theta
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        """Log posterior, up to a constant, of each row of ``z`` (chains, dim).
+        """Log posterior, up to a constant, of each row of ``z`` (states, dim).
 
         A state whose mean overflows has log density -inf, and one whose
         dispersion leaves the float range gets -inf instead of NaN.
@@ -418,13 +423,20 @@ class _CitationLogPosterior:
         b0, b1, log_theta = self.unpack(z)
         with np.errstate(over="ignore", invalid="ignore"):
             theta = np.exp(log_theta)
-            eta = z[:, 0, None] + b1[:, None] * self.x_centered
-            log_total = np.log(np.exp(eta) + theta[:, None])
-            weight = self.weighted_y + theta[:, None] * self.counts
+            # log(exp(eta) + theta), computed in place: one (states,
+            # unique predictors) array besides the weights.
+            log_total = b1[:, None] * self.x_centered
+            log_total += z[:, 0, None]
+            np.exp(log_total, out=log_total)
+            log_total += theta[:, None]
+            np.log(log_total, out=log_total)
+            weight = theta[:, None] * self.counts
+            weight += self.sum_y_at
+            weight *= log_total
             ll = (
                 z[:, 0] * self.sum_y
                 + b1 * self.sum_xy
-                - (weight * log_total).sum(axis=1)
+                - weight.sum(axis=1)
                 + self.n_records * theta * log_theta
                 + self._theta_terms(theta)
                 - self.log_factorials
@@ -435,7 +447,7 @@ class _CitationLogPosterior:
         return np.where(np.isnan(ll), -np.inf, ll + lp)
 
     def _theta_terms(self, theta: np.ndarray) -> np.ndarray:
-        """Sum over records of lgamma(y + theta) - lgamma(theta), per chain."""
+        """Sum over records of lgamma(y + theta) - lgamma(theta), per state."""
         if self.table_k is not None:
             return (self.table_n * np.log(theta[:, None] + self.table_k)).sum(axis=1)
         lg = _gammaln(self.distinct_y + theta[:, None]) - _gammaln(theta)[:, None]
@@ -451,8 +463,10 @@ def fit_citation_error_model(
 
     The predictor column follows ``spec.direction``: observed counts for
     the second kind, corrected (observed + omitted) counts for the first
-    kind.  Runs ``config.chains`` independent adaptive Metropolis chains,
-    stepped together, with per-chain substreams of ``config.seed``;
+    kind.  The posterior mode is found from the prior mean
+    (:func:`mcmc.find_mode`, which raises ValidationError when there is
+    none), and ``config.chains`` independence Metropolis-Hastings chains
+    sample around it, each from its own substream of ``config.seed``;
     results are bit-identical for identical inputs.  A posterior whose
     split R-hat exceeds 1.05 on any free parameter is returned with
     ``diagnostics.converged`` False and triggers a RuntimeWarning.
@@ -461,16 +475,10 @@ def fit_citation_error_model(
     config = config or McmcConfig()
     log_post = _CitationLogPosterior(sample, spec)
 
+    mode, scale_tril = mcmc.find_mode(log_post, log_post.prior_mean)
     rngs = [substream_rng(config.seed, chain) for chain in range(config.chains)]
-    z0 = 0.1 * np.stack([rng.standard_normal(log_post.dim) for rng in rngs])
-    z0[:, 0] += PRIORS["intercept"][0] + (spec.fixed_slope or 0.0) * log_post.x_center
     result = mcmc.run_chain(
-        log_post,
-        z0,
-        warmup=config.warmup,
-        keep=config.keep,
-        rngs=rngs,
-        target_acceptance=config.target_acceptance,
+        log_post, mode, scale_tril, warmup=config.warmup, keep=config.keep, rngs=rngs
     )
 
     # Expand the sampled coordinates into the full (intercept, slope,
@@ -717,11 +725,14 @@ def load_posterior(path: str | Path) -> NegBinPosterior | DirichletPosterior:
             stored = spec.pop(name, value)
             if stored != value:
                 raise ValidationError(f"{path}: {name} is {stored!r}, not the fixed {value}")
+        config = _stored_fields(path, "config", config, McmcConfig, also=_RETIRED_CONFIG)
+        for name in _RETIRED_CONFIG:
+            config.pop(name, None)
         diag = payload.get("diagnostics")
         return NegBinPosterior(
             draws=np.array(draws, dtype=np.float64),
             spec=NegBinModelSpec(**spec),
-            config=McmcConfig(**_stored_fields(path, "config", config, McmcConfig)),
+            config=McmcConfig(**config),
             acceptance_rates=tuple(rates),
             diagnostics=(
                 McmcDiagnostics(**_stored_fields(path, "diagnostics", diag, McmcDiagnostics))

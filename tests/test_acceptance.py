@@ -160,7 +160,7 @@ def test_criterion_05_mcmc_matches_grid_posterior():
     # Slope and dispersion pinned: the posterior is one-dimensional, so a
     # dense quadrature grid gives an independent reference distribution.
     spec = NegBinModelSpec(fixed_slope=0.0, fixed_dispersion=1e4)
-    config = McmcConfig(chains=4, warmup=1000, keep=15000, seed=9, target_acceptance=0.44)
+    config = McmcConfig(chains=4, warmup=1000, keep=15000, seed=9)
     posterior = fit_citation_error_model(sample, spec=spec, config=config)
     diag = mcmc_diagnostics(posterior)
     assert diag.rhat["intercept"] < 1.05

@@ -22,6 +22,7 @@ from bibuq.simulation import (
     synthetic_confusion_table,
 )
 from bibuq.datamodel import PublicationSet, load_publications, write_publications
+from bibuq import cli
 from bibuq.cli import main
 
 FAST_FIT = ["--chains", "2", "--warmup", "600", "--keep", "500", "--seed", "5"]
@@ -171,24 +172,20 @@ class TestFit:
             b / "citation_posterior.json"
         ).read_bytes()
 
-    def test_strict_flags_non_convergence(self, workdir, tmp_path):
-        proc = run_cli(
-            "fit",
-            "--citation-sample",
-            str(workdir / "sample.csv"),
-            "--chains",
-            "2",
-            "--warmup",
-            "200",
-            "--keep",
-            "200",
-            "--seed",
-            "1",
-            "--strict",
-            "--out",
-            str(tmp_path / "strict"),
-        )
-        assert proc.returncode == 3
+    def test_strict_flags_non_convergence(self, workdir, tmp_path, monkeypatch, capsys):
+        # A fit whose diagnostics say it did not converge, made so on purpose.
+        real_fit = cli.fit_citation_error_model
+
+        def unconverged_fit(*args, **kwargs):
+            posterior = real_fit(*args, **kwargs)
+            diag = replace(posterior.diagnostics, converged=False)
+            return replace(posterior, diagnostics=diag)
+
+        monkeypatch.setattr(cli, "fit_citation_error_model", unconverged_fit)
+        argv = ["fit", "--citation-sample", str(workdir / "sample.csv"), *FAST_FIT]
+        assert main([*argv, "--out", str(tmp_path / "lenient")]) == 0
+        assert main([*argv, "--strict", "--out", str(tmp_path / "strict")]) == 3
+        assert "convergence check failed and --strict is set" in capsys.readouterr().err
 
     def test_requires_some_input(self, tmp_path):
         proc = run_cli("fit", "--out", str(tmp_path / "x"))
@@ -206,8 +203,6 @@ class TestFit:
             "first-kind",
             "--pseudocount",
             "0.5",
-            "--target-acceptance",
-            "0.35",
             *FAST_FIT,
             "--out",
             str(first),
@@ -764,7 +759,7 @@ class TestConfigTypes:
         argv = [command, "2"] if command == "exercise" else [command, "--out", str(tmp_path / "x")]
         assert main([*argv, "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        if key == "reference_only_normalization":
+        if key in ("reference_only_normalization", "target_acceptance"):
             # A setting with no reader any more: unknown, whatever its type.
             assert f"unknown config key {key!r}" in err
         else:

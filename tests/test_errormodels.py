@@ -201,6 +201,32 @@ class TestCitationFit:
         with pytest.raises(ValidationError):
             fit_citation_error_model(CitationErrorSample([], []))
 
+    def test_large_audits_converge_and_mix(self):
+        # 30 audits of 3,000 records from the benchmark's correct-small
+        # model: predictor floor(lognormal(1.8, 1.2)), omitted NB with mean
+        # exp(-1 + 0.3 log1p(predictor)) and dispersion 0.8.  A random walk
+        # missed R-hat on two of these seeds and left log-dispersion with
+        # an ESS of 6 of 4,000 draws on one.
+        worst_ess = np.inf
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            observed = np.floor(rng.lognormal(1.8, 1.2, size=3000)).astype(np.int64)
+            mean = np.exp(-1.0 + 0.3 * np.log1p(observed))
+            omitted = rng.poisson(rng.gamma(0.8, mean / 0.8))
+            posterior = fit_citation_error_model(
+                CitationErrorSample(observed, omitted), config=McmcConfig(seed=seed)
+            )
+            assert posterior.diagnostics.converged, seed
+            worst_ess = min(worst_ess, posterior.diagnostics.ess["log_dispersion"])
+        assert worst_ess >= 400
+
+    def test_density_without_a_mode_is_an_error(self):
+        # A pinned slope so steep that the mean overflows at the prior
+        # mean, where the mode search starts: an error, not a sample.
+        sample = CitationErrorSample(np.full(20, 10**6), np.zeros(20, dtype=np.int64))
+        with pytest.raises(ValidationError, match="mode search"):
+            fit_citation_error_model(sample, spec=NegBinModelSpec(fixed_slope=800.0))
+
 
 def _record_by_record_log_posterior(sample, spec, z):
     """Oracle: the citation log posterior summed over every audit record."""
@@ -279,7 +305,7 @@ class TestCitationLogPosterior:
         states = np.array([[800.0, 0.0, 0.0], [0.0, 800.0, 0.0], [0.0, 0.0, 800.0]])
         assert np.all(log_post(states) == -np.inf)
 
-        # Slope and dispersion pinned, a chain starting just below where
+        # Slope and dispersion pinned, a chain centred just below where
         # the mean overflows: the proposals past it are rejected.
         spec = NegBinModelSpec(fixed_slope=0.0, fixed_dispersion=2.0)
         pinned = _CitationLogPosterior(sample, spec)
@@ -292,7 +318,8 @@ class TestCitationLogPosterior:
 
         result = mcmc.run_chain(
             recording,
-            np.array([[709.7]]),
+            np.array([709.7]),
+            np.array([[0.5]]),
             warmup=30,
             keep=30,
             rngs=[np.random.default_rng(0)],
@@ -388,13 +415,19 @@ class TestPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_earlier_file_loads_and_keeps_its_bytes(self, tmp_path):
-        # Files written while the priors were settable record them in "spec".
+        # Files written while the priors were settable record them in
+        # "spec", and files of the adaptive sampler record its
+        # target_acceptance in "config": it loads and is dropped.
+        assert "target_acceptance" in _EARLIER_POSTERIOR["config"]
         path = tmp_path / "earlier.json"
-        text = json.dumps(_EARLIER_POSTERIOR, sort_keys=True, indent=1) + "\n"
-        path.write_text(text)
+        path.write_text(json.dumps(_EARLIER_POSTERIOR, sort_keys=True, indent=1) + "\n")
         loaded = load_posterior(path)
         assert loaded.spec == NegBinModelSpec()
+        assert loaded.config == McmcConfig(chains=2, warmup=100, keep=100, seed=5)
         save_posterior(loaded, tmp_path / "again.json")
+        current = json.loads(json.dumps(_EARLIER_POSTERIOR))
+        del current["config"]["target_acceptance"]
+        text = json.dumps(current, sort_keys=True, indent=1) + "\n"
         assert (tmp_path / "again.json").read_text() == text
 
     def test_other_stored_prior_rejected(self, tmp_path):

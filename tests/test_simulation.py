@@ -850,8 +850,10 @@ def test_blocks_of_one_iteration_draw_per_iteration_substreams(
 # posterior, recorded by the kernel that keyed a substream per iteration.
 # A one-chain posterior is cycled in the same order chain-major and
 # interleaved, so the bytes pin the grouped draws of one iteration.
+# Re-recorded with that kernel when the citation fit moved to the
+# independence sampler, from the new fit's chain-0 draws.
 _PER_ITERATION_FIELD_KEYED_SHA256 = (
-    "2087424a86a26871559f575c8f0ec7ec09118f404a0db0709d66d41bdd7a314e"
+    "bc83fd8e8bbb57b4b6e2cc42231fb8f50b1c67b002bd3a0509741007541b34b0"
 )
 
 
@@ -1086,12 +1088,15 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # when the kernel moved from one substream per iteration to one per
 # kernel block, and the iterations from chain-major posterior draws to
 # interleaved chains; _PER_ITERATION_FIELD_KEYED_SHA256 keeps the
-# field-keyed run's earlier bytes.
+# field-keyed run's bytes under the kernel before that.  All five were
+# re-pinned again when the citation fit moved from an adaptive random
+# walk to an independence sampler around the posterior mode, which
+# changed every posterior draw.
 _PINNED_REPORT_SHA256 = {
-    "2": "294561f59f3e68cf4cc36d48f3a1719dffd666b252933c5b293219c5b3885204",
-    "4": "bff9e65903b3a1af0753f036c564505ee465447211ab2959385092207d449a7e",
-    "A3": "884b4dbfffe337225a65dcfa8cca752066a7799aad72370f333770b81fe5f39d",
-    "field-keyed": "80fd36777f937dd8beace89ca93e1be336a5245ec1314c61af75999e369d5bf9",
+    "2": "6df0326e26b3f03e4fcd84dde39df95eda90cdc8a19aaeb3953f72b7940bbe83",
+    "4": "165a3b8c61c8d23f19ecba56d83a8d3f0d2facc42d3d4c986d885117adba698a",
+    "A3": "bfef574c127e8ce3df8b7b9044fc9b23a903298411e29d0415b4f33ad04e6238",
+    "field-keyed": "3f9ffff1b5298d6e6732e5139bf2258d3052994359b3f8f4962d2b3255e205af",
 }
 
 
