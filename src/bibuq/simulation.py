@@ -26,21 +26,27 @@ processes get whole blocks, so results are bit-identical regardless of
 how iterations are partitioned over workers; they do depend on the block
 size, that is on ``BLOCK_BUDGET`` and the column count.  Past half of
 ``BLOCK_BUDGET`` columns a block is one iteration, keyed by (seed,
-iteration), and draws exactly as the kernel that keyed one substream per
-iteration did.
+iteration); a run that draws per publication then draws exactly as the
+kernel that keyed one substream per iteration did.
 
 Given the parameter draw, publications with the same unit (or the
-reference set), cell group, recorded doctype and citation count are iid,
-so the kernel groups them: one multinomial per group over its recorded
-doctype's probability row puts k of its publications in each (group,
-doctype) cell, and the omitted citations of those k are one gamma-Poisson
+reference set), cell group, citation count and recorded doctype are iid,
+so the kernel groups them.  With doctype redraws its columns are (unit,
+cell group, citation count) x new doctype: the groups that differ only
+in recorded doctype form one run and share its 4 columns, since the
+omitted-count law never reads the recorded doctype.  One multinomial per
+group over its recorded doctype's probability row puts k of its
+publications under each new doctype, a run adds up its groups' tallies,
+and the omitted citations of a column's k items are one gamma-Poisson
 sum, ``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law
-of k summed negative binomial draws.  Cell sums and counts and the
-indicators follow exactly from these per-cell draws.  A publication is a
-group of its own where exactness needs its own value: first-kind
-citation redraws (the clamp at zero), uncited unit publications under
-reference-only normalization (the zero-mean-cell rule), and runs with an
-item dump.  When grouping would not narrow the kernel, every publication
+of k summed negative binomial draws whatever the items' recorded
+doctypes.  Without doctype redraws a column is a group.  Cell sums and
+counts and the indicators follow exactly from these per-column draws.
+A publication is a group and a run of its own where exactness needs its
+own value: first-kind citation redraws (the clamp at zero), uncited unit
+publications under reference-only normalization (the zero-mean-cell
+rule), and runs with an item dump.  When four columns per group (one
+without doctype redraws) would not narrow the kernel, every publication
 is drawn on its own, in layout order, one uniform for its doctype.  So
 the same seed gives different replicates than 0.1.0 did, which drew
 citations before doctypes, one publication and one iteration at a time.
@@ -57,6 +63,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -268,8 +275,10 @@ class PropagationResult:
     distributions: Mapping[str, Mapping[str, IndicatorDistribution]]
     config: PropagationConfig
     # How the run went, for the run manifest and not for report.json:
-    # worker processes opened, publications, exchangeable groups, and
-    # whether the kernel drew per group or per publication.
+    # worker processes opened, publications, exchangeable groups, kernel
+    # columns, whether the kernel drew per group or per publication, and
+    # the seconds spent in each stage (workspace, observed, kernel,
+    # summaries).
     run_info: Mapping[str, object] = field(default_factory=dict)
 
     def distribution(self, unit: str, indicator: str) -> IndicatorDistribution:
@@ -290,16 +299,19 @@ class _Workspace:
     set, and sorted into exchangeable groups (see ``_build_workspace``).
     The kernel works on columns.  When grouping would not narrow it
     (``per_item``), column j is publication j and its doctype is redrawn
-    in place from ``col_types``.  Otherwise a column is a (group,
-    doctype) cell, ``group * 4 + doctype``, when doctypes are redrawn,
-    and a group when they are not.  ``group_sizes`` holds each group's
-    item count and ``group_types`` its recorded (first kind: true)
-    doctype, the row a multinomial over its new doctypes is drawn from;
-    without doctype redraws the sizes are the columns' fixed counts.
-    Unit columns come first, ``n_ucols`` of them.  A column's cell key is
-    ``col_base`` (its cell group times 4) plus its doctype, below
-    ``n_cells``; ``norm`` selects the columns counted in the
-    normalization cells.
+    in place from ``col_types``.  Without doctype redraws a column is a
+    group.  With them a column is a (run, new doctype) cell, ``run * 4 +
+    doctype``: a run is the groups that share unit slot, cell group,
+    citation count and singleton id and differ only in their recorded
+    doctype, which the omitted-count law never reads.  ``group_sizes``
+    holds each group's item count and ``group_types`` its recorded
+    (first kind: true) doctype, the row a multinomial over its new
+    doctypes is drawn from; ``run_starts`` indexes each run's first
+    group, where its tallies start.  Without doctype redraws the sizes
+    are the columns' fixed counts.  Unit columns come first, ``n_ucols``
+    of them.  A column's cell key is ``col_base`` (its cell group times
+    4) plus its doctype, below ``n_cells``; ``norm`` selects the columns
+    counted in the normalization cells.
     """
 
     col_citations: np.ndarray
@@ -307,6 +319,7 @@ class _Workspace:
     col_types: np.ndarray
     group_sizes: np.ndarray | None
     group_types: np.ndarray | None
+    run_starts: np.ndarray | None
     col_base: np.ndarray
     col_unit: np.ndarray
     n_ucols: int
@@ -346,14 +359,16 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     iteration one row of (iterations, ...) arrays.  In order: the
     (iterations, 4, 4) Dirichlet gammas of the probability rows; the new
     doctypes, (iterations, columns) uniforms when ``per_item`` and
-    otherwise one multinomial per (iteration, group) giving the count of
-    items in each of its columns; then the omitted citations, one
-    gamma-Poisson sum per (iteration, column) with its count of items
-    and its iteration's parameter row, all gammas before all Poissons.
+    otherwise one multinomial per (iteration, group) over the 4 new
+    doctypes, whose tallies a run's groups add into the run's 4 columns;
+    then the omitted citations, one gamma-Poisson sum per (iteration,
+    column) with its count of items and its iteration's parameter row,
+    all gammas before all Poissons.
     The draws therefore depend on ``BLOCK_BUDGET`` and the column count,
     which set the block size, and on where the run's last block ends,
-    but not on the worker count.  A block of one iteration draws exactly
-    as a per-iteration substream keyed by (seed, iteration) did.
+    but not on the worker count.  A block of one iteration is keyed by
+    (seed, iteration); when ``per_item`` it draws exactly as the
+    per-iteration substreams did.
 
     The cells of all rows are then rebuilt together, one ``bincount`` per
     sum over ``row * n_cells + cell key``, and ``unit_indicators`` scores
@@ -367,7 +382,8 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     m = ws.col_citations.size
     rng = iteration_rng(cfg.seed, start // ws.block_size)
     # Items per column: none when every column is one publication, else
-    # the group sizes or, once doctypes are redrawn, the drawn counts.
+    # the group sizes or, once doctypes are redrawn, the drawn counts
+    # summed over each run's groups.
     k = ws.group_sizes
     types = ws.col_types
     if CHANNEL_DOCTYPES in cfg.channels:
@@ -377,7 +393,8 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
         if ws.per_item:
             types = draw_doctype_codes(rng, prob_rows, ws.col_types)
         else:
-            k = draw_doctype_counts(rng, prob_rows, ws.group_sizes, ws.group_types).reshape(rows, m)
+            tallies = draw_doctype_counts(rng, prob_rows, ws.group_sizes, ws.group_types)
+            k = np.add.reduceat(tallies, ws.run_starts, axis=1).reshape(rows, m)
     c = ws.col_citations if k is None else k * ws.col_citations
     if CHANNEL_CITATIONS in cfg.channels:
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
@@ -467,15 +484,19 @@ def _build_workspace(
     """Lay out the run's publications as kernel columns.
 
     Given an iteration's parameter draw, publications with the same unit
-    (or the reference set), cell group, recorded doctype and citation
-    count are iid, so they form one exchangeable group.  A publication
+    (or the reference set), cell group, citation count and recorded
+    doctype are iid, so they form one exchangeable group.  A publication
     is a group of its own wherever exactness needs its own values:
     under first-kind citation redraws (the clamp at zero), for unit
     publications without citations under reference-only normalization
     when citations are redrawn (a zero-mean cell leaves out a cited item
     but keeps an uncited one), and in any run that keeps ``ids`` for the
-    item dump.  When the columns would be no fewer than the
-    publications, every publication is its own column, in layout order.
+    item dump.  Groups sort by (unit slot, cell group, citation count,
+    singleton id, recorded doctype); with doctype redraws the groups
+    that agree on all but the last key form a run, which gets one column
+    per new doctype.  When four columns per group (one per group without
+    doctype redraws) would be no fewer than the publications, every
+    publication is its own column, in layout order.
     """
     if CHANNEL_CITATIONS in config.channels:
         if models.citation is None:
@@ -524,12 +545,12 @@ def _build_workspace(
     if single.all():
         n_exchangeable = n
     else:
-        keys = (unit_slot, cellgroup, dt_codes, citations, np.where(single, np.arange(n), -1))
+        keys = (unit_slot, cellgroup, citations, np.where(single, np.arange(n), -1), dt_codes)
         order, starts = sorted_runs(keys)  # starts flags each group's first publication
         n_exchangeable = int(starts.sum())
     width = 4 * n_exchangeable if redraw_doctypes else n_exchangeable
 
-    group_sizes = group_types = None
+    group_sizes = group_types = run_starts = None
     if width >= n:
         # One column per publication, in layout order.
         rep = np.arange(n)
@@ -539,8 +560,12 @@ def _build_workspace(
         group_sizes = np.diff(np.flatnonzero(np.append(starts, True)))
         if redraw_doctypes:
             group_types = dt_codes[rep]
-            rep = np.repeat(rep, 4)
-            col_types = np.tile(np.arange(4, dtype=np.int64), n_exchangeable)
+            # The groups are already in key order, so this sort keeps them
+            # and flags where a key other than the recorded doctype changes.
+            _, new_run = sorted_runs([key[rep] for key in keys[:-1]])
+            run_starts = np.flatnonzero(new_run)
+            rep = np.repeat(rep[run_starts], 4)
+            col_types = np.tile(np.arange(4, dtype=np.int64), run_starts.size)
         else:
             col_types = dt_codes[rep]
 
@@ -556,6 +581,7 @@ def _build_workspace(
         col_types=col_types,
         group_sizes=group_sizes,
         group_types=group_types,
+        run_starts=run_starts,
         col_base=cellgroup[rep] * 4,
         col_unit=unit_slot[rep[:n_ucols]],
         n_ucols=n_ucols,
@@ -612,13 +638,16 @@ def propagate(
     models = models or FittedModels()
     config = config or PropagationConfig()
 
+    started = perf_counter()
     ws = _build_workspace(units, reference, models, config, keep_ids=dump_items is not None)
+    workspace_done = perf_counter()
 
     norm_sets = list(units) if config.pooled_normalization else []
     if reference is not None:
         norm_sets.append(reference)
     cells = build_normalization(norm_sets, config.key_mode)
     observed = {pubset.name: indicators_for(pubset, cells) for pubset in units}
+    observed_done = perf_counter()
 
     iters = config.iterations
     processes = 1
@@ -654,6 +683,7 @@ def propagate(
             ) as pool:
                 parts = pool.map(_worker_chunk, bounds)
             p_rep, c_rep, m_rep, x_rep = (np.concatenate(column) for column in zip(*parts))
+    kernel_done = perf_counter()
 
     distributions: dict[str, dict[str, IndicatorDistribution]] = {}
     for u, pubset in enumerate(units):
@@ -674,6 +704,7 @@ def propagate(
                 excluded=excluded,
             )
         distributions[pubset.name] = per_indicator
+    summaries_done = perf_counter()
 
     return PropagationResult(
         units=tuple(pubset.name for pubset in units),
@@ -684,7 +715,14 @@ def propagate(
             "worker_processes": processes,
             "publications": ws.publications,
             "exchangeable_groups": ws.groups,
+            "kernel_columns": ws.col_citations.size,
             "grouped_draws": not ws.per_item,
+            "timings": {
+                "workspace": workspace_done - started,
+                "observed": observed_done - workspace_done,
+                "kernel": kernel_done - observed_done,
+                "summaries": summaries_done - kernel_done,
+            },
         },
     )
 

@@ -498,6 +498,36 @@ class TestPropagate:
         for key in ("environment", "propagation", "exchangeable_groups", "numpy"):
             assert key not in report
 
+    def test_manifest_records_columns_and_stage_timings(self, workdir, tmp_path):
+        runs = [tmp_path / "first", tmp_path / "second"]
+        for out in runs:
+            proc = run_cli(
+                "propagate",
+                "--pubs",
+                str(workdir / "pubs.csv"),
+                "--reference",
+                str(workdir / "ref.csv"),
+                "--citation-model",
+                str(workdir / "models2" / "citation_posterior.json"),
+                "--channels",
+                "citations",
+                "--iterations",
+                "20",
+                "--out",
+                str(out),
+            )
+            assert proc.returncode == 0, proc.stderr
+        run = json.loads((runs[0] / "run_manifest.json").read_text())["propagation"]
+        assert run["grouped_draws"] is True
+        assert run["kernel_columns"] == run["exchangeable_groups"]  # one column per group
+        assert sorted(run["timings"]) == ["kernel", "observed", "summaries", "workspace"]
+        assert all(seconds >= 0.0 for seconds in run["timings"].values())
+        # The timings differ from run to run; the data files do not.
+        assert_same_data_files(runs[0], runs[1])
+        report = (runs[0] / "report.json").read_text()
+        for key in ("kernel_columns", "timings", "workspace"):
+            assert key not in report
+
     def test_replayed_parameter_sharing(self, workdir, tmp_path):
         first = tmp_path / "first"
         args = [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from bibuq.errormodels import (
     _LOG_TABLE_MAX,
     _CitationLogPosterior,
     _gammaln,
+    _log_rising_ratio,
     fit_citation_error_model,
     fit_doctype_error_model,
     load_posterior,
@@ -58,6 +60,15 @@ class TestNegBinPmf:
         # place; the worst seen on dense sweeps of (0, 12] is about 60.
         ref = float(spspecial.gammaln(x))
         assert abs(float(_gammaln(x)) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("theta", [0.5, 3.0, 1e5, 1e6, 1e9, 1e15, 1e23])
+    @pytest.mark.parametrize("y", [0, 1, 2, 7, 200])
+    def test_log_rising_ratio_sums_log1p(self, y, theta):
+        # For integer y it is the sum over k < y of log1p(k / theta).
+        expected = math.fsum(math.log1p(k / theta) for k in range(y))
+        assert float(_log_rising_ratio(np.float64(y), np.float64(theta))) == pytest.approx(
+            expected, rel=1e-12, abs=1e-9
+        )
 
     def test_gammaln_exact_where_lgamma_is_zero_or_infinite(self):
         assert _gammaln(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
@@ -292,6 +303,42 @@ class TestCitationLogPosterior:
         states = np.array(z).reshape(4, 3)[:, : log_post.dim]
         expected = _record_by_record_log_posterior(sample, spec, states)
         np.testing.assert_allclose(log_post(states), expected, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("log_theta", [30.0, 40.0, 54.0])
+    @pytest.mark.parametrize("large_count", [False, True])
+    def test_huge_dispersion_reaches_the_poisson_limit(
+        self, training_sample, log_theta, large_count
+    ):
+        # As theta grows the negative binomial tends to the Poisson; the
+        # gap, about (y - mu)^2 / (2 theta) per record, is below 1e-7 here.
+        omitted = training_sample.omitted.copy()
+        if large_count:
+            omitted[0] = 10 * _LOG_TABLE_MAX  # the log-gamma branch
+        sample = CitationErrorSample(training_sample.observed, omitted)
+        log_post = _CitationLogPosterior(sample, NegBinModelSpec())
+        z = np.array([[0.3, 0.5, log_theta]])
+        b0, b1, _ = log_post.unpack(z)
+        mu = np.exp(b0[0] + b1[0] * np.log1p(sample.observed.astype(np.float64)))
+        poisson = sps.poisson.logpmf(omitted, mu).sum()
+        prior = -0.5 * ((b0[0] / 0.8) ** 2 + b1[0] ** 2 + log_theta**2)
+        assert log_post(z)[0] == pytest.approx(poisson + prior, abs=1e-5)
+
+    @pytest.mark.parametrize("seed", [40, 85])
+    def test_mode_search_survives_an_overshooting_first_step(self, seed):
+        # Audits drawn like the correct-44k benchmark's at these seeds.
+        # The first damped Newton step from the prior mean lands near log
+        # dispersion 54, where the log density, with theta * log(theta)
+        # and theta * log(mu + theta) summed apart, read about +9,000,
+        # far above the mode's; the search stayed there and gave up.
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, 2)))
+        observed = np.floor(rng.lognormal(2.0, 1.2, size=372)).astype(np.int64)
+        mu = np.exp(-1.2 + 0.25 * np.log1p(observed))
+        omitted = rng.poisson(rng.gamma(0.5, mu / 0.5))
+        posterior = fit_citation_error_model(
+            CitationErrorSample(observed, omitted), config=McmcConfig(seed=0)
+        )
+        assert posterior.diagnostics.converged
+        assert abs(np.log(posterior.draws[..., 2]).mean()) < 2.0
 
     @pytest.mark.parametrize("omitted_max", [40, 10 * _LOG_TABLE_MAX])
     def test_overflow_is_minus_infinity_and_rejected(self, omitted_max):

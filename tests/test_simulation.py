@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -551,6 +553,17 @@ class TestReportOutputs:
         write_report_json(result, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_run_info_stays_out_of_report_json(self, tmp_path, result):
+        info = result.run_info
+        assert info["kernel_columns"] == info["publications"]  # too few to group
+        assert sorted(info["timings"]) == ["kernel", "observed", "summaries", "workspace"]
+        assert all(seconds >= 0.0 for seconds in info["timings"].values())
+        with_info = tmp_path / "with.json"
+        without = tmp_path / "without.json"
+        write_report_json(result, with_info)
+        write_report_json(dataclasses.replace(result, run_info={}), without)
+        assert with_info.read_bytes() == without.read_bytes()
+
     def test_plot_files(self, tmp_path, result):
         summary_path = tmp_path / "plot_summary.csv"
         uncertainty_path = tmp_path / "plot_uncertainty.csv"
@@ -847,13 +860,14 @@ def test_blocks_of_one_iteration_draw_per_iteration_substreams(
 
 # sha256 of the field-keyed run's report.json (see
 # test_field_keyed_report_bytes_are_pinned) with a one-chain citation
-# posterior, recorded by the kernel that keyed a substream per iteration.
+# posterior and blocks of one iteration, each keyed by (seed, iteration).
 # A one-chain posterior is cycled in the same order chain-major and
-# interleaved, so the bytes pin the grouped draws of one iteration.
-# Re-recorded with that kernel when the citation fit moved to the
-# independence sampler, from the new fit's chain-0 draws.
+# interleaved, so the bytes pin the grouped draws of one iteration.  They
+# no longer equal the output of the kernel that keyed a substream per
+# iteration: re-pinned when the grouped columns became (run, new doctype)
+# cells, a run being the groups that differ only in recorded doctype.
 _PER_ITERATION_FIELD_KEYED_SHA256 = (
-    "bc83fd8e8bbb57b4b6e2cc42231fb8f50b1c67b002bd3a0509741007541b34b0"
+    "ea8e963cd707655f6c3d6edfc5907dac8c3fabec6674c905518db1379cebb176"
 )
 
 
@@ -961,7 +975,10 @@ def test_workspace_groups_exchangeable_publications(grouped_units, grouped_refer
     assert ws.publications == 6 * 32
     assert ws.groups == len(keys)
     assert not ws.per_item
-    assert ws.col_citations.size == 4 * ws.groups
+    # Four columns per run: the groups that differ only in recorded doctype.
+    runs = {(u, year, field_name, c) for u, year, field_name, _, c in keys}
+    assert len(runs) < len(keys)
+    assert ws.col_citations.size == 4 * len(runs)
     # Publications a dump run needs one by one are their own groups.
     dumped = _build_workspace(grouped_units, grouped_reference, small_models, cfg, keep_ids=True)
     assert dumped.per_item and dumped.groups == dumped.publications
@@ -972,6 +989,127 @@ def test_workspace_groups_exchangeable_publications(grouped_units, grouped_refer
     ws_ref = _build_workspace(grouped_units, grouped_reference, small_models, ref_only)
     uncited_unit = sum(pub.citations == 0 for pubset in grouped_units for pub in pubset)
     assert ws_ref.groups == ws.groups + uncited_unit - 3  # three uncited unit keys
+
+
+_RETYPED_LABELS = ("article", "review", "letter", "other")
+
+
+@pytest.fixture(scope="module")
+def retyped_units():
+    # Every citation count recorded under all four doctypes, so the groups
+    # of one count differ only in their recorded doctype.
+    rows = [(label, c) for c in (0, 0, 2, 5, 11) for label in _RETYPED_LABELS]
+    return [_repeated(make_pubset("M", rows), 4)]
+
+
+@pytest.fixture(scope="module")
+def retyped_reference():
+    rows = [(label, c) for c in (0, 1, 2, 5, 9) for label in _RETYPED_LABELS]
+    rows += [("article", 3)] * 4  # a count recorded under one doctype only
+    return _repeated(make_pubset("ref", rows), 10)
+
+
+def _run_shapes(ws):
+    """Groups per run, items per run, and each run's citation count, in column order."""
+    groups = np.diff(np.append(ws.run_starts, ws.groups))
+    items = np.add.reduceat(ws.group_sizes, ws.run_starts)
+    citations = ws.col_citations.reshape(-1, 4)
+    assert (citations == citations[:, :1]).all()
+    assert (ws.col_types.reshape(-1, 4) == np.arange(4)).all()
+    return groups.tolist(), items.tolist(), citations[:, 0].tolist()
+
+
+def test_groups_that_differ_only_in_recorded_doctype_share_columns(
+    retyped_units, retyped_reference, small_models
+):
+    cfg = PropagationConfig(iterations=5)
+    ws = _build_workspace(retyped_units, retyped_reference, small_models, cfg)
+    assert not ws.per_item
+    assert ws.groups == 4 * 4 + (4 * 5 + 1)
+    keys = {
+        (u, pub.citations)
+        for u, pubset in enumerate(retyped_units + [retyped_reference])
+        for pub in pubset
+    }
+    assert ws.col_citations.size == 4 * len(keys) == 4 * (4 + 6)
+    assert ws.n_ucols == 4 * 4
+    groups, items, citations = _run_shapes(ws)
+    # Unit runs (counts 0, 2, 5, 11), then reference runs (0, 1, 2, 3, 5, 9).
+    assert citations == [0, 2, 5, 11, 0, 1, 2, 3, 5, 9]
+    assert groups == [4, 4, 4, 4, 4, 4, 4, 1, 4, 4]
+    assert items == [32, 16, 16, 16, 40, 40, 40, 40, 40, 40]
+    # Within a run, each group has its own recorded doctype.
+    for lo, hi in zip(ws.run_starts, np.append(ws.run_starts[1:], ws.groups)):
+        types = ws.group_types[lo:hi]
+        assert np.unique(types).size == types.size
+
+
+def test_uncited_unit_singletons_stay_unmerged_under_reference_only_normalization(
+    retyped_units, retyped_reference, small_models
+):
+    cfg = PropagationConfig(iterations=5, pooled_normalization=False)
+    ws = _build_workspace(retyped_units, retyped_reference, small_models, cfg)
+    assert not ws.per_item
+    # (slot, citations, singleton id) keys: each uncited unit item has its own id.
+    keys = {
+        (u, pub.citations, pub.id if u == 0 and pub.citations == 0 else None)
+        for u, pubset in enumerate(retyped_units + [retyped_reference])
+        for pub in pubset
+    }
+    assert ws.col_citations.size == 4 * len(keys) == 4 * (32 + 3 + 6)
+    groups, items, citations = _run_shapes(ws)
+    assert citations[:32] == [0] * 32
+    assert groups[:32] == items[:32] == [1] * 32
+    assert groups[32:35] == [4, 4, 4] and items[32:35] == [16, 16, 16]
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_merged_runs_agree_with_oracle_in_distribution(
+    pooled, retyped_units, retyped_reference, small_models
+):
+    cfg = PropagationConfig(
+        iterations=_AGREEMENT_ITERATIONS, seed=59, pooled_normalization=pooled
+    )
+    result = propagate(retyped_units, retyped_reference, small_models, cfg)
+    _assert_same_law(result, retyped_units, retyped_reference, small_models, cfg)
+
+
+_INVARIANT_ROW = st.tuples(st.sampled_from(_RETYPED_LABELS), st.integers(min_value=0, max_value=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    unit_rows=st.lists(_INVARIANT_ROW, min_size=1, max_size=20),
+    reference_rows=st.lists(_INVARIANT_ROW, min_size=6, max_size=20),
+    pooled=st.booleans(),
+    iterations=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_run_columns_hold_every_item_in_every_iteration(
+    unit_rows, reference_rows, pooled, iterations, seed, small_models
+):
+    """In every iteration a run's four column counts sum to the run's size."""
+    # At most 20 unit groups (all singletons) and 12 reference groups, so
+    # four columns per group stay below the 180 or more publications.
+    unit = make_pubset("U", unit_rows)
+    reference = make_pubset("ref", reference_rows * 30)
+    cfg = PropagationConfig(iterations=iterations, seed=seed, pooled_normalization=pooled)
+    ws = _build_workspace([unit], reference, small_models, cfg)
+    assert not ws.per_item
+    run_sizes = np.add.reduceat(ws.group_sizes, ws.run_starts)
+    counts = []
+    draw_omitted = simulation.draw_omitted
+
+    def recording(rng, params, log1p_predictor, k=None):
+        counts.append(k)
+        return draw_omitted(rng, params, log1p_predictor, k)
+
+    with mock.patch.object(simulation, "draw_omitted", recording):
+        simulation._simulate_range(ws, 0, iterations)
+    k = np.concatenate(counts)
+    assert k.shape == (iterations, 4 * run_sizes.size)
+    assert (k >= 0).all()
+    assert (k.reshape(iterations, -1, 4).sum(axis=2) == run_sizes).all()
 
 
 def test_workers_agree_when_chunk_edges_split_blocks(
@@ -1091,12 +1229,15 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # field-keyed run's bytes under the kernel before that.  All five were
 # re-pinned again when the citation fit moved from an adaptive random
 # walk to an independence sampler around the posterior mode, which
-# changed every posterior draw.
+# changed every posterior draw.  "2", "4" and "field-keyed" were
+# re-pinned when the grouped columns moved to (run, new doctype) cells:
+# the groups sort by citation count before recorded doctype, which moves
+# the columns of "2" too.
 _PINNED_REPORT_SHA256 = {
-    "2": "6df0326e26b3f03e4fcd84dde39df95eda90cdc8a19aaeb3953f72b7940bbe83",
-    "4": "165a3b8c61c8d23f19ecba56d83a8d3f0d2facc42d3d4c986d885117adba698a",
+    "2": "12c5356912cc396098f50a8bd2060981dfe9f0276529265e404d4b65be857da7",
+    "4": "1713cfdc0b24ef50e828cb1b978cc3cb5f76f5f39f3f3bd5d328208857992017",
     "A3": "bfef574c127e8ce3df8b7b9044fc9b23a903298411e29d0415b4f33ad04e6238",
-    "field-keyed": "3f9ffff1b5298d6e6732e5139bf2258d3052994359b3f8f4962d2b3255e205af",
+    "field-keyed": "c15bd4d1ef201aa6d65eaff31e58543cc123ed60bbcc41a4a9ba26cb80729cb5",
 }
 
 
