@@ -55,9 +55,6 @@ from .indicators import (
     NormalizationCells,
     build_normalization,
     indicators_for,
-    mncs,
-    ncs,
-    select_core,
 )
 from .simulation import (
     CHANNEL_CITATIONS,

@@ -15,15 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import (
-    CORE_TYPES,
-    DOCTYPE_ORDER,
-    DocType,
-    Publication,
-    PublicationSet,
-    UsageError,
-    doctype_index,
-)
+from .datamodel import DOCTYPE_ORDER, DocType, PublicationSet, UsageError
 
 __all__ = [
     "KEY_DOCTYPE",
@@ -32,23 +24,16 @@ __all__ = [
     "NormalizationCell",
     "NormalizationCells",
     "IndicatorResult",
-    "select_core",
     "build_normalization",
+    "cell_means",
     "unit_indicators",
-    "ncs",
-    "mncs",
+    "indicator_results",
     "indicators_for",
 ]
 
 KEY_DOCTYPE = "doctype"
 KEY_DOCTYPE_YEAR_FIELD = "doctype-year-field"
 KEY_MODES = (KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD)
-
-
-def select_core(pubset: PublicationSet) -> PublicationSet:
-    """Keep only articles and reviews, preserving order."""
-    core = np.isin(pubset.doctypes, [doctype_index(dt) for dt in CORE_TYPES])
-    return pubset.subset(pubset.name, np.flatnonzero(core))
 
 
 @dataclass(frozen=True)
@@ -66,33 +51,13 @@ class NormalizationCell:
     size: int
 
 
-def cell_key(pub: Publication, key_mode: str):
-    """Normalization key of a publication, or None if it has no cell.
-
-    Under the field-aware mode, publications without a field label
-    cannot be assigned to any cell.
-    """
-    if key_mode == KEY_DOCTYPE:
-        return (pub.doctype,)
-    if key_mode == KEY_DOCTYPE_YEAR_FIELD:
-        if pub.field is None:
-            return None
-        return (pub.doctype, pub.year, pub.field)
-    raise UsageError(f"unknown key mode {key_mode!r}, expected one of {KEY_MODES}")
-
-
 @dataclass(frozen=True)
 class NormalizationCells:
-    """All occupied normalization cells of a reference universe."""
+    """All occupied normalization cells of a reference universe, keyed by
+    (doctype,) or, under the field-aware mode, (doctype, year, field)."""
 
     key_mode: str
     cells: Mapping[tuple, NormalizationCell]
-
-    def lookup(self, pub: Publication) -> NormalizationCell | None:
-        key = cell_key(pub, self.key_mode)
-        if key is None:
-            return None
-        return self.cells.get(key)
 
 
 def cell_groups(pubset: PublicationSet, key_mode: str) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +131,11 @@ def build_normalization(
     """
     pool = sets if isinstance(sets, PublicationSet) else PublicationSet.concat("", list(sets))
     groups, firsts = cell_groups(pool, key_mode)
-    n_cells = 4 * firsts.size
     has_cell = groups < firsts.size
     key = (4 * groups + pool.doctypes)[has_cell]
-    counts = np.bincount(key, minlength=n_cells).tolist()
-    # Citation sums are exact in float64 up to 2**53.
-    sums = np.bincount(key, weights=pool.citations[has_cell], minlength=n_cells).tolist()
+    if key.size == 0:
+        raise UsageError("normalization universe is empty")
+    counts, means = cell_means(key, pool.citations[has_cell], 4 * firsts.size)
     occupied, first = np.unique(key, return_index=True)
     cells = {}
     for k in occupied[np.argsort(first)].tolist():
@@ -183,12 +147,23 @@ def build_normalization(
             doctype=doctype,
             year=year,
             field=field,
-            expected_citations=sums[k] / counts[k],
-            size=counts[k],
+            expected_citations=float(means[k]),
+            size=int(counts[k]),
         )
-    if not cells:
-        raise UsageError("normalization universe is empty")
     return NormalizationCells(key_mode=key_mode, cells=cells)
+
+
+def cell_means(cells, citations, n_cells, sizes=None):
+    """Item count and mean citations (0.0 when empty) of ``n_cells`` cells.
+
+    An entry in cell ``cells`` counts ``sizes`` items (1 without) whose
+    citations ``citations`` sums; sums are exact in float64 up to 2**53.
+    """
+    sums = np.bincount(cells, weights=citations, minlength=n_cells)
+    counts = np.bincount(cells, weights=sizes, minlength=n_cells)
+    with np.errstate(invalid="ignore"):
+        means = np.divide(sums, counts, out=np.zeros(sums.size), where=counts > 0)
+    return counts, means
 
 
 def unit_indicators(units, n_units, citations, types, count, expected, sizes=None):
@@ -230,49 +205,6 @@ def unit_indicators(units, n_units, citations, types, count, expected, sizes=Non
     return p, c_total, mncs_values, excluded.astype(np.int64)
 
 
-def _cell_columns(pubset: PublicationSet, cells: NormalizationCells):
-    """Item count and mean citations of each row's cell, 0 and 0.0 for none."""
-    groups, firsts = cell_groups(pubset, cells.key_mode)
-    # One table entry per (group, doctype), plus zeros for field-less rows.
-    size = np.zeros(4 * (firsts.size + 1), dtype=np.int64)
-    mean = np.zeros(size.size)
-    for group, row in enumerate(firsts.tolist()):
-        label = _group_label(pubset, row, cells.key_mode)
-        for code, doctype in enumerate(DOCTYPE_ORDER):
-            cell = cells.cells.get((doctype, *label))
-            if cell is not None:
-                size[4 * group + code] = cell.size
-                mean[4 * group + code] = cell.expected_citations
-    key = 4 * groups + pubset.doctypes
-    return size[key], mean[key]
-
-
-def _score(pubset: PublicationSet, types: np.ndarray, cells: NormalizationCells):
-    """``unit_indicators`` of a set's publications in one slot, each against its own cell."""
-    return unit_indicators(
-        np.zeros(len(pubset), dtype=np.int64),
-        1,
-        pubset.citations,
-        types,
-        *_cell_columns(pubset, cells),
-    )
-
-
-def ncs(pub: Publication, cells: NormalizationCells) -> float | None:
-    """Normalized citation score of one publication, whatever its type.
-
-    None when ``unit_indicators`` would leave it out of an MNCS.
-    """
-    # Code 0 scores it as a core item.
-    score = _score(PublicationSet(pub.unit, (pub,)), np.zeros(1, dtype=np.int64), cells)[2][0]
-    return None if np.isnan(score) else float(score)
-
-
-def mncs(pubset: PublicationSet, cells: NormalizationCells) -> float | None:
-    """Mean normalized citation score of the unit, None when undefined."""
-    return indicators_for(pubset, cells).mncs
-
-
 @dataclass(frozen=True)
 class IndicatorResult:
     """Indicator values of one unit.
@@ -289,13 +221,39 @@ class IndicatorResult:
     excluded: int
 
 
+def indicator_results(names, p, c, mncs, excluded) -> dict[str, IndicatorResult]:
+    """The ``unit_indicators`` values of unit slot u as ``names[u]``'s result."""
+    return {
+        name: IndicatorResult(
+            unit=name,
+            p=int(p[u]),
+            c=int(c[u]),
+            mncs=None if np.isnan(mncs[u]) else float(mncs[u]),
+            excluded=int(excluded[u]),
+        )
+        for u, name in enumerate(names)
+    }
+
+
 def indicators_for(pubset: PublicationSet, cells: NormalizationCells) -> IndicatorResult:
     """P, C, and MNCS of one unit against a fixed normalization."""
-    p, c, mean_score, excluded = _score(pubset, pubset.doctypes, cells)
-    return IndicatorResult(
-        unit=pubset.name,
-        p=int(p[0]),
-        c=int(c[0]),
-        mncs=None if np.isnan(mean_score[0]) else float(mean_score[0]),
-        excluded=int(excluded[0]),
+    groups, firsts = cell_groups(pubset, cells.key_mode)
+    # The set's cells, 4 per cell group in doctype order, then 4 empty
+    # ones for field-less rows.
+    table = [
+        cells.cells.get((doctype, *_group_label(pubset, row, cells.key_mode)))
+        for row in firsts.tolist()
+        for doctype in DOCTYPE_ORDER
+    ] + [None] * 4
+    size = np.array([0 if cell is None else cell.size for cell in table], dtype=np.int64)
+    mean = np.array([0.0 if cell is None else cell.expected_citations for cell in table])
+    key = 4 * groups + pubset.doctypes
+    scored = unit_indicators(
+        np.zeros(len(pubset), dtype=np.int64),
+        1,
+        pubset.citations,
+        pubset.doctypes,
+        size[key],
+        mean[key],
     )
+    return indicator_results([pubset.name], *scored)[pubset.name]

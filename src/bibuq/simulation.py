@@ -3,8 +3,9 @@
 The engine redraws the underlying publication data (citation counts,
 document types, or both) once per iteration from the fitted error
 models, rebuilds the normalization cells from the redrawn data, and
-recomputes every unit's indicators (``indicators.unit_indicators``, which
-scores the observed values too).  Collecting the per-iteration values
+recomputes every unit's indicators (``indicators.unit_indicators``).
+The observed values take the same route: the recorded data is scored as
+one more row with nothing redrawn.  Collecting the per-iteration values
 yields one empirical distribution per unit and indicator, summarized by
 the median, a central 95% interval, and the relative uncertainty.
 
@@ -95,12 +96,14 @@ from .indicators import (
     KEY_DOCTYPE,
     KEY_MODES,
     IndicatorResult,
-    build_normalization,
     cell_groups,
-    indicators_for,
+    cell_means,
+    indicator_results,
     sorted_runs,
     unit_indicators,
 )
+# Not called here: bench/spans.py hooks these two names on this module.
+from .indicators import build_normalization, indicators_for  # noqa: F401
 from .predictive import (
     cycled_params,
     draw_doctype_codes,
@@ -277,8 +280,8 @@ class PropagationResult:
     # How the run went, for the run manifest and not for report.json:
     # worker processes opened, publications, exchangeable groups, kernel
     # columns, whether the kernel drew per group or per publication, and
-    # the seconds spent in each stage (workspace, observed, kernel,
-    # summaries).
+    # the seconds spent in each stage (workspace layout, scoring the
+    # recorded data, the kernel's iterations, summaries).
     run_info: Mapping[str, object] = field(default_factory=dict)
 
     def distribution(self, unit: str, indicator: str) -> IndicatorDistribution:
@@ -369,13 +372,6 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     but not on the worker count.  A block of one iteration is keyed by
     (seed, iteration); when ``per_item`` it draws exactly as the
     per-iteration substreams did.
-
-    The cells of all rows are then rebuilt together, one ``bincount`` per
-    sum over ``row * n_cells + cell key``, and ``unit_indicators`` scores
-    all rows' unit columns in slots ``row * n_units + unit``.  Returns per
-    iteration and unit P, C, MNCS and the MNCS exclusion count, then the
-    redrawn citations and doctype codes of the unit columns (one per
-    publication when ``per_item``, for the item dump).
     """
     cfg = ws.config
     rows = stop - start
@@ -400,25 +396,49 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
         omitted = draw_omitted(rng, params[:, None, :], ws.col_log1p, k)
         c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
+    return _score_rows(ws, rows, c, types, k)
 
-    shape = (rows, m)
+
+def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
+    """``_score_rows`` of the recorded data: one row, nothing redrawn.
+
+    With doctype redraws a column holds its run's items recorded under its
+    doctype, summed over the run's groups as the kernel sums drawn tallies.
+    """
+    k = ws.group_sizes
+    if ws.run_starts is not None:
+        tallies = k[:, None] * np.eye(4, dtype=np.int64)[ws.group_types]
+        k = np.add.reduceat(tallies, ws.run_starts).ravel()
+    c = ws.col_citations if k is None else k * ws.col_citations
+    return _score_rows(ws, 1, c, ws.col_types, k)
+
+
+def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray, ...]:
+    """Rebuild the normalization cells of ``rows`` data rows and score every unit.
+
+    Per column, as (rows, columns) or one row all rows share: ``c`` its
+    citations, ``types`` its doctype code and ``k`` its item count (None
+    when every column is one publication).  The cells of all rows are
+    rebuilt together over ``row * n_cells + cell key``, and
+    ``unit_indicators`` scores the unit columns in slots ``row * n_units +
+    unit``.  Returns per row and unit P, C, MNCS and the MNCS exclusion
+    count, then the unit columns' citations and doctype codes (per
+    publication when ``per_item``, for the item dump).
+    """
+    shape = (rows, ws.col_citations.size)
     c = np.broadcast_to(c, shape)
     types = np.broadcast_to(types, shape)
     if k is not None:
         k = np.broadcast_to(k, shape)
 
-    # Rebuild the normalization cells of every row from the redrawn data.
     row_of = np.arange(rows)[:, None]
     cell = ws.col_base + types + row_of * ws.n_cells
-    norm_cell = cell[:, ws.norm].ravel()
-    sums = np.bincount(norm_cell, weights=c[:, ws.norm].ravel(), minlength=rows * ws.n_cells)
-    counts = np.bincount(
-        norm_cell,
-        weights=None if k is None else k[:, ws.norm].ravel(),
-        minlength=rows * ws.n_cells,
+    counts, means = cell_means(
+        cell[:, ws.norm].ravel(),
+        c[:, ws.norm].ravel(),
+        rows * ws.n_cells,
+        None if k is None else k[:, ws.norm].ravel(),
     )
-    with np.errstate(invalid="ignore"):
-        means = np.divide(sums, counts, out=np.zeros(sums.size), where=counts > 0)
 
     # Score the unit columns.  A column's items share its cell.  Where
     # that cell's mean can be zero, either all of them are uncited or all
@@ -534,6 +554,8 @@ def _build_workspace(
     cellgroup, firsts = cell_groups(pool, config.key_mode)
     n_cellgroups = firsts.size
     in_norm &= cellgroup < n_cellgroups
+    if not in_norm.any():
+        raise UsageError("normalization universe is empty")
 
     redraw_citations = CHANNEL_CITATIONS in config.channels
     redraw_doctypes = CHANNEL_DOCTYPES in config.channels
@@ -624,8 +646,9 @@ def propagate(
     Each iteration redraws the enabled channels for every publication
     (assessed units and reference set alike), rebuilds the normalization
     cells from the redrawn data, and recomputes P, C, and MNCS per unit.
-    The observed indicators are computed once from the input data
-    against the same normalization universe.
+    The observed indicators are the same cell rebuild and scoring applied
+    to the input data; a grouped run scores one sum per kernel column, so
+    its observed MNCS can differ from ``indicators_for``'s in the last bits.
 
     ``dump_items`` optionally writes every redrawn unit publication as a
     CSV row (iteration, publication_id, citations, doctype); dumping
@@ -642,11 +665,9 @@ def propagate(
     ws = _build_workspace(units, reference, models, config, keep_ids=dump_items is not None)
     workspace_done = perf_counter()
 
-    norm_sets = list(units) if config.pooled_normalization else []
-    if reference is not None:
-        norm_sets.append(reference)
-    cells = build_normalization(norm_sets, config.key_mode)
-    observed = {pubset.name: indicators_for(pubset, cells) for pubset in units}
+    observed = indicator_results(
+        [pubset.name for pubset in units], *(values[0] for values in _score_recorded(ws)[:4])
+    )
     observed_done = perf_counter()
 
     iters = config.iterations

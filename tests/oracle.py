@@ -20,11 +20,12 @@ the rest agree in distribution.
 one ``csv.DictReader`` row and one validated ``Publication`` at a time,
 raising at the first bad cell with the reader's line number.
 
-``indicators_scalar`` is the per-publication form of ``indicators_for``
-and ``ncs_scalar`` that of ``ncs``.  The scores are summed in an explicit
-left-to-right loop, the order of the package's ``bincount`` over the
-members, on every Python; ``sum()`` over floats is compensated from
-Python 3.12 on.
+``indicators_scalar`` is the per-publication form of ``indicators_for``:
+``cell_key`` names a publication's cell, ``ncs_scalar`` looks it up in
+the cells' mapping and scores the publication.  The scores are summed in
+an explicit left-to-right loop, the order of the package's ``bincount``
+over the members, on every Python; ``sum()`` over floats is compensated
+from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from bibuq.datamodel import (
     doctype_index,
 )
 from bibuq.errormodels import SECOND_KIND
-from bibuq.indicators import KEY_DOCTYPE_YEAR_FIELD, IndicatorResult
+from bibuq.indicators import KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD, IndicatorResult
 from bibuq.simulation import CHANNEL_CITATIONS, CHANNEL_DOCTYPES, iteration_rng
 
 
@@ -236,6 +237,18 @@ def score(layout, c, dt):
     return p_vals, c_vals, mncs_vals, excluded, c, dt
 
 
+def cell_key(pub, key_mode):
+    """Key of a publication's cell in ``NormalizationCells.cells``, None without one.
+
+    Under the field-aware mode a publication without a field label has no
+    cell.
+    """
+    if key_mode == KEY_DOCTYPE:
+        return (pub.doctype,)
+    assert key_mode == KEY_DOCTYPE_YEAR_FIELD
+    return None if pub.field is None else (pub.doctype, pub.year, pub.field)
+
+
 def ncs_scalar(pub, cells):
     """Normalized citation score of one publication, None if unscorable.
 
@@ -243,7 +256,8 @@ def ncs_scalar(pub, cells):
     absent from the universe) or is cited in a cell whose mean is zero;
     an uncited one there scores 0.0.
     """
-    cell = cells.lookup(pub)
+    key = cell_key(pub, cells.key_mode)
+    cell = None if key is None else cells.cells.get(key)
     if cell is None:
         return None
     if cell.expected_citations == 0.0:

@@ -12,11 +12,7 @@ from bibuq.indicators import (
     KEY_DOCTYPE,
     KEY_DOCTYPE_YEAR_FIELD,
     build_normalization,
-    cell_key,
     indicators_for,
-    mncs,
-    ncs,
-    select_core,
 )
 from helpers import make_pubset
 
@@ -61,20 +57,19 @@ class TestNormalizationCells:
         assert cells.cells[(DocType.ARTICLE, 2011, "bio")].expected_citations == pytest.approx(8.0)
 
     def test_missing_field_is_skipped_in_year_field_mode(self):
-        pub = Publication("p1", "U", DocType.ARTICLE, 2010, 4)
-        assert cell_key(pub, KEY_DOCTYPE_YEAR_FIELD) is None
-        assert cell_key(pub, KEY_DOCTYPE) == (DocType.ARTICLE,)
-
-
-class TestSelectCore:
-    def test_keeps_articles_and_reviews_only(self, universe):
-        a, _ = universe
-        core = select_core(a)
-        assert [p.doctype for p in core] == [
-            DocType.ARTICLE,
-            DocType.ARTICLE,
-            DocType.REVIEW,
-        ]
+        pubs = PublicationSet(
+            "U",
+            (
+                Publication("p1", "U", DocType.ARTICLE, 2010, 4),
+                Publication("p2", "U", DocType.ARTICLE, 2010, 2, field="bio"),
+            ),
+        )
+        cells = build_normalization(pubs, key_mode=KEY_DOCTYPE_YEAR_FIELD).cells
+        assert list(cells) == [(DocType.ARTICLE, 2010, "bio")]
+        assert cells[(DocType.ARTICLE, 2010, "bio")].size == 1
+        cells = build_normalization(pubs, key_mode=KEY_DOCTYPE).cells
+        assert list(cells) == [(DocType.ARTICLE,)]
+        assert cells[(DocType.ARTICLE,)].size == 2
 
 
 class TestIndicators:
@@ -117,21 +112,18 @@ class TestIndicators:
         assert res.mncs == 0.0
         assert res.excluded == 1
 
-    def test_ncs_values(self, universe):
+    def test_single_publication_scores(self, universe):
         cells = build_normalization(universe)
-        assert ncs(Publication("x", "X", DocType.ARTICLE, 2010, 10), cells) == 2.5
-        assert ncs(Publication("y", "X", DocType.REVIEW, 2010, 0), cells) == 0.0
+        assert indicators_for(make_pubset("X", [("article", 10)]), cells).mncs == 2.5
+        assert indicators_for(make_pubset("X", [("review", 0)]), cells).mncs == 0.0
 
-    def test_missing_cell_returns_none(self, universe):
+    def test_missing_cell_is_excluded(self, universe):
         cells = build_normalization(
             make_pubset("ref", [("article", 5)]), key_mode=KEY_DOCTYPE
         )
-        assert ncs(Publication("x", "X", DocType.REVIEW, 2010, 3), cells) is None
-
-    def test_mncs_function_matches_indicator(self, universe):
-        a, _ = universe
-        cells = build_normalization(universe)
-        assert mncs(a, cells) == indicators_for(a, cells).mncs
+        res = indicators_for(make_pubset("X", [("review", 3)]), cells)
+        assert res.mncs is None
+        assert res.excluded == 1
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -218,7 +210,9 @@ def test_indicators_match_scalar_oracle_bit_for_bit(units, reference, key_mode, 
     unit_sets = [_field_set(f"U{u}", rows) for u, rows in enumerate(units)]
     ref = _field_set("ref", reference)
     universe = unit_sets + [ref] if pooled else [ref]
-    assume(any(cell_key(pub, key_mode) is not None for pubset in universe for pub in pubset))
+    assume(
+        any(oracle.cell_key(pub, key_mode) is not None for pubset in universe for pub in pubset)
+    )
     cells = build_normalization(universe, key_mode)
     for pubset in unit_sets:
         got = indicators_for(pubset, cells)
@@ -226,7 +220,3 @@ def test_indicators_match_scalar_oracle_bit_for_bit(units, reference, key_mode, 
         assert got == want
         assert type(got.p) is int and type(got.c) is int
         assert _bits(got.mncs) == _bits(want.mncs)
-        assert _bits(mncs(pubset, cells)) == _bits(want.mncs)
-    for pubset in unit_sets + [ref]:
-        for pub in pubset:
-            assert _bits(ncs(pub, cells)) == _bits(oracle.ncs_scalar(pub, cells))

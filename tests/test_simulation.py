@@ -8,12 +8,13 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bibuq import simulation
@@ -28,7 +29,12 @@ from bibuq.datamodel import (
     write_publications,
 )
 from bibuq.errormodels import FIRST_KIND, SECOND_KIND, NegBinPosterior
-from bibuq.indicators import KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD
+from bibuq.indicators import (
+    KEY_DOCTYPE,
+    KEY_DOCTYPE_YEAR_FIELD,
+    build_normalization,
+    indicators_for,
+)
 from bibuq.simulation import (
     ALL_CHANNELS,
     CHANNEL_CITATIONS,
@@ -858,20 +864,114 @@ def test_blocks_of_one_iteration_draw_per_iteration_substreams(
         _assert_matches(propagate(grouped_units, grouped_reference, models, cfg), expected)
 
 
+# (doctype label, citations, year, field); zero citations are common so
+# that zero-mean cells turn up.
+_OBSERVED_ROW = st.tuples(
+    st.sampled_from(["article", "review", "letter", "other"]),
+    st.one_of(st.just(0), st.integers(min_value=0, max_value=60)),
+    st.sampled_from([2010, 2011]),
+    st.sampled_from([None, "x", "y"]),
+)
+
+# Kernel layout: (direction, channels, copies of each input row, item
+# dump, grouped).  Six copies make every group of rows that are not
+# singletons at least six publications, so the grouped layouts always
+# narrow the kernel; without copies, "per-item" runs almost always draw
+# per publication, and first-kind citation redraws and the dump always do.
+_OBSERVED_LAYOUTS = {
+    "per-item": (SECOND_KIND, ALL_CHANNELS, 1, False, False),
+    "grouped": (SECOND_KIND, _ONLY_C, 6, False, True),
+    "runs": (SECOND_KIND, _ONLY_D, 6, False, True),
+    "first-kind": (FIRST_KIND, ALL_CHANNELS, 1, False, False),
+    "item-dump": (SECOND_KIND, ALL_CHANNELS, 3, True, False),
+}
+
+
+@pytest.mark.parametrize("layout", list(_OBSERVED_LAYOUTS))
+@settings(max_examples=40, deadline=None)
+@given(
+    units=st.lists(st.lists(_OBSERVED_ROW, max_size=12), min_size=1, max_size=3),
+    reference=st.lists(_OBSERVED_ROW, min_size=1, max_size=12),
+    key_mode=st.sampled_from([KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD]),
+    pooled=st.booleans(),
+)
+# A unit with a field-less article, a cell the reference-only universe
+# lacks, and a zero-mean cell holding an uncited and a cited article.
+@example(
+    units=[
+        [
+            ("article", 5, 2010, None),
+            ("review", 2, 2011, "y"),
+            ("article", 0, 2010, "x"),
+            ("article", 3, 2010, "x"),
+            ("letter", 2, 2010, "x"),
+        ],
+    ],
+    reference=[("article", 0, 2010, "x"), ("article", 4, 2011, "x"), ("letter", 1, 2011, "y")],
+    key_mode=KEY_DOCTYPE_YEAR_FIELD,
+    pooled=False,
+)
+def test_observed_matches_library_path(
+    layout, units, reference, key_mode, pooled, small_models, first_kind_models
+):
+    """``propagate``'s observed values are ``indicators_for``'s.
+
+    P, C and the exclusions match exactly and MNCS to 1e-12 relative; bit
+    for bit when every kernel column is one publication, in layout order.
+    """
+    direction, channels, copies, dump, grouped = _OBSERVED_LAYOUTS[layout]
+    unit_sets = [_field_pubset(f"U{u}", rows * copies) for u, rows in enumerate(units)]
+    ref = _field_pubset("ref", reference * copies)
+    models = small_models if direction == SECOND_KIND else first_kind_models
+    config = PropagationConfig(
+        iterations=1,
+        seed=0,
+        channels=channels,
+        direction=direction,
+        key_mode=key_mode,
+        pooled_normalization=pooled,
+    )
+    try:
+        cells = build_normalization(unit_sets + [ref] if pooled else [ref], key_mode)
+    except UsageError:
+        with pytest.raises(UsageError, match="normalization universe is empty"):
+            propagate(unit_sets, ref, models, config)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        result = propagate(
+            unit_sets, ref, models, config, dump_items=Path(tmp) / "items.csv" if dump else None
+        )
+    assume(result.run_info["grouped_draws"] == grouped)
+    for pubset in unit_sets:
+        got, want = result.observed[pubset.name], indicators_for(pubset, cells)
+        assert (got.unit, got.p, got.c, got.excluded) == (want.unit, want.p, want.c, want.excluded)
+        assert type(got.p) is int and type(got.c) is int and type(got.excluded) is int
+        if want.mncs is None or not grouped:
+            assert _float_bits(got.mncs) == _float_bits(want.mncs)
+        else:
+            assert abs(got.mncs - want.mncs) <= 1e-12 * abs(want.mncs)
+
+
+def _float_bits(value):
+    return None if value is None else float(value).hex()
+
+
 # sha256 of the field-keyed run's report.json (see
 # test_field_keyed_report_bytes_are_pinned) with a one-chain citation
 # posterior and blocks of one iteration, each keyed by (seed, iteration).
 # A one-chain posterior is cycled in the same order chain-major and
-# interleaved, so the bytes pin the grouped draws of one iteration.  They
-# no longer equal the output of the kernel that keyed a substream per
-# iteration: re-pinned when the grouped columns became (run, new doctype)
-# cells, a run being the groups that differ only in recorded doctype.
+# interleaved, so the bytes pin the grouped kernel's own draws at blocks
+# of one iteration.  They no longer equal the output of the kernel that
+# keyed a substream per iteration: re-pinned when the grouped columns
+# became (run, new doctype) cells, a run being the groups that differ
+# only in recorded doctype, and again when the observed values came to be
+# scored per kernel column (the observed MNCS of unit F moved by 1 ULP).
 _PER_ITERATION_FIELD_KEYED_SHA256 = (
-    "ea8e963cd707655f6c3d6edfc5907dac8c3fabec6674c905518db1379cebb176"
+    "369e50432a7a993f7877e527c021b2c50cc00ab0376102bb2b1371a546f2f634"
 )
 
 
-def test_grouped_blocks_of_one_iteration_keep_per_iteration_bytes(
+def test_grouped_blocks_of_one_iteration_bytes_are_pinned(
     tmp_path,
     monkeypatch,
     grouped_units,
@@ -879,6 +979,7 @@ def test_grouped_blocks_of_one_iteration_keep_per_iteration_bytes(
     second_kind_posterior,
     doctype_posterior,
 ):
+    """The grouped kernel's report bytes at blocks of one iteration are pinned."""
     monkeypatch.setattr(simulation, "BLOCK_BUDGET", 1)
     models = FittedModels(
         citation=NegBinPosterior(draws=second_kind_posterior.draws[:1]), doctype=doctype_posterior
@@ -1225,19 +1326,22 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # test_field_keyed_report_bytes_are_pinned.  All four were last re-pinned
 # when the kernel moved from one substream per iteration to one per
 # kernel block, and the iterations from chain-major posterior draws to
-# interleaved chains; _PER_ITERATION_FIELD_KEYED_SHA256 keeps the
-# field-keyed run's bytes under the kernel before that.  All five were
+# interleaved chains; _PER_ITERATION_FIELD_KEYED_SHA256 pins the
+# field-keyed run at blocks of one iteration.  All five were
 # re-pinned again when the citation fit moved from an adaptive random
 # walk to an independence sampler around the posterior mode, which
 # changed every posterior draw.  "2", "4" and "field-keyed" were
 # re-pinned when the grouped columns moved to (run, new doctype) cells:
 # the groups sort by citation count before recorded doctype, which moves
-# the columns of "2" too.
+# the columns of "2" too.  They were re-pinned once more when the
+# observed values came to be scored by the kernel's own cell rebuild:
+# a grouped run's observed MNCS sums one k * c / mean per column instead
+# of k per-item terms and moved by at most 4 ULP; no replicate moved.
 _PINNED_REPORT_SHA256 = {
-    "2": "12c5356912cc396098f50a8bd2060981dfe9f0276529265e404d4b65be857da7",
-    "4": "1713cfdc0b24ef50e828cb1b978cc3cb5f76f5f39f3f3bd5d328208857992017",
+    "2": "42b74269689fcfc95fc3c80d6f1d80f2315cc9f4c0277bfd3671f64fef834740",
+    "4": "5cb74f9670b4168c89aa0f46234115d7d6f34098a0c70553a69a670106c740a2",
     "A3": "bfef574c127e8ce3df8b7b9044fc9b23a903298411e29d0415b4f33ad04e6238",
-    "field-keyed": "c15bd4d1ef201aa6d65eaff31e58543cc123ed60bbcc41a4a9ba26cb80729cb5",
+    "field-keyed": "a3a0dfd5bc884cc530b33800e69928b1fcd94f9caf081420a926426190dc1924",
 }
 
 
