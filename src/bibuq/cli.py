@@ -117,14 +117,23 @@ def _write_manifest(
         handle.write("\n")
 
 
+def _load_json_object(path: str, what: str) -> dict:
+    """Read a JSON file whose top level is an object; else a ValidationError."""
+    with Path(path).open(encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValidationError(f"{path}: not a JSON {what} ({err})") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object")
+    return payload
+
+
 def _load_config_file(path: str | None) -> dict:
     """Read a JSON config; a run manifest is accepted via its "config" key."""
     if path is None:
         return {}
-    with Path(path).open(encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+    payload = _load_json_object(path, "config")
     if "config" in payload and "command" in payload:
         payload = payload["config"]
     return payload
@@ -441,8 +450,7 @@ def _cmd_exercise(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    with Path(args.report).open(encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _load_json_object(args.report, "report")
     if "units" not in payload:
         raise ValidationError(f"{args.report}: not a propagation report")
     direction = payload.get("direction", SECOND_KIND)

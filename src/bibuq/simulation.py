@@ -22,13 +22,12 @@ block size is set by a memory budget (``BLOCK_BUDGET`` column-iterations)
 and the column count, not by the worker count.  Each block draws its
 randomness from its own substream, keyed by (seed, block index), with
 one call per kind of draw: the Dirichlet probability rows of every
-iteration, then the new doctypes, then the omitted citations.  Worker
-processes get whole blocks, so results are bit-identical regardless of
-how iterations are partitioned over workers; they do depend on the block
-size, that is on ``BLOCK_BUDGET`` and the column count.  Past half of
-``BLOCK_BUDGET`` columns a block is one iteration, keyed by (seed,
-iteration); a run that draws per publication then draws exactly as the
-kernel that keyed one substream per iteration did.
+iteration, then the new doctypes, then the omitted citations.  Every run,
+in process or pooled, with or without the item dump, consumes the same
+ordered list of whole blocks, so results are bit-identical whatever the
+worker count; they do depend on the block size, that is on
+``BLOCK_BUDGET`` and the column count.  Past half of ``BLOCK_BUDGET``
+columns a block is one iteration, keyed by (seed, iteration).
 
 Given the parameter draw, publications with the same unit (or the
 reference set), cell group, citation count and recorded doctype are iid,
@@ -48,9 +47,7 @@ own value: first-kind citation redraws (the clamp at zero), uncited unit
 publications under reference-only normalization (the zero-mean-cell
 rule), and runs with an item dump.  When four columns per group (one
 without doctype redraws) would not narrow the kernel, every publication
-is drawn on its own, in layout order, one uniform for its doctype.  So
-the same seed gives different replicates than 0.1.0 did, which drew
-citations before doctypes, one publication and one iteration at a time.
+is drawn on its own, in layout order, one uniform for its doctype.
 """
 
 from __future__ import annotations
@@ -62,6 +59,8 @@ import multiprocessing
 import os
 import sys
 import warnings
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -348,9 +347,10 @@ def _init_worker(ws: _Workspace) -> None:
     _WORKER_WS = ws
 
 
-def _worker_chunk(bounds: tuple[int, int]):
+def _worker_block(bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """One block's P, C, MNCS and exclusion rows, without its unit columns."""
     assert _WORKER_WS is not None
-    return _simulate_range(_WORKER_WS, bounds[0], bounds[1])
+    return _simulate_block(_WORKER_WS, *bounds)[:4]
 
 
 def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -370,8 +370,7 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     The draws therefore depend on ``BLOCK_BUDGET`` and the column count,
     which set the block size, and on where the run's last block ends,
     but not on the worker count.  A block of one iteration is keyed by
-    (seed, iteration); when ``per_item`` it draws exactly as the
-    per-iteration substreams did.
+    (seed, iteration).
     """
     cfg = ws.config
     rows = stop - start
@@ -469,31 +468,6 @@ def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray, ...
     )
 
 
-def _blocks(ws: _Workspace, start: int, stop: int):
-    """Yield ``(first iteration, _simulate_block result)`` over [start, stop)."""
-    for lo in range(start, stop, ws.block_size):
-        yield lo, _simulate_block(ws, lo, min(lo + ws.block_size, stop))
-
-
-def _empty_replicates(iterations: int, n_units: int) -> tuple[np.ndarray, ...]:
-    """Output arrays for P, C, MNCS and the MNCS exclusion counts."""
-    shape = (iterations, n_units)
-    return np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
-
-
-def _store(out: tuple[np.ndarray, ...], offset: int, block: tuple[np.ndarray, ...]) -> None:
-    # zip stops at the four outputs; the block's trailing draws are not kept.
-    for arr, part in zip(out, block):
-        arr[offset : offset + part.shape[0]] = part
-
-
-def _simulate_range(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    out = _empty_replicates(stop - start, ws.n_units)
-    for lo, block in _blocks(ws, start, stop):
-        _store(out, lo - start, block)
-    return out
-
-
 def _build_workspace(
     units: Sequence[PublicationSet],
     reference: PublicationSet | None,
@@ -538,6 +512,10 @@ def _build_workspace(
         raise UsageError("reference-only normalization requires a reference set")
     if not units:
         raise UsageError("need at least one assessed unit")
+    counts = Counter(pubset.name for pubset in units)
+    repeated = sorted(name for name, count in counts.items() if count > 1)
+    if repeated:
+        raise UsageError(f"unit names must be unique; repeated: {', '.join(repeated)}")
 
     pool = PublicationSet.concat("", [*units, reference] if reference is not None else units)
     n = len(pool)
@@ -625,13 +603,13 @@ def _build_workspace(
     )
 
 
-def pool_processes(requested: int, chunks: int, cpus: int | None) -> int:
-    """Worker processes to open: the request, capped by CPUs and by chunks.
+def pool_processes(requested: int, blocks: int, cpus: int | None) -> int:
+    """Worker processes to open: the request, capped by CPUs and by blocks.
 
     ``cpus`` is ``os.cpu_count()``, which may be None when it is unknown;
     at least one process is always returned.
     """
-    return max(1, min(requested, chunks, cpus or 1))
+    return max(1, min(requested, blocks, cpus or 1))
 
 
 def propagate(
@@ -650,10 +628,17 @@ def propagate(
     to the input data; a grouped run scores one sum per kernel column, so
     its observed MNCS can differ from ``indicators_for``'s in the last bits.
 
+    The iterations run as one ordered list of whole kernel blocks, each
+    drawn from its own substream: in this process, or when ``workers``
+    asks for more, in a pool capped by the CPUs and the blocks (with a
+    stderr note when it opens fewer), whose workers take the blocks in
+    order.  The worker count changes no replicate.  Unit names must be
+    unique; a repeated name raises UsageError.
+
     ``dump_items`` optionally writes every redrawn unit publication as a
     CSV row (iteration, publication_id, citations, doctype); dumping
-    draws every publication on its own and forces single-process
-    execution, with a stderr note when ``workers`` asks for more.
+    draws every publication on its own and runs in this process, with a
+    stderr note when ``workers`` asks for more.
     """
     if isinstance(units, PublicationSet):
         units = [units]
@@ -671,39 +656,55 @@ def propagate(
     observed_done = perf_counter()
 
     iters = config.iterations
+    bounds = [(lo, min(lo + ws.block_size, iters)) for lo in range(0, iters, ws.block_size)]
     processes = 1
     if dump_items is not None:
+        # In process: imap has no backpressure, so a pool would queue every
+        # block's unit columns here, where the writer holds one at a time.
         if config.workers > 1:
             print(
                 f"note: running 1 of {config.workers} requested worker processes "
                 "(the item dump is written by one process)",
                 file=sys.stderr,
             )
-        p_rep, c_rep, m_rep, x_rep = _propagate_with_dump(ws, Path(dump_items))
-    else:
-        if config.workers > 1 and iters >= 2 * config.workers:
-            # Chunks hold whole kernel blocks, so every block is drawn as
-            # one process would draw it.
-            blocks = -(-iters // ws.block_size)
-            edges = np.linspace(0, blocks, config.workers + 1, dtype=int) * ws.block_size
-            edges = np.minimum(edges, iters)
-            bounds = [(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-            cpus = os.cpu_count()
-            processes = pool_processes(config.workers, len(bounds), cpus)
-            if processes < config.workers:
-                print(
-                    f"note: running {processes} of {config.workers} requested worker "
-                    f"processes ({cpus} CPUs, {len(bounds)} chunks)",
-                    file=sys.stderr,
-                )
+    elif config.workers > 1:
+        cpus = os.cpu_count()
+        processes = pool_processes(config.workers, len(bounds), cpus)
+        if processes < config.workers:
+            print(
+                f"note: running {processes} of {config.workers} requested worker "
+                f"processes ({cpus} CPUs, {len(bounds)} blocks)",
+                file=sys.stderr,
+            )
+
+    shape = (iters, ws.n_units)
+    out = p_rep, c_rep, m_rep, x_rep = (
+        np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
+    )
+
+    def draws(blocks):
+        # The one propagation loop, over whole blocks in order.  zip stops at
+        # the four outputs; a pool worker returns no more.
+        for (lo, hi), block in zip(bounds, blocks):
+            for arr, part in zip(out, block):
+                arr[lo:hi] = part
+            if dump_items is not None:
+                yield from zip(range(lo, hi), block[4], block[5])
+
+    with ExitStack() as stack:
         if processes == 1:
-            p_rep, c_rep, m_rep, x_rep = _simulate_range(ws, 0, iters)
+            blocks = (_simulate_block(ws, lo, hi) for lo, hi in bounds)
         else:
-            with multiprocessing.Pool(
-                processes=processes, initializer=_init_worker, initargs=(ws,)
-            ) as pool:
-                parts = pool.map(_worker_chunk, bounds)
-            p_rep, c_rep, m_rep, x_rep = (np.concatenate(column) for column in zip(*parts))
+            pool = stack.enter_context(
+                multiprocessing.Pool(processes=processes, initializer=_init_worker, initargs=(ws,))
+            )
+            blocks = pool.imap(_worker_block, bounds, chunksize=-(-len(bounds) // processes))
+        rows = draws(blocks)
+        if dump_items is None:
+            for _ in rows:  # yields nothing without a dump
+                pass
+        else:
+            write_predictive_draws(rows, ws.ids[: ws.n_ucols], Path(dump_items))
     kernel_done = perf_counter()
 
     distributions: dict[str, dict[str, IndicatorDistribution]] = {}
@@ -746,19 +747,6 @@ def propagate(
             },
         },
     )
-
-
-def _propagate_with_dump(ws: _Workspace, path: Path) -> tuple[np.ndarray, ...]:
-    iters = ws.config.iterations
-    out = _empty_replicates(iters, ws.n_units)
-
-    def draws():
-        for lo, block in _blocks(ws, 0, iters):
-            _store(out, lo, block)
-            yield from zip(range(lo, iters), block[4], block[5])
-
-    write_predictive_draws(draws(), ws.ids[: ws.n_ucols], path)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -915,6 +915,18 @@ class TestExerciseSettings:
         assert main(["exercise", name, "--config", str(config)]) == 2
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"{not json", "not a JSON config"), (b"\xff\xfe{}", "not a JSON config")],
+    )
+    def test_malformed_config_is_usage_error(self, content, message, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(content)
+        assert main(["exercise", "2", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {config}: {message}" in err
+        assert "internal error" not in err
+
     def test_out_of_range_exits_2_from_the_command_line(self):
         for name in ("1", "2"):
             proc = run_cli("exercise", name, "--workers", "0")
@@ -1006,3 +1018,20 @@ class TestReport:
     def test_missing_file(self):
         proc = run_cli("report", "nope.json")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{not json", "not a JSON report"),
+            (b"\xff\xfe{}", "not a JSON report"),
+            (b'"units"', "report must be a JSON object"),
+            (b"[1, 2]", "report must be a JSON object"),
+        ],
+    )
+    def test_malformed_report_is_usage_error(self, content, message, tmp_path, capsys):
+        report = tmp_path / "bad.json"
+        report.write_bytes(content)
+        assert main(["report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {report}: {message}" in err
+        assert "internal error" not in err

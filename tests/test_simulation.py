@@ -405,6 +405,16 @@ class TestPropagate:
         with pytest.raises(UsageError, match="normalization universe is empty"):
             propagate(empty, models=small_models, config=PropagationConfig(iterations=5))
 
+    def test_repeated_unit_name_rejected(self, small_unit, small_reference, small_models):
+        # Results are keyed by unit name, so a second "A" would overwrite the first.
+        with pytest.raises(UsageError, match="unit names must be unique; repeated: A$"):
+            propagate(
+                [small_unit, small_unit],
+                reference=small_reference,
+                models=small_models,
+                config=PropagationConfig(iterations=5),
+            )
+
     def test_direction_mismatch_rejected(
         self, small_unit, small_reference, small_models
     ):
@@ -1206,7 +1216,7 @@ def test_run_columns_hold_every_item_in_every_iteration(
         return draw_omitted(rng, params, log1p_predictor, k)
 
     with mock.patch.object(simulation, "draw_omitted", recording):
-        simulation._simulate_range(ws, 0, iterations)
+        propagate(unit, reference, small_models, cfg)
     k = np.concatenate(counts)
     assert k.shape == (iterations, 4 * run_sizes.size)
     assert (k >= 0).all()
@@ -1245,13 +1255,13 @@ def test_workers_agree_when_chunk_edges_split_blocks(
 def test_worker_chunks_hold_whole_blocks(
     monkeypatch, grouped_units, grouped_reference, small_models
 ):
-    # An in-process stand-in for the pool records the chunk bounds.
+    # An in-process stand-in for the pool records its imap tasks.
     cfg = PropagationConfig(iterations=61, seed=41, key_mode=KEY_DOCTYPE_YEAR_FIELD)
     columns = _build_workspace(grouped_units, grouped_reference, small_models, cfg)
     monkeypatch.setattr(simulation, "BLOCK_BUDGET", 7 * columns.col_citations.size)
     monkeypatch.setattr(simulation, "_WORKER_WS", None)
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
-    chunks = []
+    calls = []
 
     class RecordingPool:
         def __init__(self, processes, initializer, initargs):
@@ -1263,14 +1273,14 @@ def test_worker_chunks_hold_whole_blocks(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, bounds):
-            chunks.extend(bounds)
-            return [fn(b) for b in bounds]
+        def imap(self, fn, tasks, chunksize):
+            calls.append((list(tasks), chunksize))
+            return (fn(task) for task in tasks)
 
     monkeypatch.setattr(simulation.multiprocessing, "Pool", RecordingPool)
     expected = propagate(grouped_units, grouped_reference, small_models, cfg)
-    for workers, bounds in ((2, [(0, 28), (28, 61)]), (3, [(0, 21), (21, 42), (42, 61)])):
-        chunks.clear()
+    for workers, chunksize in ((2, 5), (3, 3)):
+        calls.clear()
         result = propagate(
             grouped_units,
             grouped_reference,
@@ -1280,11 +1290,16 @@ def test_worker_chunks_hold_whole_blocks(
             ),
         )
         assert result.run_info["worker_processes"] == workers
-        assert chunks == bounds  # nine blocks of seven, the last one of five
+        # Nine blocks of seven, the last one of five, each one task, in order.
+        [(tasks, size)] = calls
+        assert all(lo % 7 == 0 and hi == min(lo + 7, cfg.iterations) for lo, hi in tasks)
+        assert [lo for lo, _ in tasks] == list(range(0, cfg.iterations, 7))
+        assert size == chunksize  # ceil(blocks / processes)
         for indicator in ("P", "C", "MNCS"):
             assert np.array_equal(
                 _replicates(result, indicator), _replicates(expected, indicator), equal_nan=True
             )
+        assert np.array_equal(_excluded(result), _excluded(expected))
 
 
 def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models):
