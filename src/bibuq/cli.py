@@ -9,6 +9,8 @@ manifest timestamp differs.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or input error,
 3 when --strict is set and a fitted model failed its convergence check.
+An input file that is not UTF-8, not parseable, or of the wrong JSON
+shape exits 2 with a message naming the file.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ from .datamodel import (
     load_citation_error_sample,
     load_doctype_confusion,
     load_publications,
+    read_json_object,
     sample_statistics,
     write_citation_error_sample,
     write_doctype_confusion,
+    write_json,
 )
 from .errormodels import (
     FIRST_KIND,
@@ -112,28 +116,14 @@ def _write_manifest(
     }
     if propagation is not None:
         manifest["propagation"] = dict(propagation)
-    with (out_dir / MANIFEST_NAME).open("w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=1)
-        handle.write("\n")
-
-
-def _load_json_object(path: str, what: str) -> dict:
-    """Read a JSON file whose top level is an object; else a ValidationError."""
-    with Path(path).open(encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ValidationError(f"{path}: not a JSON {what} ({err})") from None
-    if not isinstance(payload, dict):
-        raise ValidationError(f"{path}: {what} must be a JSON object")
-    return payload
+    write_json(manifest, out_dir / MANIFEST_NAME)
 
 
 def _load_config_file(path: str | None) -> dict:
     """Read a JSON config; a run manifest is accepted via its "config" key."""
     if path is None:
         return {}
-    payload = _load_json_object(path, "config")
+    payload = read_json_object(path, "config")
     if "config" in payload and "command" in payload:
         payload = payload["config"]
     return payload
@@ -432,9 +422,7 @@ def _cmd_exercise(args: argparse.Namespace) -> int:
     if args.out:
         out_dir = _ensure_out_dir(args.out)
         outputs = ["exercise.json", "exercise.txt", MANIFEST_NAME]
-        with (out_dir / "exercise.json").open("w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, sort_keys=True, indent=1)
-            handle.write("\n")
+        write_json(report.to_dict(), out_dir / "exercise.json")
         (out_dir / "exercise.txt").write_text(report.to_text() + "\n", encoding="utf-8")
         if sample_path is None and report.training_sample is not None:
             write_citation_error_sample(
@@ -449,10 +437,32 @@ def _cmd_exercise(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_report(path: str, payload: dict) -> None:
+    """Reject a report that ``render_report_table`` cannot read, naming the place."""
+    keys = ("observed", "median", "ci_low", "ci_high", "relative_uncertainty_pct")
+    channels = payload.get("channels", [])
+    if not isinstance(channels, list) or not all(isinstance(c, str) for c in channels):
+        raise ValidationError(f"{path}: channels must be a list of strings")
+    if not isinstance(payload.get("units"), dict):
+        raise ValidationError(f"{path}: not a propagation report (no \"units\" object)")
+    for unit, records in payload["units"].items():
+        if not isinstance(records, dict):
+            raise ValidationError(f"{path}: unit {unit!r} must be a JSON object")
+        for indicator, record in records.items():
+            # Each a finite int or float, or null: no bool, NaN, infinity or missing key.
+            if not isinstance(record, dict) or not all(
+                value is None or type(value) in (int, float) and abs(value) <= sys.float_info.max
+                for value in (record.get(key, "") for key in keys)
+            ):
+                raise ValidationError(
+                    f"{path}: unit {unit!r} indicator {indicator!r} must hold "
+                    f"{', '.join(keys)}, each a number or null"
+                )
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
-    payload = _load_json_object(args.report, "report")
-    if "units" not in payload:
-        raise ValidationError(f"{args.report}: not a propagation report")
+    payload = read_json_object(args.report, "report")
+    _check_report(args.report, payload)
     direction = payload.get("direction", SECOND_KIND)
     print(
         f"direction={direction}, channels={'+'.join(payload.get('channels', []))}, "

@@ -9,12 +9,16 @@ comes in two forms: paired observed/omitted citation counts from a manual
 correction audit, and a document-type confusion table of true vs observed
 labels.  All CSV readers share one column reader: a single ``csv.reader``
 pass, then whole-column conversion and checks.  They validate eagerly and
-report the offending line.
+report the offending line.  Every JSON file the package writes or reads
+goes through ``write_json`` or ``read_json_object``, and every CSV file it
+writes through ``write_csv``, save the item dump of
+``predictive.write_predictive_draws``.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -437,7 +441,7 @@ def sample_statistics(sample: CitationErrorSample) -> SampleStatistics:
 
 
 # ---------------------------------------------------------------------------
-# CSV formats
+# JSON and CSV formats
 # ---------------------------------------------------------------------------
 
 _PUB_HEADER = ["id", "unit", "doctype", "year", "field", "citations"]
@@ -446,30 +450,61 @@ _CONFUSION_HEADER = ["true_type", "observed_type", "count"]
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
+def write_json(payload, path: str | Path) -> None:
+    """Write ``payload`` as JSON: sorted keys, one-space indent, a final newline."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        json.dump(payload, handle, sort_keys=True, indent=1)
+        handle.write("\n")
+
+
+def read_json_object(path: str | Path, what: str) -> dict:
+    """Read a JSON file whose top level is an object; else a ValidationError naming it."""
+    with Path(path).open(encoding="utf-8") as handle:
+        try:
+            payload = json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ValidationError(f"{path}: not a JSON {what} ({err})") from None
+    if not isinstance(payload, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object")
+    return payload
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header``, then ``rows``, with ``csv.writer`` (``\\r\\n`` line ends)."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _read_columns(path: Path, expected: list[str]) -> list[list[str]]:
     """The raw cells of each ``expected`` column, one per non-blank record.
 
     One ``csv.reader`` pass appends each cell to its column's list.  Blank
     lines are skipped, and a record shorter than the header reads "" for
-    its missing cells.
+    its missing cells.  A file that is not UTF-8 or not CSV raises a
+    ValidationError naming it.
     """
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = [c for c in expected if c not in header]
-        if missing:
-            raise ValidationError(f"{path}: missing columns {missing}, header is {header}")
-        position = {name: i for i, name in enumerate(header)}
-        columns: list[list[str]] = [[] for _ in expected]
-        cells = [(column.append, position[name]) for column, name in zip(columns, expected)]
-        width = max(i for _, i in cells) + 1
-        for row in reader:
-            if len(row) < width:
-                if not row:
-                    continue
-                row += [""] * (width - len(row))
-            for append, i in cells:
-                append(row[i])
+        try:
+            header = next(reader, [])
+            missing = [c for c in expected if c not in header]
+            if missing:
+                raise ValidationError(f"{path}: missing columns {missing}, header is {header}")
+            position = {name: i for i, name in enumerate(header)}
+            columns: list[list[str]] = [[] for _ in expected]
+            cells = [(column.append, position[name]) for column, name in zip(columns, expected)]
+            width = max(i for _, i in cells) + 1
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [""] * (width - len(row))
+                for append, i in cells:
+                    append(row[i])
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise ValidationError(f"{path}: not a UTF-8 CSV file ({err})") from None
     return columns
 
 
@@ -586,15 +621,9 @@ def load_publications(path: str | Path) -> list[PublicationSet]:
 
 def write_publications(sets: Iterable[PublicationSet], path: str | Path) -> None:
     """Write publication sets back to the canonical CSV layout."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_PUB_HEADER)
-        for pubset in sets:
-            for p in pubset:
-                writer.writerow(
-                    [p.id, p.unit, p.doctype.value, p.year, p.field or "", p.citations]
-                )
+    rows = ([p.id, p.unit, p.doctype.value, p.year, p.field or "", p.citations]
+            for pubset in sets for p in pubset)
+    write_csv(path, _PUB_HEADER, rows)
 
 
 def load_citation_error_sample(path: str | Path) -> CitationErrorSample:
@@ -613,12 +642,7 @@ def load_citation_error_sample(path: str | Path) -> CitationErrorSample:
 
 
 def write_citation_error_sample(sample: CitationErrorSample, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_SAMPLE_HEADER)
-        for c, o in zip(sample.observed.tolist(), sample.omitted.tolist()):
-            writer.writerow([c, o])
+    write_csv(path, _SAMPLE_HEADER, zip(sample.observed.tolist(), sample.omitted.tolist()))
 
 
 def load_doctype_confusion(path: str | Path) -> DocTypeConfusionTable:
@@ -638,10 +662,7 @@ def load_doctype_confusion(path: str | Path) -> DocTypeConfusionTable:
 
 
 def write_doctype_confusion(table: DocTypeConfusionTable, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_CONFUSION_HEADER)
-        for i, true_dt in enumerate(DOCTYPE_ORDER):
-            for j, obs_dt in enumerate(DOCTYPE_ORDER):
-                writer.writerow([true_dt.value, obs_dt.value, int(table.counts[i, j])])
+    rows = ([true_dt.value, obs_dt.value, count]
+            for true_dt, row in zip(DOCTYPE_ORDER, table.counts.tolist())
+            for obs_dt, count in zip(DOCTYPE_ORDER, row))
+    write_csv(path, _CONFUSION_HEADER, rows)

@@ -18,7 +18,6 @@ posterior is conjugate and exact.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -34,6 +33,8 @@ from .datamodel import (
     UsageError,
     ValidationError,
     doctype_index,
+    read_json_object,
+    write_json,
 )
 from . import mcmc
 
@@ -139,17 +140,14 @@ class McmcDiagnostics:
         object.__setattr__(self, "acceptance_rates", tuple(self.acceptance_rates))
 
 
-_PARAM_NAMES = ("intercept", "slope", "dispersion")
-
-
 @dataclass(frozen=True)
 class NegBinPosterior:
     """Posterior draws of the omitted-citation model.
 
     ``draws`` has shape (chains, kept, 3) with columns intercept, slope,
     dispersion (dispersion on the natural scale, always positive).
-    Flattened accessors run chain-major; the predictive operations cycle
-    through the draws with the chains interleaved instead (see
+    ``flat()`` runs chain-major; the predictive operations cycle through
+    the draws with the chains interleaved instead (see
     ``predictive.cycled_params``).
     """
 
@@ -180,18 +178,6 @@ class NegBinPosterior:
     def flat(self) -> np.ndarray:
         """All draws as (n_draws, 3), chain-major order."""
         return self.draws.reshape(-1, 3)
-
-    @property
-    def intercept(self) -> np.ndarray:
-        return self.flat()[:, 0]
-
-    @property
-    def slope(self) -> np.ndarray:
-        return self.flat()[:, 1]
-
-    @property
-    def dispersion(self) -> np.ndarray:
-        return self.flat()[:, 2]
 
 
 @dataclass(frozen=True)
@@ -673,7 +659,6 @@ _DIRICHLET_TAG = "dirichlet-doctype-error"
 
 def save_posterior(posterior: NegBinPosterior | DirichletPosterior, path: str | Path) -> None:
     """Write a posterior to JSON.  Reruns produce byte-identical files."""
-    path = Path(path)
     if isinstance(posterior, NegBinPosterior):
         payload = {
             "model": _NEGBIN_TAG,
@@ -693,9 +678,7 @@ def save_posterior(posterior: NegBinPosterior | DirichletPosterior, path: str | 
         }
     else:
         raise UsageError(f"cannot serialize {type(posterior).__name__}")
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(payload, path)
 
 
 def _stored(path: Path, payload: dict, *keys: str) -> list:
@@ -727,17 +710,12 @@ def _stored_fields(path: Path, name: str, block, cls, also=()) -> dict:
 def load_posterior(path: str | Path) -> NegBinPosterior | DirichletPosterior:
     """Read back a posterior written by :func:`save_posterior`.
 
-    A file that is not such a posterior (not JSON, a missing key, or a
-    key its model does not know) raises ValidationError naming the file
-    and the key.
+    A file that is not such a posterior (not a JSON object, a missing
+    key, or a key its model does not know) raises ValidationError naming
+    the file and the key.
     """
-    path = Path(path)
-    with path.open(encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as err:
-            raise ValidationError(f"{path}: not a JSON posterior file ({err})") from None
-    tag = payload.get("model") if isinstance(payload, dict) else None
+    payload = read_json_object(path, "posterior file")
+    tag = payload.get("model")
     if tag == _NEGBIN_TAG:
         draws, spec, config, rates = _stored(
             path, payload, "draws", "spec", "config", "acceptance_rates"

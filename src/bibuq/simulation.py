@@ -52,8 +52,6 @@ is drawn on its own, in layout order, one uniform for its doctype.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import multiprocessing
 import os
@@ -79,6 +77,8 @@ from .datamodel import (
     ValidationError,
     embedded_missed_citation_sample,
     EMBEDDED_SAMPLE_OBSERVED_CITATIONS,
+    write_csv,
+    write_json,
 )
 from .errormodels import (
     FIRST_KIND,
@@ -1240,10 +1240,7 @@ def _result_payload(result: PropagationResult) -> dict:
 
 def write_report_json(result: PropagationResult, path: str | Path) -> None:
     """Write the full-precision per-unit report.  Byte-stable on reruns."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        json.dump(_result_payload(result), handle, sort_keys=True, indent=1)
-        handle.write("\n")
+    write_json(_result_payload(result), path)
 
 
 def _csv_value(value: float | None) -> str:
@@ -1252,23 +1249,16 @@ def _csv_value(value: float | None) -> str:
 
 def write_plot_summary(result: PropagationResult, path: str | Path) -> None:
     """CSV of observed vs simulated interval per unit and indicator."""
-    path = Path(path)
     columns = ["observed", "median", "ci_low", "ci_high"]
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["unit", "indicator"] + columns)
-        for unit, records in _result_payload(result)["units"].items():
-            for indicator, record in records.items():
-                writer.writerow([unit, indicator] + [_csv_value(record[k]) for k in columns])
+    rows = ([unit, indicator] + [_csv_value(record[k]) for k in columns]
+            for unit, records in _result_payload(result)["units"].items()
+            for indicator, record in records.items())
+    write_csv(path, ["unit", "indicator"] + columns, rows)
 
 
 def write_uncertainty_plot(result: PropagationResult, path: str | Path) -> None:
     """CSV relating unit size to relative MNCS uncertainty."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["unit", "P_median", "mncs_rel_uncertainty_pct"])
-        for unit, records in _result_payload(result)["units"].items():
-            p_median = records["P"]["median"]
-            rel = records["MNCS"]["relative_uncertainty_pct"]
-            writer.writerow([unit, _csv_value(p_median), _csv_value(rel)])
+    rows = ([unit, _csv_value(records["P"]["median"]),
+             _csv_value(records["MNCS"]["relative_uncertainty_pct"])]
+            for unit, records in _result_payload(result)["units"].items())
+    write_csv(path, ["unit", "P_median", "mncs_rel_uncertainty_pct"], rows)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import platform
@@ -143,6 +144,14 @@ class TestStats:
     def test_missing_file(self):
         proc = run_cli("stats", "no-such-file.csv")
         assert proc.returncode == 2
+
+    def test_non_utf8_sample_is_usage_error(self, tmp_path):
+        sample = tmp_path / "bad.csv"
+        sample.write_bytes(b"\xff\xfeobserved_citations,omitted_citations\n")
+        proc = run_cli("stats", str(sample))
+        assert proc.returncode == 2
+        assert f"error: {sample}: not a UTF-8 CSV file" in proc.stderr
+        assert "internal error" not in proc.stderr
 
 
 class TestFit:
@@ -668,6 +677,34 @@ class TestPropagate:
         proc = run_cli("propagate", "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flag", ["--pubs", "--reference", "--citation-model", "--doctype-model"]
+    )
+    def test_non_utf8_input_is_usage_error(self, workdir, tmp_path, capsys, flag):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        inputs = {
+            "--pubs": workdir / "pubs.csv",
+            "--reference": workdir / "ref.csv",
+            "--citation-model": workdir / "models2" / "citation_posterior.json",
+            "--doctype-model": workdir / "models2" / "doctype_posterior.json",
+            flag: bad,
+        }
+        argv = [text for pair in inputs.items() for text in map(str, pair)]
+        assert main(["propagate", *argv, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not a " in err
+        assert "internal error" not in err
+
+    def test_field_over_the_csv_limit_is_usage_error(self, tmp_path, capsys):
+        pubs = tmp_path / "pubs.csv"
+        long_id = "x" * (csv.field_size_limit() + 1)
+        pubs.write_text(f'id,unit,doctype,year,field,citations\n"{long_id}",A,article,2010,,3\n')
+        assert main(["propagate", "--pubs", str(pubs), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {pubs}: not a UTF-8 CSV file" in err
+        assert "field larger than field limit" in err
+
     def test_unknown_channel_is_usage_error(self, workdir, tmp_path):
         proc = run_cli(
             "propagate",
@@ -991,6 +1028,20 @@ class TestExercise:
         assert proc.returncode == 2
 
 
+def _json(payload) -> bytes:
+    return json.dumps(payload).encode()
+
+
+# A well-formed indicator record of a report.
+_RECORD = {
+    "observed": 3,
+    "median": 2.5,
+    "ci_low": 1,
+    "ci_high": 4.0,
+    "relative_uncertainty_pct": None,
+}
+
+
 class TestReport:
     def test_renders_stored_report(self, workdir, tmp_path):
         out = tmp_path / "forreport"
@@ -1026,12 +1077,31 @@ class TestReport:
             (b"\xff\xfe{}", "not a JSON report"),
             (b'"units"', "report must be a JSON object"),
             (b"[1, 2]", "report must be a JSON object"),
+            (_json({"units": 3}), 'not a propagation report (no "units" object)'),
+            (_json({"units": {"A": 3}}), "unit 'A' must be a JSON object"),
+            (_json({"units": {"A": {"P": 1}}}), "unit 'A' indicator 'P' must hold"),
+            (_json({"units": {"A": {"C": {**_RECORD, "median": "2"}}}}), "unit 'A' indicator 'C'"),
+            (_json({"units": {"A": {"C": {**_RECORD, "ci_low": True}}}}), "unit 'A' indicator 'C'"),
+            (_json({"units": {"B": {"MNCS": {**_RECORD, "ci_high": float("nan")}}}}), "unit 'B'"),
+            (_json({"units": {"B": {"MNCS": {**_RECORD, "observed": 1e400}}}}), "unit 'B'"),
+            (_json({"units": {"B": {"P": {**_RECORD, "median": 10**400}}}}), "unit 'B'"),
+            (_json({"units": {"B": {"P": {"observed": 1}}}}), "unit 'B' indicator 'P'"),
+            (_json({"channels": "citations", "units": {}}), "channels must be a list of strings"),
+            (_json({"channels": [1], "units": {}}), "channels must be a list of strings"),
         ],
     )
     def test_malformed_report_is_usage_error(self, content, message, tmp_path, capsys):
         report = tmp_path / "bad.json"
         report.write_bytes(content)
         assert main(["report", str(report)]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""  # nothing printed before the check
         assert f"error: {report}: {message}" in err
         assert "internal error" not in err
+
+    def test_null_values_render(self, tmp_path, capsys):
+        record = dict.fromkeys(_RECORD)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"channels": [], "units": {"A": {"MNCS": record}}}))
+        assert main(["report", str(report)]) == 0
+        assert "n/a" in capsys.readouterr().out

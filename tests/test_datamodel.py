@@ -26,9 +26,12 @@ from bibuq.datamodel import (
     load_citation_error_sample,
     load_doctype_confusion,
     load_publications,
+    read_json_object,
     sample_statistics,
     write_citation_error_sample,
+    write_csv,
     write_doctype_confusion,
+    write_json,
     write_publications,
 )
 
@@ -395,3 +398,60 @@ class TestConfusionCsv:
     def test_table_shape_is_4x4(self, confusion_table):
         assert confusion_table.counts.shape == (4, 4)
         assert isinstance(confusion_table, DocTypeConfusionTable)
+
+
+class TestUnreadableCsv:
+    @pytest.mark.parametrize(
+        "load", [load_publications, load_citation_error_sample, load_doctype_confusion]
+    )
+    def test_non_utf8_file_is_named(self, tmp_path, load):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfeid,unit\n")
+        with pytest.raises(ValidationError) as info:
+            load(path)
+        assert str(info.value).startswith(f"{path}: not a UTF-8 CSV file (")
+
+    def test_non_utf8_byte_past_the_first_read(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        # Far past the first chunk the text decoder reads.
+        rows = b"3,1\n" * 20_000 + b"\xff,0\n"
+        path.write_bytes(b"observed_citations,omitted_citations\n" + rows)
+        with pytest.raises(ValidationError, match="not a UTF-8 CSV file"):
+            load_citation_error_sample(path)
+
+    def test_field_over_the_csv_limit_is_named(self, tmp_path):
+        path = tmp_path / "pubs.csv"
+        long_id = "x" * (csv.field_size_limit() + 1)
+        path.write_text(f'id,unit,doctype,year,field,citations\n"{long_id}",A,article,2010,,3\n')
+        with pytest.raises(ValidationError, match="field larger than field limit") as info:
+            load_publications(path)
+        assert str(info.value).startswith(f"{path}: not a UTF-8 CSV file (")
+
+
+class TestJsonAndCsvFiles:
+    def test_json_bytes_are_sorted_indented_and_end_in_a_newline(self, tmp_path):
+        path = tmp_path / "payload.json"
+        write_json({"b": [1, 2.5], "a": None}, path)
+        assert path.read_bytes() == b'{\n "a": null,\n "b": [\n  1,\n  2.5\n ]\n}\n'
+        assert read_json_object(path, "payload") == {"a": None, "b": [1, 2.5]}
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"{not json", "not a JSON payload ("),
+            (b"\xff\xfe{}", "not a JSON payload ("),
+            (b'"text"', "payload must be a JSON object"),
+            (b"[1, 2]", "payload must be a JSON object"),
+        ],
+    )
+    def test_read_json_object_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "payload.json"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError) as info:
+            read_json_object(path, "payload")
+        assert str(info.value).startswith(f"{path}: {message}")
+
+    def test_csv_bytes(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_csv(path, ["name", "value"], iter([["a,b", 1], ['q"', ""], ["c", 2.5]]))
+        assert path.read_bytes() == b'name,value\r\n"a,b",1\r\n"q""",\r\nc,2.5\r\n'

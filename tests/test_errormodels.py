@@ -545,6 +545,13 @@ class TestPersistence:
         with pytest.raises(ValidationError, match=str(path)):
             load_posterior(path)
 
+    def test_non_utf8_posterior_file_is_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ValidationError) as info:
+            load_posterior(path)
+        assert str(info.value).startswith(f"{path}: not a JSON posterior file (")
+
 
 # A citation posterior as files record it, trimmed to one draw per chain.
 _EARLIER_POSTERIOR = {
