@@ -161,6 +161,8 @@ class NegBinPosterior:
         arr = np.asarray(self.draws, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] != 3:
             raise ValidationError("draws must have shape (chains, kept, 3)")
+        if not np.isfinite(arr).all():
+            raise ValidationError("draws must be finite")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValidationError("posterior must contain at least one draw")
         if (arr[:, :, 2] <= 0).any():
@@ -199,6 +201,8 @@ class DirichletPosterior:
         arr = np.asarray(self.concentrations, dtype=np.float64)
         if arr.shape != (4, 4):
             raise ValidationError("concentrations must be 4x4")
+        if not np.isfinite(arr).all():
+            raise ValidationError("concentrations must be finite")
         if (arr < 0).any():
             raise ValidationError("concentrations must be >= 0")
         if (arr.sum(axis=1) <= 0).any():
@@ -681,72 +685,99 @@ def save_posterior(posterior: NegBinPosterior | DirichletPosterior, path: str | 
     write_json(payload, path)
 
 
-def _stored(path: Path, payload: dict, *keys: str) -> list:
+def _stored(payload: dict, *keys: str) -> list:
     """The values of ``keys`` in a posterior file; each one must be there."""
     for key in keys:
         if key not in payload:
-            raise ValidationError(f"{path}: posterior file has no {key!r} key")
+            raise ValidationError(f"posterior file has no {key!r} key")
     return [payload[key] for key in keys]
 
 
-def _stored_fields(path: Path, name: str, block, cls, also=()) -> dict:
+def _stored_fields(name: str, block, cls, also=()) -> dict:
     """A copy of a posterior file's ``name`` block, checked against ``cls``.
 
     Every key must name a field of the dataclass ``cls`` or be one of
     ``also``, and every field without a default must be given.
     """
     if not isinstance(block, dict):
-        raise ValidationError(f"{path}: {name!r} must be a JSON object")
+        raise ValidationError(f"{name!r} must be a JSON object")
     names = {f.name for f in fields(cls)}
     for key in block:
         if key not in names and key not in also:
-            raise ValidationError(f"{path}: unknown key {key!r} in {name!r}")
+            raise ValidationError(f"unknown key {key!r} in {name!r}")
     for f in fields(cls):
         if f.name not in block and f.default is MISSING and f.default_factory is MISSING:
-            raise ValidationError(f"{path}: {name!r} has no {f.name!r} key")
+            raise ValidationError(f"{name!r} has no {f.name!r} key")
     return dict(block)
+
+
+def _stored_numbers(key: str, value) -> np.ndarray:
+    """A posterior file's ``key`` as a float array.
+
+    It must be a rectangular nest of JSON numbers: no string, boolean or
+    ragged list.  An integer beyond the float range is not finite.
+    """
+    try:
+        arr = np.array(value, dtype=object)
+        numeric = all(type(x) in (int, float) for x in arr.flat)
+    except RuntimeError:  # nested deeper than numpy allows
+        numeric = False
+    if not numeric:
+        raise ValidationError(f"{key!r} must be a rectangular array of numbers")
+    try:
+        return arr.astype(np.float64)
+    except OverflowError:
+        raise ValidationError(f"{key} must be finite") from None
 
 
 def load_posterior(path: str | Path) -> NegBinPosterior | DirichletPosterior:
     """Read back a posterior written by :func:`save_posterior`.
 
     A file that is not such a posterior (not a JSON object, a missing
-    key, or a key its model does not know) raises ValidationError naming
-    the file and the key.
+    key, a key its model does not know, or a value the model rejects:
+    an array that is not numeric, ragged, mis-shaped or not finite)
+    raises ValidationError naming the file and the key.
     """
     payload = read_json_object(path, "posterior file")
+    try:
+        return _posterior_from(payload)
+    except (UsageError, ValidationError) as err:
+        raise ValidationError(f"{path}: {err}") from None
+
+
+def _posterior_from(payload: dict) -> NegBinPosterior | DirichletPosterior:
     tag = payload.get("model")
     if tag == _NEGBIN_TAG:
         draws, spec, config, rates = _stored(
-            path, payload, "draws", "spec", "config", "acceptance_rates"
+            payload, "draws", "spec", "config", "acceptance_rates"
         )
-        spec = _stored_fields(path, "spec", spec, NegBinModelSpec, also=_PRIOR_RECORD)
+        spec = _stored_fields("spec", spec, NegBinModelSpec, also=_PRIOR_RECORD)
         for name, value in _PRIOR_RECORD.items():
             stored = spec.pop(name, value)
             if stored != value:
-                raise ValidationError(f"{path}: {name} is {stored!r}, not the fixed {value}")
-        config = _stored_fields(path, "config", config, McmcConfig, also=_RETIRED_CONFIG)
+                raise ValidationError(f"{name} is {stored!r}, not the fixed {value}")
+        config = _stored_fields("config", config, McmcConfig, also=_RETIRED_CONFIG)
         for name in _RETIRED_CONFIG:
             config.pop(name, None)
         diag = payload.get("diagnostics")
         return NegBinPosterior(
-            draws=np.array(draws, dtype=np.float64),
+            draws=_stored_numbers("draws", draws),
             spec=NegBinModelSpec(**spec),
             config=McmcConfig(**config),
             acceptance_rates=tuple(rates),
             diagnostics=(
-                McmcDiagnostics(**_stored_fields(path, "diagnostics", diag, McmcDiagnostics))
+                McmcDiagnostics(**_stored_fields("diagnostics", diag, McmcDiagnostics))
                 if diag
                 else None
             ),
         )
     if tag == _DIRICHLET_TAG:
         concentrations, direction, pseudocount = _stored(
-            path, payload, "concentrations", "direction", "pseudocount"
+            payload, "concentrations", "direction", "pseudocount"
         )
         return DirichletPosterior(
-            concentrations=np.array(concentrations, dtype=np.float64),
+            concentrations=_stored_numbers("concentrations", concentrations),
             direction=direction,
             pseudocount=pseudocount,
         )
-    raise ValidationError(f"{path}: unknown posterior payload (model={tag!r})")
+    raise ValidationError(f"unknown posterior payload (model={tag!r})")

@@ -212,6 +212,12 @@ class _Echo:
         return text
 
 
+# The dump writer caches the "<count>,<doctype>\r\n" tail of the rows
+# whose count is below this bound: at most 4 * 4,096 short strings (about
+# 1.2 MB), made only up to the largest count seen.
+DUMP_TAIL_COUNTS = 4096
+
+
 def write_predictive_draws(
     draws: Iterable[tuple[int, np.ndarray, np.ndarray]],
     ids: Sequence[str],
@@ -222,28 +228,45 @@ def write_predictive_draws(
     ``draws`` yields ``(iteration, citations, doctype_codes)``; both
     arrays line up with ``ids``, and the codes index ``DOCTYPE_ORDER``.
     Row format: iteration, publication_id, citations, doctype.  The bytes
-    are those ``csv.writer`` writes row by row (``\\r\\n`` line ends,
-    minimal quoting): ids are quoted once by ``csv.writer`` itself, and
-    each iteration's rows are joined into one string.  Only one
-    iteration's rows are held at a time.
+    are exactly those ``csv.writer`` writes row by row (``\\r\\n`` line
+    ends, minimal quoting).
+
+    A row is three strings: "<iteration>,", the id field with its comma,
+    and the tail "<count>,<doctype>\\r\\n".  One list holds the three
+    slots of every row.  The id slots are filled once per run with the
+    fields ``csv.writer`` itself quotes.  Per iteration, the lead slots
+    take the iteration's one lead string, the tail slots take the cached
+    tails indexed by ``4 * count + code`` (one array ``take``), a row
+    whose count is outside ``[0, DUMP_TAIL_COUNTS)`` gets its tail
+    formatted on its own, and the list is joined and written at once.
+    The cache grows as larger counts appear.  Only one iteration's rows
+    are held at a time.
     """
     echo = csv.writer(_Echo())
-    # "<id>,\r\n" with the line end cut off leaves the id field and its comma.
-    id_fields = [echo.writerow((pub_id, ""))[:-2] for pub_id in ids]
     endings = [echo.writerow(("", dt.value)) for dt in DOCTYPE_ORDER]
+    n = len(ids)
+    parts = [""] * (3 * n)
+    # "<id>,\r\n" with the line end cut off leaves the id field and its comma.
+    parts[1::3] = [echo.writerow((pub_id, ""))[:-2] for pub_id in ids]
+    # tails[4 * count + code] is "<count>,<doctype>\r\n", for the counts
+    # seen so far up to the bound.
+    tails = np.empty(0, dtype=object)
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as handle:
         handle.write(echo.writerow(("iteration", "publication_id", "citations", "doctype")))
         for iteration, citations, codes in draws:
-            # The join puts the iteration field before every row but the
-            # first, which gets it in front of the block.  With no ids the
-            # block is empty and nothing is written.
-            lead = f"{iteration},"
-            block = lead.join(
-                [
-                    f"{id_field}{count}{endings[code]}"
-                    for id_field, count, code in zip(id_fields, citations.tolist(), codes.tolist())
-                ]
-            )
-            if block:
-                handle.write(lead + block)
+            if not n:
+                continue
+            low, top = int(citations.min()), int(citations.max())
+            fits = low >= 0 and top < DUMP_TAIL_COUNTS
+            cached = citations if fits else np.clip(citations, 0, DUMP_TAIL_COUNTS - 1)
+            known, need = tails.size // 4, min(max(top, 0), DUMP_TAIL_COUNTS - 1) + 1
+            if need > known:
+                more = [f"{count}{ending}" for count in range(known, need) for ending in endings]
+                tails = np.concatenate([tails, np.array(more, dtype=object)])
+            parts[0::3] = [f"{iteration},"] * n
+            parts[2::3] = tails.take(4 * cached + codes).tolist()
+            if not fits:
+                for i in np.flatnonzero(cached != citations).tolist():
+                    parts[3 * i + 2] = f"{int(citations[i])}{endings[codes[i]]}"
+            handle.write("".join(parts))

@@ -696,6 +696,61 @@ class TestPropagate:
         assert f"error: {bad}: not a " in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize(
+        "flag, key, edit, message",
+        [
+            (
+                "--doctype-model",
+                "concentrations",
+                lambda v: "abc",
+                "'concentrations' must be a rectangular array of numbers",
+            ),
+            (
+                "--doctype-model",
+                "concentrations",
+                lambda v: [[1, 2], [3]],
+                "'concentrations' must be a rectangular array of numbers",
+            ),
+            (
+                "--doctype-model",
+                "concentrations",
+                lambda v: [[float("nan")] + v[0][1:]] + v[1:],
+                "concentrations must be finite",
+            ),
+            (
+                "--citation-model",
+                "draws",
+                lambda v: [[1, 2]],
+                "draws must have shape (chains, kept, 3)",
+            ),
+            (
+                "--citation-model",
+                "draws",
+                lambda v: [[[float("nan")] + row[1:] for row in v[0]]] + v[1:],
+                "draws must be finite",
+            ),
+        ],
+        ids=["doctype-string", "doctype-ragged", "doctype-nan", "citation-2-d", "citation-nan"],
+    )
+    def test_malformed_posterior_values_are_usage_errors(
+        self, workdir, tmp_path, capsys, flag, key, edit, message
+    ):
+        channel, name = {
+            "--citation-model": ("citations", "citation_posterior.json"),
+            "--doctype-model": ("doctypes", "doctype_posterior.json"),
+        }[flag]
+        payload = json.loads((workdir / "models2" / name).read_text())
+        payload[key] = edit(payload[key])
+        bad = tmp_path / name
+        bad.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = ["--pubs", str(workdir / "pubs.csv"), flag, str(bad), "--channels", channel]
+        assert main(["propagate", *argv, "--iterations", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: {message}" in err
+        assert "internal error" not in err
+        assert not (out / "report.json").exists()
+
     def test_field_over_the_csv_limit_is_usage_error(self, tmp_path, capsys):
         pubs = tmp_path / "pubs.csv"
         long_id = "x" * (csv.field_size_limit() + 1)

@@ -552,6 +552,59 @@ class TestPersistence:
             load_posterior(path)
         assert str(info.value).startswith(f"{path}: not a JSON posterior file (")
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "'concentrations' must be a rectangular array of numbers"),
+            ([[1, 2], [3]], "'concentrations' must be a rectangular array of numbers"),
+            ([[True] * 4] * 4, "'concentrations' must be a rectangular array of numbers"),
+            ([["1"] * 4] * 4, "'concentrations' must be a rectangular array of numbers"),
+            ([[1.0] * 4] * 3, "concentrations must be 4x4"),
+            ([[float("nan")] + [1.0] * 3] + [[1.0] * 4] * 3, "concentrations must be finite"),
+            ([[float("inf")] + [1.0] * 3] + [[1.0] * 4] * 3, "concentrations must be finite"),
+            ([[10**400] + [1] * 3] + [[1] * 4] * 3, "concentrations must be finite"),
+        ],
+        ids=["string", "ragged", "booleans", "strings", "3x4", "nan", "inf", "huge-int"],
+    )
+    def test_doctype_file_values_checked(self, tmp_path, doctype_posterior, value, message):
+        path = tmp_path / "doctype.json"
+        save_posterior(doctype_posterior, path)
+        payload = json.loads(path.read_text())
+        payload["concentrations"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError) as info:
+            load_posterior(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "'draws' must be a rectangular array of numbers"),
+            ([[[-0.5, 0.4, 1.2]], [[-0.5, 0.4]]], "'draws' must be a rectangular array of numbers"),
+            ([[1, 2]], "draws must have shape (chains, kept, 3)"),
+            ([[[-0.5, float("nan"), 1.2]]], "draws must be finite"),
+            ([[[float("-inf"), 0.4, 1.2]]], "draws must be finite"),
+            ([[[-0.5, 0.4, 0.0]]], "all dispersion draws must be > 0"),
+            (json.loads("[" * 40 + "1" + "]" * 40), "'draws' must be a rectangular array of numbers"),
+        ],
+        ids=["string", "ragged", "2-d", "nan", "-inf", "zero-dispersion", "40-deep"],
+    )
+    def test_citation_file_values_checked(self, tmp_path, value, message):
+        path = tmp_path / "citation.json"
+        path.write_text(json.dumps({**_EARLIER_POSTERIOR, "draws": value}))
+        with pytest.raises(ValidationError) as info:
+            load_posterior(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_unknown_direction_is_named(self, tmp_path, doctype_posterior):
+        path = tmp_path / "doctype.json"
+        save_posterior(doctype_posterior, path)
+        payload = json.loads(path.read_text())
+        payload["direction"] = "sideways"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=f"^{path}: direction must be one of"):
+            load_posterior(path)
+
 
 # A citation posterior as files record it, trimmed to one draw per chain.
 _EARLIER_POSTERIOR = {

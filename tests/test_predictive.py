@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bibuq.datamodel import DOCTYPE_ORDER, DocType, UsageError
 from bibuq.predictive import (
+    DUMP_TAIL_COUNTS,
     cycled_params,
     draw_doctype_codes,
     draw_doctype_counts,
@@ -534,6 +535,52 @@ class TestDumpFile:
             rows = list(csv.reader(handle))
         assert [row[1] for row in rows[1:7]] == ids
         assert [row[3] for row in rows[1:5]] == [dt.value for dt in DOCTYPE_ORDER]
+
+    def test_counts_at_and_over_the_tail_bound(self, tmp_path):
+        bound = DUMP_TAIL_COUNTS
+        ids = ["p1", "p2", "p3", "p4", "p5"]
+        draws = [
+            (3, np.array([bound - 1, bound, 2**62, 0, bound + 1]), np.array([3, 2, 1, 0, 0])),
+            (4, np.array([bound, bound - 1, 1, 2**40, bound - 1]), np.array([0, 1, 2, 3, 2])),
+        ]
+        path = tmp_path / "items.csv"
+        write_predictive_draws(draws, ids, path)
+        assert path.read_bytes() == _csv_writer_bytes(draws, ids)
+
+    def test_counts_that_grow_between_iterations(self, tmp_path):
+        # Each iteration's largest count is beyond the last one's, so the
+        # cached tails are extended mid-run, and in the end past the bound.
+        ids = ["p1", "p2", "p3"]
+        draws = [
+            (i, np.array([i, 10 * i, 400 * i]), np.array([i % 4, (i + 1) % 4, (i + 2) % 4]))
+            for i in range(12)
+        ]
+        assert draws[-1][1].max() > DUMP_TAIL_COUNTS
+        path = tmp_path / "items.csv"
+        write_predictive_draws(draws, ids, path)
+        assert path.read_bytes() == _csv_writer_bytes(draws, ids)
+
+    def test_read_only_and_strided_rows(self, tmp_path):
+        # A channel that is off leaves its (rows, columns) array a read-only
+        # broadcast, and propagate dumps the rows of its unit columns.
+        n_u = 4
+        ids = ["a", "b,c", "d", "e"]
+        c = (np.arange(18, dtype=np.int64).reshape(6, 3).T * 97)[:, :n_u]
+        codes = np.broadcast_to(np.array([0, 1, 2, 3, 3, 2]), (3, 6))[:, :n_u]
+        draws = list(zip(range(3), c, codes))
+        counts = np.broadcast_to(np.array([1, 5000, 2, 0, 9]), (2, 5))[:, :n_u]
+        draws += list(zip(range(3, 5), counts, c % 4))
+        assert not draws[0][1].flags.c_contiguous
+        assert not draws[0][2].flags.writeable and not draws[3][1].flags.writeable
+        path = tmp_path / "items.csv"
+        write_predictive_draws(draws, ids, path)
+        assert path.read_bytes() == _csv_writer_bytes(draws, ids)
+
+    def test_no_ids_gives_header_only(self, tmp_path):
+        empty = np.array([], dtype=np.int64)
+        path = tmp_path / "items.csv"
+        write_predictive_draws([(i, empty, empty) for i in range(3)], [], path)
+        assert path.read_bytes() == b"iteration,publication_id,citations,doctype\r\n"
 
     @settings(max_examples=60, deadline=None)
     @given(case=_dump_draws())
