@@ -13,7 +13,6 @@ from bibuq import (
     DocType,
     fit_citation_error_model,
     fit_doctype_error_model,
-    mcmc_diagnostics,
     synthesize_training_sample,
     synthetic_confusion_table,
 )
@@ -27,7 +26,7 @@ def main() -> None:
     for index, label in enumerate(("intercept", "slope", "dispersion")):
         lo, mid, hi = np.quantile(flat[:, index], [0.025, 0.5, 0.975])
         print(f"  {label:<11} {mid:7.3f}  (95% interval {lo:.3f} to {hi:.3f})")
-    diag = mcmc_diagnostics(posterior)
+    diag = posterior.diagnostics
     print(f"  max split R-hat {max(diag.rhat.values()):.3f}, "
           f"min ESS {min(diag.ess.values()):.0f}, converged={diag.converged}")
     print()

@@ -212,14 +212,12 @@ def _print_fit_diagnostics(label: str, posterior: NegBinPosterior) -> None:
     diag = posterior.diagnostics
     print(f"{label}: {posterior.n_draws} draws "
           f"({posterior.config.chains} chains x {posterior.config.keep} kept)")
-    if diag is None:
-        return
     print(f"{'parameter':<16} {'split R-hat':>12} {'ESS':>10}")
     for name in diag.rhat:
         rhat = diag.rhat[name]
         rhat_text = f"{rhat:.4f}" if rhat == rhat else "n/a"
         print(f"{name:<16} {rhat_text:>12} {diag.ess[name]:>10.0f}")
-    acc = ", ".join(f"{a:.2f}" for a in diag.acceptance_rates)
+    acc = ", ".join(f"{a:.2f}" for a in posterior.acceptance_rates)
     print(f"acceptance per chain: {acc}")
     print(f"converged: {'yes' if diag.converged else 'NO (R-hat above threshold)'}")
 
@@ -255,8 +253,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         save_posterior(posterior, out_dir / CITATION_POSTERIOR_NAME)
         outputs.append(CITATION_POSTERIOR_NAME)
         _print_fit_diagnostics("citation error model", posterior)
-        if posterior.diagnostics is not None:
-            converged = converged and posterior.diagnostics.converged
+        converged = posterior.diagnostics.converged
     if confusion_path is not None:
         table = load_doctype_confusion(confusion_path)
         inputs.append(Path(confusion_path))
@@ -332,10 +329,9 @@ def _run_propagation(args: argparse.Namespace, direction: str) -> int:
     inputs.extend(model_inputs)
 
     config = _config_of(PropagationConfig, settings)
-    if args.strict and models.citation is not None and models.citation.diagnostics is not None:
-        if not models.citation.diagnostics.converged:
-            print("loaded citation model failed convergence and --strict is set", file=sys.stderr)
-            return EXIT_NOT_CONVERGED
+    if args.strict and models.citation is not None and not models.citation.diagnostics.converged:
+        print("loaded citation model failed convergence and --strict is set", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
     out_dir = _ensure_out_dir(args.out)
     dump = settings["dump_items"]

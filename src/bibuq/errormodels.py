@@ -83,6 +83,24 @@ def substream_rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    """Whether ``value`` is a finite Python or numpy real; a bool is not one.
+
+    An integer beyond the float range is not finite.
+    """
+    if not (_is_integer(value) or isinstance(value, (float, np.floating))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class NegBinModelSpec:
     """Model structure of the omitted-citation regression.
@@ -103,6 +121,10 @@ class NegBinModelSpec:
     def __post_init__(self) -> None:
         if self.direction not in _DIRECTIONS:
             raise UsageError(f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
+        for name in ("fixed_slope", "fixed_dispersion"):
+            value = getattr(self, name)
+            if value is not None and not _is_finite_number(value):
+                raise ValidationError(f"{name} must be a finite number or None, got {value!r}")
         if self.fixed_dispersion is not None and self.fixed_dispersion <= 0:
             raise ValidationError("fixed_dispersion must be > 0")
 
@@ -117,6 +139,11 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _is_integer(value):
+                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))
         if self.chains < 1:
             raise ValidationError("chains must be >= 1")
         if self.warmup < 100 or self.keep < 100:
@@ -127,17 +154,15 @@ class McmcConfig:
 
 @dataclass(frozen=True)
 class McmcDiagnostics:
-    """Split R-hat and effective sample size per free parameter."""
+    """Split R-hat and effective sample size per free parameter.
+
+    R-hat is NaN where it is unavailable (one chain, or fewer than 4
+    kept draws per chain), and ``converged`` is then vacuously true.
+    """
 
     rhat: dict[str, float]
     ess: dict[str, float]
-    acceptance_rates: tuple[float, ...]
     converged: bool
-    rhat_available: bool = True
-
-    def __post_init__(self) -> None:
-        # A posterior read back from JSON passes a list.
-        object.__setattr__(self, "acceptance_rates", tuple(self.acceptance_rates))
 
 
 @dataclass(frozen=True)
@@ -148,14 +173,16 @@ class NegBinPosterior:
     dispersion (dispersion on the natural scale, always positive).
     ``flat()`` runs chain-major; the predictive operations cycle through
     the draws with the chains interleaved instead (see
-    ``predictive.cycled_params``).
+    ``predictive.cycled_params``).  ``diagnostics`` is not an argument:
+    every posterior, fitted, loaded or built in code, computes it from
+    its own draws (:func:`mcmc_diagnostics`).
     """
 
     draws: np.ndarray
     spec: NegBinModelSpec = field(default_factory=NegBinModelSpec)
     config: McmcConfig = field(default_factory=McmcConfig)
     acceptance_rates: tuple[float, ...] = ()
-    diagnostics: McmcDiagnostics | None = None
+    diagnostics: McmcDiagnostics = field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.draws, dtype=np.float64)
@@ -167,7 +194,17 @@ class NegBinPosterior:
             raise ValidationError("posterior must contain at least one draw")
         if (arr[:, :, 2] <= 0).any():
             raise ValidationError("all dispersion draws must be > 0")
+        rates = self.acceptance_rates
+        if not isinstance(rates, (list, tuple, np.ndarray)) or (
+            len(rates) not in (0, arr.shape[0])
+            or not all(_is_finite_number(r) and 0 <= r <= 1 for r in rates)
+        ):
+            raise ValidationError(
+                "acceptance_rates must be empty or one number in [0, 1] per chain"
+            )
+        object.__setattr__(self, "acceptance_rates", tuple(float(r) for r in rates))
         object.__setattr__(self, "draws", arr)
+        object.__setattr__(self, "diagnostics", mcmc_diagnostics(self))
 
     @property
     def n_chains(self) -> int:
@@ -209,6 +246,10 @@ class DirichletPosterior:
             raise ValidationError("every conditioning row needs a positive total")
         if self.direction not in _DIRECTIONS:
             raise UsageError(f"direction must be one of {_DIRECTIONS}")
+        if not _is_finite_number(self.pseudocount) or self.pseudocount < 0:
+            raise ValidationError(
+                f"pseudocount must be a finite number >= 0, got {self.pseudocount!r}"
+            )
         object.__setattr__(self, "concentrations", arr)
 
     def row(self, conditioning: DocType) -> np.ndarray:
@@ -509,10 +550,7 @@ def fit_citation_error_model(
         config=config,
         acceptance_rates=acceptance,
     )
-    diag = mcmc_diagnostics(posterior)
-    # Nothing else holds the posterior yet, so its diagnostics can be
-    # attached in place instead of validating the draws a second time.
-    object.__setattr__(posterior, "diagnostics", diag)
+    diag = posterior.diagnostics
     if not diag.converged:
         warnings.warn(
             f"citation error model did not converge: max split R-hat "
@@ -527,8 +565,8 @@ def mcmc_diagnostics(posterior: NegBinPosterior) -> McmcDiagnostics:
     """Compute split R-hat and ESS per free parameter of a posterior.
 
     Dispersion is diagnosed on the log scale (the sampled coordinate).
-    R-hat needs at least two chains; with a single chain it is reported
-    as unavailable and convergence is judged vacuously true.
+    R-hat needs at least two chains of at least 4 kept draws each;
+    otherwise it is NaN and convergence is judged vacuously true.
     """
     spec = posterior.spec
     series: dict[str, np.ndarray] = {"intercept": posterior.draws[:, :, 0]}
@@ -537,20 +575,14 @@ def mcmc_diagnostics(posterior: NegBinPosterior) -> McmcDiagnostics:
     if spec.fixed_dispersion is None:
         series["log_dispersion"] = np.log(posterior.draws[:, :, 2])
 
-    available = posterior.n_chains >= 2
+    available = posterior.n_chains >= 2 and posterior.draws.shape[1] >= 4
     rhat = {}
     ess = {}
     for name, chains in series.items():
         rhat[name] = mcmc.split_rhat(chains) if available else float("nan")
         ess[name] = mcmc.effective_sample_size(chains)
     converged = all(r < RHAT_THRESHOLD for r in rhat.values()) if available else True
-    return McmcDiagnostics(
-        rhat=rhat,
-        ess=ess,
-        acceptance_rates=tuple(posterior.acceptance_rates),
-        converged=converged,
-        rhat_available=available,
-    )
+    return McmcDiagnostics(rhat=rhat, ess=ess, converged=converged)
 
 
 def fit_doctype_error_model(
@@ -670,7 +702,7 @@ def save_posterior(posterior: NegBinPosterior | DirichletPosterior, path: str | 
             "config": asdict(posterior.config),
             "draws": posterior.draws.tolist(),
             "acceptance_rates": list(posterior.acceptance_rates),
-            "diagnostics": asdict(posterior.diagnostics) if posterior.diagnostics else None,
+            "diagnostics": asdict(posterior.diagnostics),
         }
     elif isinstance(posterior, DirichletPosterior):
         payload = {
@@ -735,8 +767,11 @@ def load_posterior(path: str | Path) -> NegBinPosterior | DirichletPosterior:
 
     A file that is not such a posterior (not a JSON object, a missing
     key, a key its model does not know, or a value the model rejects:
-    an array that is not numeric, ragged, mis-shaped or not finite)
-    raises ValidationError naming the file and the key.
+    an array that is not numeric, ragged, mis-shaped or not finite, or a
+    scalar of the wrong type or range) raises ValidationError naming the
+    file and the key.  A citation posterior's ``diagnostics`` block is
+    written for readers and never read back: the loaded posterior
+    diagnoses its own draws, so any value there loads.
     """
     payload = read_json_object(path, "posterior file")
     try:
@@ -759,17 +794,11 @@ def _posterior_from(payload: dict) -> NegBinPosterior | DirichletPosterior:
         config = _stored_fields("config", config, McmcConfig, also=_RETIRED_CONFIG)
         for name in _RETIRED_CONFIG:
             config.pop(name, None)
-        diag = payload.get("diagnostics")
         return NegBinPosterior(
             draws=_stored_numbers("draws", draws),
             spec=NegBinModelSpec(**spec),
             config=McmcConfig(**config),
-            acceptance_rates=tuple(rates),
-            diagnostics=(
-                McmcDiagnostics(**_stored_fields("diagnostics", diag, McmcDiagnostics))
-                if diag
-                else None
-            ),
+            acceptance_rates=rates,
         )
     if tag == _DIRICHLET_TAG:
         concentrations, direction, pseudocount = _stored(

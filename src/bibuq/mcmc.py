@@ -287,13 +287,15 @@ def effective_sample_size(chains: np.ndarray) -> float:
 
     Uses the multi-chain estimator with Geyer's initial monotone positive
     sequence truncation.  Returns m*n (no correction) for a series with
-    zero variance.
+    zero variance or fewer than 2 draws per chain.
     """
     chains = np.asarray(chains, dtype=np.float64)
     if chains.ndim == 1:
         chains = chains[None, :]
     m, n = chains.shape
     total = m * n
+    if n < 2:
+        return float(total)
     chain_var = chains.var(axis=1, ddof=1)
     within = chain_var.mean()
     var_plus = within * (n - 1) / n

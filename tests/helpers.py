@@ -2,7 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from bibuq.datamodel import DocType, Publication, PublicationSet
+
+
+def shifted_apart(draws) -> np.ndarray:
+    """Citation draws whose chain c has its intercepts moved up by 2c.
+
+    The chains then disagree, and split R-hat flags them.
+    """
+    shifted = np.array(draws, dtype=np.float64)
+    shifted[:, :, 0] += 2.0 * np.arange(shifted.shape[0])[:, None]
+    return shifted
 
 
 def make_pubset(unit: str, rows: list[tuple[str, int]], year: int = 2010) -> PublicationSet:

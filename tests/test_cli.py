@@ -25,6 +25,7 @@ from bibuq.simulation import (
 from bibuq.datamodel import PublicationSet, load_publications, write_publications
 from bibuq import cli
 from bibuq.cli import main
+from helpers import shifted_apart
 
 FAST_FIT = ["--chains", "2", "--warmup", "600", "--keep", "500", "--seed", "5"]
 
@@ -182,13 +183,12 @@ class TestFit:
         ).read_bytes()
 
     def test_strict_flags_non_convergence(self, workdir, tmp_path, monkeypatch, capsys):
-        # A fit whose diagnostics say it did not converge, made so on purpose.
+        # A fit whose chains do not mix, made so on purpose.
         real_fit = cli.fit_citation_error_model
 
         def unconverged_fit(*args, **kwargs):
             posterior = real_fit(*args, **kwargs)
-            diag = replace(posterior.diagnostics, converged=False)
-            return replace(posterior, diagnostics=diag)
+            return replace(posterior, draws=shifted_apart(posterior.draws))
 
         monkeypatch.setattr(cli, "fit_citation_error_model", unconverged_fit)
         argv = ["fit", "--citation-sample", str(workdir / "sample.csv"), *FAST_FIT]
@@ -729,8 +729,28 @@ class TestPropagate:
                 lambda v: [[[float("nan")] + row[1:] for row in v[0]]] + v[1:],
                 "draws must be finite",
             ),
+            (
+                "--doctype-model",
+                "pseudocount",
+                lambda v: "abc",
+                "pseudocount must be a finite number >= 0, got 'abc'",
+            ),
+            (
+                "--citation-model",
+                "acceptance_rates",
+                lambda v: 5,
+                "acceptance_rates must be empty or one number in [0, 1] per chain",
+            ),
         ],
-        ids=["doctype-string", "doctype-ragged", "doctype-nan", "citation-2-d", "citation-nan"],
+        ids=[
+            "doctype-string",
+            "doctype-ragged",
+            "doctype-nan",
+            "citation-2-d",
+            "citation-nan",
+            "doctype-pseudocount",
+            "citation-acceptance-rates",
+        ],
     )
     def test_malformed_posterior_values_are_usage_errors(
         self, workdir, tmp_path, capsys, flag, key, edit, message
@@ -841,6 +861,30 @@ class TestInject:
         second = tmp_path / "second"
         assert main(["inject", "--config", str(first / "run_manifest.json"), "--out", str(second)]) == 0
         assert_same_data_files(first, second)
+
+
+@pytest.mark.parametrize("command, models", [("propagate", "models2"), ("inject", "models1")])
+@pytest.mark.parametrize(
+    "edit, status",
+    [("shifted, stored converged", 3), ("shifted, stored null", 3), ("unedited", 0)],
+)
+def test_strict_judges_the_loaded_draws(workdir, tmp_path, capsys, command, models, edit, status):
+    # --strict on a loaded posterior diagnoses its draws, whatever its
+    # stored "diagnostics" block says.
+    path = workdir / models / "citation_posterior.json"
+    if edit != "unedited":
+        payload = json.loads(path.read_text())
+        payload["draws"] = shifted_apart(payload["draws"]).tolist()
+        payload["diagnostics"] = {**payload["diagnostics"], "converged": True}
+        if edit.endswith("null"):
+            payload["diagnostics"] = None
+        path = tmp_path / "citation_posterior.json"
+        path.write_text(json.dumps(payload))
+    argv = [command, "--pubs", str(workdir / "pubs.csv"), "--citation-model", str(path)]
+    argv += ["--channels", "citations", "--iterations", "5", "--strict"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == status
+    failed = "loaded citation model failed convergence and --strict is set"
+    assert (failed in capsys.readouterr().err) == (status == 3)
 
 
 # Config-file values of the wrong type, per command: (command, key, value).

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from bibuq.errormodels import (
 )
 
 import oracle
+from helpers import shifted_apart
 
 
 class TestNegBinPmf:
@@ -267,6 +270,48 @@ def _record_by_record_log_posterior(sample, spec, z):
     return np.array(out)
 
 
+def _same_diagnostics(first, second) -> bool:
+    """Equal diagnostics, NaN R-hats included."""
+    return json.dumps(asdict(first), sort_keys=True) == json.dumps(asdict(second), sort_keys=True)
+
+
+class TestPosteriorDiagnostics:
+    def test_fitted_loaded_and_built_posteriors_diagnose_their_draws(
+        self, tmp_path, second_kind_posterior
+    ):
+        path = tmp_path / "citation.json"
+        save_posterior(second_kind_posterior, path)
+        built = NegBinPosterior(draws=second_kind_posterior.draws[:, :50])
+        for posterior in (second_kind_posterior, load_posterior(path), built):
+            assert _same_diagnostics(posterior.diagnostics, mcmc_diagnostics(posterior))
+        assert second_kind_posterior.diagnostics.converged
+
+    @pytest.mark.parametrize("block", [{"converged": True}, None, "anything"])
+    def test_stored_block_is_not_read(self, tmp_path, second_kind_posterior, block):
+        path = tmp_path / "citation.json"
+        save_posterior(second_kind_posterior, path)
+        payload = json.loads(path.read_text())
+        payload["draws"] = shifted_apart(payload["draws"]).tolist()
+        payload["diagnostics"] = block
+        path.write_text(json.dumps(payload))
+        loaded = load_posterior(path)
+        assert not loaded.diagnostics.converged
+        assert max(loaded.diagnostics.rhat.values()) > 1.05
+
+    @pytest.mark.parametrize("chains, kept", [(1, 1), (2, 1), (2, 3), (1, 5), (3, 2), (2, 4)])
+    def test_small_posteriors_build_quietly(self, chains, kept):
+        draws = np.random.default_rng(0).uniform(0.5, 1.5, size=(chains, kept, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diag = NegBinPosterior(draws=draws).diagnostics
+        rhat = list(diag.rhat.values())
+        if chains >= 2 and kept >= 4:
+            assert all(math.isfinite(r) for r in rhat)
+        else:
+            assert all(math.isnan(r) for r in rhat) and diag.converged
+        assert all(0 < e <= chains * kept for e in diag.ess.values())
+
+
 class TestCitationLogPosterior:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -436,6 +481,48 @@ class TestPriorPredictive:
             assert lo >= 0.0
 
 
+# Scalar fields of posterior files, as key paths: the doctype model's
+# pseudocount and the citation model's others.
+_SCALAR_FIELDS = [
+    ("acceptance_rates",),
+    ("spec", "fixed_slope"),
+    ("spec", "fixed_dispersion"),
+    *(("config", name) for name in ("chains", "warmup", "keep", "seed")),
+    ("pseudocount",),
+]
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.just(10**400)
+    | st.floats()
+    | st.text(max_size=4)
+    | st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _edited_posterior(tmp_path, doctype_posterior, where, value):
+    """A posterior file with ``value`` at the key path ``where``.
+
+    The doctype posterior for its pseudocount, else ``_EARLIER_POSTERIOR``.
+    """
+    path = tmp_path / "posterior.json"
+    if where == ("pseudocount",):
+        save_posterior(doctype_posterior, path)
+        payload = json.loads(path.read_text())
+    else:
+        payload = json.loads(json.dumps(_EARLIER_POSTERIOR))
+    block = payload
+    for key in where[:-1]:
+        block = block[key]
+    block[where[-1]] = value
+    path.write_text(json.dumps(payload))
+    return path
+
+
 class TestPersistence:
     def test_negbin_round_trip(self, tmp_path, second_kind_posterior):
         path = tmp_path / "citation.json"
@@ -474,6 +561,9 @@ class TestPersistence:
         save_posterior(loaded, tmp_path / "again.json")
         current = json.loads(json.dumps(_EARLIER_POSTERIOR))
         del current["config"]["target_acceptance"]
+        # Every key keeps its bytes except "diagnostics", which is
+        # computed from the draws, never read back.
+        current["diagnostics"] = asdict(mcmc_diagnostics(loaded))
         text = json.dumps(current, sort_keys=True, indent=1) + "\n"
         assert (tmp_path / "again.json").read_text() == text
 
@@ -501,22 +591,6 @@ class TestPersistence:
             (lambda p: p.pop("config"), "posterior file has no 'config' key"),
             (lambda p: p.pop("acceptance_rates"), "no 'acceptance_rates' key"),
             (lambda p: p.update(config=[2, 100]), "'config' must be a JSON object"),
-            (
-                lambda p: p.update(diagnostics={"rhat": {}, "ess": {}, "converged": True}),
-                "'diagnostics' has no 'acceptance_rates' key",
-            ),
-            (
-                lambda p: p.update(
-                    diagnostics={
-                        "rhat": {},
-                        "ess": {},
-                        "acceptance_rates": [],
-                        "converged": True,
-                        "rhats": {},
-                    }
-                ),
-                "unknown key 'rhats' in 'diagnostics'",
-            ),
         ],
     )
     def test_citation_file_keys_checked(self, tmp_path, edit, message):
@@ -595,6 +669,75 @@ class TestPersistence:
         with pytest.raises(ValidationError) as info:
             load_posterior(path)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "where, value, message",
+        [
+            (
+                ("acceptance_rates",),
+                5,
+                "acceptance_rates must be empty or one number in [0, 1] per chain",
+            ),
+            (
+                ("acceptance_rates",),
+                "ab",
+                "acceptance_rates must be empty or one number in [0, 1] per chain",
+            ),
+            (
+                ("spec", "fixed_dispersion"),
+                "abc",
+                "fixed_dispersion must be a finite number or None, got 'abc'",
+            ),
+            (("config", "chains"), "2", "chains must be an integer, got '2'"),
+            (("config", "seed"), 1.5, "seed must be an integer, got 1.5"),
+            (("pseudocount",), "abc", "pseudocount must be a finite number >= 0, got 'abc'"),
+            (("pseudocount",), -1, "pseudocount must be a finite number >= 0, got -1"),
+            (("pseudocount",), True, "pseudocount must be a finite number >= 0, got True"),
+        ],
+        ids=[
+            "acceptance-rates-int",
+            "acceptance-rates-string",
+            "fixed-dispersion-string",
+            "chains-string",
+            "seed-float",
+            "pseudocount-string",
+            "pseudocount-negative",
+            "pseudocount-bool",
+        ],
+    )
+    def test_scalar_fields_checked(self, tmp_path, doctype_posterior, where, value, message):
+        path = _edited_posterior(tmp_path, doctype_posterior, where, value)
+        with pytest.raises(ValidationError) as info:
+            load_posterior(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(where=st.sampled_from(_SCALAR_FIELDS), value=_JSON_VALUES)
+    def test_any_json_scalar_loads_or_is_named(
+        self, tmp_path_factory, doctype_posterior, where, value
+    ):
+        # A scalar field of either model holding any JSON value either
+        # loads, keeping that value, or is a ValidationError naming the
+        # file: never another exception.
+        tmp_path = tmp_path_factory.mktemp("scalar")
+        path = _edited_posterior(tmp_path, doctype_posterior, where, value)
+        try:
+            loaded = load_posterior(path)
+        except ValidationError as err:
+            assert str(err).startswith(f"{path}: ")
+            return
+        save_posterior(loaded, tmp_path / "again.json")
+        again = json.loads((tmp_path / "again.json").read_text())
+        for key in where:
+            again = again[key]
+        assert again == value
+
+    def test_numpy_integer_config_is_saved_as_json(self, tmp_path):
+        config = McmcConfig(chains=np.int64(2), warmup=100, keep=100, seed=np.uint64(5))
+        assert all(type(value) is int for value in asdict(config).values())
+        path = tmp_path / "citation.json"
+        save_posterior(NegBinPosterior(draws=np.ones((2, 1, 3)), config=config), path)
+        assert load_posterior(path).config == config
 
     def test_unknown_direction_is_named(self, tmp_path, doctype_posterior):
         path = tmp_path / "doctype.json"
