@@ -210,8 +210,8 @@ def _ensure_out_dir(path: str) -> Path:
 
 def _print_fit_diagnostics(label: str, posterior: NegBinPosterior) -> None:
     diag = posterior.diagnostics
-    print(f"{label}: {posterior.n_draws} draws "
-          f"({posterior.config.chains} chains x {posterior.config.keep} kept)")
+    chains, kept, _ = posterior.draws.shape
+    print(f"{label}: {posterior.n_draws} draws ({chains} chains x {kept} kept)")
     print(f"{'parameter':<16} {'split R-hat':>12} {'ESS':>10}")
     for name in diag.rhat:
         rhat = diag.rhat[name]

@@ -175,12 +175,15 @@ class NegBinPosterior:
     the draws with the chains interleaved instead (see
     ``predictive.cycled_params``).  ``diagnostics`` is not an argument:
     every posterior, fitted, loaded or built in code, computes it from
-    its own draws (:func:`mcmc_diagnostics`).
+    its own draws (:func:`mcmc_diagnostics`).  ``config`` is the sampler
+    run that made the draws, None for draws made otherwise; its chain and
+    kept counts must be the draws' shape.  A parameter the ``spec`` pins
+    must hold its pinned value in every draw.
     """
 
     draws: np.ndarray
     spec: NegBinModelSpec = field(default_factory=NegBinModelSpec)
-    config: McmcConfig = field(default_factory=McmcConfig)
+    config: McmcConfig | None = None
     acceptance_rates: tuple[float, ...] = ()
     diagnostics: McmcDiagnostics = field(init=False)
 
@@ -194,6 +197,16 @@ class NegBinPosterior:
             raise ValidationError("posterior must contain at least one draw")
         if (arr[:, :, 2] <= 0).any():
             raise ValidationError("all dispersion draws must be > 0")
+        for name, column in (("fixed_slope", 1), ("fixed_dispersion", 2)):
+            pinned = getattr(self.spec, name)
+            if pinned is not None and (arr[:, :, column] != pinned).any():
+                raise ValidationError(f"{name} is {pinned!r}, but the draws hold other values")
+        config = self.config
+        if config is not None and (config.chains, config.keep) != arr.shape[:2]:
+            raise ValidationError(
+                f"config says {config.chains} chains x {config.keep} kept, "
+                f"but the draws hold {arr.shape[0]} x {arr.shape[1]}"
+            )
         rates = self.acceptance_rates
         if not isinstance(rates, (list, tuple, np.ndarray)) or (
             len(rates) not in (0, arr.shape[0])
@@ -694,12 +707,15 @@ _DIRICHLET_TAG = "dirichlet-doctype-error"
 
 
 def save_posterior(posterior: NegBinPosterior | DirichletPosterior, path: str | Path) -> None:
-    """Write a posterior to JSON.  Reruns produce byte-identical files."""
+    """Write a posterior to JSON.  Reruns produce byte-identical files.
+
+    A citation posterior without a sampler ``config`` stores null there.
+    """
     if isinstance(posterior, NegBinPosterior):
         payload = {
             "model": _NEGBIN_TAG,
             "spec": {**asdict(posterior.spec), **_PRIOR_RECORD},
-            "config": asdict(posterior.config),
+            "config": None if posterior.config is None else asdict(posterior.config),
             "draws": posterior.draws.tolist(),
             "acceptance_rates": list(posterior.acceptance_rates),
             "diagnostics": asdict(posterior.diagnostics),
@@ -768,8 +784,10 @@ def load_posterior(path: str | Path) -> NegBinPosterior | DirichletPosterior:
     A file that is not such a posterior (not a JSON object, a missing
     key, a key its model does not know, or a value the model rejects:
     an array that is not numeric, ragged, mis-shaped or not finite, or a
-    scalar of the wrong type or range) raises ValidationError naming the
-    file and the key.  A citation posterior's ``diagnostics`` block is
+    scalar of the wrong type or range, a ``config`` whose chain and kept
+    counts are not the draws' shape, or a parameter the ``spec`` pins
+    whose draws hold other values) raises ValidationError naming the file
+    and the key.  A citation posterior's ``diagnostics`` block is
     written for readers and never read back: the loaded posterior
     diagnoses its own draws, so any value there loads.
     """
@@ -791,13 +809,15 @@ def _posterior_from(payload: dict) -> NegBinPosterior | DirichletPosterior:
             stored = spec.pop(name, value)
             if stored != value:
                 raise ValidationError(f"{name} is {stored!r}, not the fixed {value}")
-        config = _stored_fields("config", config, McmcConfig, also=_RETIRED_CONFIG)
-        for name in _RETIRED_CONFIG:
-            config.pop(name, None)
+        if config is not None:
+            config = _stored_fields("config", config, McmcConfig, also=_RETIRED_CONFIG)
+            for name in _RETIRED_CONFIG:
+                config.pop(name, None)
+            config = McmcConfig(**config)
         return NegBinPosterior(
             draws=_stored_numbers("draws", draws),
             spec=NegBinModelSpec(**spec),
-            config=McmcConfig(**config),
+            config=config,
             acceptance_rates=rates,
         )
     if tag == _DIRICHLET_TAG:

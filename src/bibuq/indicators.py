@@ -174,34 +174,38 @@ def unit_indicators(units, n_units, citations, types, count, expected, sizes=Non
     ``sizes`` that many publications of one slot, type and cell, whose
     citations ``citations`` sums.  Per entry: ``units`` is its slot below
     ``n_units``, ``types`` its doctype code, ``count`` and ``expected``
-    the item count (0 for no cell) and mean citations of its cell.
+    the item count (0 for no cell) and mean citations of its cell.  The
+    per-entry arrays share one shape and are read in row-major order.
 
     Only core items count.  An item scores its citations over its cell's
     mean.  MNCS leaves out an item whose cell is empty and a cited item
     whose cell's mean is zero; an uncited one there scores 0.0
-    (degenerate but consistent).  Every sum is a ``bincount`` in entry
-    order.  Returns float P, C and MNCS (NaN where nothing was scored)
-    and int64 exclusions, each of length ``n_units``.
+    (degenerate but consistent).  Every sum is one ``bincount`` over all
+    entries in entry order, an entry the sum skips going to the spill
+    slot ``n_units``, which is cut off.  Returns float P, C and MNCS (NaN
+    where nothing was scored) and int64 exclusions, each of length
+    ``n_units``.
     """
+    units, citations, types, count, expected = (
+        np.ravel(a) for a in (units, citations, types, count, expected)
+    )
+    k = None if sizes is None else np.ravel(sizes)
+
+    def total(slot, weights=None):
+        return np.bincount(slot, weights=weights, minlength=n_units + 1)[:n_units]
+
     # Article and review codes come first in DOCTYPE_ORDER, so the core
     # items are those with code <= 1.
-    core = types <= 1
-    slot = units[core]
-    c = citations[core]
-    k = None if sizes is None else sizes[core]
-    mean = expected[core]
-    p = np.bincount(slot, weights=k, minlength=n_units).astype(np.float64)
-    c_total = np.bincount(slot, weights=c, minlength=n_units)
-    included = (count[core] > 0) & ((mean > 0) | (c == 0))
-    scores = np.divide(c, mean, out=np.zeros(c.shape), where=mean > 0)
-    num = np.bincount(slot[included], weights=scores[included], minlength=n_units)
-    den = np.bincount(
-        slot[included], weights=None if k is None else k[included], minlength=n_units
-    )
+    slot = np.where(types <= 1, units, n_units)
+    included = (count > 0) & ((expected > 0) | (citations == 0))
+    scored = np.where(included, slot, n_units)
+    scores = np.divide(citations, expected, out=np.zeros(expected.shape), where=expected > 0)
+    p = total(slot, k).astype(np.float64)
+    c_total = total(slot, citations)
+    num = total(scored, scores)
+    den = total(scored, k)
     mncs_values = np.where(den > 0, num / np.maximum(den, 1), np.nan)
-    excluded = np.bincount(
-        slot[~included], weights=None if k is None else k[~included], minlength=n_units
-    )
+    excluded = total(np.where(included, n_units, slot), k)
     return p, c_total, mncs_values, excluded.astype(np.int64)
 
 

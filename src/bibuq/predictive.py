@@ -159,22 +159,24 @@ def draw_doctype_counts(
 ) -> np.ndarray:
     """Per-category counts of groups of items, one multinomial per group.
 
-    Group g has ``sizes[g]`` items, all conditioned on the category
+    ``prob_rows`` is (c, k): a probability vector over k categories per
+    conditioning category, or (rows, c, k) for a block of rows.  Group g
+    has ``sizes[g]`` items, all conditioned on the category
     ``conditioning_codes[g]``.  Given ``prob_rows`` the items are iid
-    categorical on that row, so the tally of their ``draw_doctype_codes``
-    codes is Multinomial(``sizes[g]``, ``prob_rows[conditioning_codes[g]]``):
-    this draws it directly, in time proportional to the groups rather than
-    the items.  Returns a (groups, 4) integer array, (rows, groups, 4)
-    for a (rows, k, 4) block of probability rows; each group's counts sum
-    to ``sizes[g]`` and a zero-probability category gets 0.
+    categorical on that row, so the tally of their categories (with k = 4,
+    of their ``draw_doctype_codes`` codes) is Multinomial(``sizes[g]``,
+    ``prob_rows[conditioning_codes[g]]``): this draws it directly, in time
+    proportional to the groups rather than the items.  Returns a (groups,
+    k) integer array, (rows, groups, k) for a block; each group's counts
+    sum to ``sizes[g]`` and a zero-probability category gets 0.
     """
     return rng.multinomial(sizes, prob_rows[..., conditioning_codes, :])
 
 
 def sample_probability_rows(rng: np.random.Generator, concentrations: np.ndarray) -> np.ndarray:
-    """One Dirichlet draw per row of a (k, 4) concentration array.
+    """One Dirichlet draw per row of a (c, k) concentration array.
 
-    A (rows, k, 4) array, a block of rows, works the same way.  Rows
+    A (rows, c, k) array, a block of rows, works the same way.  Rows
     whose gamma draws all underflow to zero (possible only for vanishing
     concentrations) fall back to a point mass on the row's largest
     concentration.

@@ -31,23 +31,29 @@ columns a block is one iteration, keyed by (seed, iteration).
 
 Given the parameter draw, publications with the same unit (or the
 reference set), cell group, citation count and recorded doctype are iid,
-so the kernel groups them.  With doctype redraws its columns are (unit,
-cell group, citation count) x new doctype: the groups that differ only
-in recorded doctype form one run and share its 4 columns, since the
-omitted-count law never reads the recorded doctype.  One multinomial per
-group over its recorded doctype's probability row puts k of its
-publications under each new doctype, a run adds up its groups' tallies,
-and the omitted citations of a column's k items are one gamma-Poisson
-sum, ``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law
-of k summed negative binomial draws whatever the items' recorded
-doctypes.  Without doctype redraws a column is a group.  Cell sums and
-counts and the indicators follow exactly from these per-column draws.
-A publication is a group and a run of its own where exactness needs its
-own value: first-kind citation redraws (the clamp at zero), uncited unit
-publications under reference-only normalization (the zero-mean-cell
-rule), and runs with an item dump.  When four columns per group (one
-without doctype redraws) would not narrow the kernel, every publication
-is drawn on its own, in layout order, one uniform for its doctype.
+so the kernel groups them.  P, C and MNCS count core items only
+(articles and reviews), and a letter or an "other" item falls only in a
+non-core cell, which no score reads.  So with doctype redraws the
+kernel's columns are (unit, cell group, citation count) x new core
+doctype: the groups that differ only in recorded doctype form one run
+and share its 2 columns, since the omitted-count law never reads the
+recorded doctype.  One multinomial per group over (article, review,
+non-core), drawn from its recorded doctype's Dirichlet row with the two
+non-core concentrations summed, puts k of its publications under each
+new core doctype, a run adds up its groups' tallies, and the omitted
+citations of a column's k items are one gamma-Poisson sum,
+``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law of k
+summed negative binomial draws whatever the items' recorded doctypes.
+The items redrawn as non-core get no column and no citation draw.
+Without doctype redraws a column is a group.  Cell sums and counts of
+the core cells and the indicators follow exactly from these per-column
+draws.  A publication is a group and a run of its own where exactness
+needs its own value: first-kind citation redraws (the clamp at zero),
+uncited unit publications under reference-only normalization (the
+zero-mean-cell rule), and runs with an item dump.  When the grouped
+columns (two per run with doctype redraws, one per group without) would
+not be fewer than the publications, every publication is drawn on its
+own, in layout order, one uniform for its doctype.
 """
 
 from __future__ import annotations
@@ -302,18 +308,20 @@ class _Workspace:
     The kernel works on columns.  When grouping would not narrow it
     (``per_item``), column j is publication j and its doctype is redrawn
     in place from ``col_types``.  Without doctype redraws a column is a
-    group.  With them a column is a (run, new doctype) cell, ``run * 4 +
-    doctype``: a run is the groups that share unit slot, cell group,
+    group.  With them a column is a (run, new core doctype) cell, ``run *
+    2 + doctype``: a run is the groups that share unit slot, cell group,
     citation count and singleton id and differ only in their recorded
     doctype, which the omitted-count law never reads.  ``group_sizes``
     holds each group's item count and ``group_types`` its recorded
-    (first kind: true) doctype, the row a multinomial over its new
-    doctypes is drawn from; ``run_starts`` indexes each run's first
-    group, where its tallies start.  Without doctype redraws the sizes
-    are the columns' fixed counts.  Unit columns come first, ``n_ucols``
-    of them.  A column's cell key is ``col_base`` (its cell group times
-    4) plus its doctype, below ``n_cells``; ``norm`` selects the columns
-    counted in the normalization cells.
+    (first kind: true) doctype, the row a multinomial over article,
+    review and non-core is drawn from; ``run_starts`` indexes each run's
+    first group, where its tallies start.  Without doctype redraws the
+    sizes are the columns' fixed counts.  ``concentrations`` holds the
+    Dirichlet rows the doctype draws use: (4, 4) when ``per_item``, else
+    (4, 3) with the non-core categories merged.  Unit columns come first,
+    ``n_ucols`` of them.  A column's cell key is ``col_base`` (its cell
+    group times 4) plus its doctype, below ``n_cells``; ``norm`` selects
+    the columns counted in the normalization cells.
     """
 
     col_citations: np.ndarray
@@ -329,7 +337,7 @@ class _Workspace:
     n_cells: int
     n_units: int
     params: np.ndarray | None
-    dirichlet: DirichletPosterior | None
+    concentrations: np.ndarray | None
     config: PropagationConfig
     block_size: int
     publications: int
@@ -360,13 +368,14 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     ``ws.block_size`` and the block draws from the substream keyed by
     (seed, ``start // ws.block_size``), one call per kind of draw, each
     iteration one row of (iterations, ...) arrays.  In order: the
-    (iterations, 4, 4) Dirichlet gammas of the probability rows; the new
-    doctypes, (iterations, columns) uniforms when ``per_item`` and
-    otherwise one multinomial per (iteration, group) over the 4 new
-    doctypes, whose tallies a run's groups add into the run's 4 columns;
-    then the omitted citations, one gamma-Poisson sum per (iteration,
-    column) with its count of items and its iteration's parameter row,
-    all gammas before all Poissons.
+    Dirichlet gammas of the probability rows, (iterations, 4, 4) when
+    ``per_item`` and otherwise (iterations, 4, 3) over article, review
+    and non-core; the new doctypes, (iterations, columns) uniforms when
+    ``per_item`` and otherwise one multinomial per (iteration, group)
+    over those 3 categories, whose article and review tallies a run's
+    groups add into the run's 2 columns; then the omitted citations, one
+    gamma-Poisson sum per (iteration, column) with its count of items
+    and its iteration's parameter row, all gammas before all Poissons.
     The draws therefore depend on ``BLOCK_BUDGET`` and the column count,
     which set the block size, and on where the run's last block ends,
     but not on the worker count.  A block of one iteration is keyed by
@@ -377,19 +386,20 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     m = ws.col_citations.size
     rng = iteration_rng(cfg.seed, start // ws.block_size)
     # Items per column: none when every column is one publication, else
-    # the group sizes or, once doctypes are redrawn, the drawn counts
-    # summed over each run's groups.
+    # the group sizes or, once doctypes are redrawn, the drawn article and
+    # review counts summed over each run's groups.
     k = ws.group_sizes
     types = ws.col_types
     if CHANNEL_DOCTYPES in cfg.channels:
+        concentrations = ws.concentrations
         prob_rows = sample_probability_rows(
-            rng, np.broadcast_to(ws.dirichlet.concentrations, (rows, 4, 4))
+            rng, np.broadcast_to(concentrations, (rows,) + concentrations.shape)
         )
         if ws.per_item:
             types = draw_doctype_codes(rng, prob_rows, ws.col_types)
         else:
             tallies = draw_doctype_counts(rng, prob_rows, ws.group_sizes, ws.group_types)
-            k = np.add.reduceat(tallies, ws.run_starts, axis=1).reshape(rows, m)
+            k = np.add.reduceat(tallies[..., :2], ws.run_starts, axis=1).reshape(rows, m)
     c = ws.col_citations if k is None else k * ws.col_citations
     if CHANNEL_CITATIONS in cfg.channels:
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
@@ -402,11 +412,12 @@ def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
     """``_score_rows`` of the recorded data: one row, nothing redrawn.
 
     With doctype redraws a column holds its run's items recorded under its
-    doctype, summed over the run's groups as the kernel sums drawn tallies.
+    core doctype, summed over the run's groups as the kernel sums drawn
+    tallies; the run's non-core items are in no column.
     """
     k = ws.group_sizes
     if ws.run_starts is not None:
-        tallies = k[:, None] * np.eye(4, dtype=np.int64)[ws.group_types]
+        tallies = k[:, None] * np.eye(4, 2, dtype=np.int64)[ws.group_types]
         k = np.add.reduceat(tallies, ws.run_starts).ravel()
     c = ws.col_citations if k is None else k * ws.col_citations
     return _score_rows(ws, 1, c, ws.col_types, k)
@@ -488,9 +499,9 @@ def _build_workspace(
     item dump.  Groups sort by (unit slot, cell group, citation count,
     singleton id, recorded doctype); with doctype redraws the groups
     that agree on all but the last key form a run, which gets one column
-    per new doctype.  When four columns per group (one per group without
-    doctype redraws) would be no fewer than the publications, every
-    publication is its own column, in layout order.
+    per new core doctype.  When these columns (two per run with doctype
+    redraws, one per group without) would be no fewer than the
+    publications, every publication is its own column, in layout order.
     """
     if CHANNEL_CITATIONS in config.channels:
         if models.citation is None:
@@ -542,32 +553,41 @@ def _build_workspace(
         single[:] = True
     elif redraw_citations and not config.pooled_normalization:
         single[:n_unit_pubs] |= citations[:n_unit_pubs] == 0
-    if single.all():
-        n_exchangeable = n
-    else:
+    n_groups = n
+    group_sizes = group_types = run_starts = None
+    rep = np.arange(n)  # one column per publication, in layout order
+    col_types = dt_codes
+    concentrations = models.doctype.concentrations if redraw_doctypes else None
+    if not single.all():
         keys = (unit_slot, cellgroup, citations, np.where(single, np.arange(n), -1), dt_codes)
         order, starts = sorted_runs(keys)  # starts flags each group's first publication
-        n_exchangeable = int(starts.sum())
-    width = 4 * n_exchangeable if redraw_doctypes else n_exchangeable
-
-    group_sizes = group_types = run_starts = None
-    if width >= n:
-        # One column per publication, in layout order.
-        rep = np.arange(n)
-        col_types = dt_codes
-    else:
-        rep = order[starts]
-        group_sizes = np.diff(np.flatnonzero(np.append(starts, True)))
+        heads = order[starts]
+        n_groups = heads.size
         if redraw_doctypes:
-            group_types = dt_codes[rep]
             # The groups are already in key order, so this sort keeps them
             # and flags where a key other than the recorded doctype changes.
-            _, new_run = sorted_runs([key[rep] for key in keys[:-1]])
-            run_starts = np.flatnonzero(new_run)
-            rep = np.repeat(rep[run_starts], 4)
-            col_types = np.tile(np.arange(4, dtype=np.int64), run_starts.size)
+            _, new_run = sorted_runs([key[heads] for key in keys[:-1]])
+            runs = np.flatnonzero(new_run)
+            grouped = 2 * runs.size < n
         else:
-            col_types = dt_codes[rep]
+            grouped = n_groups < n
+        if grouped:
+            group_sizes = np.diff(np.flatnonzero(np.append(starts, True)))
+            if redraw_doctypes:
+                group_types = dt_codes[heads]
+                run_starts = runs
+                rep = np.repeat(heads[runs], 2)
+                col_types = np.tile(np.arange(2, dtype=np.int64), runs.size)
+                # A grouped draw tallies article, review and non-core.
+                # Merging two Dirichlet categories sums their concentrations,
+                # so these rows have the exact law of the four-way rows'
+                # first two entries and their sum of the last two.
+                concentrations = np.column_stack(
+                    [concentrations[:, :2], concentrations[:, 2:].sum(axis=1)]
+                )
+            else:
+                rep = heads
+                col_types = dt_codes[heads]
 
     # Groups sort by unit slot, so the unit columns come first.
     n_ucols = int(np.count_nonzero(unit_slot[rep] < len(units)))
@@ -593,12 +613,12 @@ def _build_workspace(
             if models.citation is not None
             else None
         ),
-        dirichlet=models.doctype,
+        concentrations=concentrations,
         config=config,
         block_size=max(1, BLOCK_BUDGET // max(rep.size, 1)),
         publications=n,
-        groups=n_exchangeable,
-        per_item=width >= n,
+        groups=n_groups,
+        per_item=group_sizes is None,
         ids=list(pool.ids) if keep_ids else None,
     )
 

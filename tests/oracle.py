@@ -12,9 +12,11 @@ keyed substreams by block, one substream per iteration, which a block of
 one iteration still reproduces.  The kernel draws one doctype
 multinomial and one citation sum per group of exchangeable publications
 instead, so it matches the oracle bit for bit only where every
-publication is its own group; elsewhere the probability rows are the
-same draws, P matches exactly only when doctypes are not redrawn, and
-the rest agree in distribution.
+publication is its own group.  Elsewhere P matches exactly only when
+doctypes are not redrawn, and the rest agree in distribution: a grouped
+doctype draw tallies article, review and non-core from Dirichlet rows
+whose two non-core categories are merged, and draws citations for the
+core tallies only.
 
 ``load_publications_rows`` is the row-by-row form of ``load_publications``:
 one ``csv.DictReader`` row and one validated ``Publication`` at a time,

@@ -887,6 +887,29 @@ def test_strict_judges_the_loaded_draws(workdir, tmp_path, capsys, command, mode
     assert (failed in capsys.readouterr().err) == (status == 3)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("fixed_slope", "fixed_slope is 0.0, but the draws hold other values"),
+        ("chains", "config says 5 chains x 500 kept, but the draws hold 2 x 500"),
+    ],
+)
+def test_strict_refuses_draws_their_file_misdescribes(workdir, tmp_path, capsys, edit, message):
+    # A file pinning the slope while its slope draws vary, or whose config
+    # names another chain count than its draws hold, is an input error.
+    payload = json.loads((workdir / "models2" / "citation_posterior.json").read_text())
+    if edit == "fixed_slope":
+        payload["spec"]["fixed_slope"] = 0.0
+    else:
+        payload["config"]["chains"] = 5
+    path = tmp_path / "citation_posterior.json"
+    path.write_text(json.dumps(payload))
+    argv = ["propagate", "--pubs", str(workdir / "pubs.csv"), "--citation-model", str(path)]
+    argv += ["--channels", "citations", "--iterations", "5", "--strict"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
 # Config-file values of the wrong type, per command: (command, key, value).
 # Each must exit 2 with an error naming the key, before any work is done.
 _WRONG_TYPES = [

@@ -736,8 +736,47 @@ class TestPersistence:
         config = McmcConfig(chains=np.int64(2), warmup=100, keep=100, seed=np.uint64(5))
         assert all(type(value) is int for value in asdict(config).values())
         path = tmp_path / "citation.json"
-        save_posterior(NegBinPosterior(draws=np.ones((2, 1, 3)), config=config), path)
+        save_posterior(NegBinPosterior(draws=np.ones((2, 100, 3)), config=config), path)
         assert load_posterior(path).config == config
+
+    def test_posterior_without_config_round_trips(self, tmp_path):
+        path = tmp_path / "citation.json"
+        save_posterior(NegBinPosterior(draws=np.ones((1, 3, 3))), path)
+        assert json.loads(path.read_text())["config"] is None
+        assert load_posterior(path).config is None
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["config"].update(chains=3), "config says 3 chains x 100 kept, but the draws hold 2 x 100"),
+        (lambda p: p["config"].update(keep=200), "config says 2 chains x 200 kept, but the draws hold 2 x 100"),
+        (lambda p: p.update(draws=p["draws"][:1]), "config says 2 chains x 100 kept, but the draws hold 1 x 100"),
+    ], ids=["chains", "keep", "draws"])
+    def test_config_must_match_the_draws(self, tmp_path, edit, message):
+        payload = json.loads(json.dumps(_EARLIER_POSTERIOR))
+        edit(payload)
+        path = tmp_path / "citation.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError) as info:
+            load_posterior(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("name, value, column", [
+        ("fixed_slope", 0.0, 1), ("fixed_dispersion", 1.25, 2)
+    ])
+    def test_pinned_parameter_must_hold_in_every_draw(self, tmp_path, name, value, column):
+        # The draws vary in the pinned column: rejected.  Pinned to the
+        # value every draw holds: loads.
+        payload = json.loads(json.dumps(_EARLIER_POSTERIOR))
+        payload["spec"][name] = value
+        path = tmp_path / "citation.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError) as info:
+            load_posterior(path)
+        assert str(info.value) == f"{path}: {name} is {value!r}, but the draws hold other values"
+        for chain in payload["draws"]:
+            for draw in chain:
+                draw[column] = value
+        path.write_text(json.dumps(payload))
+        assert getattr(load_posterior(path).spec, name) == value
 
     def test_unknown_direction_is_named(self, tmp_path, doctype_posterior):
         path = tmp_path / "doctype.json"
@@ -749,12 +788,16 @@ class TestPersistence:
             load_posterior(path)
 
 
-# A citation posterior as files record it, trimmed to one draw per chain.
+# A citation posterior as files record it: two chains of the 100 kept
+# draws its config names.
 _EARLIER_POSTERIOR = {
     "acceptance_rates": [0.31, 0.29],
     "config": {"chains": 2, "keep": 100, "seed": 5, "target_acceptance": 0.3, "warmup": 100},
     "diagnostics": None,
-    "draws": [[[-0.52, 0.41, 1.25]], [[-0.49, 0.38, 1.31]]],
+    "draws": [
+        [[-0.52 + 0.01 * (i % 7), 0.41 - 0.01 * (i % 5), 1.25 + 0.01 * (i % 3)] for i in range(100)],
+        [[-0.49 - 0.01 * (i % 6), 0.38 + 0.01 * (i % 4), 1.31 - 0.01 * (i % 5)] for i in range(100)],
+    ],
     "model": "negbin-citation-error",
     "spec": {
         "direction": "second-kind",

@@ -12,7 +12,9 @@ from bibuq.indicators import (
     KEY_DOCTYPE,
     KEY_DOCTYPE_YEAR_FIELD,
     build_normalization,
+    cell_means,
     indicators_for,
+    unit_indicators,
 )
 from helpers import make_pubset
 
@@ -220,3 +222,55 @@ def test_indicators_match_scalar_oracle_bit_for_bit(units, reference, key_mode, 
         assert got == want
         assert type(got.p) is int and type(got.c) is int
         assert _bits(got.mncs) == _bits(want.mncs)
+
+
+# Entries of a cell rebuild: (unit slot, or -1 for the reference set;
+# cell group; doctype code; citations; item count).
+_ENTRY = st.tuples(
+    st.integers(min_value=-1, max_value=2),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=1, max_value=5),
+)
+
+
+def _rebuild_and_score(entries, n_units, sized):
+    """Cell rebuild over every entry, then ``unit_indicators`` over the unit ones."""
+    slot, group, code, citations, k = (np.array(column) for column in zip(*entries))
+    cell = 4 * group + code
+    counts, means = cell_means(cell, citations, 4 * 3, k if sized else None)
+    unit = slot >= 0
+    return unit_indicators(
+        slot[unit],
+        n_units,
+        citations[unit],
+        code[unit],
+        counts[cell[unit]],
+        means[cell[unit]],
+        k[unit] if sized else None,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=st.lists(_ENTRY, min_size=1, max_size=30),
+    new_citations=st.lists(st.integers(min_value=0, max_value=40), min_size=30, max_size=30),
+    sized=st.booleans(),
+)
+def test_non_core_citations_never_change_the_indicators(entries, new_citations, sized):
+    # A letter or an "other" item is counted only in a non-core cell, and
+    # only core items are scored against a cell, so its citations reach
+    # no output, and neither does the item: the grouped kernel gives such
+    # items no column and draws no citations for them.
+    n_units = 3
+    before = _rebuild_and_score(entries, n_units, sized)
+    changed = [
+        (slot, group, code, new if code > 1 else citations, k)
+        for (slot, group, code, citations, k), new in zip(entries, new_citations)
+    ]
+    core = [entry for entry in entries if entry[2] <= 1]
+    for other in [changed] + ([core] if core else []):
+        after = _rebuild_and_score(other, n_units, sized)
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b, equal_nan=True)

@@ -975,9 +975,11 @@ def _float_bits(value):
 # keyed a substream per iteration: re-pinned when the grouped columns
 # became (run, new doctype) cells, a run being the groups that differ
 # only in recorded doctype, and again when the observed values came to be
-# scored per kernel column (the observed MNCS of unit F moved by 1 ULP).
+# scored per kernel column (the observed MNCS of unit F moved by 1 ULP),
+# and when the grouped columns became (run, new core doctype) cells drawn
+# from a three-way doctype multinomial (no observed value moved).
 _PER_ITERATION_FIELD_KEYED_SHA256 = (
-    "369e50432a7a993f7877e527c021b2c50cc00ab0376102bb2b1371a546f2f634"
+    "d60c93b7cf1ab3d56fe351c5bc8572d912a6f97794c84c70509869bda5734b9f"
 )
 
 
@@ -1086,10 +1088,12 @@ def test_workspace_groups_exchangeable_publications(grouped_units, grouped_refer
     assert ws.publications == 6 * 32
     assert ws.groups == len(keys)
     assert not ws.per_item
-    # Four columns per run: the groups that differ only in recorded doctype.
+    # Two columns per run, one per core doctype: a run is the groups that
+    # differ only in recorded doctype.
     runs = {(u, year, field_name, c) for u, year, field_name, _, c in keys}
     assert len(runs) < len(keys)
-    assert ws.col_citations.size == 4 * len(runs)
+    assert ws.col_citations.size == 2 * len(runs)
+    assert (ws.col_types.reshape(-1, 2) == np.arange(2)).all()
     # Publications a dump run needs one by one are their own groups.
     dumped = _build_workspace(grouped_units, grouped_reference, small_models, cfg, keep_ids=True)
     assert dumped.per_item and dumped.groups == dumped.publications
@@ -1124,9 +1128,9 @@ def _run_shapes(ws):
     """Groups per run, items per run, and each run's citation count, in column order."""
     groups = np.diff(np.append(ws.run_starts, ws.groups))
     items = np.add.reduceat(ws.group_sizes, ws.run_starts)
-    citations = ws.col_citations.reshape(-1, 4)
+    citations = ws.col_citations.reshape(-1, 2)
     assert (citations == citations[:, :1]).all()
-    assert (ws.col_types.reshape(-1, 4) == np.arange(4)).all()
+    assert (ws.col_types.reshape(-1, 2) == np.arange(2)).all()
     return groups.tolist(), items.tolist(), citations[:, 0].tolist()
 
 
@@ -1142,8 +1146,8 @@ def test_groups_that_differ_only_in_recorded_doctype_share_columns(
         for u, pubset in enumerate(retyped_units + [retyped_reference])
         for pub in pubset
     }
-    assert ws.col_citations.size == 4 * len(keys) == 4 * (4 + 6)
-    assert ws.n_ucols == 4 * 4
+    assert ws.col_citations.size == 2 * len(keys) == 2 * (4 + 6)
+    assert ws.n_ucols == 2 * 4
     groups, items, citations = _run_shapes(ws)
     # Unit runs (counts 0, 2, 5, 11), then reference runs (0, 1, 2, 3, 5, 9).
     assert citations == [0, 2, 5, 11, 0, 1, 2, 3, 5, 9]
@@ -1167,7 +1171,7 @@ def test_uncited_unit_singletons_stay_unmerged_under_reference_only_normalizatio
         for u, pubset in enumerate(retyped_units + [retyped_reference])
         for pub in pubset
     }
-    assert ws.col_citations.size == 4 * len(keys) == 4 * (32 + 3 + 6)
+    assert ws.col_citations.size == 2 * len(keys) == 2 * (32 + 3 + 6)
     groups, items, citations = _run_shapes(ws)
     assert citations[:32] == [0] * 32
     assert groups[:32] == items[:32] == [1] * 32
@@ -1199,28 +1203,94 @@ _INVARIANT_ROW = st.tuples(st.sampled_from(_RETYPED_LABELS), st.integers(min_val
 def test_run_columns_hold_every_item_in_every_iteration(
     unit_rows, reference_rows, pooled, iterations, seed, small_models
 ):
-    """In every iteration a run's four column counts sum to the run's size."""
+    """Every iteration's three-way tallies cover each run, and its core ones fill the columns.
+
+    The (article, review, non-core) tallies of a run's groups sum to the
+    run's size, and the run's two columns hold its summed article and
+    review tallies.
+    """
     # At most 20 unit groups (all singletons) and 12 reference groups, so
-    # four columns per group stay below the 180 or more publications.
+    # two columns per run stay below the 180 or more publications.
     unit = make_pubset("U", unit_rows)
     reference = make_pubset("ref", reference_rows * 30)
     cfg = PropagationConfig(iterations=iterations, seed=seed, pooled_normalization=pooled)
     ws = _build_workspace([unit], reference, small_models, cfg)
     assert not ws.per_item
     run_sizes = np.add.reduceat(ws.group_sizes, ws.run_starts)
-    counts = []
-    draw_omitted = simulation.draw_omitted
+    tallies, counts = [], []
+    draw_doctype_counts, draw_omitted = simulation.draw_doctype_counts, simulation.draw_omitted
+
+    def recording_tallies(rng, prob_rows, sizes, codes):
+        tallies.append(draw_doctype_counts(rng, prob_rows, sizes, codes))
+        return tallies[-1]
 
     def recording(rng, params, log1p_predictor, k=None):
         counts.append(k)
         return draw_omitted(rng, params, log1p_predictor, k)
 
-    with mock.patch.object(simulation, "draw_omitted", recording):
+    with mock.patch.object(simulation, "draw_doctype_counts", recording_tallies), \
+            mock.patch.object(simulation, "draw_omitted", recording):
         propagate(unit, reference, small_models, cfg)
+    drawn = np.concatenate(tallies)
+    assert drawn.shape == (iterations, ws.groups, 3)
+    per_run = np.add.reduceat(drawn, ws.run_starts, axis=1)
+    assert (per_run.sum(axis=2) == run_sizes).all()
     k = np.concatenate(counts)
-    assert k.shape == (iterations, 4 * run_sizes.size)
-    assert (k >= 0).all()
-    assert (k.reshape(iterations, -1, 4).sum(axis=2) == run_sizes).all()
+    assert k.shape == (iterations, 2 * run_sizes.size)
+    assert np.array_equal(k.reshape(iterations, -1, 2), per_run[..., :2])
+
+
+@pytest.mark.parametrize("case", [0, 3])
+def test_grouped_doctype_redraws_draw_citations_for_core_columns_only(
+    case, grouped_units, grouped_reference, small_models
+):
+    # Both channels, drawn per group: every kernel column is an article or
+    # review column, and those are the only columns whose omitted
+    # citations are drawn.
+    cfg = _case_config(case, 9)
+    ws = _build_workspace(grouped_units, grouped_reference, small_models, cfg)
+    assert not ws.per_item
+    assert set(ws.col_types.tolist()) == {0, 1}
+    seen = []
+    draw_omitted = simulation.draw_omitted
+
+    def recording(rng, params, log1p_predictor, k=None):
+        seen.append((log1p_predictor, k))
+        return draw_omitted(rng, params, log1p_predictor, k)
+
+    with mock.patch.object(simulation, "draw_omitted", recording):
+        propagate(grouped_units, grouped_reference, small_models, cfg)
+    assert seen
+    for log1p_predictor, k in seen:
+        assert np.array_equal(log1p_predictor, ws.col_log1p)
+        assert k.shape[1] == ws.col_types.size
+
+
+@pytest.fixture(scope="module")
+def correct_small_shaped():
+    # Two units and a reference set sized and cited like the correct-small
+    # benchmark workload: 99 exchangeable groups in 75 runs over 290
+    # publications.
+    return generate_scenario(
+        ScenarioConfig(
+            unit_sizes={"A": 40, "B": 50},
+            unit_locations={"A": 1.6, "B": 2.0},
+            reference_size=200,
+            reference_location=1.8,
+            seed=0,
+        )
+    )
+
+
+def test_run_width_layout_agrees_with_oracle_in_distribution(correct_small_shaped, small_models):
+    # Four columns per group would not narrow this kernel, so it used to
+    # draw per publication; two columns per run do.
+    units, reference = correct_small_shaped
+    cfg = PropagationConfig(iterations=_AGREEMENT_ITERATIONS, seed=61)
+    ws = _build_workspace(units, reference, small_models, cfg)
+    assert 4 * ws.groups >= ws.publications > ws.col_citations.size
+    result = propagate(units, reference, small_models, cfg)
+    _assert_same_law(result, units, reference, small_models, cfg)
 
 
 def test_workers_agree_when_blocks_do_not_divide_iterations(
@@ -1350,11 +1420,15 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # observed values came to be scored by the kernel's own cell rebuild:
 # a grouped run's observed MNCS sums one k * c / mean per column instead
 # of k per-item terms and moved by at most 4 ULP; no replicate moved.
+# "4" and "field-keyed" were re-pinned when a grouped run came to carry
+# only its two core-doctype columns, its groups' doctypes drawn three-way
+# (article, review, non-core): the replicate streams moved, no observed
+# value did.
 _PINNED_REPORT_SHA256 = {
     "2": "42b74269689fcfc95fc3c80d6f1d80f2315cc9f4c0277bfd3671f64fef834740",
-    "4": "5cb74f9670b4168c89aa0f46234115d7d6f34098a0c70553a69a670106c740a2",
+    "4": "153ff780f43bcf3d935a11b08666ab99b1c1e4706798d7ed30418ea22636ae83",
     "A3": "bfef574c127e8ce3df8b7b9044fc9b23a903298411e29d0415b4f33ad04e6238",
-    "field-keyed": "a3a0dfd5bc884cc530b33800e69928b1fcd94f9caf081420a926426190dc1924",
+    "field-keyed": "d06e5c22badf495d372029148e2ef2edef59110620e50a3ffa85676b0e8898c1",
 }
 
 
