@@ -8,9 +8,11 @@ yields a ``Publication`` view of each row.  Error-model training data
 comes in two forms: paired observed/omitted citation counts from a manual
 correction audit, and a document-type confusion table of true vs observed
 labels.  All CSV readers share one column reader: a single ``csv.reader``
-pass, then whole-column conversion and checks.  They validate eagerly and
-report the offending line.  Every JSON file the package writes or reads
-goes through ``write_json`` or ``read_json_object``, and every CSV file it
+pass that yields the cells of up to ``LOAD_CHUNK`` records at a time, so
+a load holds the raw strings of one chunk and not of the whole file.
+Each chunk is converted and checked as it arrives.  The readers validate
+eagerly and report the offending line.  Every JSON file the package
+writes or reads goes through ``write_json`` or ``read_json_object``, and every CSV file it
 writes through ``write_csv``, save the item dump of
 ``predictive.write_predictive_draws``.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -448,6 +450,9 @@ _PUB_HEADER = ["id", "unit", "doctype", "year", "field", "citations"]
 _SAMPLE_HEADER = ["observed_citations", "omitted_citations"]
 _CONFUSION_HEADER = ["true_type", "observed_type", "count"]
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+# Records per chunk of the CSV readers: a load holds the raw cells of one
+# chunk, not of the whole file.
+LOAD_CHUNK = 4096
 
 
 def write_json(payload, path: str | Path) -> None:
@@ -477,12 +482,14 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def _read_columns(path: Path, expected: list[str]) -> list[list[str]]:
-    """The raw cells of each ``expected`` column, one per non-blank record.
+def _read_columns(path: Path, expected: list[str]) -> Iterator[list[list[str]]]:
+    """The raw cells of each ``expected`` column, in chunks of records.
 
-    One ``csv.reader`` pass appends each cell to its column's list.  Blank
-    lines are skipped, and a record shorter than the header reads "" for
-    its missing cells.  A file that is not UTF-8 or not CSV raises a
+    Each chunk holds one list per column, with a cell for each of up to
+    ``LOAD_CHUNK`` consecutive non-blank records; only the last chunk is
+    shorter.  One ``csv.reader`` pass reads the file.  Blank lines are
+    skipped, and a record shorter than the header reads "" for its
+    missing cells.  A file that is not UTF-8 or not CSV raises a
     ValidationError naming it.
     """
     with path.open(newline="", encoding="utf-8") as handle:
@@ -493,19 +500,22 @@ def _read_columns(path: Path, expected: list[str]) -> list[list[str]]:
             if missing:
                 raise ValidationError(f"{path}: missing columns {missing}, header is {header}")
             position = {name: i for i, name in enumerate(header)}
-            columns: list[list[str]] = [[] for _ in expected]
-            cells = [(column.append, position[name]) for column, name in zip(columns, expected)]
-            width = max(i for _, i in cells) + 1
-            for row in reader:
-                if len(row) < width:
-                    if not row:
-                        continue
-                    row += [""] * (width - len(row))
-                for append, i in cells:
-                    append(row[i])
+            picks = [position[name] for name in expected]
+            width = max(picks) + 1
+            records = filter(None, reader)  # a blank line reads as []
+            while True:
+                columns: list[list[str]] = [[] for _ in expected]
+                cells = [(column.append, i) for column, i in zip(columns, picks)]
+                for row in islice(records, LOAD_CHUNK):
+                    if len(row) < width:
+                        row += [""] * (width - len(row))
+                    for append, i in cells:
+                        append(row[i])
+                if not columns[0]:
+                    break
+                yield columns
         except (UnicodeDecodeError, csv.Error) as err:
             raise ValidationError(f"{path}: not a UTF-8 CSV file ({err})") from None
-    return columns
 
 
 def _line_of(path: Path, record: int) -> int:
@@ -529,12 +539,13 @@ def _raise_first(path: Path, failures: list[tuple[int, str]]) -> None:
 
 
 def _int_column(
-    cells: list[str], column: str, minimum: int, failures: list[tuple[int, str]]
+    cells: list[str], column: str, minimum: int, failures: list[tuple[int, str]], start: int
 ) -> np.ndarray:
     """Parse a column of integer cells, listing its first failure.
 
-    On a cell that is not an integer (or not an int64) the values stop
-    short of it, so the minimum is checked on the cells before it.
+    ``start`` is the record index of the first cell.  On a cell that is
+    not an integer (or not an int64) the values stop short of it, so the
+    minimum is checked on the cells before it.
     """
     try:
         values = np.fromiter(map(int, cells), dtype=np.int64, count=len(cells))
@@ -545,16 +556,18 @@ def _int_column(
             try:
                 value = int(raw)
             except ValueError:
-                failures.append((k, f"{column} must be an integer, got {raw!r}"))
+                failures.append((start + k, f"{column} must be an integer, got {raw!r}"))
                 break
             if not _INT64_MIN <= value <= _INT64_MAX:
-                failures.append((k, f"{column} must fit in 64 bits, got {value}"))
+                failures.append((start + k, f"{column} must fit in 64 bits, got {value}"))
                 break
             parsed.append(value)
         values = np.array(parsed, dtype=np.int64)
     low = np.flatnonzero(values < minimum)
     if low.size:
-        failures.append((int(low[0]), f"{column} must be >= {minimum}, got {values[low[0]]}"))
+        failures.append(
+            (start + int(low[0]), f"{column} must be >= {minimum}, got {values[low[0]]}")
+        )
     return values
 
 
@@ -564,18 +577,18 @@ def _doctype_codes(cells: list[str]) -> np.ndarray:
     return np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))
 
 
-def _label_codes(cells: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Each cell's index into the stripped labels in first-seen order.
+def _label_codes(cells: list[str], labels: dict[str, int]) -> np.ndarray:
+    """Each cell's index into ``labels``, the stripped labels in first-seen order.
 
-    A cell that strips to "" gets -1.  Each distinct cell is stripped once.
+    A label not yet in ``labels`` is added to it, so the chunks of one
+    file share one table.  A cell that strips to "" gets -1.  Each
+    distinct cell of a chunk is stripped once.
     """
-    labels: dict[str, int] = {}
     code = {}
     for raw in dict.fromkeys(cells):
         label = raw.strip()
         code[raw] = labels.setdefault(label, len(labels)) if label else -1
-    codes = np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))
-    return codes, tuple(labels)
+    return np.fromiter(map(code.__getitem__, cells), dtype=np.int64, count=len(cells))
 
 
 def load_publications(path: str | Path) -> list[PublicationSet]:
@@ -585,34 +598,56 @@ def load_publications(path: str | Path) -> list[PublicationSet]:
     are parsed case-insensitively, unknown labels collapse to "other",
     and an empty field column becomes None.  Units appear in first-seen
     order.  Raises ValidationError naming the line for malformed cells
-    and for duplicate publication ids.  The file is read once into
-    columns, which are converted and checked whole; the line of a
-    failure is looked up only when a check fails.
+    and for duplicate publication ids.  The file is read once, in chunks
+    of ``LOAD_CHUNK`` records, and each chunk is converted and checked as
+    it arrives; the error of the earliest failing record is raised once
+    the whole file has been read, and its line is looked up only then.
     """
     path = Path(path)
-    id_cells, unit_cells, doctype_cells, year_cells, field_cells, citation_cells = (
-        _read_columns(path, _PUB_HEADER)
-    )
-    ids = tuple(map(str.strip, id_cells))
-    unit_slot, names = _label_codes(unit_cells)
+    ids: list[str] = []
+    seen: set[str] = set()
+    repeat = None
+    unit_labels: dict[str, int] = {}
+    field_labels: dict[str, int] = {}
     failures: list[tuple[int, str]] = []
-    if "" in ids:
-        failures.append((ids.index(""), "empty publication id"))
-    if unit_slot.size and unit_slot.min() < 0:
-        failures.append((int(np.argmin(unit_slot)), "empty unit name"))
-    repeat = _first_repeat(ids)
-    if repeat is not None:
-        failures.append((repeat, f"duplicate publication id {ids[repeat]!r}"))
-    years = _int_column(year_cells, "year", -(10**9), failures)
-    citations = _int_column(citation_cells, "citations", 0, failures)
+    parts: list[tuple[np.ndarray, ...]] = []
+    for id_cells, unit_cells, doctype_cells, year_cells, field_cells, citation_cells in (
+        _read_columns(path, _PUB_HEADER)
+    ):
+        start = len(ids)
+        chunk_ids = list(map(str.strip, id_cells))
+        unit_slot = _label_codes(unit_cells, unit_labels)
+        # Listed in the order a row-by-row reader checks a record's cells.
+        if "" in chunk_ids:
+            failures.append((start + chunk_ids.index(""), "empty publication id"))
+        if unit_slot.min() < 0:
+            failures.append((start + int(np.argmin(unit_slot)), "empty unit name"))
+        if repeat is None:
+            size = len(seen)
+            seen.update(chunk_ids)
+            if len(seen) < size + len(chunk_ids):
+                # The file's first repeat: no earlier chunk held one.
+                repeat = _first_repeat(ids + chunk_ids)
+                pid = chunk_ids[repeat - start]
+                failures.append((repeat, f"duplicate publication id {pid!r}"))
+        years = _int_column(year_cells, "year", -(10**9), failures, start)
+        citations = _int_column(citation_cells, "citations", 0, failures, start)
+        codes = _label_codes(field_cells, field_labels)
+        parts.append((unit_slot, citations, _doctype_codes(doctype_cells), years, codes))
+        ids += chunk_ids
     _raise_first(path, failures)
-    columns = (citations, _doctype_codes(doctype_cells), years, *_label_codes(field_cells))
+    if not ids:
+        return []
+    # Dropped as soon as they are done with, which lowers the load's peak.
+    del seen
+    unit_slot, citations, doctypes, years, fields = map(np.concatenate, zip(*parts))
+    del parts
+    columns = (citations, doctypes, years, fields, tuple(field_labels))
+    names = tuple(unit_labels)
 
     # Units in first-seen order; each keeps its rows in file order.
-    if len(names) <= 1:
-        return [
-            PublicationSet.from_columns(name, ids, (name,) * len(ids), *columns) for name in names
-        ]
+    if len(names) == 1:
+        return [PublicationSet.from_columns(names[0], ids, names * len(ids), *columns)]
     whole = PublicationSet.from_columns("", ids, [names[u] for u in unit_slot.tolist()], *columns)
     order = np.argsort(unit_slot, kind="stable")
     bounds = np.cumsum(np.bincount(unit_slot))[:-1]
@@ -629,16 +664,18 @@ def write_publications(sets: Iterable[PublicationSet], path: str | Path) -> None
 def load_citation_error_sample(path: str | Path) -> CitationErrorSample:
     """Read an observed/omitted citation-count CSV."""
     path = Path(path)
-    observed_cells, omitted_cells = _read_columns(path, _SAMPLE_HEADER)
     failures: list[tuple[int, str]] = []
-    observed = _int_column(observed_cells, "observed_citations", 0, failures)
-    omitted = _int_column(omitted_cells, "omitted_citations", 0, failures)
+    observed: list[np.ndarray] = []
+    omitted: list[np.ndarray] = []
+    rows = 0
+    for observed_cells, omitted_cells in _read_columns(path, _SAMPLE_HEADER):
+        observed.append(_int_column(observed_cells, "observed_citations", 0, failures, rows))
+        omitted.append(_int_column(omitted_cells, "omitted_citations", 0, failures, rows))
+        rows += len(observed_cells)
     _raise_first(path, failures)
-    if observed.size < 2:
-        raise ValidationError(
-            f"{path}: need at least 2 rows to fit a model, got {observed.size}"
-        )
-    return CitationErrorSample(observed, omitted)
+    if rows < 2:
+        raise ValidationError(f"{path}: need at least 2 rows to fit a model, got {rows}")
+    return CitationErrorSample(np.concatenate(observed), np.concatenate(omitted))
 
 
 def write_citation_error_sample(sample: CitationErrorSample, path: str | Path) -> None:
@@ -652,12 +689,16 @@ def load_doctype_confusion(path: str | Path) -> DocTypeConfusionTable:
     collapse-to-other rule as publications.
     """
     path = Path(path)
-    true_cells, observed_cells, count_cells = _read_columns(path, _CONFUSION_HEADER)
     failures: list[tuple[int, str]] = []
-    values = _int_column(count_cells, "count", 0, failures)
-    _raise_first(path, failures)
     counts = np.zeros(16, dtype=np.int64)
-    np.add.at(counts, 4 * _doctype_codes(true_cells) + _doctype_codes(observed_cells), values)
+    rows = 0
+    for true_cells, observed_cells, count_cells in _read_columns(path, _CONFUSION_HEADER):
+        values = _int_column(count_cells, "count", 0, failures, rows)
+        if not failures:  # else the values may stop short of the labels
+            cells = 4 * _doctype_codes(true_cells) + _doctype_codes(observed_cells)
+            np.add.at(counts, cells, values)
+        rows += len(count_cells)
+    _raise_first(path, failures)
     return DocTypeConfusionTable(counts.reshape(4, 4))
 
 

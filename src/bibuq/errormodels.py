@@ -158,6 +158,9 @@ class McmcDiagnostics:
 
     R-hat is NaN where it is unavailable (one chain, or fewer than 4
     kept draws per chain), and ``converged`` is then vacuously true.
+    R-hat and ESS are also NaN for a parameter whose draws overflow their
+    arithmetic (magnitudes near the float limit, such as ±1e300); with two
+    or more chains of 4 or more draws, ``converged`` is then false.
     """
 
     rhat: dict[str, float]
@@ -591,9 +594,12 @@ def mcmc_diagnostics(posterior: NegBinPosterior) -> McmcDiagnostics:
     available = posterior.n_chains >= 2 and posterior.draws.shape[1] >= 4
     rhat = {}
     ess = {}
-    for name, chains in series.items():
-        rhat[name] = mcmc.split_rhat(chains) if available else float("nan")
-        ess[name] = mcmc.effective_sample_size(chains)
+    # Draws near the float limit overflow the variances and the FFT: their
+    # R-hat and ESS are NaN, quietly, and a NaN R-hat is never converged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, chains in series.items():
+            rhat[name] = mcmc.split_rhat(chains) if available else float("nan")
+            ess[name] = mcmc.effective_sample_size(chains)
     converged = all(r < RHAT_THRESHOLD for r in rhat.values()) if available else True
     return McmcDiagnostics(rhat=rhat, ess=ess, converged=converged)
 

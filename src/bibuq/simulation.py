@@ -59,7 +59,6 @@ own, in layout order, one uniform for its doctype.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import sys
 import warnings
@@ -715,6 +714,9 @@ def propagate(
         if processes == 1:
             blocks = (_simulate_block(ws, lo, hi) for lo, hi in bounds)
         else:
+            # Imported only here: it is about a tenth of `import bibuq`.
+            import multiprocessing
+
             pool = stack.enter_context(
                 multiprocessing.Pool(processes=processes, initializer=_init_worker, initargs=(ws,))
             )

@@ -127,6 +127,21 @@ class TestHelpAndVersion:
         assert "bibuq.errormodels" in imported
         assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["-c", "import bibuq"], ["-m", "bibuq.cli", "--help"]],
+        ids=["import", "cli-help"],
+    )
+    def test_multiprocessing_is_imported_only_for_a_pool(self, argv):
+        # propagate imports it when it opens a worker pool.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "bibuq.simulation" in imported
+        assert not [name for name in imported if name.split(".")[0] == "multiprocessing"]
+
 
 class TestStats:
     def test_embedded_audit(self):

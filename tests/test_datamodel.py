@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracle
 
+from bibuq import datamodel
 from bibuq.datamodel import (
     EMBEDDED_SAMPLE_OBSERVED_CITATIONS,
     CitationErrorSample,
@@ -265,13 +267,12 @@ def _sets_or_error(load, path):
     return [(s.name, s.members) for s in sets]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
+_ORACLE_CASES = dict(
     header=st.permutations(["id", "unit", "doctype", "year", "field", "citations"]),
     rows=st.lists(_PUB_ROW, min_size=1, max_size=10),
     faults=st.lists(st.tuples(st.integers(0, 9), _FAULT), max_size=3),
 )
-@example(
+_ODD_IDS = example(
     header=["id", "unit", "doctype", "year", "field", "citations"],
     rows=[
         {"id": "\r", "unit": "A", "doctype": "article", "year": "2010", "field": "",
@@ -285,7 +286,7 @@ def _sets_or_error(load, path):
     ],
     faults=[(3, ("citations", "-1")), (2, ("blank line", None))],
 )
-@example(
+_REPEAT_AND_BAD_YEAR = example(
     header=["citations", "field", "year", "doctype", "unit", "id"],
     rows=[
         {"id": "a", "unit": "A", "doctype": "article", "year": "2010", "field": "x\ny",
@@ -295,8 +296,9 @@ def _sets_or_error(load, path):
     ],
     faults=[(1, ("repeated id", None)), (1, ("year", "-1000000001"))],
 )
-def test_column_loader_matches_row_oracle(tmp_path_factory, header, rows, faults):
-    """Same sets as the row-by-row reader, or the same ValidationError text."""
+
+
+def _assert_matches_row_oracle(tmp_path_factory, header, rows, faults):
     cells = [[row[c] for c in header] for row in rows]
     for k, row in enumerate(cells):
         row[header.index("id")] += str(k)  # unique unless a fault repeats one
@@ -324,6 +326,118 @@ def test_column_loader_matches_row_oracle(tmp_path_factory, header, rows, faults
     assert _sets_or_error(load_publications, path) == _sets_or_error(
         oracle.load_publications_rows, path
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(**_ORACLE_CASES)
+@_ODD_IDS
+@_REPEAT_AND_BAD_YEAR
+def test_column_loader_matches_row_oracle(tmp_path_factory, header, rows, faults):
+    """Same sets as the row-by-row reader, or the same ValidationError text."""
+    _assert_matches_row_oracle(tmp_path_factory, header, rows, faults)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@settings(max_examples=200, deadline=None)
+@given(**_ORACLE_CASES)
+@_ODD_IDS
+@_REPEAT_AND_BAD_YEAR
+@example(
+    # Multi-line cells, a blank line, a short row, and record 6 repeating
+    # record 3's id, which at chunks of 1-3 sits in an earlier chunk.
+    header=["unit", "id", "doctype", "year", "citations", "field"],
+    rows=[
+        {"id": "a", "unit": "A", "doctype": "article", "year": "2010", "field": "x\ny",
+         "citations": "2"},
+        {"id": "b\n", "unit": " B ", "doctype": "review", "year": "2011", "field": "bio",
+         "citations": "0"},
+        {"id": "c", "unit": "A", "doctype": "letter", "year": "2010", "field": "",
+         "citations": "5"},
+        {"id": "d", "unit": "b", "doctype": "note", "year": "2012", "field": "Bio",
+         "citations": "1"},
+        {"id": "e", "unit": "A", "doctype": "REVIEW", "year": "2013", "field": " phys ",
+         "citations": "3"},
+        {"id": "f", "unit": "C,D", "doctype": "article", "year": "2014", "field": "x\ny",
+         "citations": "4"},
+        {"id": "g", "unit": "A", "doctype": "article", "year": "2015", "field": "",
+         "citations": "6"},
+    ],
+    faults=[(3, ("blank line", None)), (4, ("short row", 5)), (6, ("repeated id", None))],
+)
+@example(
+    header=["id", "unit", "doctype", "year", "field", "citations"],
+    rows=[
+        {"id": "a", "unit": "A", "doctype": "article", "year": "2010", "field": "",
+         "citations": "2"},
+    ] * 8,
+    # Bad cells past the first chunk; the earliest, record 5's year, wins.
+    faults=[(7, ("citations", "x")), (5, ("year", "-1000000001")), (6, ("unit", " "))],
+)
+def test_chunked_loader_matches_row_oracle(tmp_path_factory, chunk, header, rows, faults):
+    """The same at chunks of 1-3 records: chunk ends fall on blank lines,
+    short rows and multi-line cells, between repeated ids, and before bad
+    cells."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datamodel, "LOAD_CHUNK", chunk)
+        _assert_matches_row_oracle(tmp_path_factory, header, rows, faults)
+
+
+def test_load_peak_stays_under_three_times_what_the_sets_keep(tmp_path):
+    """A 40,000-row load holds the raw cells of one chunk at a time, so its
+    traced peak stays under three times the memory of the sets it returns
+    (a whole-file read peaked at about four times)."""
+    rng = np.random.default_rng(0)
+    n = 40_000
+    path = tmp_path / "reference.csv"
+    columns = (
+        [f"R-{k:05d}" for k in range(n)],
+        ["reference"] * n,
+        rng.choice(["article", "review", "letter", "other"], n).tolist(),
+        rng.integers(2000, 2020, n).tolist(),
+        rng.choice(["medicine", "biology", "physics", ""], n).tolist(),
+        rng.negative_binomial(1, 0.1, n).tolist(),
+    )
+    write_csv(path, ["id", "unit", "doctype", "year", "field", "citations"], zip(*columns))
+    load_publications(path)  # one-off allocations of a first call are not counted
+    tracemalloc.start()
+    try:
+        sets = load_publications(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(s) for s in sets] == [n]
+    assert peak / kept < 3
+
+
+def _loaded_or_error(load, path):
+    try:
+        loaded = load(path)
+    except ValidationError as exc:
+        return str(exc)
+    return [np.asarray(value).tolist() for value in vars(loaded).values()]
+
+
+@pytest.mark.parametrize(
+    "load, body",
+    [
+        (load_citation_error_sample, "observed_citations,omitted_citations\n4,1\n\n3,0\n7,2\n"),
+        (load_citation_error_sample, "observed_citations,omitted_citations\n1,0\n\n2,0\n4,x\n"),
+        (load_citation_error_sample, 'observed_citations,omitted_citations\n"1\n",-2\n3, y\n'),
+        (load_citation_error_sample, "observed_citations,omitted_citations\n3,0\n-1,x\n"),
+        (load_doctype_confusion,
+         "true_type,observed_type,count\narticle,article,5\n\narticle,article,2\nreview,letter,1\n"),
+        (load_doctype_confusion,
+         "true_type,observed_type,count\narticle,article,5\nreview,letter, 2x \nnote,review,-1\n"),
+        (load_doctype_confusion, "true_type,observed_type,count\nreview,letter,1\nreview\n"),
+    ],
+)
+def test_audit_loaders_read_the_same_one_record_per_chunk(tmp_path, monkeypatch, load, body):
+    """Audit files give the same arrays, or the same error, at chunks of one record."""
+    path = tmp_path / "audit.csv"
+    path.write_text(body)
+    whole = _loaded_or_error(load, path)
+    monkeypatch.setattr(datamodel, "LOAD_CHUNK", 1)
+    assert _loaded_or_error(load, path) == whole
 
 
 class TestCitationSampleCsv:

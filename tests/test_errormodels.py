@@ -312,6 +312,28 @@ class TestPosteriorDiagnostics:
         assert all(0 < e <= chains * kept for e in diag.ess.values())
 
 
+    @pytest.mark.parametrize("chains_apart", [False, True], ids=["mixed", "chains-apart"])
+    def test_draws_near_the_float_limit_build_quietly_unconverged(self, tmp_path, chains_apart):
+        rng = np.random.default_rng(0)
+        draws = rng.uniform(0.5, 1.5, size=(4, 100, 3))
+        if chains_apart:
+            sign = np.array([1.0, -1.0, 1.0, -1.0])[:, None]
+            draws[:, :, 0] = sign * rng.uniform(0.5e300, 1e300, size=(4, 100))
+        else:
+            draws[:, :, 0] = rng.choice([-1e300, 1e300], size=(4, 100))
+        path = tmp_path / "citation.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            posterior = NegBinPosterior(draws=draws)
+            save_posterior(posterior, path)
+            loaded = load_posterior(path)
+        for diag in (posterior.diagnostics, loaded.diagnostics):
+            assert math.isnan(diag.rhat["intercept"]) and math.isnan(diag.ess["intercept"])
+            assert not diag.converged
+            # The other parameters are diagnosed as usual.
+            assert diag.rhat["slope"] < 1.05 and diag.ess["slope"] > 100
+
+
 class TestCitationLogPosterior:
     @settings(max_examples=60, deadline=None)
     @given(

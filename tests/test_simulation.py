@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import multiprocessing
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -360,7 +361,7 @@ class TestPropagate:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-process pool was opened")
 
-        monkeypatch.setattr(simulation.multiprocessing, "Pool", no_pool)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         capsys.readouterr()
         result = run(4)
         assert result.run_info["worker_processes"] == 1
@@ -1345,7 +1346,7 @@ def test_worker_chunks_hold_whole_blocks(
             calls.append((list(tasks), chunksize))
             return (fn(task) for task in tasks)
 
-    monkeypatch.setattr(simulation.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     expected = propagate(grouped_units, grouped_reference, small_models, cfg)
     for workers, chunksize in ((2, 5), (3, 3)):
         calls.clear()
