@@ -64,19 +64,23 @@ from .simulation import (
     IndicatorDistribution,
     PropagationConfig,
     PropagationResult,
-    ScenarioConfig,
-    generate_scenario,
-    list_exercises,
     propagate,
-    render_result_table,
-    run_exercise,
-    subseed,
     summarize,
-    synthesize_training_sample,
-    synthetic_confusion_table,
+)
+from .report import (
+    render_result_table,
     write_plot_summary,
     write_report_json,
     write_uncertainty_plot,
+)
+from .exercises import (
+    ScenarioConfig,
+    generate_scenario,
+    list_exercises,
+    run_exercise,
+    subseed,
+    synthesize_training_sample,
+    synthetic_confusion_table,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

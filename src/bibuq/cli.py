@@ -55,18 +55,17 @@ from .errormodels import (
     load_posterior,
     save_posterior,
 )
-from .simulation import (
-    FittedModels,
-    PropagationConfig,
-    list_exercises,
-    propagate,
+from .exercises import list_exercises, run_exercise
+from .report import (
+    read_report,
     render_report_table,
     render_result_table,
-    run_exercise,
+    report_header,
     write_plot_summary,
     write_report_json,
     write_uncertainty_plot,
 )
+from .simulation import FittedModels, PropagationConfig, propagate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -433,37 +432,9 @@ def _cmd_exercise(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_report(path: str, payload: dict) -> None:
-    """Reject a report that ``render_report_table`` cannot read, naming the place."""
-    keys = ("observed", "median", "ci_low", "ci_high", "relative_uncertainty_pct")
-    channels = payload.get("channels", [])
-    if not isinstance(channels, list) or not all(isinstance(c, str) for c in channels):
-        raise ValidationError(f"{path}: channels must be a list of strings")
-    if not isinstance(payload.get("units"), dict):
-        raise ValidationError(f"{path}: not a propagation report (no \"units\" object)")
-    for unit, records in payload["units"].items():
-        if not isinstance(records, dict):
-            raise ValidationError(f"{path}: unit {unit!r} must be a JSON object")
-        for indicator, record in records.items():
-            # Each a finite int or float, or null: no bool, NaN, infinity or missing key.
-            if not isinstance(record, dict) or not all(
-                value is None or type(value) in (int, float) and abs(value) <= sys.float_info.max
-                for value in (record.get(key, "") for key in keys)
-            ):
-                raise ValidationError(
-                    f"{path}: unit {unit!r} indicator {indicator!r} must hold "
-                    f"{', '.join(keys)}, each a number or null"
-                )
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    payload = read_json_object(args.report, "report")
-    _check_report(args.report, payload)
-    direction = payload.get("direction", SECOND_KIND)
-    print(
-        f"direction={direction}, channels={'+'.join(payload.get('channels', []))}, "
-        f"iterations={payload.get('iterations')}, seed={payload.get('seed')}"
-    )
+    payload = read_report(args.report)
+    print(report_header(payload))
     print(render_report_table(payload))
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from bibuq.errormodels import (
     fit_citation_error_model,
     fit_doctype_error_model,
 )
-from bibuq.simulation import synthesize_training_sample, synthetic_confusion_table
+from bibuq.exercises import synthesize_training_sample, synthetic_confusion_table
 
 settings.register_profile("ci", derandomize=True, print_blob=True)
 

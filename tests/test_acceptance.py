@@ -39,24 +39,26 @@ from bibuq.errormodels import (
     negbin_rvs,
     prior_predictive_check,
 )
+from bibuq.exercises import (
+    ScenarioConfig,
+    generate_scenario,
+    run_exercise,
+    synthesize_training_sample,
+    synthetic_confusion_table,
+)
 from bibuq.indicators import build_normalization, indicators_for
 from bibuq.predictive import (
     predict_error_affected_citations,
     predict_error_free_citations,
 )
+from bibuq.report import report_payload
 from bibuq.simulation import (
     CHANNEL_CITATIONS,
     CHANNEL_DOCTYPES,
     FittedModels,
     PropagationConfig,
-    ScenarioConfig,
-    generate_scenario,
     propagate,
-    run_exercise,
-    synthesize_training_sample,
-    synthetic_confusion_table,
 )
-from bibuq.simulation import _result_payload
 from helpers import make_pubset
 
 
@@ -356,7 +358,7 @@ def test_criterion_09_determinism_across_workers(tmp_path):
     payloads = []
     for workers in (1, 2, 8):
         report = run_exercise("2", iterations=300, seed=11, workers=workers)
-        payloads.append(json.dumps(_result_payload(report.result), sort_keys=True))
+        payloads.append(json.dumps(report_payload(report.result), sort_keys=True))
     assert payloads[0] == payloads[1] == payloads[2]
 
     # same guarantee through the command line, including the written report

@@ -15,13 +15,13 @@ import pytest
 
 from bibuq.datamodel import write_citation_error_sample, write_doctype_confusion
 from bibuq.errormodels import DirichletPosterior, McmcConfig, NegBinModelSpec
-from bibuq.simulation import (
-    PropagationConfig,
+from bibuq.exercises import (
     ScenarioConfig,
     generate_scenario,
     synthesize_training_sample,
     synthetic_confusion_table,
 )
+from bibuq.simulation import PropagationConfig
 from bibuq.datamodel import PublicationSet, load_publications, write_publications
 from bibuq import cli
 from bibuq.cli import main
@@ -1179,6 +1179,9 @@ _RECORD = {
 }
 
 
+_BAD_DIRECTION = "direction must be 'second-kind' or 'first-kind', got "
+
+
 class TestReport:
     def test_renders_stored_report(self, workdir, tmp_path):
         out = tmp_path / "forreport"
@@ -1225,6 +1228,10 @@ class TestReport:
             (_json({"units": {"B": {"P": {"observed": 1}}}}), "unit 'B' indicator 'P'"),
             (_json({"channels": "citations", "units": {}}), "channels must be a list of strings"),
             (_json({"channels": [1], "units": {}}), "channels must be a list of strings"),
+            *(
+                (_json({"direction": bad, "units": {}}), f"{_BAD_DIRECTION}{text}")
+                for bad, text in (("first_kind", "'first_kind'"), (7, "7"), (None, "None"))
+            ),
         ],
     )
     def test_malformed_report_is_usage_error(self, content, message, tmp_path, capsys):

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bibuq import simulation
+from bibuq import exercises, simulation
+from bibuq.cli import main
 from bibuq.datamodel import (
     DocType,
     Publication,
@@ -27,14 +28,31 @@ from bibuq.datamodel import (
     ValidationError,
     doctype_index,
     sample_statistics,
+    write_json,
     write_publications,
 )
 from bibuq.errormodels import FIRST_KIND, SECOND_KIND, NegBinPosterior
+from bibuq.exercises import (
+    ScenarioConfig,
+    generate_scenario,
+    list_exercises,
+    run_exercise,
+    subseed,
+    synthesize_training_sample,
+    synthetic_confusion_table,
+)
 from bibuq.indicators import (
     KEY_DOCTYPE,
     KEY_DOCTYPE_YEAR_FIELD,
     build_normalization,
     indicators_for,
+)
+from bibuq.report import (
+    render_result_table,
+    report_payload,
+    write_plot_summary,
+    write_report_json,
+    write_uncertainty_plot,
 )
 from bibuq.simulation import (
     ALL_CHANNELS,
@@ -42,23 +60,12 @@ from bibuq.simulation import (
     CHANNEL_DOCTYPES,
     FittedModels,
     PropagationConfig,
-    ScenarioConfig,
-    generate_scenario,
     iteration_rng,
-    list_exercises,
     pool_processes,
     propagate,
-    render_result_table,
-    run_exercise,
-    subseed,
     summarize,
-    synthesize_training_sample,
-    synthetic_confusion_table,
-    write_plot_summary,
-    write_report_json,
-    write_uncertainty_plot,
 )
-from bibuq.simulation import _build_workspace, _result_payload
+from bibuq.simulation import _build_workspace
 from helpers import make_pubset
 
 import oracle
@@ -241,8 +248,8 @@ def test_synthesized_sample_bytes_are_pinned(seed):
 @pytest.mark.parametrize("kind", sorted(_PINNED_SCENARIO_SHA256))
 def test_exercise_scenario_bytes_are_pinned(tmp_path, kind):
     make = {
-        "second-kind": simulation._second_kind_scenario,
-        "first-kind": simulation._first_kind_scenario,
+        "second-kind": exercises._second_kind_scenario,
+        "first-kind": exercises._first_kind_scenario,
     }[kind]
     units, reference = generate_scenario(make(subseed(0, 1)))
     path = tmp_path / "pubs.csv"
@@ -334,7 +341,7 @@ class TestPropagate:
             res = propagate(
                 small_unit, reference=small_reference, models=small_models, config=cfg
             )
-            payloads.append(json.dumps(_result_payload(res), sort_keys=True))
+            payloads.append(json.dumps(report_payload(res), sort_keys=True))
         assert payloads[0] == payloads[1] == payloads[2]
 
     def test_pool_processes_capped_by_cpus_and_chunks(self):
@@ -537,8 +544,8 @@ class TestExercises:
     def test_exercise_is_deterministic(self):
         a = run_exercise("2", iterations=40, seed=9)
         b = run_exercise("2", iterations=40, seed=9)
-        assert json.dumps(_result_payload(a.result), sort_keys=True) == json.dumps(
-            _result_payload(b.result), sort_keys=True
+        assert json.dumps(report_payload(a.result), sort_keys=True) == json.dumps(
+            report_payload(b.result), sort_keys=True
         )
 
 
@@ -1439,6 +1446,45 @@ def test_exercise_report_bytes_are_pinned(tmp_path, name):
     path = tmp_path / "report.json"
     write_report_json(report.result, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_REPORT_SHA256[name]
+
+
+# sha256 of the other outputs of exercises "1" and "4" (300 iterations,
+# seed 0): the files `bibuq exercise --out` writes, the plot CSVs and
+# the `bibuq report` text of "4"'s report.json.
+_PINNED_OUTPUT_SHA256 = {
+    ("1", "exercise.json"): "8bdb1bea6496c65584395733e5f7a18263fb0c1620ccf6bbfa0a051867a5e0d0",
+    ("1", "exercise.txt"): "2639ee301b5f6d6ab21dae0bbe86d1f3857741cf5c2dd10d9679f21768981ee0",
+    ("4", "exercise.json"): "8d0eb1fe0cc8ae7e277b184df7c0bf7656198ace5edd4538d0f75b16e3a061c2",
+    ("4", "exercise.txt"): "23765639756ee41fa8b7bc04816432cc1066980e90efd2880545309ce6e5740e",
+    ("4", "plot_summary.csv"): "285d89cd2a6aa85ab750bc5918208952626058720094955a015497f6be5793f9",
+    ("4", "plot_uncertainty.csv"):
+        "1704bac71cc0b448e04742e1622073b3196a86473bc1d109a504688ffa6d2682",
+    ("4", "report table"): "d1362480380b2216b7a697b9455b22648d9b6034b0a5fe5e1d14133e6e2692dd",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_exercises():
+    return {name: run_exercise(name, iterations=300, seed=0) for name in ("1", "4")}
+
+
+@pytest.mark.parametrize("name, output", sorted(_PINNED_OUTPUT_SHA256))
+def test_exercise_output_bytes_are_pinned(tmp_path, capsys, pinned_exercises, name, output):
+    report = pinned_exercises[name]
+    path = tmp_path / output
+    if output == "exercise.json":
+        write_json(report.to_dict(), path)
+    elif output == "exercise.txt":
+        path.write_text(report.to_text() + "\n", encoding="utf-8")
+    elif output == "plot_summary.csv":
+        write_plot_summary(report.result, path)
+    elif output == "plot_uncertainty.csv":
+        write_uncertainty_plot(report.result, path)
+    else:
+        write_report_json(report.result, tmp_path / "report.json")
+        assert main(["report", str(tmp_path / "report.json")]) == 0
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_OUTPUT_SHA256[name, output]
 
 
 def test_field_keyed_report_bytes_are_pinned(
