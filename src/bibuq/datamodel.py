@@ -173,12 +173,7 @@ class PublicationSet:
         """
         if not sets:
             return cls(name)
-        labels: dict[str, int] = {}
-        fields = []
-        for pubset in sets:
-            codes = [labels.setdefault(label, len(labels)) for label in pubset.field_labels]
-            # A code of -1 picks the trailing -1: no field stays no field.
-            fields.append(np.array(codes + [-1], dtype=np.int64)[pubset.fields])
+        fields, field_labels = pooled_fields(sets)
         return cls.from_columns(
             name,
             ids=tuple(chain.from_iterable(s.ids for s in sets)),
@@ -186,8 +181,8 @@ class PublicationSet:
             citations=np.concatenate([s.citations for s in sets]),
             doctypes=np.concatenate([s.doctypes for s in sets]),
             years=np.concatenate([s.years for s in sets]),
-            fields=np.concatenate(fields),
-            field_labels=tuple(labels),
+            fields=fields,
+            field_labels=field_labels,
         )
 
     def subset(self, name: str, rows: np.ndarray) -> "PublicationSet":
@@ -245,6 +240,20 @@ class PublicationSet:
 
     def __repr__(self) -> str:
         return f"PublicationSet(name={self.name!r}, {len(self)} publications)"
+
+
+def pooled_fields(sets: Sequence[PublicationSet]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The field code of every row of ``sets``, in order, and the labels they index.
+
+    Equal labels share one code; a row without a field keeps -1.
+    """
+    labels: dict[str, int] = {}
+    fields = []
+    for pubset in sets:
+        codes = [labels.setdefault(label, len(labels)) for label in pubset.field_labels]
+        # A code of -1 picks the trailing -1: no field stays no field.
+        fields.append(np.array(codes + [-1], dtype=np.int64)[pubset.fields])
+    return np.concatenate(fields), tuple(labels)
 
 
 def _first_repeat(values: Sequence) -> int | None:

@@ -364,6 +364,7 @@ def negbin_rvs(
     mu: np.ndarray,
     theta: float | np.ndarray,
     counts: np.ndarray | None = None,
+    bins: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample the negative binomial as a gamma-Poisson mixture.
 
@@ -382,6 +383,15 @@ def negbin_rvs(
     ``poisson(standard_gamma(k * theta) * mu / theta)``.  The cap applies
     to the per-item mean.  A zero count gives 0 and consumes no random
     numbers, and a count of 1 gives the same value as no count.
+
+    ``bins`` optionally sums the draws along the last axis into bins:
+    element j goes into bin ``bins[j]``, and the last axis of the result
+    has ``bins.max() + 1`` entries.  Given the gamma variables the
+    elements' draws are independent Poissons, so a bin's sum is one
+    Poisson of its elements' summed rates ``gamma * mu / theta``: the
+    gammas are drawn as without ``bins``, then one Poisson per bin.  The
+    cap applies to each element's mean before the rates are summed, and
+    an element with a zero count adds zero rate.
     """
     mu = np.minimum(np.asarray(mu, dtype=np.float64), 1e12)
     theta = np.asarray(theta, dtype=np.float64)
@@ -393,7 +403,16 @@ def negbin_rvs(
         lam = rng.standard_gamma(theta.reshape(()) if theta.size == 1 else theta, size=scale.shape)
     else:
         lam = rng.standard_gamma(theta * counts)
-    return rng.poisson(lam * scale)
+    rate = lam * scale
+    if bins is not None:
+        # One bincount over (row, bin) slots, which adds in element order.
+        n_bins = int(bins.max()) + 1
+        shape = rate.shape[:-1] + (n_bins,)
+        rows = rate.size // bins.size
+        slots = np.arange(rows)[:, None] * n_bins + bins
+        rate = np.bincount(slots.ravel(), weights=rate.ravel(), minlength=rows * n_bins)
+        rate = rate.reshape(shape)
+    return rng.poisson(rate)
 
 
 class _CitationLogPosterior:

@@ -60,22 +60,25 @@ class NormalizationCells:
     cells: Mapping[tuple, NormalizationCell]
 
 
-def cell_groups(pubset: PublicationSet, key_mode: str) -> tuple[np.ndarray, np.ndarray]:
+def cell_groups(
+    years: np.ndarray, fields: np.ndarray, key_mode: str
+) -> tuple[np.ndarray, np.ndarray]:
     """Cell group of each row, and the first row of each group.
 
-    A row's cell is ``4 * group + doctype code``.  Under the doctype-only
-    mode every row is in group 0, whose first row is taken as 0.  Under
-    the field-aware mode the groups number the distinct (year, field)
-    pairs in order of first appearance, and a row without a field gets
-    the code one past the last group, which has no cells.
+    ``years`` and ``fields`` are a set's columns (a field code of -1 for
+    no field).  A row's cell is ``4 * group + doctype code``.  Under the
+    doctype-only mode every row is in group 0, whose first row is taken
+    as 0.  Under the field-aware mode the groups number the distinct
+    (year, field) pairs in order of first appearance, and a row without a
+    field gets the code one past the last group, which has no cells.
     """
     if key_mode == KEY_DOCTYPE:
-        return np.zeros(len(pubset), dtype=np.int64), np.zeros(1, dtype=np.int64)
+        return np.zeros(years.size, dtype=np.int64), np.zeros(1, dtype=np.int64)
     if key_mode != KEY_DOCTYPE_YEAR_FIELD:
         raise UsageError(f"unknown key mode {key_mode!r}, expected one of {KEY_MODES}")
-    has_field = np.flatnonzero(pubset.fields >= 0)
-    codes, firsts = first_seen_codes(pubset.years[has_field], pubset.fields[has_field])
-    groups = np.full(len(pubset), firsts.size, dtype=np.int64)
+    has_field = np.flatnonzero(fields >= 0)
+    codes, firsts = first_seen_codes(years[has_field], fields[has_field])
+    groups = np.full(years.size, firsts.size, dtype=np.int64)
     groups[has_field] = codes
     return groups, has_field[firsts]
 
@@ -130,7 +133,7 @@ def build_normalization(
     publication.
     """
     pool = sets if isinstance(sets, PublicationSet) else PublicationSet.concat("", list(sets))
-    groups, firsts = cell_groups(pool, key_mode)
+    groups, firsts = cell_groups(pool.years, pool.fields, key_mode)
     has_cell = groups < firsts.size
     key = (4 * groups + pool.doctypes)[has_cell]
     if key.size == 0:
@@ -241,7 +244,7 @@ def indicator_results(names, p, c, mncs, excluded) -> dict[str, IndicatorResult]
 
 def indicators_for(pubset: PublicationSet, cells: NormalizationCells) -> IndicatorResult:
     """P, C, and MNCS of one unit against a fixed normalization."""
-    groups, firsts = cell_groups(pubset, cells.key_mode)
+    groups, firsts = cell_groups(pubset.years, pubset.fields, cells.key_mode)
     # The set's cells, 4 per cell group in doctype order, then 4 empty
     # ones for field-less rows.
     table = [

@@ -65,6 +65,7 @@ def draw_omitted(
     params: np.ndarray,
     log1p_predictor: np.ndarray,
     counts: np.ndarray | None = None,
+    bins: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized omitted-count draws.
 
@@ -74,7 +75,9 @@ def draw_omitted(
     element, an (n, 3) array lines up with n predictors, and a (rows, 1,
     3) array draws a (rows, n) block, one parameter row per block row.
     ``counts`` optionally makes an element the summed omissions of that
-    many iid items that share its predictor (see ``negbin_rvs``).
+    many iid items that share its predictor, and ``bins`` optionally sums
+    the elements into bins along the last axis with one Poisson draw per
+    bin (see ``negbin_rvs``).
     """
     params = np.asarray(params, dtype=np.float64)
     b0 = params[..., 0]
@@ -82,7 +85,7 @@ def draw_omitted(
     theta = params[..., 2]
     with np.errstate(over="ignore"):
         mu = np.exp(b0 + b1 * log1p_predictor)
-    return negbin_rvs(rng, mu, theta, counts)
+    return negbin_rvs(rng, mu, theta, counts, bins)
 
 
 def predict_omitted(posterior: NegBinPosterior, citations: int, n: int, seed: int) -> np.ndarray:

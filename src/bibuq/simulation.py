@@ -45,15 +45,26 @@ citations of a column's k items are one gamma-Poisson sum,
 ``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law of k
 summed negative binomial draws whatever the items' recorded doctypes.
 The items redrawn as non-core get no column and no citation draw.
-Without doctype redraws a column is a group.  Cell sums and counts of
-the core cells and the indicators follow exactly from these per-column
-draws.  A publication is a group and a run of its own where exactness
-needs its own value: first-kind citation redraws (the clamp at zero),
-uncited unit publications under reference-only normalization (the
-zero-mean-cell rule), and runs with an item dump.  When the grouped
-columns (two per run with doctype redraws, one per group without) would
-not be fewer than the publications, every publication is drawn on its
-own, in layout order, one uniform for its doctype.
+Without doctype redraws a column is a group.
+
+No score reads a column's own citation count: P, C, MNCS and the cell
+means read only sums over the columns that share a unit (or the
+reference set), cell and doctype.  So a grouped kernel scores bins of
+those columns, and draws the omitted citations per bin: it draws every
+column's gamma as above, sums the columns' Poisson rates ``gamma * mu /
+theta`` into their bin, and draws one Poisson per bin.  Given the
+gammas the columns' omissions are independent Poissons, and their sum
+is one Poisson of the summed rates, so the law is exact.  A bin carries
+its items, its recorded citations plus its omissions, and its cell, and
+the cell sums and counts and the indicators follow exactly from these
+per-bin values.  A publication is a group and a run of its own, and so
+a bin of its own, where exactness needs its own value: first-kind
+citation redraws (the clamp at zero), uncited unit publications under
+reference-only normalization (the zero-mean-cell rule), and runs with
+an item dump.  When the grouped columns (two per run with doctype
+redraws, one per group without) would not be fewer than the
+publications, every publication is drawn and scored on its own, in
+layout order, one uniform for its doctype.
 """
 
 from __future__ import annotations
@@ -61,6 +72,7 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
+from itertools import chain
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,7 +81,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import PublicationSet, UsageError, ValidationError
+from .datamodel import PublicationSet, UsageError, ValidationError, pooled_fields
 from .errormodels import (
     FIRST_KIND,
     SECOND_KIND,
@@ -243,9 +255,9 @@ class PropagationResult:
     config: PropagationConfig
     # How the run went, for the run manifest and not for report.json:
     # worker processes opened, publications, exchangeable groups, kernel
-    # columns, whether the kernel drew per group or per publication, and
-    # the seconds spent in each stage (workspace layout, scoring the
-    # recorded data, the kernel's iterations, summaries).
+    # columns and scoring bins, whether the kernel drew per group or per
+    # publication, and the seconds spent in each stage (workspace layout,
+    # scoring the recorded data, the kernel's iterations, summaries).
     run_info: Mapping[str, object] = field(default_factory=dict)
 
     def distribution(self, unit: str, indicator: str) -> IndicatorDistribution:
@@ -264,7 +276,7 @@ class _Workspace:
 
     Publications are laid out unit members first, then the reference
     set, and sorted into exchangeable groups (see ``_build_workspace``).
-    The kernel works on columns.  When grouping would not narrow it
+    The kernel draws on columns.  When grouping would not narrow it
     (``per_item``), column j is publication j and its doctype is redrawn
     in place from ``col_types``.  Without doctype redraws a column is a
     group.  With them a column is a (run, new core doctype) cell, ``run *
@@ -278,9 +290,24 @@ class _Workspace:
     sizes are the columns' fixed counts.  ``concentrations`` holds the
     Dirichlet rows the doctype draws use: (4, 4) when ``per_item``, else
     (4, 3) with the non-core categories merged.  Unit columns come first,
-    ``n_ucols`` of them.  A column's cell key is ``col_base`` (its cell
-    group times 4) plus its doctype, below ``n_cells``; ``norm`` selects
-    the columns counted in the normalization cells.
+    ``n_ucols`` of them.
+
+    The kernel scores bins.  When ``per_item`` bin j is column j, and
+    ``col_bin``, ``bin_order`` and ``bin_starts`` are None.  Otherwise
+    ``col_bin`` maps each column to its bin, one of ``n_bins``, for the
+    per-bin Poisson draw; ``bin_order`` lists the columns bin by bin and
+    ``bin_starts`` where each bin starts in it, for the integer per-bin
+    sums of items and citations.  A bin holds the columns that share unit
+    slot (or the reference set), cell group, doctype and singleton id,
+    whatever their citation counts: no score reads a column's own count,
+    only sums over a unit's (or the universe's) items in one cell.  An
+    uncited publication outside the normalization universe is kept
+    apart from cited ones too, so that a unit bin in a zero-mean cell is
+    all cited or all uncited.  A bin's cell key is ``bin_base`` (its cell
+    group times 4) plus its doctype ``bin_types``, below ``n_cells``;
+    ``norm`` selects the bins counted in the normalization cells.  Unit
+    bins come first, ``n_ubins`` of them, in unit slots ``bin_unit``.
+    ``ids`` holds the unit publications' ids in a run that dumps them.
     """
 
     col_citations: np.ndarray
@@ -289,9 +316,15 @@ class _Workspace:
     group_sizes: np.ndarray | None
     group_types: np.ndarray | None
     run_starts: np.ndarray | None
-    col_base: np.ndarray
-    col_unit: np.ndarray
     n_ucols: int
+    col_bin: np.ndarray | None
+    bin_order: np.ndarray | None
+    bin_starts: np.ndarray | None
+    n_bins: int
+    bin_base: np.ndarray
+    bin_types: np.ndarray
+    bin_unit: np.ndarray
+    n_ubins: int
     norm: np.ndarray | slice
     n_cells: int
     n_units: int
@@ -333,12 +366,14 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     ``per_item`` and otherwise one multinomial per (iteration, group)
     over those 3 categories, whose article and review tallies a run's
     groups add into the run's 2 columns; then the omitted citations, one
-    gamma-Poisson sum per (iteration, column) with its count of items
-    and its iteration's parameter row, all gammas before all Poissons.
-    The draws therefore depend on ``BLOCK_BUDGET`` and the column count,
-    which set the block size, and on where the run's last block ends,
-    but not on the worker count.  A block of one iteration is keyed by
-    (seed, iteration).
+    gamma per (iteration, column) with its count of items and its
+    iteration's parameter row, then one Poisson per (iteration, bin) of
+    its columns' summed rates (per column when ``per_item``).  The
+    columns' items and recorded citations are summed into their bins, and
+    the bins are scored.  The draws therefore depend on ``BLOCK_BUDGET``
+    and the column count, which set the block size, and on where the
+    run's last block ends, but not on the worker count.  A block of one
+    iteration is keyed by (seed, iteration).
     """
     cfg = ws.config
     rows = stop - start
@@ -348,7 +383,7 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     # the group sizes or, once doctypes are redrawn, the drawn article and
     # review counts summed over each run's groups.
     k = ws.group_sizes
-    types = ws.col_types
+    types = ws.bin_types
     if CHANNEL_DOCTYPES in cfg.channels:
         concentrations = ws.concentrations
         prob_rows = sample_probability_rows(
@@ -359,12 +394,31 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
         else:
             tallies = draw_doctype_counts(rng, prob_rows, ws.group_sizes, ws.group_types)
             k = np.add.reduceat(tallies[..., :2], ws.run_starts, axis=1).reshape(rows, m)
-    c = ws.col_citations if k is None else k * ws.col_citations
+    omitted = None
     if CHANNEL_CITATIONS in cfg.channels:
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
-        omitted = draw_omitted(rng, params[:, None, :], ws.col_log1p, k)
+        omitted = draw_omitted(rng, params[:, None, :], ws.col_log1p, k, bins=ws.col_bin)
+    k, c = _binned(ws, k)
+    if omitted is not None:
+        # First-kind citation redraws are drawn per item, so the clamp
+        # applies to each publication's own count.
         c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
     return _score_rows(ws, rows, c, types, k)
+
+
+def _binned(ws: _Workspace, k):
+    """Items and recorded citations per bin, given the items ``k`` per column.
+
+    ``k`` is None when every column is one publication, and is then
+    returned as it is, with the columns' own citations.
+    """
+    c = ws.col_citations if k is None else k * ws.col_citations
+    if ws.col_bin is None:
+        return k, c
+    return (
+        np.add.reduceat(k[..., ws.bin_order], ws.bin_starts, axis=-1),
+        np.add.reduceat(c[..., ws.bin_order], ws.bin_starts, axis=-1),
+    )
 
 
 def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
@@ -372,36 +426,37 @@ def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
 
     With doctype redraws a column holds its run's items recorded under its
     core doctype, summed over the run's groups as the kernel sums drawn
-    tallies; the run's non-core items are in no column.
+    tallies; the run's non-core items are in no column.  The columns are
+    summed into their bins as the kernel sums them.
     """
     k = ws.group_sizes
     if ws.run_starts is not None:
         tallies = k[:, None] * np.eye(4, 2, dtype=np.int64)[ws.group_types]
         k = np.add.reduceat(tallies, ws.run_starts).ravel()
-    c = ws.col_citations if k is None else k * ws.col_citations
-    return _score_rows(ws, 1, c, ws.col_types, k)
+    k, c = _binned(ws, k)
+    return _score_rows(ws, 1, c, ws.bin_types, k)
 
 
 def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray, ...]:
     """Rebuild the normalization cells of ``rows`` data rows and score every unit.
 
-    Per column, as (rows, columns) or one row all rows share: ``c`` its
+    Per bin, as (rows, bins) or one row all rows share: ``c`` its
     citations, ``types`` its doctype code and ``k`` its item count (None
-    when every column is one publication).  The cells of all rows are
+    when every bin is one publication).  The cells of all rows are
     rebuilt together over ``row * n_cells + cell key``, and
-    ``unit_indicators`` scores the unit columns in slots ``row * n_units +
+    ``unit_indicators`` scores the unit bins in slots ``row * n_units +
     unit``.  Returns per row and unit P, C, MNCS and the MNCS exclusion
-    count, then the unit columns' citations and doctype codes (per
+    count, then the unit bins' citations and doctype codes (per
     publication when ``per_item``, for the item dump).
     """
-    shape = (rows, ws.col_citations.size)
+    shape = (rows, ws.n_bins)
     c = np.broadcast_to(c, shape)
     types = np.broadcast_to(types, shape)
     if k is not None:
         k = np.broadcast_to(k, shape)
 
     row_of = np.arange(rows)[:, None]
-    cell = ws.col_base + types + row_of * ws.n_cells
+    cell = ws.bin_base + types + row_of * ws.n_cells
     counts, means = cell_means(
         cell[:, ws.norm].ravel(),
         c[:, ws.norm].ravel(),
@@ -409,16 +464,15 @@ def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray, ...
         None if k is None else k[:, ws.norm].ravel(),
     )
 
-    # Score the unit columns.  A column's items share its cell.  Where
-    # that cell's mean can be zero, either all of them are uncited or all
-    # are cited (the items that could go either way are singletons, see
-    # _build_workspace), so scoring the column's sum applies the per-item
-    # rule to each item.
-    n_u = ws.n_ucols
+    # Score the unit bins.  A bin's items share its cell.  Where that
+    # cell's mean can be zero, either all of them are uncited or all are
+    # cited (see _Workspace), so scoring the bin's sum applies the
+    # per-item rule to each item.
+    n_u = ws.n_ubins
     c_unit = c[:, :n_u]
     dt_unit = types[:, :n_u]
     p_vals, c_vals, mncs_vals, excluded = unit_indicators(
-        ws.col_unit + row_of * ws.n_units,
+        ws.bin_unit + row_of * ws.n_units,
         rows * ws.n_units,
         c_unit,
         dt_unit,
@@ -461,6 +515,8 @@ def _build_workspace(
     per new core doctype.  When these columns (two per run with doctype
     redraws, one per group without) would be no fewer than the
     publications, every publication is its own column, in layout order.
+    Grouped columns are then binned for scoring by (unit slot, cell group,
+    doctype, singleton id, uncited outside the normalization universe).
     """
     if CHANNEL_CITATIONS in config.channels:
         if models.citation is None:
@@ -487,19 +543,22 @@ def _build_workspace(
     if repeated:
         raise UsageError(f"unit names must be unique; repeated: {', '.join(repeated)}")
 
-    pool = PublicationSet.concat("", [*units, reference] if reference is not None else units)
-    n = len(pool)
-    n_unit_pubs = sum(len(u) for u in units)
-    unit_slot = np.repeat(np.arange(len(units) + 1), [len(u) for u in units] + [n - n_unit_pubs])
-    citations = pool.citations
-    dt_codes = pool.doctypes
+    # Only the columns the layout reads are pooled; the ids only for a dump.
+    sets = [*units, reference] if reference is not None else units
+    sizes = [len(pubset) for pubset in sets]
+    n = sum(sizes)
+    n_unit_pubs = sum(sizes[: len(units)])
+    unit_slot = np.repeat(np.arange(len(sets)), sizes)  # the reference set is slot len(units)
+    citations = np.concatenate([pubset.citations for pubset in sets])
+    dt_codes = np.concatenate([pubset.doctypes for pubset in sets])
     in_norm = np.arange(n) >= (0 if config.pooled_normalization else n_unit_pubs)
 
     # Field-less publications under doctype-year-field get one extra
     # group past the real ones; no normalization publication is counted
     # in it, so its cells are never occupied and those publications are
     # never scored.
-    cellgroup, firsts = cell_groups(pool, config.key_mode)
+    years = np.concatenate([pubset.years for pubset in sets])
+    cellgroup, firsts = cell_groups(years, pooled_fields(sets)[0], config.key_mode)
     n_cellgroups = firsts.size
     in_norm &= cellgroup < n_cellgroups
     if not in_norm.any():
@@ -512,13 +571,14 @@ def _build_workspace(
         single[:] = True
     elif redraw_citations and not config.pooled_normalization:
         single[:n_unit_pubs] |= citations[:n_unit_pubs] == 0
+    single_id = np.where(single, np.arange(n), -1)
     n_groups = n
     group_sizes = group_types = run_starts = None
     rep = np.arange(n)  # one column per publication, in layout order
     col_types = dt_codes
     concentrations = models.doctype.concentrations if redraw_doctypes else None
     if not single.all():
-        keys = (unit_slot, cellgroup, citations, np.where(single, np.arange(n), -1), dt_codes)
+        keys = (unit_slot, cellgroup, citations, single_id, dt_codes)
         order, starts = sorted_runs(keys)  # starts flags each group's first publication
         heads = order[starts]
         n_groups = heads.size
@@ -548,9 +608,22 @@ def _build_workspace(
                 rep = heads
                 col_types = dt_codes[heads]
 
-    # Groups sort by unit slot, so the unit columns come first.
+    # A bin is a column, or with grouped columns the columns that share
+    # its key (see _Workspace).  Keys sort by unit slot, so the unit
+    # columns and bins come first.
+    col_bin = bin_order = bin_starts = None
+    bin_rep, bin_types = rep, col_types  # a publication in each bin, and its doctype
+    if group_sizes is not None:
+        uncited_outside = ~in_norm & (citations == 0)
+        keys = (unit_slot[rep], cellgroup[rep], col_types, single_id[rep], uncited_outside[rep])
+        bin_order, starts = sorted_runs(keys)
+        col_bin = np.empty(rep.size, dtype=np.int64)
+        col_bin[bin_order] = np.cumsum(starts) - 1
+        bin_starts = np.flatnonzero(starts)
+        bin_rep, bin_types = rep[bin_order[starts]], col_types[bin_order[starts]]
     n_ucols = int(np.count_nonzero(unit_slot[rep] < len(units)))
-    norm = np.flatnonzero(in_norm[rep])
+    n_ubins = int(np.count_nonzero(unit_slot[bin_rep] < len(units)))
+    norm = np.flatnonzero(in_norm[bin_rep])
     if norm.size and norm[-1] - norm[0] + 1 == norm.size:
         norm = slice(int(norm[0]), int(norm[-1]) + 1)  # a view, not a gather
     col_citations = citations[rep]
@@ -561,9 +634,15 @@ def _build_workspace(
         group_sizes=group_sizes,
         group_types=group_types,
         run_starts=run_starts,
-        col_base=cellgroup[rep] * 4,
-        col_unit=unit_slot[rep[:n_ucols]],
         n_ucols=n_ucols,
+        col_bin=col_bin,
+        bin_order=bin_order,
+        bin_starts=bin_starts,
+        n_bins=bin_rep.size,
+        bin_base=cellgroup[bin_rep] * 4,
+        bin_types=bin_types,
+        bin_unit=unit_slot[bin_rep[:n_ubins]],
+        n_ubins=n_ubins,
         norm=norm,
         n_cells=(n_cellgroups + 1) * 4,
         n_units=len(units),
@@ -578,7 +657,7 @@ def _build_workspace(
         publications=n,
         groups=n_groups,
         per_item=group_sizes is None,
-        ids=list(pool.ids) if keep_ids else None,
+        ids=list(chain.from_iterable(pubset.ids for pubset in units)) if keep_ids else None,
     )
 
 
@@ -686,7 +765,7 @@ def propagate(
             for _ in rows:  # yields nothing without a dump
                 pass
         else:
-            write_predictive_draws(rows, ws.ids[: ws.n_ucols], Path(dump_items))
+            write_predictive_draws(rows, ws.ids, Path(dump_items))
     kernel_done = perf_counter()
 
     distributions: dict[str, dict[str, IndicatorDistribution]] = {}
@@ -720,6 +799,7 @@ def propagate(
             "publications": ws.publications,
             "exchangeable_groups": ws.groups,
             "kernel_columns": ws.col_citations.size,
+            "kernel_bins": ws.n_bins,
             "grouped_draws": not ws.per_item,
             "timings": {
                 "workspace": workspace_done - started,

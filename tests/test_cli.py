@@ -552,6 +552,25 @@ class TestPropagate:
         for key in ("kernel_columns", "timings", "workspace"):
             assert key not in report
 
+    def test_manifest_records_kernel_bins(self, workdir, tmp_path):
+        # Both channels, drawn per group: the kernel scores fewer bins than
+        # it draws columns, and only the manifest says how many.
+        out = tmp_path / "out"
+        proc = run_cli(
+            "propagate",
+            "--pubs", str(workdir / "pubs.csv"),
+            "--reference", str(workdir / "ref.csv"),
+            "--citation-model", str(workdir / "models2" / "citation_posterior.json"),
+            "--doctype-model", str(workdir / "models2" / "doctype_posterior.json"),
+            "--iterations", "20",
+            "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        run = json.loads((out / "run_manifest.json").read_text())["propagation"]
+        assert run["grouped_draws"] is True
+        assert 0 < run["kernel_bins"] < run["kernel_columns"]
+        assert "kernel_bins" not in (out / "report.json").read_text()
+
     def test_replayed_parameter_sharing(self, workdir, tmp_path):
         first = tmp_path / "first"
         args = [

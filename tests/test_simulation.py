@@ -984,10 +984,12 @@ def _float_bits(value):
 # became (run, new doctype) cells, a run being the groups that differ
 # only in recorded doctype, and again when the observed values came to be
 # scored per kernel column (the observed MNCS of unit F moved by 1 ULP),
-# and when the grouped columns became (run, new core doctype) cells drawn
-# from a three-way doctype multinomial (no observed value moved).
+# when the grouped columns became (run, new core doctype) cells drawn
+# from a three-way doctype multinomial (no observed value moved), and
+# when the omitted citations came to be drawn with one Poisson per
+# scoring bin instead of one per column (no observed value moved).
 _PER_ITERATION_FIELD_KEYED_SHA256 = (
-    "d60c93b7cf1ab3d56fe351c5bc8572d912a6f97794c84c70509869bda5734b9f"
+    "e5e1305c9b962f3adeb717827fc990a2e29f1159f6e9f735e1172dedb1eb6149"
 )
 
 
@@ -1232,9 +1234,9 @@ def test_run_columns_hold_every_item_in_every_iteration(
         tallies.append(draw_doctype_counts(rng, prob_rows, sizes, codes))
         return tallies[-1]
 
-    def recording(rng, params, log1p_predictor, k=None):
+    def recording(rng, params, log1p_predictor, k=None, bins=None):
         counts.append(k)
-        return draw_omitted(rng, params, log1p_predictor, k)
+        return draw_omitted(rng, params, log1p_predictor, k, bins)
 
     with mock.patch.object(simulation, "draw_doctype_counts", recording_tallies), \
             mock.patch.object(simulation, "draw_omitted", recording):
@@ -1262,9 +1264,9 @@ def test_grouped_doctype_redraws_draw_citations_for_core_columns_only(
     seen = []
     draw_omitted = simulation.draw_omitted
 
-    def recording(rng, params, log1p_predictor, k=None):
+    def recording(rng, params, log1p_predictor, k=None, bins=None):
         seen.append((log1p_predictor, k))
-        return draw_omitted(rng, params, log1p_predictor, k)
+        return draw_omitted(rng, params, log1p_predictor, k, bins)
 
     with mock.patch.object(simulation, "draw_omitted", recording):
         propagate(grouped_units, grouped_reference, small_models, cfg)
@@ -1272,6 +1274,29 @@ def test_grouped_doctype_redraws_draw_citations_for_core_columns_only(
     for log1p_predictor, k in seen:
         assert np.array_equal(log1p_predictor, ws.col_log1p)
         assert k.shape[1] == ws.col_types.size
+
+
+@pytest.mark.parametrize("key_mode", [KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD])
+def test_citation_draws_leave_the_doctype_stream_alone(
+    key_mode, grouped_units, grouped_reference, small_models
+):
+    # Under pooled normalization both runs have one layout and one block
+    # size, and each block draws its doctypes before its citations, so a
+    # run with both channels has the P replicates of a doctypes-only run.
+    runs = [
+        propagate(
+            grouped_units,
+            grouped_reference,
+            small_models,
+            PropagationConfig(iterations=150, seed=67, channels=channels, key_mode=key_mode),
+        )
+        for channels in (ALL_CHANNELS, _ONLY_D)
+    ]
+    assert all(result.run_info["grouped_draws"] for result in runs)
+    assert runs[0].run_info["kernel_columns"] == runs[1].run_info["kernel_columns"]
+    assert runs[0].run_info["kernel_bins"] < runs[0].run_info["kernel_columns"]
+    assert np.array_equal(_replicates(runs[0], "P"), _replicates(runs[1], "P"))
+    assert not np.array_equal(_replicates(runs[0], "C"), _replicates(runs[1], "C"))
 
 
 @pytest.fixture(scope="module")
@@ -1431,12 +1456,17 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # "4" and "field-keyed" were re-pinned when a grouped run came to carry
 # only its two core-doctype columns, its groups' doctypes drawn three-way
 # (article, review, non-core): the replicate streams moved, no observed
-# value did.
+# value did.  "2", "4" and "field-keyed" were re-pinned, with the outputs
+# of "4" below, when the grouped kernel came to draw one Poisson per
+# scoring bin (the columns that share unit, cell and doctype) instead of
+# one per column, and to score the bins: the C and MNCS streams moved, no
+# P replicate did, and the observed MNCS of unit A in "2" and "4" moved
+# by 1 ULP.
 _PINNED_REPORT_SHA256 = {
-    "2": "42b74269689fcfc95fc3c80d6f1d80f2315cc9f4c0277bfd3671f64fef834740",
-    "4": "153ff780f43bcf3d935a11b08666ab99b1c1e4706798d7ed30418ea22636ae83",
+    "2": "4232a282ce3b07cda7448aec10a0138afe7b409015ca08be6a7d217edfd41b66",
+    "4": "5bb0f95997a44ced45edd5c67c7731339e10006b1375d3130f6650b424388106",
     "A3": "bfef574c127e8ce3df8b7b9044fc9b23a903298411e29d0415b4f33ad04e6238",
-    "field-keyed": "d06e5c22badf495d372029148e2ef2edef59110620e50a3ffa85676b0e8898c1",
+    "field-keyed": "a974feedb32554fbc008db3cebdc10a9ec3e9944943043cf2fa817892ad243d8",
 }
 
 
@@ -1454,12 +1484,12 @@ def test_exercise_report_bytes_are_pinned(tmp_path, name):
 _PINNED_OUTPUT_SHA256 = {
     ("1", "exercise.json"): "8bdb1bea6496c65584395733e5f7a18263fb0c1620ccf6bbfa0a051867a5e0d0",
     ("1", "exercise.txt"): "2639ee301b5f6d6ab21dae0bbe86d1f3857741cf5c2dd10d9679f21768981ee0",
-    ("4", "exercise.json"): "8d0eb1fe0cc8ae7e277b184df7c0bf7656198ace5edd4538d0f75b16e3a061c2",
-    ("4", "exercise.txt"): "23765639756ee41fa8b7bc04816432cc1066980e90efd2880545309ce6e5740e",
-    ("4", "plot_summary.csv"): "285d89cd2a6aa85ab750bc5918208952626058720094955a015497f6be5793f9",
+    ("4", "exercise.json"): "e2937dde5fd6b2dbae14a6bb6825cfb6601407a42e8a9ab3bce6233199d314c9",
+    ("4", "exercise.txt"): "15d83873af277c86f7bab6d3591651a117b3c689fd6391af6fbc517f6784dd68",
+    ("4", "plot_summary.csv"): "1d98b9e45bf30eb289cf350570b46ab5e365165436a2426c508e4761a65effcc",
     ("4", "plot_uncertainty.csv"):
-        "1704bac71cc0b448e04742e1622073b3196a86473bc1d109a504688ffa6d2682",
-    ("4", "report table"): "d1362480380b2216b7a697b9455b22648d9b6034b0a5fe5e1d14133e6e2692dd",
+        "9490f6205cd9d05bcef155f2ae244a3b6139951f81a1139da3739cf02bc5bc13",
+    ("4", "report table"): "0f94f01d4d4f3522fb49523a655a48234b1eab9d35c2072c4f66d501a2995907",
 }
 
 
