@@ -101,8 +101,8 @@ def _write_manifest(
     Besides what the data files depend on, it records the Python and
     numpy versions and, for propagation runs, ``PropagationResult.run_info``
     (worker processes opened, publications, exchangeable groups, kernel
-    columns, whether the draws were grouped, and per-stage seconds).  None
-    of this goes into report.json.
+    columns, scoring bins, whether the draws were grouped, and per-stage
+    seconds).  None of this goes into report.json.
     """
     manifest = {
         "command": command,

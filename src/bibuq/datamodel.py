@@ -14,7 +14,7 @@ Each chunk is converted and checked as it arrives.  The readers validate
 eagerly and report the offending line.  Every JSON file the package
 writes or reads goes through ``write_json`` or ``read_json_object``, and every CSV file it
 writes through ``write_csv``, save the item dump of
-``predictive.write_predictive_draws``.
+``predictive.predictive_dump``.
 """
 
 from __future__ import annotations

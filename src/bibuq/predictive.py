@@ -17,8 +17,7 @@ row of each array per iteration.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -36,7 +35,7 @@ __all__ = [
     "predict_error_free_citations",
     "predict_error_affected_citations",
     "predict_doctype",
-    "write_predictive_draws",
+    "predictive_dump",
 ]
 
 
@@ -223,18 +222,19 @@ class _Echo:
 DUMP_TAIL_COUNTS = 4096
 
 
-def write_predictive_draws(
-    draws: Iterable[tuple[int, np.ndarray, np.ndarray]],
-    ids: Sequence[str],
-    path: str | Path,
-) -> None:
-    """Dump per-item replicate rows to CSV, one ``write`` per iteration.
+def predictive_dump(
+    ids: Sequence[str], handle: TextIO
+) -> Callable[[int, np.ndarray, np.ndarray], None]:
+    """Write the item dump's header to ``handle`` and return its block writer.
 
-    ``draws`` yields ``(iteration, citations, doctype_codes)``; both
-    arrays line up with ``ids``, and the codes index ``DOCTYPE_ORDER``.
-    Row format: iteration, publication_id, citations, doctype.  The bytes
-    are exactly those ``csv.writer`` writes row by row (``\\r\\n`` line
-    ends, minimal quoting).
+    The writer, ``write(first_iteration, citations_rows, codes_rows)``,
+    takes a kernel block: row r of the (iterations, items) arrays is
+    iteration ``first_iteration + r``; both line up with ``ids``, and the
+    codes index ``DOCTYPE_ORDER``.  It writes one row per item per
+    iteration: iteration, publication_id, citations, doctype, with one
+    ``handle.write`` per iteration.  The bytes are exactly those
+    ``csv.writer`` writes row by row (``\\r\\n`` line ends, minimal
+    quoting), however the iterations are split into blocks.
 
     A row is three strings: "<iteration>,", the id field with its comma,
     and the tail "<count>,<doctype>\\r\\n".  One list holds the three
@@ -256,12 +256,14 @@ def write_predictive_draws(
     # tails[4 * count + code] is "<count>,<doctype>\r\n", for the counts
     # seen so far up to the bound.
     tails = np.empty(0, dtype=object)
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        handle.write(echo.writerow(("iteration", "publication_id", "citations", "doctype")))
-        for iteration, citations, codes in draws:
-            if not n:
-                continue
+    handle.write(echo.writerow(("iteration", "publication_id", "citations", "doctype")))
+
+    def write(first_iteration: int, citations_rows: np.ndarray, codes_rows: np.ndarray) -> None:
+        nonlocal tails
+        if not n:
+            return
+        rows = zip(citations_rows, codes_rows)
+        for iteration, (citations, codes) in enumerate(rows, first_iteration):
             low, top = int(citations.min()), int(citations.max())
             fits = low >= 0 and top < DUMP_TAIL_COUNTS
             cached = citations if fits else np.clip(citations, 0, DUMP_TAIL_COUNTS - 1)
@@ -275,3 +277,5 @@ def write_predictive_draws(
                 for i in np.flatnonzero(cached != citations).tolist():
                     parts[3 * i + 2] = f"{int(citations[i])}{endings[codes[i]]}"
             handle.write("".join(parts))
+
+    return write

@@ -75,6 +75,7 @@ from collections import Counter
 from itertools import chain
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from typing import Mapping, Sequence
@@ -106,8 +107,8 @@ from .predictive import (
     draw_doctype_codes,
     draw_doctype_counts,
     draw_omitted,
+    predictive_dump,
     sample_probability_rows,
-    write_predictive_draws,
 )
 
 __all__ = [
@@ -289,8 +290,7 @@ class _Workspace:
     first group, where its tallies start.  Without doctype redraws the
     sizes are the columns' fixed counts.  ``concentrations`` holds the
     Dirichlet rows the doctype draws use: (4, 4) when ``per_item``, else
-    (4, 3) with the non-core categories merged.  Unit columns come first,
-    ``n_ucols`` of them.
+    (4, 3) with the non-core categories merged.  Unit columns come first.
 
     The kernel scores bins.  When ``per_item`` bin j is column j, and
     ``col_bin``, ``bin_order`` and ``bin_starts`` are None.  Otherwise
@@ -316,7 +316,6 @@ class _Workspace:
     group_sizes: np.ndarray | None
     group_types: np.ndarray | None
     run_starts: np.ndarray | None
-    n_ucols: int
     col_bin: np.ndarray | None
     bin_order: np.ndarray | None
     bin_starts: np.ndarray | None
@@ -338,19 +337,9 @@ class _Workspace:
     ids: list[str] | None = None
 
 
-# Worker-process global, set once per pool worker.
-_WORKER_WS: _Workspace | None = None
-
-
-def _init_worker(ws: _Workspace) -> None:
-    global _WORKER_WS
-    _WORKER_WS = ws
-
-
-def _worker_block(bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
+def _worker_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
     """One block's P, C, MNCS and exclusion rows, without its unit columns."""
-    assert _WORKER_WS is not None
-    return _simulate_block(_WORKER_WS, *bounds)[:4]
+    return _simulate_block(ws, *bounds)[:4]
 
 
 def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -621,7 +610,6 @@ def _build_workspace(
         col_bin[bin_order] = np.cumsum(starts) - 1
         bin_starts = np.flatnonzero(starts)
         bin_rep, bin_types = rep[bin_order[starts]], col_types[bin_order[starts]]
-    n_ucols = int(np.count_nonzero(unit_slot[rep] < len(units)))
     n_ubins = int(np.count_nonzero(unit_slot[bin_rep] < len(units)))
     norm = np.flatnonzero(in_norm[bin_rep])
     if norm.size and norm[-1] - norm[0] + 1 == norm.size:
@@ -634,7 +622,6 @@ def _build_workspace(
         group_sizes=group_sizes,
         group_types=group_types,
         run_starts=run_starts,
-        n_ucols=n_ucols,
         col_bin=col_bin,
         bin_order=bin_order,
         bin_starts=bin_starts,
@@ -683,7 +670,7 @@ def propagate(
     (assessed units and reference set alike), rebuilds the normalization
     cells from the redrawn data, and recomputes P, C, and MNCS per unit.
     The observed indicators are the same cell rebuild and scoring applied
-    to the input data; a grouped run scores one sum per kernel column, so
+    to the input data; a grouped run scores one sum per scoring bin, so
     its observed MNCS can differ from ``indicators_for``'s in the last bits.
 
     The iterations run as one ordered list of whole kernel blocks, each
@@ -736,36 +723,30 @@ def propagate(
             )
 
     shape = (iters, ws.n_units)
-    out = p_rep, c_rep, m_rep, x_rep = (
+    p_rep, c_rep, m_rep, x_rep = (
         np.empty(shape), np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int64)
     )
-
-    def draws(blocks):
-        # The one propagation loop, over whole blocks in order.  zip stops at
-        # the four outputs; a pool worker returns no more.
-        for (lo, hi), block in zip(bounds, blocks):
-            for arr, part in zip(out, block):
-                arr[lo:hi] = part
-            if dump_items is not None:
-                yield from zip(range(lo, hi), block[4], block[5])
-
     with ExitStack() as stack:
+        dump = None
+        if dump_items is not None:
+            handle = stack.enter_context(Path(dump_items).open("w", newline="", encoding="utf-8"))
+            dump = predictive_dump(ws.ids, handle)
         if processes == 1:
             blocks = (_simulate_block(ws, lo, hi) for lo, hi in bounds)
         else:
             # Imported only here: it is about a tenth of `import bibuq`.
             import multiprocessing
 
-            pool = stack.enter_context(
-                multiprocessing.Pool(processes=processes, initializer=_init_worker, initargs=(ws,))
+            pool = stack.enter_context(multiprocessing.Pool(processes=processes))
+            # One chunk per worker, so each worker unpickles the workspace once.
+            blocks = pool.imap(
+                partial(_worker_block, ws), bounds, chunksize=-(-len(bounds) // processes)
             )
-            blocks = pool.imap(_worker_block, bounds, chunksize=-(-len(bounds) // processes))
-        rows = draws(blocks)
-        if dump_items is None:
-            for _ in rows:  # yields nothing without a dump
-                pass
-        else:
-            write_predictive_draws(rows, ws.ids, Path(dump_items))
+        # The one propagation loop, over whole blocks in order.
+        for (lo, hi), block in zip(bounds, blocks):
+            p_rep[lo:hi], c_rep[lo:hi], m_rep[lo:hi], x_rep[lo:hi] = block[:4]
+            if dump is not None:
+                dump(lo, block[4], block[5])
     kernel_done = perf_counter()
 
     distributions: dict[str, dict[str, IndicatorDistribution]] = {}

@@ -21,8 +21,8 @@ from bibuq.predictive import (
     predict_error_affected_citations,
     predict_error_free_citations,
     predict_omitted,
+    predictive_dump,
     sample_probability_rows,
-    write_predictive_draws,
 )
 
 import oracle
@@ -582,6 +582,25 @@ def _csv_writer_bytes(draws, ids) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _dump_blocks(path, ids, blocks) -> bytes:
+    """Feed ``(first_iteration, citations_rows, codes_rows)`` blocks to the
+    dump writer, as propagate does, and return the file's bytes."""
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        write = predictive_dump(ids, handle)
+        for block in blocks:
+            write(*block)
+    return path.read_bytes()
+
+
+def _rows_of(blocks):
+    """The ``(iteration, citations, codes)`` rows that blocks hold."""
+    return [
+        (first + r, citations, codes)
+        for first, citations_rows, codes_rows in blocks
+        for r, (citations, codes) in enumerate(zip(citations_rows, codes_rows))
+    ]
+
+
 _ID_CHARS = st.one_of(
     st.sampled_from(',"\r\n '),
     st.characters(blacklist_categories=("Cs",)),
@@ -589,50 +608,49 @@ _ID_CHARS = st.one_of(
 
 
 @st.composite
-def _dump_draws(draw):
+def _dump_blocks_case(draw):
+    """Ids, iterations from a random first one, and two ways to split them
+    into blocks: at random cuts, which may make one-row blocks, and into
+    blocks of a random size, as the kernel splits a run, the last one
+    short when the size does not divide the iterations."""
     ids = draw(st.lists(st.text(_ID_CHARS, max_size=8), max_size=6))
-    iterations = draw(st.lists(st.integers(0, 10**6), max_size=4))
-    draws = [
-        (
-            iteration,
-            np.array(
-                draw(st.lists(st.integers(0, 2**62), min_size=len(ids), max_size=len(ids))),
-                dtype=np.int64,
-            ),
-            np.array(
-                draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids))),
-                dtype=np.int64,
-            ),
-        )
-        for iteration in iterations
-    ]
-    return ids, draws
+    iterations = draw(st.integers(1, 9))
+    n = iterations * len(ids)
+    citations = draw(st.lists(st.integers(0, 2**62), min_size=n, max_size=n))
+    codes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    cuts = draw(st.sets(st.integers(1, iterations - 1))) if iterations > 1 else set()
+    size = draw(st.integers(1, iterations))
+    splits = [[0, *sorted(cuts), iterations], [*range(0, iterations, size), iterations]]
+    return (
+        ids,
+        draw(st.integers(0, 10**6)),
+        np.array(citations, dtype=np.int64).reshape(iterations, len(ids)),
+        np.array(codes, dtype=np.int64).reshape(iterations, len(ids)),
+        splits,
+    )
 
 
 class TestDumpFile:
-    def test_write_predictive_draws(self, tmp_path):
-        draws = [(0, np.array([5, 0, 6]), np.array([0, 3, 0]))]
-        path = tmp_path / "items.csv"
-        write_predictive_draws(draws, ["p1", "p2", "p3"], path)
-        lines = path.read_text().strip().splitlines()
+    def test_rows_of_one_block(self, tmp_path):
+        blocks = [(0, np.array([[5, 0, 6]]), np.array([[0, 3, 0]]))]
+        _dump_blocks(tmp_path / "items.csv", ["p1", "p2", "p3"], blocks)
+        lines = (tmp_path / "items.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,publication_id,citations,doctype"
         assert lines[1] == "0,p1,5,article"
         assert len(lines) == 4
 
-    def test_no_draws_gives_header_only(self, tmp_path):
-        path = tmp_path / "items.csv"
-        write_predictive_draws(iter(()), ["p1"], path)
-        assert path.read_bytes() == b"iteration,publication_id,citations,doctype\r\n"
+    def test_no_blocks_gives_header_only(self, tmp_path):
+        dumped = _dump_blocks(tmp_path / "items.csv", ["p1"], [])
+        assert dumped == b"iteration,publication_id,citations,doctype\r\n"
 
     def test_awkward_ids_every_doctype(self, tmp_path):
         ids = ["a,b", 'say "hi"', "two\nlines", " padded ", "cr\r", ""]
-        draws = [
-            (0, np.array([0, 1, 2, 3, 4, 5]), np.array([0, 1, 2, 3, 0, 1])),
-            (7, np.array([2**62, 0, 10**9, 0, 0, 1]), np.array([3, 2, 1, 0, 3, 2])),
+        blocks = [
+            (0, np.array([[0, 1, 2, 3, 4, 5]]), np.array([[0, 1, 2, 3, 0, 1]])),
+            (7, np.array([[2**62, 0, 10**9, 0, 0, 1]]), np.array([[3, 2, 1, 0, 3, 2]])),
         ]
         path = tmp_path / "items.csv"
-        write_predictive_draws(draws, ids, path)
-        assert path.read_bytes() == _csv_writer_bytes(draws, ids)
+        assert _dump_blocks(path, ids, blocks) == _csv_writer_bytes(_rows_of(blocks), ids)
         with path.open(newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
         assert [row[1] for row in rows[1:7]] == ids
@@ -641,26 +659,24 @@ class TestDumpFile:
     def test_counts_at_and_over_the_tail_bound(self, tmp_path):
         bound = DUMP_TAIL_COUNTS
         ids = ["p1", "p2", "p3", "p4", "p5"]
-        draws = [
-            (3, np.array([bound - 1, bound, 2**62, 0, bound + 1]), np.array([3, 2, 1, 0, 0])),
-            (4, np.array([bound, bound - 1, 1, 2**40, bound - 1]), np.array([0, 1, 2, 3, 2])),
-        ]
-        path = tmp_path / "items.csv"
-        write_predictive_draws(draws, ids, path)
-        assert path.read_bytes() == _csv_writer_bytes(draws, ids)
+        citations = np.array(
+            [[bound - 1, bound, 2**62, 0, bound + 1], [bound, bound - 1, 1, 2**40, bound - 1]]
+        )
+        blocks = [(3, citations, np.array([[3, 2, 1, 0, 0], [0, 1, 2, 3, 2]]))]
+        dumped = _dump_blocks(tmp_path / "items.csv", ids, blocks)
+        assert dumped == _csv_writer_bytes(_rows_of(blocks), ids)
 
     def test_counts_that_grow_between_iterations(self, tmp_path):
         # Each iteration's largest count is beyond the last one's, so the
-        # cached tails are extended mid-run, and in the end past the bound.
+        # cached tails are extended mid-block and between blocks, and in
+        # the end past the bound.
         ids = ["p1", "p2", "p3"]
-        draws = [
-            (i, np.array([i, 10 * i, 400 * i]), np.array([i % 4, (i + 1) % 4, (i + 2) % 4]))
-            for i in range(12)
-        ]
-        assert draws[-1][1].max() > DUMP_TAIL_COUNTS
-        path = tmp_path / "items.csv"
-        write_predictive_draws(draws, ids, path)
-        assert path.read_bytes() == _csv_writer_bytes(draws, ids)
+        i = np.arange(12)[:, None]
+        citations, codes = i * np.array([1, 10, 400]), (i + np.arange(3)) % 4
+        assert citations[-1].max() > DUMP_TAIL_COUNTS
+        blocks = [(lo, citations[lo : lo + 5], codes[lo : lo + 5]) for lo in range(0, 12, 5)]
+        dumped = _dump_blocks(tmp_path / "items.csv", ids, blocks)
+        assert dumped == _csv_writer_bytes(_rows_of(blocks), ids)
 
     def test_read_only_and_strided_rows(self, tmp_path):
         # A channel that is off leaves its (rows, columns) array a read-only
@@ -669,25 +685,26 @@ class TestDumpFile:
         ids = ["a", "b,c", "d", "e"]
         c = (np.arange(18, dtype=np.int64).reshape(6, 3).T * 97)[:, :n_u]
         codes = np.broadcast_to(np.array([0, 1, 2, 3, 3, 2]), (3, 6))[:, :n_u]
-        draws = list(zip(range(3), c, codes))
         counts = np.broadcast_to(np.array([1, 5000, 2, 0, 9]), (2, 5))[:, :n_u]
-        draws += list(zip(range(3, 5), counts, c % 4))
-        assert not draws[0][1].flags.c_contiguous
-        assert not draws[0][2].flags.writeable and not draws[3][1].flags.writeable
-        path = tmp_path / "items.csv"
-        write_predictive_draws(draws, ids, path)
-        assert path.read_bytes() == _csv_writer_bytes(draws, ids)
+        blocks = [(0, c, codes), (3, counts, (c % 4)[:2])]
+        assert not c[0].flags.c_contiguous
+        assert not codes.flags.writeable and not counts.flags.writeable
+        dumped = _dump_blocks(tmp_path / "items.csv", ids, blocks)
+        assert dumped == _csv_writer_bytes(_rows_of(blocks), ids)
 
     def test_no_ids_gives_header_only(self, tmp_path):
-        empty = np.array([], dtype=np.int64)
-        path = tmp_path / "items.csv"
-        write_predictive_draws([(i, empty, empty) for i in range(3)], [], path)
-        assert path.read_bytes() == b"iteration,publication_id,citations,doctype\r\n"
+        empty = np.empty((3, 0), dtype=np.int64)
+        dumped = _dump_blocks(tmp_path / "items.csv", [], [(0, empty, empty)])
+        assert dumped == b"iteration,publication_id,citations,doctype\r\n"
 
     @settings(max_examples=60, deadline=None)
-    @given(case=_dump_draws())
-    def test_bytes_match_csv_writer(self, tmp_path_factory, case):
-        ids, draws = case
+    @given(case=_dump_blocks_case())
+    def test_any_block_split_gives_csv_writer_bytes(self, tmp_path_factory, case):
+        ids, first, citations, codes, splits = case
+        expected = _csv_writer_bytes(_rows_of([(first, citations, codes)]), ids)
         path = tmp_path_factory.mktemp("dump") / "items.csv"
-        write_predictive_draws(iter(draws), ids, path)
-        assert path.read_bytes() == _csv_writer_bytes(draws, ids)
+        for edges in splits:
+            blocks = [
+                (first + lo, citations[lo:hi], codes[lo:hi]) for lo, hi in zip(edges, edges[1:])
+            ]
+            assert _dump_blocks(path, ids, blocks) == expected

@@ -1157,7 +1157,7 @@ def test_groups_that_differ_only_in_recorded_doctype_share_columns(
         for pub in pubset
     }
     assert ws.col_citations.size == 2 * len(keys) == 2 * (4 + 6)
-    assert ws.n_ucols == 2 * 4
+    assert np.count_nonzero(ws.col_bin < ws.n_ubins) == 2 * 4  # unit columns
     groups, items, citations = _run_shapes(ws)
     # Unit runs (counts 0, 2, 5, 11), then reference runs (0, 1, 2, 3, 5, 9).
     assert citations == [0, 2, 5, 11, 0, 1, 2, 3, 5, 9]
@@ -1360,13 +1360,12 @@ def test_worker_chunks_hold_whole_blocks(
     cfg = PropagationConfig(iterations=61, seed=41, key_mode=KEY_DOCTYPE_YEAR_FIELD)
     columns = _build_workspace(grouped_units, grouped_reference, small_models, cfg)
     monkeypatch.setattr(simulation, "BLOCK_BUDGET", 7 * columns.col_citations.size)
-    monkeypatch.setattr(simulation, "_WORKER_WS", None)
     monkeypatch.setattr(simulation.os, "cpu_count", lambda: 3)
     calls = []
 
     class RecordingPool:
-        def __init__(self, processes, initializer, initargs):
-            initializer(*initargs)
+        def __init__(self, processes):
+            pass
 
         def __enter__(self):
             return self
@@ -1401,6 +1400,45 @@ def test_worker_chunks_hold_whole_blocks(
                 _replicates(result, indicator), _replicates(expected, indicator), equal_nan=True
             )
         assert np.array_equal(_excluded(result), _excluded(expected))
+
+
+def test_dump_spans_blocks_and_ignores_the_worker_count(
+    tmp_path, monkeypatch, grouped_units, grouped_reference, small_models
+):
+    # 61 iterations in blocks of 7: nine blocks, the last one of five.  A
+    # dump draws every publication on its own, so its columns are the
+    # publications, and it is written in this process whatever the workers.
+    cfg = PropagationConfig(iterations=61, seed=41, key_mode=KEY_DOCTYPE_YEAR_FIELD)
+    layout = (grouped_units, grouped_reference, small_models, cfg)
+    columns = _build_workspace(*layout, keep_ids=True).col_citations.size
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", 7 * columns)
+    assert _build_workspace(*layout, keep_ids=True).block_size == 7
+    written = []
+    for workers in (1, 3):
+        out = tmp_path / f"workers{workers}"
+        out.mkdir()
+        result = propagate(
+            grouped_units,
+            grouped_reference,
+            small_models,
+            dataclasses.replace(cfg, workers=workers),
+            dump_items=out / "items.csv",
+        )
+        write_report_json(result, out / "report.json")
+        written.append([(out / name).read_bytes() for name in ("items.csv", "report.json")])
+    assert written[0] == written[1]
+
+    # _read_dump checks that iterations 0 to 60 appear once each, in order.
+    dump = tmp_path / "workers1" / "items.csv"
+    citations, codes = _read_dump(dump, grouped_units, cfg.iterations)
+    unit_of = np.array([u for u, pubset in enumerate(grouped_units) for _ in pubset])
+    core = np.isin(codes, [doctype_index(DocType.ARTICLE), doctype_index(DocType.REVIEW)])
+    for u, name in enumerate(result.units):
+        mine = core & (unit_of == u)
+        assert np.array_equal(result.distribution(name, "P").replicates, mine.sum(axis=1))
+        assert np.array_equal(
+            result.distribution(name, "C").replicates, np.where(mine, citations, 0).sum(axis=1)
+        )
 
 
 def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models):
