@@ -17,6 +17,7 @@ row of each array per iteration.
 from __future__ import annotations
 
 import csv
+import math
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -135,22 +136,31 @@ def draw_doctype_codes(
 ) -> np.ndarray:
     """Sample category codes given per-category probability rows.
 
-    ``prob_rows`` is (k, 4): a probability vector per conditioning
-    category, or (rows, k, 4) for a block of rows, which gives (rows, n)
-    codes.  ``conditioning_codes`` (n,) selects the row per item.  Item i
-    gets the first category whose cumulative probability exceeds its
-    uniform draw ``u``.  The cumulative sums never decrease and ``u`` is
-    below 1, so that category is the number of the first three
-    cumulative sums that ``u`` reaches; the last sum is never compared.
+    ``prob_rows`` is (c, k): a probability vector over k categories per
+    conditioning category, or (rows, c, k) for a block of rows, which
+    gives (rows, n) codes.  ``conditioning_codes`` (n,) selects the row
+    per item.  Item i gets the first category whose cumulative
+    probability exceeds its uniform draw ``u``.  The cumulative sums
+    never decrease and ``u`` is below 1, so that category is the number
+    of the first k - 1 cumulative sums that ``u`` reaches.  The last sum
+    is never compared, so every code is below k even where rounding
+    leaves that sum below 1.
     """
     # One contiguous array of thresholds per comparison: ``take`` from it
     # is cheaper than a fancy index over the category axis too.
-    thresholds = np.moveaxis(np.cumsum(prob_rows, axis=-1), -1, 0).copy()
+    thresholds = np.moveaxis(np.cumsum(prob_rows[..., :-1], axis=-1), -1, 0).copy()
     u = rng.random(prob_rows.shape[:-2] + conditioning_codes.shape)
-    codes = (u >= thresholds[0].take(conditioning_codes, axis=-1)).astype(np.int64)
-    codes += u >= thresholds[1].take(conditioning_codes, axis=-1)
-    codes += u >= thresholds[2].take(conditioning_codes, axis=-1)
+    codes = np.zeros(u.shape, dtype=np.int64)
+    for threshold in thresholds:
+        codes += u >= threshold.take(conditioning_codes, axis=-1)
     return codes
+
+
+# A group of at most this many items draws one uniform per item and
+# tallies the codes; a larger group draws one multinomial.  numpy's
+# multinomial costs about the same per group whatever its size, and a
+# few uniforms cost less.
+_SMALL_GROUP = 8
 
 
 def draw_doctype_counts(
@@ -159,20 +169,40 @@ def draw_doctype_counts(
     sizes: np.ndarray,
     conditioning_codes: np.ndarray,
 ) -> np.ndarray:
-    """Per-category counts of groups of items, one multinomial per group.
+    """Per-category counts of groups of iid items.
 
     ``prob_rows`` is (c, k): a probability vector over k categories per
     conditioning category, or (rows, c, k) for a block of rows.  Group g
     has ``sizes[g]`` items, all conditioned on the category
     ``conditioning_codes[g]``.  Given ``prob_rows`` the items are iid
-    categorical on that row, so the tally of their categories (with k = 4,
-    of their ``draw_doctype_codes`` codes) is Multinomial(``sizes[g]``,
-    ``prob_rows[conditioning_codes[g]]``): this draws it directly, in time
-    proportional to the groups rather than the items.  Returns a (groups,
-    k) integer array, (rows, groups, k) for a block; each group's counts
-    sum to ``sizes[g]`` and a zero-probability category gets 0.
+    categorical on that row, so the tally of their categories is
+    Multinomial(``sizes[g]``, ``prob_rows[conditioning_codes[g]]``).  A
+    group of at most ``_SMALL_GROUP`` items tallies its items'
+    ``draw_doctype_codes`` codes; a larger group draws the multinomial
+    directly, at a cost that does not grow with its size.  One call draws
+    the uniforms of every small-group item in every row, then one call
+    the multinomials of every large group in every row.  Returns a
+    (groups, k) integer array, (rows, groups, k) for a block; each
+    group's counts sum to ``sizes[g]`` and a zero-probability category
+    gets 0.
     """
-    return rng.multinomial(sizes, prob_rows[..., conditioning_codes, :])
+    lead, k = prob_rows.shape[:-2], prob_rows.shape[-1]
+    rows, groups = math.prod(lead), sizes.size
+    small = sizes <= _SMALL_GROUP
+    # Each small-group item's code is binned at (row, group, code), so one
+    # bincount tallies the whole block; the large groups' bins stay empty
+    # until their multinomials fill them.
+    group_of = np.repeat(np.flatnonzero(small), sizes[small])
+    codes = draw_doctype_codes(rng, prob_rows, conditioning_codes[group_of])
+    codes += group_of * k
+    codes += (np.arange(rows) * (groups * k)).reshape(lead + (1,))
+    counts = np.bincount(codes.ravel(), minlength=rows * groups * k).reshape(lead + (groups, k))
+    large = np.flatnonzero(~small)
+    if large.size:
+        counts[..., large, :] = rng.multinomial(
+            sizes[large], prob_rows[..., conditioning_codes[large], :]
+        )
+    return counts
 
 
 def sample_probability_rows(rng: np.random.Generator, concentrations: np.ndarray) -> np.ndarray:

@@ -37,10 +37,12 @@ non-core cell, which no score reads.  So with doctype redraws the
 kernel's columns are (unit, cell group, citation count) x new core
 doctype: the groups that differ only in recorded doctype form one run
 and share its 2 columns, since the omitted-count law never reads the
-recorded doctype.  One multinomial per group over (article, review,
-non-core), drawn from its recorded doctype's Dirichlet row with the two
-non-core concentrations summed, puts k of its publications under each
-new core doctype, a run adds up its groups' tallies, and the omitted
+recorded doctype.  Each group's publications are tallied over (article,
+review, non-core) on its recorded doctype's Dirichlet row with the two
+non-core concentrations summed (``predictive.draw_doctype_counts``: one
+uniform per publication in a small group, one multinomial for a larger
+one).  The tally puts k of its publications under each new core
+doctype, a run adds up its groups' tallies, and the omitted
 citations of a column's k items are one gamma-Poisson sum,
 ``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law of k
 summed negative binomial draws whatever the items' recorded doctypes.
@@ -285,8 +287,8 @@ class _Workspace:
     citation count and singleton id and differ only in their recorded
     doctype, which the omitted-count law never reads.  ``group_sizes``
     holds each group's item count and ``group_types`` its recorded
-    (first kind: true) doctype, the row a multinomial over article,
-    review and non-core is drawn from; ``run_starts`` indexes each run's
+    (first kind: true) doctype, the row its tally over article, review
+    and non-core is drawn from; ``run_starts`` indexes each run's
     first group, where its tallies start.  Without doctype redraws the
     sizes are the columns' fixed counts.  ``concentrations`` holds the
     Dirichlet rows the doctype draws use: (4, 4) when ``per_item``, else
@@ -347,13 +349,15 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
 
     [start, stop) is one kernel block: ``start`` is a multiple of
     ``ws.block_size`` and the block draws from the substream keyed by
-    (seed, ``start // ws.block_size``), one call per kind of draw, each
-    iteration one row of (iterations, ...) arrays.  In order: the
-    Dirichlet gammas of the probability rows, (iterations, 4, 4) when
-    ``per_item`` and otherwise (iterations, 4, 3) over article, review
-    and non-core; the new doctypes, (iterations, columns) uniforms when
-    ``per_item`` and otherwise one multinomial per (iteration, group)
-    over those 3 categories, whose article and review tallies a run's
+    (seed, ``start // ws.block_size``), one call per kind of draw (two
+    for the grouped doctypes), each iteration one row of (iterations,
+    ...) arrays.  In order: the Dirichlet gammas of the probability rows,
+    (iterations, 4, 4) when ``per_item`` and otherwise (iterations, 4, 3)
+    over article, review and non-core; the new doctypes, (iterations,
+    columns) uniforms when ``per_item``, and otherwise a tally per
+    (iteration, group) over those 3 categories, drawn as one uniform per
+    item of every small group and then one multinomial per large group
+    (``draw_doctype_counts``), whose article and review tallies a run's
     groups add into the run's 2 columns; then the omitted citations, one
     gamma per (iteration, column) with its count of items and its
     iteration's parameter row, then one Poisson per (iteration, bin) of

@@ -3,20 +3,20 @@
 Each routine here is the direct per-item form of a package function and
 consumes the random stream in the same order, so the package must match
 it bit for bit: ``rng.gamma`` with a scale for the negative binomial,
-an (n, 4) cumulative-sum argmax for the category draw, and for the
+an (n, k) cumulative-sum argmax for the category draw, and for the
 propagation kernel one publication at a time, scored one Monte Carlo
 iteration at a time.  ``simulate_block`` draws a kernel block's
 randomness in the kernel's order from the block's substream;
 ``simulate_one`` is the per-iteration form the kernel used before it
 keyed substreams by block, one substream per iteration, which a block of
-one iteration still reproduces.  The kernel draws one doctype
-multinomial and one citation sum per group of exchangeable publications
-instead, so it matches the oracle bit for bit only where every
-publication is its own group.  Elsewhere P matches exactly only when
-doctypes are not redrawn, and the rest agree in distribution: a grouped
-doctype draw tallies article, review and non-core from Dirichlet rows
-whose two non-core categories are merged, and draws citations for the
-core tallies only.
+one iteration still reproduces.  The grouped kernel instead tallies each
+group of exchangeable publications over article, review and non-core,
+from Dirichlet rows whose two non-core categories are merged (one
+uniform per publication of every small group first, then one
+multinomial per large group), and draws one citation sum for a group's
+core tallies only.  So it matches the oracle bit for bit only where
+every publication is its own group.  Elsewhere P matches exactly only
+when doctypes are not redrawn, and the rest agree in distribution.
 
 ``load_publications_rows`` is the row-by-row form of ``load_publications``:
 one ``csv.DictReader`` row and one validated ``Publication`` at a time,

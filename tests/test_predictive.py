@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bibuq.datamodel import DOCTYPE_ORDER, DocType, UsageError
 from bibuq.predictive import (
+    _SMALL_GROUP,
     DUMP_TAIL_COUNTS,
     cycled_params,
     draw_doctype_codes,
@@ -199,6 +200,19 @@ class TestDrawExactness:
         assert codes.tolist() == [1, 3, 3, 1, 3, 3]
         assert np.array_equal(codes, oracle.draw_doctype_codes(_StubRng(u), prob_rows, cond))
 
+    def test_last_cumulative_sum_is_never_compared(self):
+        # A three-category row whose cumulative sum rounds to the largest
+        # double below 1, which random() can return: the item falls in the
+        # last category, not in a fourth one.
+        below_one = np.nextafter(1.0, 0.0)
+        prob_rows = np.array([[0.6, 0.3, 0.1]])
+        assert np.cumsum(prob_rows[0])[-1] == below_one
+        u = np.array([below_one])
+        codes = draw_doctype_codes(_StubRng(u), prob_rows, np.zeros(1, dtype=np.int64))
+        assert codes.tolist() == [2]
+        blocked = draw_doctype_codes(_StubRng(u[None]), prob_rows[None], np.zeros(1, dtype=np.int64))
+        assert blocked.tolist() == [[2]]
+
     @settings(max_examples=60, deadline=None)
     @given(
         rows=st.lists(
@@ -238,8 +252,13 @@ class TestDrawExactness:
         assert drawn == [DOCTYPE_ORDER[code] for code in codes]
 
 
+# Group sizes on both sides of the count sampler's cutoff: small groups
+# tally one uniform per item, large groups draw one multinomial.
+_group_sizes = st.one_of(st.integers(0, _SMALL_GROUP), st.integers(_SMALL_GROUP + 1, 50))
+
+
 class TestDoctypeCounts:
-    """``draw_doctype_counts``: one multinomial per group of iid items."""
+    """``draw_doctype_counts``: the tallied categories of groups of iid items."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -250,7 +269,10 @@ class TestDoctypeCounts:
         prob_rows = np.array(weights) / np.array(weights).sum(axis=1, keepdims=True)
         groups = data.draw(
             st.lists(
-                st.tuples(st.integers(0, prob_rows.shape[0] - 1), st.integers(0, 10**6)),
+                st.tuples(
+                    st.integers(0, prob_rows.shape[0] - 1),
+                    st.one_of(_group_sizes, st.integers(0, 10**6)),
+                ),
                 min_size=0,
                 max_size=20,
             )
@@ -275,13 +297,33 @@ class TestDoctypeCounts:
         counts = draw_doctype_counts(rng, prob_rows, sizes, np.zeros(4, dtype=np.int64))
         assert counts.tolist() == [[0, 5, 0, 0], [0, 1, 0, 0], [0, 10**6, 0, 0], [0, 0, 0, 0]]
 
+    @pytest.mark.parametrize("size", [_SMALL_GROUP, _SMALL_GROUP + 1])
+    def test_cutoff_selects_item_codes_or_one_multinomial(self, size):
+        # A group of at most _SMALL_GROUP items is the tally of that many
+        # ``draw_doctype_codes`` codes; a larger one is one multinomial.
+        prob_rows = np.array([[0.55, 0.15, 0.30], [0.2, 0.3, 0.5]])
+        counts = draw_doctype_counts(
+            np.random.default_rng(4), prob_rows, np.array([size]), np.array([1])
+        )
+        rng = np.random.default_rng(4)
+        if size <= _SMALL_GROUP:
+            codes = draw_doctype_codes(rng, prob_rows, np.ones(size, dtype=np.int64))
+            expected = np.bincount(codes, minlength=3)
+        else:
+            expected = rng.multinomial(size, prob_rows[1])
+        assert counts.tolist() == [expected.tolist()]
+
     # (group size, probability row): one item, a row with an impossible
-    # category, a near-certain category and a large group.
+    # category, a near-certain category, a large group, and the largest
+    # group that tallies uniforms and the smallest that draws a
+    # multinomial, over the kernel's three categories.
     _CASES = [
         (1, (0.25, 0.25, 0.3, 0.2)),
         (7, (0.62, 0.08, 0.0, 0.30)),
         (40, (0.97, 0.01, 0.005, 0.015)),
         (150, (0.4, 0.1, 0.2, 0.3)),
+        (_SMALL_GROUP, (0.55, 0.15, 0.30)),
+        (_SMALL_GROUP + 1, (0.55, 0.15, 0.30)),
     ]
 
     @pytest.mark.parametrize("size, row", _CASES)
@@ -294,14 +336,14 @@ class TestDoctypeCounts:
         # variance's standard error), and the two means within 5 standard
         # errors of each other.
         n = 10_000
-        prob_rows = np.array([row, (0.0, 0.0, 0.0, 1.0)])
+        prob_rows = np.array([row, np.eye(len(row))[-1]])
         cond = np.zeros(n, dtype=np.int64)
         counts = draw_doctype_counts(
             np.random.default_rng(1), prob_rows, np.full(n, size), cond
         )
         items = np.zeros(n * size, dtype=np.int64)
         codes = draw_doctype_codes(np.random.default_rng(2), prob_rows, items)
-        tallies = np.zeros((n, 4), dtype=np.int64)
+        tallies = np.zeros((n, len(row)), dtype=np.int64)
         np.add.at(tallies, (np.repeat(np.arange(n), size), codes), 1)
         for k, p in enumerate(row):
             pq = p * (1.0 - p)
@@ -510,23 +552,32 @@ class TestBlockAxis:
         data=st.data(),
     )
     def test_block_draws_equal_successive_row_draws(self, weights, block, data):
-        # The Dirichlet rows, the category codes and the group counts of a
-        # block are, draw for draw, the 2-d calls made once per row.
+        # The Dirichlet rows, the category codes and the counts of groups
+        # that are all small or all large are, draw for draw, the 2-d
+        # calls made once per row.  A block of both kinds of group draws
+        # every row's small-group uniforms first, then every row's
+        # large-group multinomials: its counts are those of its small
+        # groups alone followed by those of its large groups alone.
         concentrations = np.array(weights) * 3.0
         k = concentrations.shape[0]
         cond = np.array(
             data.draw(st.lists(st.integers(0, k - 1), min_size=0, max_size=12)), dtype=np.int64
         )
         sizes = np.array(
-            data.draw(st.lists(st.integers(0, 50), min_size=cond.size, max_size=cond.size)),
+            data.draw(st.lists(_group_sizes, min_size=cond.size, max_size=cond.size)),
             dtype=np.int64,
         )
+        small = sizes <= _SMALL_GROUP
         seed = data.draw(st.integers(0, 2**32 - 1))
         stacked = np.broadcast_to(concentrations, (block, k, 4))
-        def counts(rng, rows, c):
-            return draw_doctype_counts(rng, rows, sizes, c)
 
-        for draw in (draw_doctype_codes, counts):
+        def small_counts(rng, rows, c):
+            return draw_doctype_counts(rng, rows, sizes[small], c[small])
+
+        def large_counts(rng, rows, c):
+            return draw_doctype_counts(rng, rows, sizes[~small], c[~small])
+
+        for draw in (draw_doctype_codes, small_counts, large_counts):
             block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             rows = sample_probability_rows(block_rng, stacked)
             assert rows.shape == (block, k, 4)
@@ -536,6 +587,15 @@ class TestBlockAxis:
             for r in range(block):
                 assert np.array_equal(drawn[r], draw(row_rng, rows[r], cond))
             assert block_rng.random() == row_rng.random()
+
+        block_rng, parts_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rows = sample_probability_rows(block_rng, stacked)
+        sample_probability_rows(parts_rng, stacked)
+        drawn = draw_doctype_counts(block_rng, rows, sizes, cond)
+        assert drawn.shape == (block, sizes.size, 4)
+        assert np.array_equal(drawn[:, small], small_counts(parts_rng, rows, cond))
+        assert np.array_equal(drawn[:, ~small], large_counts(parts_rng, rows, cond))
+        assert block_rng.random() == parts_rng.random()
 
     def test_block_underflow_falls_back_per_row(self):
         concentrations = np.array([[1e-300, 3e-300, 2e-300, 0.0], [1.0, 2.0, 3.0, 4.0]])

@@ -811,10 +811,11 @@ def test_block_kernel_matches_oracle(
     is its own group (first-kind citation redraws, and any dump run) all
     outputs and the dumped draws match the oracle at that block size bit
     for bit.  With citations alone the doctypes stay put, so P matches
-    too.  Grouped doctype redraws tally each group's new types with one
-    multinomial instead of one uniform per publication, and grouped
-    citation draws sum a cell's omissions in one draw; those agree with
-    the oracle only in distribution (see
+    too.  Grouped doctype redraws tally each group's new types over
+    article, review and non-core, the small groups' uniforms first and
+    then one multinomial per large group, not one uniform per publication
+    in layout order, and grouped citation draws sum a cell's omissions in
+    one draw; those agree with the oracle only in distribution (see
     test_grouped_draws_agree_with_oracle_in_distribution).
     """
     direction, _, channels, _ = _ORACLE_CASES[case]
@@ -987,9 +988,11 @@ def _float_bits(value):
 # when the grouped columns became (run, new core doctype) cells drawn
 # from a three-way doctype multinomial (no observed value moved), and
 # when the omitted citations came to be drawn with one Poisson per
-# scoring bin instead of one per column (no observed value moved).
+# scoring bin instead of one per column (no observed value moved), and
+# when a group of at most 8 publications came to tally one uniform per
+# publication instead of drawing a multinomial (no observed value moved).
 _PER_ITERATION_FIELD_KEYED_SHA256 = (
-    "e5e1305c9b962f3adeb717827fc990a2e29f1159f6e9f735e1172dedb1eb6149"
+    "d8409d4ac4083fcbd43d23f6924e7fd6a5888e4ea8b9367e76b1e1166253155d"
 )
 
 
@@ -1499,12 +1502,15 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # scoring bin (the columns that share unit, cell and doctype) instead of
 # one per column, and to score the bins: the C and MNCS streams moved, no
 # P replicate did, and the observed MNCS of unit A in "2" and "4" moved
-# by 1 ULP.
+# by 1 ULP.  "4" and "field-keyed" were re-pinned, with the outputs of
+# "4" below, when a grouped doctype draw came to tally one uniform per
+# publication in groups of at most 8 and to keep one multinomial for the
+# larger groups: the P, C and MNCS streams moved, no observed value did.
 _PINNED_REPORT_SHA256 = {
     "2": "4232a282ce3b07cda7448aec10a0138afe7b409015ca08be6a7d217edfd41b66",
-    "4": "5bb0f95997a44ced45edd5c67c7731339e10006b1375d3130f6650b424388106",
+    "4": "4b8660de3bc49d9a4a77f1e741111d6368750544d55d7568fa529db0d6c0682d",
     "A3": "bfef574c127e8ce3df8b7b9044fc9b23a903298411e29d0415b4f33ad04e6238",
-    "field-keyed": "a974feedb32554fbc008db3cebdc10a9ec3e9944943043cf2fa817892ad243d8",
+    "field-keyed": "0b42fe3267fdab483fba91e6f6be81bacb595c6643f22fe9feefb5123a04fc15",
 }
 
 
@@ -1522,12 +1528,12 @@ def test_exercise_report_bytes_are_pinned(tmp_path, name):
 _PINNED_OUTPUT_SHA256 = {
     ("1", "exercise.json"): "8bdb1bea6496c65584395733e5f7a18263fb0c1620ccf6bbfa0a051867a5e0d0",
     ("1", "exercise.txt"): "2639ee301b5f6d6ab21dae0bbe86d1f3857741cf5c2dd10d9679f21768981ee0",
-    ("4", "exercise.json"): "e2937dde5fd6b2dbae14a6bb6825cfb6601407a42e8a9ab3bce6233199d314c9",
-    ("4", "exercise.txt"): "15d83873af277c86f7bab6d3591651a117b3c689fd6391af6fbc517f6784dd68",
-    ("4", "plot_summary.csv"): "1d98b9e45bf30eb289cf350570b46ab5e365165436a2426c508e4761a65effcc",
+    ("4", "exercise.json"): "df45629dfedd92594e5a0019bef6f29a4d2bbc2fe867fa91cf16aa969c68cb04",
+    ("4", "exercise.txt"): "990eacaf347f5eab163ab4c256fde601071133622405d5c90c0a3d3daa0d6ecc",
+    ("4", "plot_summary.csv"): "963d0b72b9ea60a4f323027c961add6f231117b97ce167643f782a71fcf04fad",
     ("4", "plot_uncertainty.csv"):
-        "9490f6205cd9d05bcef155f2ae244a3b6139951f81a1139da3739cf02bc5bc13",
-    ("4", "report table"): "0f94f01d4d4f3522fb49523a655a48234b1eab9d35c2072c4f66d501a2995907",
+        "41f4db237c8d889027bf90a83a0ad0207a1bb9ea104ec7e45fc9792b6588d0a8",
+    ("4", "report table"): "8a18f9ab50c81d7d2f6ea71f9df755da75588ecda78c3be7a996c2861cd59ce3",
 }
 
 
