@@ -392,6 +392,11 @@ def negbin_rvs(
     gammas are drawn as without ``bins``, then one Poisson per bin.  The
     cap applies to each element's mean before the rates are summed, and
     an element with a zero count adds zero rate.
+
+    The kernel's first-kind citation redraws need only min(O, c) and
+    invert its CDF with one uniform per element
+    (``predictive.draw_clamped_omitted``); they call this sampler only for
+    the elements whose CDF walk could be long.
     """
     mu = np.minimum(np.asarray(mu, dtype=np.float64), 1e12)
     theta = np.asarray(theta, dtype=np.float64)

@@ -105,17 +105,54 @@ def first_seen_codes(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, np.sort(firsts)
 
 
+def _packed_key(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, int] | None:
+    """Each key tuple and its position packed into one int64, or None when they do not fit.
+
+    Each key is offset by its minimum and takes the bits its range needs,
+    the first key highest, and the position takes the lowest bits.  So
+    the packed values are distinct and sort as the (tuple, position)
+    pairs do.  Returns them with the position's bit count; None when more
+    than 63 bits are needed, or there are no tuples.
+    """
+    n = keys[0].size
+    if not n:
+        return None
+    lows = [int(key.min()) for key in keys]
+    widths = [(int(key.max()) - low).bit_length() for key, low in zip(keys, lows)]
+    position_bits = (n - 1).bit_length()
+    if sum(widths) + position_bits > 63:
+        return None
+    packed = np.zeros(n, dtype=np.int64)
+    for key, low, width in zip(keys, lows, widths):
+        packed <<= width
+        packed |= key.astype(np.int64, copy=False) - low
+    packed <<= position_bits
+    packed |= np.arange(n)
+    return packed, position_bits
+
+
 def sorted_runs(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Stable sort order of the key tuples, and where each run of equal tuples starts.
 
     The first key sorts first.  ``starts`` flags, in sorted order, the
-    first index of each run.
+    first index of each run.  When the keys' ranges and the positions fit
+    in 63 bits together, one sort of the packed values (``_packed_key``)
+    gives ``np.lexsort``'s order, ties in position order; otherwise
+    ``np.lexsort`` sorts them.
     """
-    order = np.lexsort(keys[::-1])
-    same = np.ones(max(order.size - 1, 0), dtype=bool)
-    for key in keys:
-        ordered = key[order]
-        same &= ordered[1:] == ordered[:-1]
+    packed = _packed_key(keys)
+    if packed is None:
+        order = np.lexsort(keys[::-1])
+        same = np.ones(max(order.size - 1, 0), dtype=bool)
+        for key in keys:
+            ordered = key[order]
+            same &= ordered[1:] == ordered[:-1]
+    else:
+        values, position_bits = packed
+        values.sort()
+        order = values & ((1 << position_bits) - 1)
+        values >>= position_bits
+        same = values[1:] == values[:-1]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = ~same
     return order, starts

@@ -77,7 +77,9 @@ def draw_omitted(
     ``counts`` optionally makes an element the summed omissions of that
     many iid items that share its predictor, and ``bins`` optionally sums
     the elements into bins along the last axis with one Poisson draw per
-    bin (see ``negbin_rvs``).
+    bin (see ``negbin_rvs``).  First-kind citation redraws read the count
+    only through min(O, c) and draw that with ``draw_clamped_omitted``,
+    one uniform per element, instead.
     """
     params = np.asarray(params, dtype=np.float64)
     b0 = params[..., 0]
@@ -86,6 +88,104 @@ def draw_omitted(
     with np.errstate(over="ignore"):
         mu = np.exp(b0 + b1 * log1p_predictor)
     return negbin_rvs(rng, mu, theta, counts, bins)
+
+
+# The clamped draw inverts a publication's CDF only where the walk to its
+# draw is short: its tail ratio mu / (theta + mu), the factor its pmf
+# shrinks by per step far out, is at most _WALK_MAX_RATIO, and its mean is
+# at most _WALK_MAX_MEAN.  Anywhere else it keeps the gamma-Poisson draw.
+# The ratio was set by a sweep on the benchmark's first-kind workload (see
+# CHANGES.md); the mean bound keeps P(O = 0) >= exp(-_WALK_MAX_MEAN), far
+# from underflow, whatever the dispersion.  The walk tabulates the CDF in
+# chunks of steps, _FIRST_CHUNK first and each later chunk twice as long:
+# on that workload one chunk settles all but about one block in ten.
+_WALK_MAX_RATIO = 0.875
+_WALK_MAX_MEAN = 16.0
+_FIRST_CHUNK = 16
+
+
+def draw_clamped_omitted(
+    rng: np.random.Generator, params: np.ndarray, values: np.ndarray, index: np.ndarray
+) -> np.ndarray:
+    """min(O, c) for O ~ NB(theta, mu(c)), one uniform per element.
+
+    The first-kind clamp max(c - O, 0) is c - min(O, c), so it reads O
+    only through min(O, c), a law on 0..c.  ``params`` is (rows, 3), one
+    (intercept, slope, dispersion) row per block row; ``values`` holds the
+    distinct citation counts c in ascending order and ``index`` (m,) maps
+    each column to its value.  Everything but the uniforms is computed per
+    (row, value): mu, the tail ratio r = mu / (theta + mu), P(O = 0) =
+    (theta / (theta + mu)) ** theta and the CDF.  Returns (rows, m)
+    integer draws.
+
+    One uniform u is drawn per (row, column), all before anything else,
+    and the draw is the first j with u < F(j) or j = c, F being the NB
+    CDF: inversion by sequential search, exact up to the rounding of the
+    CDF sums.  Most elements settle at j = 0 on one comparison (an
+    uncited one always does).  For the rest, each (row, value) walks the
+    pmf recursion p(j) = p(j - 1) * (r * (theta - 1) / j + r) and sums the
+    CDF a chunk of steps at a time, and each element still walking takes
+    the first step of the chunk where its u falls below the CDF, or where
+    the walk stops: at c, or where the pmf term no longer changes the CDF
+    sum.  Elements past the chunk walk on into the next, twice as long.
+    An element past the walk bounds (``_WALK_MAX_RATIO``,
+    ``_WALK_MAX_MEAN``) ignores its uniform and keeps the gamma-Poisson
+    draw of ``negbin_rvs``, clamped at c: after every uniform, one gamma
+    per such element in (row, column) order, then one Poisson each.
+    """
+    rows, m, n_values = params.shape[0], index.size, values.size
+    theta = params[:, 2:]
+    # Capping the exponent keeps exp finite; negbin_rvs caps the mean at 1e12.
+    mu = np.exp(np.minimum(params[:, 1:2] * np.log1p(values) + params[:, :1], 28.0))
+    total = theta + mu
+    ratio = mu / total
+    walks = (ratio <= _WALK_MAX_RATIO) & (mu <= _WALK_MAX_MEAN)
+    first = (theta / total) ** theta
+    # Where u is below this an element settles at 0 at once: P(O = 0) for
+    # a walk, 1 for an uncited element, -1 (never) past the walk bounds.
+    settle = np.where(walks, first, -1.0)
+    if n_values and values[0] == 0:
+        settle[:, 0] = 1.0
+    u = rng.random((rows, m))
+    draws = np.zeros(rows * m, dtype=np.int64)
+    at = np.flatnonzero(u >= settle.take(index, axis=1))
+    row, col = np.divmod(at, m)
+    slot = row * n_values + index[col]  # the element's (row, value)
+    if (settle < 0).any():
+        off = ~walks.ravel()[slot]
+        omitted = negbin_rvs(rng, mu.ravel()[slot[off]], theta.ravel()[row[off]])
+        draws[at[off]] = np.minimum(omitted, values[index[col[off]]])
+        at, slot = at[~off], slot[~off]
+    level = u.ravel()[at]
+    # The walk per (row, value), as of step j: pmf, CDF sum, and the
+    # recursion's two terms.
+    pmf = cdf = first.ravel()
+    ratio, slope = ratio.ravel(), (ratio * (theta - 1.0)).ravel()
+    cap = np.tile(values, rows)
+    j, width = 0, _FIRST_CHUNK
+    while at.size:
+        steps = np.arange(j + 1, j + width + 1)[:, None]
+        pmfs = np.empty((width + 1, pmf.size))
+        pmfs[0] = pmf
+        np.divide(slope, steps, out=pmfs[1:])
+        pmfs[1:] += ratio
+        np.cumprod(pmfs, axis=0, out=pmfs)
+        cdfs = pmfs.copy()
+        cdfs[0] = cdf
+        np.cumsum(cdfs, axis=0, out=cdfs)
+        # (row, value) by step: F(step), or 2 from where the walk stops on.
+        stops = (cdfs[1:] == cdfs[:-1]) | (steps >= cap)
+        table = np.where(stops, 2.0, cdfs[1:]).T.copy()
+        # An element's row of ``below`` is True up to its step in the
+        # chunk; one True throughout walks on into the next chunk.
+        below = table.take(slot, axis=0) <= level[:, None]
+        draws[at] = below.argmin(axis=1) + (j + 1)
+        go = np.flatnonzero(below[:, -1])
+        at, slot, level = at[go], slot[go], level[go]
+        pmf, cdf = pmfs[-1], cdfs[-1]
+        j += width
+        width *= 2
+    return draws.reshape(rows, m)
 
 
 def predict_omitted(posterior: NegBinPosterior, citations: int, n: int, seed: int) -> np.ndarray:
@@ -123,12 +223,17 @@ def predict_error_affected_citations(
 
     Requires a first-kind posterior (the model conditions on the
     error-free count).  Draws are clamped at zero, so each lies in
-    [0, citations].
+    [0, citations]: each is ``citations`` minus one
+    ``draw_clamped_omitted`` draw of min(O, citations).
     """
     if posterior.spec.direction != FIRST_KIND:
         raise UsageError("error injection requires a posterior fitted in the first-kind direction")
-    omitted = predict_omitted(posterior, citations, n, seed)
-    return np.maximum(citations - omitted, 0)
+    _check_n(n)
+    _check_citations(citations)
+    rng = np.random.default_rng(seed)
+    params = cycled_params(posterior, n)
+    clamped = draw_clamped_omitted(rng, params, np.array([citations]), np.zeros(1, dtype=np.int64))
+    return citations - clamped[:, 0]
 
 
 def draw_doctype_codes(

@@ -67,6 +67,18 @@ an item dump.  When the grouped columns (two per run with doctype
 redraws, one per group without) would not be fewer than the
 publications, every publication is drawn and scored on its own, in
 layout order, one uniform for its doctype.
+
+A first-kind citation redraw turns c into c - min(O, c), so it reads the
+omitted count O only through min(O, c), a law on 0..c.  It is drawn by
+inversion (``predictive.draw_clamped_omitted``): one uniform per
+(iteration, publication), compared with the negative binomial CDF summed
+by the pmf recursion from P(O = 0).  mu and P(O = 0) are computed once per
+distinct citation count per iteration, through the citation-value index
+the workspace keeps.  Most publications settle at 0 on one comparison.
+For the rest the CDF of each distinct count is summed a chunk of steps at
+a time, and each publication still walking takes its step in the chunk,
+or c.  A publication whose walk could be long, by its tail ratio mu /
+(theta + mu) or its mean, keeps the gamma-Poisson draw, clamped at c.
 """
 
 from __future__ import annotations
@@ -106,6 +118,7 @@ from .indicators import (
 from .indicators import build_normalization, indicators_for  # noqa: F401
 from .predictive import (
     cycled_params,
+    draw_clamped_omitted,
     draw_doctype_codes,
     draw_doctype_counts,
     draw_omitted,
@@ -310,6 +323,10 @@ class _Workspace:
     ``norm`` selects the bins counted in the normalization cells.  Unit
     bins come first, ``n_ubins`` of them, in unit slots ``bin_unit``.
     ``ids`` holds the unit publications' ids in a run that dumps them.
+
+    Under first-kind citation redraws, ``cite_values`` holds the distinct
+    citation counts and ``cite_index`` each column's entry in it, so a
+    block computes each count's law once per row.
     """
 
     col_citations: np.ndarray
@@ -337,6 +354,8 @@ class _Workspace:
     groups: int
     per_item: bool
     ids: list[str] | None = None
+    cite_values: np.ndarray | None = None
+    cite_index: np.ndarray | None = None
 
 
 def _worker_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
@@ -361,12 +380,15 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     groups add into the run's 2 columns; then the omitted citations, one
     gamma per (iteration, column) with its count of items and its
     iteration's parameter row, then one Poisson per (iteration, bin) of
-    its columns' summed rates (per column when ``per_item``).  The
-    columns' items and recorded citations are summed into their bins, and
-    the bins are scored.  The draws therefore depend on ``BLOCK_BUDGET``
-    and the column count, which set the block size, and on where the
-    run's last block ends, but not on the worker count.  A block of one
-    iteration is keyed by (seed, iteration).
+    its columns' summed rates (per column when ``per_item``).  First-kind
+    citation redraws, always per item, draw instead one uniform per
+    (iteration, publication), then one gamma and then one Poisson for each
+    publication past the inversion's walk bounds
+    (``draw_clamped_omitted``).  The columns' items and recorded citations
+    are summed into their bins, and the bins are scored.  The draws
+    therefore depend on ``BLOCK_BUDGET`` and the column count, which set
+    the block size, and on where the run's last block ends, but not on the
+    worker count.  A block of one iteration is keyed by (seed, iteration).
     """
     cfg = ws.config
     rows = stop - start
@@ -387,15 +409,17 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
         else:
             tallies = draw_doctype_counts(rng, prob_rows, ws.group_sizes, ws.group_types)
             k = np.add.reduceat(tallies[..., :2], ws.run_starts, axis=1).reshape(rows, m)
-    omitted = None
+    change = None  # the citations each bin gains (second kind) or loses
     if CHANNEL_CITATIONS in cfg.channels:
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
-        omitted = draw_omitted(rng, params[:, None, :], ws.col_log1p, k, bins=ws.col_bin)
+        if cfg.direction == SECOND_KIND:
+            change = draw_omitted(rng, params[:, None, :], ws.col_log1p, k, bins=ws.col_bin)
+        else:
+            # Drawn per item: each publication loses min(O, c) of its own c.
+            change = -draw_clamped_omitted(rng, params, ws.cite_values, ws.cite_index)
     k, c = _binned(ws, k)
-    if omitted is not None:
-        # First-kind citation redraws are drawn per item, so the clamp
-        # applies to each publication's own count.
-        c = c + omitted if cfg.direction == SECOND_KIND else np.maximum(c - omitted, 0)
+    if change is not None:
+        c = c + change
     return _score_rows(ws, rows, c, types, k)
 
 
@@ -619,6 +643,9 @@ def _build_workspace(
     if norm.size and norm[-1] - norm[0] + 1 == norm.size:
         norm = slice(int(norm[0]), int(norm[-1]) + 1)  # a view, not a gather
     col_citations = citations[rep]
+    cite_values = cite_index = None
+    if redraw_citations and config.direction == FIRST_KIND:
+        cite_values, cite_index = np.unique(col_citations, return_inverse=True)
     return _Workspace(
         col_citations=col_citations,
         col_log1p=np.log1p(col_citations.astype(np.float64)),
@@ -649,6 +676,8 @@ def _build_workspace(
         groups=n_groups,
         per_item=group_sizes is None,
         ids=list(chain.from_iterable(pubset.ids for pubset in units)) if keep_ids else None,
+        cite_values=cite_values,
+        cite_index=cite_index,
     )
 
 

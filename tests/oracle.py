@@ -18,6 +18,15 @@ core tallies only.  So it matches the oracle bit for bit only where
 every publication is its own group.  Elsewhere P matches exactly only
 when doctypes are not redrawn, and the rest agree in distribution.
 
+First-kind citation redraws are drawn per publication by inverting the
+CDF of min(O, c): ``clamped_omitted`` takes one uniform per (iteration,
+publication) and ``walk_clamped`` walks one publication's pmf recursion
+from P(O = 0) until the uniform falls below the CDF sum, the walk reaches
+c, or the sum stops growing; the publications past the kernel's walk
+bounds then take a gamma and a Poisson each, in (iteration,
+publication) order.  ``negbin_rvs`` stays the law that the inversion is
+tested against.
+
 ``load_publications_rows`` is the row-by-row form of ``load_publications``:
 one ``csv.DictReader`` row and one validated ``Publication`` at a time,
 raising at the first bad cell with the reader's line number.
@@ -48,6 +57,7 @@ from bibuq.datamodel import (
 )
 from bibuq.errormodels import SECOND_KIND
 from bibuq.indicators import KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD, IndicatorResult
+from bibuq.predictive import _WALK_MAX_MEAN, _WALK_MAX_RATIO
 from bibuq.simulation import CHANNEL_CITATIONS, CHANNEL_DOCTYPES, iteration_rng
 
 
@@ -55,6 +65,56 @@ def negbin_rvs(rng, mu, theta):
     mu = np.minimum(np.asarray(mu, dtype=np.float64), 1e12)
     lam = rng.gamma(shape=theta, scale=mu / theta)
     return rng.poisson(lam)
+
+
+def walk_clamped(u, c, first, ratio, slope):
+    """min(O, c) for one uniform: the first j with u < F(j) or j = c.
+
+    ``first`` is P(O = 0), ``ratio`` the tail ratio r = mu / (theta + mu)
+    and ``slope`` r * (theta - 1), so that p(j) = p(j - 1) * (r + slope /
+    j); the walk also stops where a pmf term no longer changes the CDF
+    sum.
+    """
+    j, pmf, cdf = 0, first, first
+    while u >= cdf:
+        j += 1
+        pmf = pmf * (slope / j + ratio)
+        if j == c or cdf + pmf == cdf:
+            break
+        cdf = cdf + pmf
+    return j
+
+
+def clamped_omitted(rng, params, citations):
+    """min(O, c) per (row, publication) of a (rows, n) block, walked one at a time.
+
+    ``params`` holds one parameter row per block row.  Every element takes
+    a uniform first; then the elements past the walk bounds, in (row,
+    publication) order, take a gamma each and then a Poisson each.
+    """
+    with np.errstate(over="ignore"):
+        mu = np.exp(params[:, 1:2] * np.log1p(citations) + params[:, :1])
+    mu = np.minimum(mu, 1e12)
+    theta = np.repeat(params[:, 2:], citations.shape[1], axis=1)
+    ratio = mu / (theta + mu)
+    first = (theta / (theta + mu)) ** theta
+    slope = ratio * (theta - 1.0)
+    u = rng.random(citations.shape)
+    out = np.zeros(citations.shape, dtype=np.int64)
+    past = []
+    for i in np.ndindex(citations.shape):
+        c = int(citations[i])
+        if c == 0:
+            continue
+        if ratio[i] > _WALK_MAX_RATIO or mu[i] > _WALK_MAX_MEAN:
+            past.append(i)
+            continue
+        out[i] = walk_clamped(float(u[i]), c, float(first[i]), float(ratio[i]), float(slope[i]))
+    if past:
+        at = tuple(np.array(past).T)
+        omitted = negbin_rvs(rng, mu[at], theta[at])
+        out[at] = np.minimum(omitted, citations[at])
+    return out
 
 
 def sample_probability_rows(rng, concentrations):
@@ -137,12 +197,6 @@ def posterior_draw(posterior, iteration):
     return posterior.draws[iteration % chains, (iteration // chains) % kept]
 
 
-def _redrawn_citations(cfg, citations, omitted):
-    if cfg.direction == SECOND_KIND:
-        return citations + omitted
-    return np.maximum(citations - omitted, 0)
-
-
 def simulate_one(layout, models, cfg, iteration):
     """One Monte Carlo iteration from its own (seed, iteration) substream.
 
@@ -160,9 +214,12 @@ def simulate_one(layout, models, cfg, iteration):
 
     if CHANNEL_CITATIONS in cfg.channels:
         params = posterior_draw(models.citation, iteration)
-        with np.errstate(over="ignore"):
-            mu = np.exp(params[0] + params[1] * np.log1p(c.astype(np.float64)))
-        c = _redrawn_citations(cfg, c, negbin_rvs(rng, mu, params[2]))
+        if cfg.direction == SECOND_KIND:
+            with np.errstate(over="ignore"):
+                mu = np.exp(params[0] + params[1] * np.log1p(c.astype(np.float64)))
+            c = c + negbin_rvs(rng, mu, params[2])
+        else:
+            c = c - clamped_omitted(rng, params[None, :], c[None, :])[0]
     return score(layout, c, dt)
 
 
@@ -174,7 +231,10 @@ def simulate_block(layout, models, cfg, start, stop, block_size):
     of every iteration, then a uniform per (iteration, publication) for
     the doctype draws, then a gamma per (iteration, publication) and
     last a Poisson per (iteration, publication), the omitted count under
-    the iteration's posterior draw.  Returns one ``score`` per iteration.
+    the iteration's posterior draw.  First-kind citation redraws take
+    instead a uniform per (iteration, publication), then a gamma and a
+    Poisson per publication past the walk bounds (``clamped_omitted``).
+    Returns one ``score`` per iteration.
     """
     assert start % block_size == 0 and 0 < stop - start <= block_size
     rng = iteration_rng(cfg.seed, start // block_size)
@@ -193,12 +253,15 @@ def simulate_block(layout, models, cfg, start, stop, block_size):
 
     if CHANNEL_CITATIONS in cfg.channels:
         params = np.array([posterior_draw(models.citation, j) for j in iterations])
-        with np.errstate(over="ignore"):
-            mu = np.exp(params[:, :1] + params[:, 1:2] * np.log1p(c.astype(np.float64)))
-        mu = np.minimum(mu, 1e12)
-        theta = np.repeat(params[:, 2:], n, axis=1)
-        lam = rng.gamma(shape=theta, scale=mu / theta)
-        c = _redrawn_citations(cfg, c, rng.poisson(lam))
+        if cfg.direction == SECOND_KIND:
+            with np.errstate(over="ignore"):
+                mu = np.exp(params[:, :1] + params[:, 1:2] * np.log1p(c.astype(np.float64)))
+            mu = np.minimum(mu, 1e12)
+            theta = np.repeat(params[:, 2:], n, axis=1)
+            lam = rng.gamma(shape=theta, scale=mu / theta)
+            c = c + rng.poisson(lam)
+        else:
+            c = c - clamped_omitted(rng, params, c)
     return [score(layout, c[r], dt[r]) for r in range(len(iterations))]
 
 

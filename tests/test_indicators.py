@@ -11,9 +11,11 @@ from bibuq.datamodel import DocType, Publication, PublicationSet
 from bibuq.indicators import (
     KEY_DOCTYPE,
     KEY_DOCTYPE_YEAR_FIELD,
+    _packed_key,
     build_normalization,
     cell_means,
     indicators_for,
+    sorted_runs,
     unit_indicators,
 )
 from helpers import make_pubset
@@ -274,3 +276,52 @@ def test_non_core_citations_never_change_the_indicators(entries, new_citations, 
         after = _rebuild_and_score(other, n_units, sized)
         for a, b in zip(before, after):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+# Key columns for sorted_runs: small ranges, negative values, booleans,
+# ranges near 2**62 wide, which overflow the 63 bits of a packed key,
+# and ranges 2**58 - 1 wide, which fit alone and with the positions of
+# up to 32 tuples, but not of more.
+_narrow_key = st.lists(st.integers(-3, 5), min_size=1)
+_wide_key = st.lists(st.sampled_from([-(2**62), -1, 0, 7, 2**62]), min_size=1)
+_edge_key = st.lists(st.sampled_from([0, 3, 2**58 - 1]), min_size=1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    columns=st.lists(st.one_of(_narrow_key, _wide_key, _edge_key), min_size=1, max_size=5),
+    size=st.integers(0, 40),
+    boolean_first=st.booleans(),
+    data=st.data(),
+)
+def test_sorted_runs_is_lexsort_packed_or_not(columns, size, boolean_first, data):
+    """Order and run starts equal np.lexsort's on both sides of the 63-bit fit."""
+    keys = []
+    for values in columns:
+        picks = data.draw(st.lists(st.sampled_from(values), min_size=size, max_size=size))
+        keys.append(np.array(picks, dtype=np.int64))
+    if boolean_first:
+        keys[0] = keys[0] > 0
+    order, starts = sorted_runs(keys)
+    expected = np.lexsort(keys[::-1])
+    assert np.array_equal(order, expected)
+    tuples = [tuple(int(key[i]) for key in keys) for i in expected]
+    assert starts.tolist() == [i == 0 or tuples[i] != tuples[i - 1] for i in range(size)]
+    if size:
+        spans = sum((int(key.max()) - int(key.min())).bit_length() for key in keys)
+        assert (_packed_key(keys) is None) == (spans + (size - 1).bit_length() > 63)
+
+
+def test_sorted_runs_takes_both_paths():
+    narrow = [np.array([2, 0, 2, 1]), np.array([5, 5, 5, 4])]
+    wide = [np.array([2**62, -(2**62), 2**62, 0]), np.array([2**62, 0, -(2**62), 2**62])]
+    # 61 bits of key range fit with the 2 position bits of 4 tuples, 62 do not.
+    fits = [np.array([2**61 - 1, 0, 2**61 - 1, 5])]
+    overflows = [np.array([2**62 - 1, 0, 2**62 - 1, 5])]
+    assert _packed_key(narrow) is not None and _packed_key(fits) is not None
+    assert _packed_key(wide) is None and _packed_key(overflows) is None
+    for keys in (narrow, wide, fits, overflows):
+        order, starts = sorted_runs(keys)
+        assert np.array_equal(order, np.lexsort(keys[::-1]))
+    assert sorted_runs(narrow)[0].tolist() == [1, 3, 0, 2]
+    assert sorted_runs(narrow)[1].tolist() == [True, True, True, False]

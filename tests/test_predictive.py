@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import csv
 import io
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from bibuq.datamodel import DOCTYPE_ORDER, DocType, UsageError
 from bibuq.predictive import (
+    _FIRST_CHUNK,
     _SMALL_GROUP,
+    _WALK_MAX_MEAN,
+    _WALK_MAX_RATIO,
     DUMP_TAIL_COUNTS,
     cycled_params,
+    draw_clamped_omitted,
     draw_doctype_codes,
     draw_doctype_counts,
     draw_omitted,
@@ -540,6 +546,197 @@ class TestBinnedOmittedDraws:
             only = draw_omitted(occ_rng, params, x[occupied], counts[occupied], bins[occupied])
             assert np.array_equal(everywhere[: only.size], only)
         assert all_rng.random() == occ_rng.random()
+
+
+def _clamped(rng, params, citations):
+    """``draw_clamped_omitted`` of a block whose columns hold ``citations``."""
+    values, index = np.unique(np.asarray(citations, dtype=np.int64), return_inverse=True)
+    return draw_clamped_omitted(rng, np.asarray(params, dtype=np.float64), values, index)
+
+
+def _walk_bounds(params, citations):
+    """Per (row, column): mu, and whether the element walks its CDF."""
+    params = np.asarray(params, dtype=np.float64)
+    x = np.log1p(np.asarray(citations, dtype=np.float64))
+    mu = np.minimum(np.exp(params[:, :1] + params[:, 1:2] * x), 1e12)
+    ratio = mu / (params[:, 2:] + mu)
+    return mu, (ratio <= _WALK_MAX_RATIO) & (mu <= _WALK_MAX_MEAN)
+
+
+def _two_sample_chi2_p(a, b):
+    """p-value of a two-sample chi-square over the integer values of a and b.
+
+    Neighbouring values are pooled until each pool holds at least 10
+    draws of the two samples together; a and b have equal sizes.
+    """
+    top = int(max(a.max(), b.max())) + 1
+    ca, cb = np.bincount(a, minlength=top), np.bincount(b, minlength=top)
+    pools, acc = [], np.zeros(2)
+    for pair in zip(ca, cb):
+        acc = acc + pair
+        if acc.sum() >= 10:
+            pools.append(acc)
+            acc = np.zeros(2)
+    if acc.sum():
+        if pools:
+            pools[-1] = pools[-1] + acc
+        else:
+            pools.append(acc)
+    if len(pools) < 2:
+        return 1.0
+    pools = np.array(pools)
+    statistic = ((pools[:, 0] - pools[:, 1]) ** 2 / pools.sum(axis=1)).sum()
+    return float(stats.chi2.sf(statistic, len(pools) - 1))
+
+
+_clamp_params = st.tuples(
+    st.floats(min_value=-3.0, max_value=4.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=0.05, max_value=20.0),
+)
+
+
+class TestClampedOmittedDraws:
+    """``draw_clamped_omitted``: min(O, c) by inverting the bounded NB CDF."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=st.lists(_clamp_params, min_size=1, max_size=4),
+        citations=st.lists(
+            st.one_of(st.integers(0, 3), st.integers(0, 400)), min_size=1, max_size=150
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_per_element_walk(self, params, citations, seed):
+        # Same uniforms, same walks, and the same gamma and Poisson draws
+        # for the elements past the walk bounds: the draws and the
+        # generator's state afterwards equal the oracle's.
+        ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours = _clamped(ours_rng, params, citations)
+        block = np.tile(np.array(citations, dtype=np.int64), (len(params), 1))
+        ref = oracle.clamped_omitted(ref_rng, np.array(params), block)
+        assert np.array_equal(ours, ref)
+        assert ours_rng.random() == ref_rng.random()
+
+    def test_a_long_block_equals_the_per_element_walk(self):
+        # Thousands of walking elements, some of them past the first chunk
+        # of steps: the draws still equal the oracle's.
+        params = np.array([[0.8, 0.3, 2.0], [-0.5, 0.6, 0.7], [1.5, 0.0, 9.0]])
+        citations = np.arange(3000) % 90
+        ours_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        ours = _clamped(ours_rng, params, citations)
+        assert ours.max() > _FIRST_CHUNK
+        ref = oracle.clamped_omitted(ref_rng, params, np.tile(citations, (3, 1)))
+        assert np.array_equal(ours, ref)
+        assert ours_rng.random() == ref_rng.random()
+
+    def test_a_uniform_on_a_cdf_value_moves_past_it(self):
+        # Inversion takes the first j with u < F(j): a uniform equal to
+        # F(j) gives j + 1, one just below it gives j, for every j up to
+        # 60, so across the ends of the first two chunks of steps (16 and
+        # 48).  The CDF sums are the walk's own, so the comparison is exact.
+        theta, mu, c = 5.0, 15.0, 100
+        params = np.array([[np.log(mu), 0.0, theta]])
+        mu = np.exp(np.log(mu) + 0.0 * np.log1p(np.array([[float(c)]])))[0, 0]
+        ratio = mu / (theta + mu)
+        slope = ratio * (theta - 1.0)
+        pmf = cdf = (theta / (theta + mu)) ** theta
+        sums = [cdf]
+        for j in range(1, 61):
+            pmf = pmf * (slope / j + ratio)
+            cdf = cdf + pmf
+            sums.append(cdf)
+        assert sums[-1] < np.nextafter(1.0, 0.0) and _FIRST_CHUNK == 16
+        u = np.array([[value for s in sums for value in (np.nextafter(s, 0.0), s)]])
+        values, index = np.array([c]), np.zeros(u.size, dtype=np.int64)
+        draws = draw_clamped_omitted(_StubRng(u), params, values, index)
+        assert draws[0].tolist() == [j + step for j in range(61) for step in (0, 1)]
+        ref = oracle.clamped_omitted(_StubRng(u), params, np.full(u.shape, c))
+        assert np.array_equal(draws, ref)
+
+    def test_a_uniform_past_the_rounded_cdf_stops_where_the_sums_stop(self):
+        # At theta 1.5 and mu 0.5 the CDF sums stop growing at j = 28, a
+        # few ulp below 1, and random() can return a larger value.  The
+        # walk stops there instead of running on to c.
+        params = np.array([[np.log(0.5), 0.0, 1.5]])
+        c = 500
+        u = np.full((1, 3), np.nextafter(1.0, 0.0))
+        values, index = np.array([c]), np.zeros(3, dtype=np.int64)
+        draws = draw_clamped_omitted(_StubRng(u), params, values, index)
+        ref = oracle.clamped_omitted(_StubRng(u), params, np.full(u.shape, c))
+        assert np.array_equal(draws, ref)
+        assert np.all((draws > _FIRST_CHUNK) & (draws < c))
+
+    # (theta, mu) per block row: each dispersion with a mean whose walk is
+    # short, and one past the walk bounds, by the tail ratio (theta 0.2
+    # and 1) or by the mean (theta 5, ratio 0.8).
+    _LAW_ROWS = [(0.2, 0.2), (0.2, 3.8), (1.0, 1.0), (1.0, 9.0), (5.0, 5.0), (5.0, 20.0)]
+    _LAW_CITATIONS = (0, 1, 2, 7, 60)
+
+    def test_law_is_the_clamped_negative_binomial(self):
+        # One block, 4000 columns per citation count: per row and count, a
+        # two-sample chi-square of c - draw against max(c - O, 0) with O
+        # from oracle.negbin_rvs on an independent stream.  Each p-value
+        # must exceed 1e-4.
+        n = 4000
+        params = np.array([[np.log(mu), 0.0, theta] for theta, mu in self._LAW_ROWS])
+        citations = np.repeat(self._LAW_CITATIONS, n)
+        mu, walks = _walk_bounds(params, citations)
+        cited = citations > 0
+        assert [bool(w) for w in walks[:, cited].all(axis=1)] == [True, False] * 3
+        draws = _clamped(np.random.default_rng(21), params, citations)
+        assert np.all((draws >= 0) & (draws <= citations))
+        ref_rng = np.random.default_rng(22)
+        for r, (theta, _) in enumerate(self._LAW_ROWS):
+            for c in self._LAW_CITATIONS:
+                ours = c - draws[r, citations == c]
+                omitted = oracle.negbin_rvs(ref_rng, mu[r, citations == c], theta)
+                ref = np.maximum(c - omitted, 0)
+                assert _two_sample_chi2_p(ours, ref) > 1e-4, (theta, c)
+
+    def test_extreme_parameters_finish_within_the_count(self):
+        # The mean at the 1e12 cap, a dispersion of 1e-3 or 1e6, a mean
+        # at the walk's bound with a huge dispersion, and a million
+        # citations: every draw is in [0, c], quickly.
+        params = np.array(
+            [
+                [40.0, 0.0, 1e-3],
+                [40.0, 0.0, 50.0],
+                [np.log(_WALK_MAX_MEAN) - 1e-9, 0.0, 1e6],
+                [0.0, 0.0, 1e-3],
+                [-30.0, 2.0, 1e-3],
+            ]
+        )
+        citations = np.tile([0, 1, 3, 10**6], 250)
+        started = time.perf_counter()
+        draws = _clamped(np.random.default_rng(9), params, citations)
+        assert time.perf_counter() - started < 5.0
+        assert np.all((draws >= 0) & (draws <= citations))
+        assert np.all(draws[:, citations == 0] == 0)
+        # A mean of 1e12 with dispersion 50 omits nearly everything.
+        assert np.all(draws[1, citations == 10**6] > 10**6 // 2)
+
+    def test_one_uniform_per_element_when_every_element_walks(self):
+        # Ratios at the cut (theta 1/7, mu 1: exactly 0.875), below it,
+        # and uncited columns: the sampler consumes exactly the block's
+        # uniforms and nothing else.
+        params = np.array([[0.0, 0.0, 1.0 / 7.0], [0.3, 0.2, 2.0], [-2.0, 0.5, 0.4]])
+        citations = np.arange(200) % 25
+        mu, walks = _walk_bounds(params, citations)
+        assert walks.all()
+        assert (mu[0] / (1.0 / 7.0 + mu[0]) == _WALK_MAX_RATIO).all()
+        rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+        draws = _clamped(rng, params, citations)
+        ref.random((3, citations.size))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert draws[0].max() > 0
+
+    def test_predict_error_affected_citations_uses_the_sampler(self, first_kind_posterior):
+        n, c = 500, 14
+        draws = predict_error_affected_citations(first_kind_posterior, citations=c, n=n, seed=4)
+        params = cycled_params(first_kind_posterior, n)
+        ref = oracle.clamped_omitted(np.random.default_rng(4), params, np.full((n, 1), c))
+        assert np.array_equal(draws, c - ref[:, 0])
 
 
 class TestBlockAxis:

@@ -1119,6 +1119,23 @@ def test_workspace_groups_exchangeable_publications(grouped_units, grouped_refer
     assert ws_ref.groups == ws.groups + uncited_unit - 3  # three uncited unit keys
 
 
+def test_first_kind_workspace_indexes_citation_values(
+    grouped_units, grouped_reference, small_models, first_kind_models
+):
+    # First-kind citation redraws read each column's law through the
+    # distinct citation counts: values ascending and unique, one index per
+    # column.  Other runs keep no index.
+    cfg = PropagationConfig(iterations=5, direction=FIRST_KIND, channels=_ONLY_C)
+    ws = _build_workspace(grouped_units, grouped_reference, first_kind_models, cfg)
+    assert ws.per_item
+    assert np.array_equal(ws.cite_values, np.unique(ws.col_citations))
+    assert np.array_equal(ws.cite_values[ws.cite_index], ws.col_citations)
+    only_d = PropagationConfig(iterations=5, direction=FIRST_KIND, channels=_ONLY_D)
+    for models, config in ((first_kind_models, only_d), (small_models, PropagationConfig())):
+        other = _build_workspace(grouped_units, grouped_reference, models, config)
+        assert other.cite_values is None and other.cite_index is None
+
+
 _RETYPED_LABELS = ("article", "review", "letter", "other")
 
 
@@ -1506,10 +1523,14 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # "4" below, when a grouped doctype draw came to tally one uniform per
 # publication in groups of at most 8 and to keep one multinomial for the
 # larger groups: the P, C and MNCS streams moved, no observed value did.
+# "A3", the one first-kind run, was re-pinned when first-kind citation
+# redraws came to draw min(O, c) by inverting its CDF, one uniform per
+# publication, instead of a gamma and a Poisson per publication: its C
+# and MNCS streams moved, no P replicate and no observed value did.
 _PINNED_REPORT_SHA256 = {
     "2": "4232a282ce3b07cda7448aec10a0138afe7b409015ca08be6a7d217edfd41b66",
     "4": "4b8660de3bc49d9a4a77f1e741111d6368750544d55d7568fa529db0d6c0682d",
-    "A3": "bfef574c127e8ce3df8b7b9044fc9b23a903298411e29d0415b4f33ad04e6238",
+    "A3": "21d4fbe40ab049182ab3350c8f8dfcb7df34892fc193557e7581cf4f93d78250",
     "field-keyed": "0b42fe3267fdab483fba91e6f6be81bacb595c6643f22fe9feefb5123a04fc15",
 }
 
