@@ -18,16 +18,20 @@ uses every chain.
 Iterations run in kernel blocks: each iteration's draws fill one row of
 (block, columns) arrays, a column being a cell or a publication, and the
 cells and indicators of the whole block are computed together.  The
-block size is set by a memory budget (``BLOCK_BUDGET`` column-iterations)
-and the column count, not by the worker count.  Each block draws its
-randomness from its own substream, keyed by (seed, block index), with
-one call per kind of draw: the Dirichlet probability rows of every
-iteration, then the new doctypes, then the omitted citations.  Every run,
-in process or pooled, with or without the item dump, consumes the same
-ordered list of whole blocks, so results are bit-identical whatever the
-worker count; they do depend on the block size, that is on
-``BLOCK_BUDGET`` and the column count.  Past half of ``BLOCK_BUDGET``
-columns a block is one iteration, keyed by (seed, iteration).
+block size is set by a memory budget in column-iterations and the column
+count, not by the worker count: ``BLOCK_BUDGET`` for grouped columns, and
+the larger ``_ITEM_BUDGET`` where every column is one publication, whose
+blocks pay a fixed cost per block (a substream, the Dirichlet rows, the
+citation draw's per-value work and the scoring calls) that a few rows
+share.  Each block draws its randomness from its own substream, keyed by
+(seed, block index), with one call per kind of draw: the Dirichlet
+probability rows of every iteration, then the new doctypes, then the
+omitted citations.  Every run, in process or pooled, with or without the
+item dump, consumes the same ordered list of whole blocks, so results are
+bit-identical whatever the worker count; they do depend on the block
+size, that is on the budget and the column count.  Past half of its
+budget in columns a block is one iteration, keyed by (seed, iteration):
+past 4,096 grouped columns or 10,000 publications.
 
 Given the parameter draw, publications with the same unit (or the
 reference set), cell group, citation count and recorded doctype are iid,
@@ -65,8 +69,14 @@ citation redraws (the clamp at zero), uncited unit publications under
 reference-only normalization (the zero-mean-cell rule), and runs with
 an item dump.  When the grouped columns (two per run with doctype
 redraws, one per group without) would not be fewer than the
-publications, every publication is drawn and scored on its own, in
-layout order, one uniform for its doctype.
+publications, every publication is drawn on its own, in layout order,
+one uniform for its doctype.  Such per-item rows are scored from sums
+too: each row adds up its unit publications' items and citations per
+(unit, cell group, core doctype), kept apart by being uncited where the
+unit publications are outside the normalization universe, and those
+entries are scored as bins are.  P, C and the exclusions are the
+per-item sums exactly; MNCS adds one citation sum over the cell mean per
+entry, so it can differ from an item-by-item sum in the last bits.
 
 A first-kind citation redraw turns c into c - min(O, c), so it reads the
 omitted count O only through min(O, c), a law on 0..c.  It is drawn by
@@ -174,13 +184,37 @@ def summarize(replicates: np.ndarray) -> DistributionSummary:
     Quantiles use linear interpolation.  NaN entries (undefined
     replicates, e.g. an MNCS over an empty selection) are dropped first;
     an all-NaN input raises ValidationError.
+
+    The values are ``np.median``'s and ``np.quantile``'s bit for bit, with
+    their partitions and arithmetic, but without their NaN check, whose
+    first call imports ``numpy.ma``.  A sort would do for all but the sign
+    of a zero: it may order -0.0 and 0.0 otherwise than a partition.
     """
     values = np.asarray(replicates, dtype=np.float64).ravel()
     values = values[~np.isnan(values)]
-    if values.size == 0:
+    n = values.size
+    if n == 0:
         raise ValidationError("no defined replicates to summarize")
-    median = float(np.median(values))
-    lo, hi = (float(q) for q in np.quantile(values, [0.025, 0.975]))
+    # np.median is np.mean of the middle one or two: a sum that starts at
+    # 0.0, so a -0.0 sums to 0.0, over their count.
+    half = n // 2
+    if n % 2:
+        median = float(0.0 + np.partition(values, [half, -1])[half])
+    else:
+        middle = np.partition(values, [half - 1, half, -1])
+        median = float((0.0 + middle[half - 1] + middle[half]) / 2)
+    # np.quantile's linear method: from the values at the floor and the
+    # next position of (n - 1) q, both the last one past the end, the
+    # interpolation runs from the nearer end.
+    index = (n - 1) * np.array([0.025, 0.975])
+    below = np.floor(index)
+    above = below + 1
+    below[index >= n - 1] = above[index >= n - 1] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    ranked = np.partition(values, sorted({0, -1, *below.tolist(), *above.tolist()}))
+    start, stop, weight = ranked[below], ranked[above], index - below
+    step = stop - start
+    lo, hi = np.where(weight >= 0.5, stop - step * (1 - weight), start + step * weight).tolist()
     rel = 100.0 * (hi - lo) / median if median != 0.0 else None
     return DistributionSummary(
         median=median, ci_low=lo, ci_high=hi, relative_uncertainty_pct=rel, n=int(values.size)
@@ -285,6 +319,17 @@ class PropagationResult:
 # it does not depend on the worker count.
 BLOCK_BUDGET = 8192
 
+# Column-iterations of a per-item block, where every column is one
+# publication.  A per-item block's fixed costs are paid once per block, so
+# a few rows share them: at 5,000 publications 4 rows ran about 1.4x as
+# fast as 1, and more rows gained little while memory grew with them.
+_ITEM_BUDGET = 20000
+
+
+def _block_size(columns: int, per_item: bool) -> int:
+    """Iterations per kernel block: the budget over the columns, at least one."""
+    return max(1, (_ITEM_BUDGET if per_item else BLOCK_BUDGET) // max(columns, 1))
+
 
 @dataclass
 class _Workspace:
@@ -319,10 +364,21 @@ class _Workspace:
     uncited publication outside the normalization universe is kept
     apart from cited ones too, so that a unit bin in a zero-mean cell is
     all cited or all uncited.  A bin's cell key is ``bin_base`` (its cell
-    group times 4) plus its doctype ``bin_types``, below ``n_cells``;
-    ``norm`` selects the bins counted in the normalization cells.  Unit
-    bins come first, ``n_ubins`` of them, in unit slots ``bin_unit``.
-    ``ids`` holds the unit publications' ids in a run that dumps them.
+    group times 4) plus its doctype ``bin_types``, below ``n_cells``.
+    The normalization counts a bin at ``norm_base`` plus its doctype:
+    its own cell group in the universe, otherwise a spill group past the
+    field-less one that no score reads.  Unit bins come first,
+    ``n_ubins`` of them, in unit slots ``bin_unit``.  ``ids`` holds the
+    unit publications' ids in a run that dumps them.
+
+    When ``per_item``, a row sums its unit publications into scoring
+    entries: one per (unit slot, cell group) pair they occupy and core
+    doctype, and under reference-only normalization as many again for
+    the uncited ones.  ``entry_unit`` and ``entry_cell`` give each
+    entry's unit slot and cell key.  The sums run over 4 slots per pair
+    and doctype pair: publication j of doctype d goes to slot
+    ``item_entry[j] + d``, 4 further when uncited under reference-only
+    normalization, and the 2 non-core slots of every 4 are cut off.
 
     Under first-kind citation redraws, ``cite_values`` holds the distinct
     citation counts and ``cite_index`` each column's entry in it, so a
@@ -343,7 +399,7 @@ class _Workspace:
     bin_types: np.ndarray
     bin_unit: np.ndarray
     n_ubins: int
-    norm: np.ndarray | slice
+    norm_base: np.ndarray
     n_cells: int
     n_units: int
     params: np.ndarray | None
@@ -356,6 +412,9 @@ class _Workspace:
     ids: list[str] | None = None
     cite_values: np.ndarray | None = None
     cite_index: np.ndarray | None = None
+    item_entry: np.ndarray | None = None
+    entry_unit: np.ndarray | None = None
+    entry_cell: np.ndarray | None = None
 
 
 def _worker_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
@@ -385,10 +444,12 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     (iteration, publication), then one gamma and then one Poisson for each
     publication past the inversion's walk bounds
     (``draw_clamped_omitted``).  The columns' items and recorded citations
-    are summed into their bins, and the bins are scored.  The draws
-    therefore depend on ``BLOCK_BUDGET`` and the column count, which set
-    the block size, and on where the run's last block ends, but not on the
-    worker count.  A block of one iteration is keyed by (seed, iteration).
+    are summed into their bins, and the bins are scored (per item, each
+    row's publications into its scoring entries).  The draws therefore
+    depend on the budget (``BLOCK_BUDGET``, or ``_ITEM_BUDGET`` when
+    ``per_item``) and the column count, which set the block size, and on
+    where the run's last block ends, but not on the worker count.  A block
+    of one iteration is keyed by (seed, iteration).
     """
     cfg = ws.config
     rows = stop - start
@@ -462,9 +523,12 @@ def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray, ...
     when every bin is one publication).  The cells of all rows are
     rebuilt together over ``row * n_cells + cell key``, and
     ``unit_indicators`` scores the unit bins in slots ``row * n_units +
-    unit``.  Returns per row and unit P, C, MNCS and the MNCS exclusion
-    count, then the unit bins' citations and doctype codes (per
-    publication when ``per_item``, for the item dump).
+    unit``.  When every bin is one publication, each row first sums its
+    unit publications' items and citations into scoring entries (see
+    ``_Workspace``), and the entries are scored.  Returns per row and unit
+    P, C, MNCS and the MNCS exclusion count, then the unit bins' citations
+    and doctype codes (per publication when ``per_item``, for the item
+    dump).
     """
     shape = (rows, ws.n_bins)
     c = np.broadcast_to(c, shape)
@@ -473,29 +537,44 @@ def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray, ...
         k = np.broadcast_to(k, shape)
 
     row_of = np.arange(rows)[:, None]
-    cell = ws.bin_base + types + row_of * ws.n_cells
     counts, means = cell_means(
-        cell[:, ws.norm].ravel(),
-        c[:, ws.norm].ravel(),
+        (ws.norm_base + types + row_of * ws.n_cells).ravel(),
+        c.ravel(),
         rows * ws.n_cells,
-        None if k is None else k[:, ws.norm].ravel(),
+        None if k is None else k.ravel(),
     )
 
     # Score the unit bins.  A bin's items share its cell.  Where that
     # cell's mean can be zero, either all of them are uncited or all are
     # cited (see _Workspace), so scoring the bin's sum applies the
-    # per-item rule to each item.
+    # per-item rule to each item.  Per item, the entries are such bins.
     n_u = ws.n_ubins
     c_unit = c[:, :n_u]
     dt_unit = types[:, :n_u]
+    if k is None:
+        # Every entry's 2 core doctypes are followed by 2 non-core slots,
+        # which the scores leave out.
+        n_slots = 2 * ws.entry_unit.size
+        entry = ws.item_entry + dt_unit + row_of * n_slots
+        if not ws.config.pooled_normalization:
+            entry += 4 * (c_unit == 0)
+        entry = entry.ravel()
+        k = np.bincount(entry, minlength=rows * n_slots).reshape(-1, 4)[:, :2]
+        c_scored = np.bincount(entry, c_unit.ravel(), rows * n_slots).reshape(-1, 4)[:, :2]
+        unit, unit_cell = ws.entry_unit, ws.entry_cell + row_of * ws.n_cells
+        dt_scored = unit_cell & 3
+    else:
+        k = k[:, :n_u]
+        unit, unit_cell = ws.bin_unit, ws.bin_base[:n_u] + dt_unit + row_of * ws.n_cells
+        c_scored, dt_scored = c_unit, dt_unit
     p_vals, c_vals, mncs_vals, excluded = unit_indicators(
-        ws.bin_unit + row_of * ws.n_units,
+        unit + row_of * ws.n_units,
         rows * ws.n_units,
-        c_unit,
-        dt_unit,
-        counts[cell[:, :n_u]],
-        means[cell[:, :n_u]],
-        None if k is None else k[:, :n_u],
+        c_scored,
+        dt_scored,
+        counts[unit_cell],
+        means[unit_cell],
+        k,
     )
 
     shape = (rows, ws.n_units)
@@ -639,9 +718,22 @@ def _build_workspace(
         bin_starts = np.flatnonzero(starts)
         bin_rep, bin_types = rep[bin_order[starts]], col_types[bin_order[starts]]
     n_ubins = int(np.count_nonzero(unit_slot[bin_rep] < len(units)))
-    norm = np.flatnonzero(in_norm[bin_rep])
-    if norm.size and norm[-1] - norm[0] + 1 == norm.size:
-        norm = slice(int(norm[0]), int(norm[-1]) + 1)  # a view, not a gather
+    # A bin outside the universe is counted in the group past the field-less
+    # one, whose cells no score reads.
+    norm_base = np.where(in_norm[bin_rep], cellgroup[bin_rep], n_cellgroups + 1) * 4
+    item_entry = entry_unit = entry_cell = None
+    if group_sizes is None:
+        # The scoring entries of each (unit slot, cell group) pair (see
+        # _Workspace); under reference-only normalization no unit
+        # publication is in the universe, and uncited ones get their own.
+        width = 2 if config.pooled_normalization else 4
+        order, starts = sorted_runs((unit_slot[:n_unit_pubs], cellgroup[:n_unit_pubs]))
+        item_entry = np.empty(n_unit_pubs, dtype=np.int64)
+        item_entry[order] = (np.cumsum(starts) - 1) * 2 * width
+        heads = order[starts]
+        entry_unit = np.repeat(unit_slot[heads], width)
+        entry_cell = np.repeat(cellgroup[heads] * 4, width)
+        entry_cell += np.tile([0, 1], entry_cell.size // 2)  # article, review
     col_citations = citations[rep]
     cite_values = cite_index = None
     if redraw_citations and config.direction == FIRST_KIND:
@@ -661,8 +753,8 @@ def _build_workspace(
         bin_types=bin_types,
         bin_unit=unit_slot[bin_rep[:n_ubins]],
         n_ubins=n_ubins,
-        norm=norm,
-        n_cells=(n_cellgroups + 1) * 4,
+        norm_base=norm_base,
+        n_cells=(n_cellgroups + 2) * 4,
         n_units=len(units),
         params=(
             cycled_params(models.citation, models.citation.n_draws)
@@ -671,13 +763,16 @@ def _build_workspace(
         ),
         concentrations=concentrations,
         config=config,
-        block_size=max(1, BLOCK_BUDGET // max(rep.size, 1)),
+        block_size=_block_size(rep.size, group_sizes is None),
         publications=n,
         groups=n_groups,
         per_item=group_sizes is None,
         ids=list(chain.from_iterable(pubset.ids for pubset in units)) if keep_ids else None,
         cite_values=cite_values,
         cite_index=cite_index,
+        item_entry=item_entry,
+        entry_unit=entry_unit,
+        entry_cell=entry_cell,
     )
 
 
@@ -703,11 +798,14 @@ def propagate(
     (assessed units and reference set alike), rebuilds the normalization
     cells from the redrawn data, and recomputes P, C, and MNCS per unit.
     The observed indicators are the same cell rebuild and scoring applied
-    to the input data; a grouped run scores one sum per scoring bin, so
-    its observed MNCS can differ from ``indicators_for``'s in the last bits.
+    to the input data.  Every run scores one sum per scoring bin, or per
+    scoring entry when it draws each publication on its own, so its
+    observed MNCS can differ from ``indicators_for``'s in the last bits.
 
     The iterations run as one ordered list of whole kernel blocks, each
-    drawn from its own substream: in this process, or when ``workers``
+    drawn from its own substream, a block holding the iterations that a
+    budget of column-iterations allows (a larger one when every column is
+    one publication): in this process, or when ``workers``
     asks for more, in a pool capped by the CPUs and the blocks (with a
     stderr note when it opens fewer), whose workers take the blocks in
     order.  The worker count changes no replicate.  Unit names must be
@@ -776,10 +874,12 @@ def propagate(
                 partial(_worker_block, ws), bounds, chunksize=-(-len(bounds) // processes)
             )
         # The one propagation loop, over whole blocks in order.
-        for (lo, hi), block in zip(bounds, blocks):
+        for lo, hi in bounds:
+            block = next(blocks)
             p_rep[lo:hi], c_rep[lo:hi], m_rep[lo:hi], x_rep[lo:hi] = block[:4]
             if dump is not None:
                 dump(lo, block[4], block[5])
+            del block  # not held while the next block is drawn
     kernel_done = perf_counter()
 
     distributions: dict[str, dict[str, IndicatorDistribution]] = {}

@@ -5,7 +5,8 @@ consumes the random stream in the same order, so the package must match
 it bit for bit: ``rng.gamma`` with a scale for the negative binomial,
 an (n, k) cumulative-sum argmax for the category draw, and for the
 propagation kernel one publication at a time, scored one Monte Carlo
-iteration at a time.  ``simulate_block`` draws a kernel block's
+iteration at a time (MNCS from per-(unit, cell) citation sums, in the
+kernel's order).  ``simulate_block`` draws a kernel block's
 randomness in the kernel's order from the block's substream;
 ``simulate_one`` is the per-iteration form the kernel used before it
 keyed substreams by block, one substream per iteration, which a block of
@@ -270,7 +271,10 @@ def score(layout, c, dt):
 
     Returns per unit P, C, MNCS and the number of core items the MNCS
     left out, then the redrawn citations and doctype codes of every
-    publication.
+    publication.  MNCS adds up, per unit, one score per entry: the summed
+    citations of the unit's scored items in one cell group, uncited
+    outside the universe or not, and core doctype, over the cell mean, in
+    that order, the order in which the kernel scores a row drawn per item.
     """
     unit_index, n_units = layout.unit_index, layout.n_units
     n_cells = layout.n_cellgroups * 4
@@ -292,9 +296,22 @@ def score(layout, c, dt):
     cell_occupied = has_group & (counts[keys] > 0)
     consistent = (expected > 0) | (c == 0)
     included = selected & cell_occupied & consistent
+
+    # The scored items' citations are summed per entry (unit, cell group,
+    # uncited outside the universe, doctype) first, and the entries'
+    # scores are added up in that order.
+    n_groups = layout.n_cellgroups + 1  # the last one for field-less items
+    group = np.where(has_group, layout.cell_codes, layout.n_cellgroups)
+    uncited_outside = ~layout.in_norm & (c == 0)
+    entry = ((unit_index * n_groups + group) * 2 + uncited_outside) * 2 + dt
+    n_entries = n_units * n_groups * 4
+    sums = np.bincount(entry[included], weights=c[included], minlength=n_entries)
+    entry_group = np.arange(n_entries) // 4 % n_groups
+    entry_cell = np.minimum(entry_group, layout.n_cellgroups - 1) * 4 + np.arange(n_entries) % 2
+    entry_mean = np.where(entry_group < layout.n_cellgroups, means[entry_cell], 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scores = np.where(expected > 0, c / np.where(expected > 0, expected, 1.0), 0.0)
-    num = np.bincount(unit_index[included], weights=scores[included], minlength=n_units)
+        scores = np.where(entry_mean > 0, sums / np.where(entry_mean > 0, entry_mean, 1.0), 0.0)
+    num = np.bincount(np.arange(n_entries) // (4 * n_groups), weights=scores, minlength=n_units)
     den = np.bincount(unit_index[included], minlength=n_units)
     with np.errstate(invalid="ignore"):
         mncs_vals = np.where(den > 0, num / np.maximum(den, 1), np.nan)

@@ -142,6 +142,21 @@ class TestHelpAndVersion:
         assert "bibuq.simulation" in imported
         assert not [name for name in imported if name.split(".")[0] == "multiprocessing"]
 
+    def test_propagation_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median and np.quantile import numpy.ma on their first call;
+        # the replicate summaries compute the same values without them.
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "bibuq.cli", "exercise", "A3",
+             "--iterations", "20", "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "bibuq.simulation" in imported
+        assert (tmp_path / "out" / "exercise.json").is_file()
+        assert not [name for name in imported if name.split(".")[:2] == ["numpy", "ma"]]
+
 
 class TestStats:
     def test_embedded_audit(self):
