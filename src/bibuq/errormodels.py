@@ -364,7 +364,7 @@ def negbin_rvs(
     mu: np.ndarray,
     theta: float | np.ndarray,
     counts: np.ndarray | None = None,
-    bins: np.ndarray | None = None,
+    bins: tuple[np.ndarray, int] | None = None,
 ) -> np.ndarray:
     """Sample the negative binomial as a gamma-Poisson mixture.
 
@@ -384,9 +384,11 @@ def negbin_rvs(
     to the per-item mean.  A zero count gives 0 and consumes no random
     numbers, and a count of 1 gives the same value as no count.
 
-    ``bins`` optionally sums the draws along the last axis into bins:
-    element j goes into bin ``bins[j]``, and the last axis of the result
-    has ``bins.max() + 1`` entries.  Given the gamma variables the
+    ``bins`` optionally sums the draws along the last axis into bins.  It
+    is a pair ``(slots, n_bins)``: the result has ``n_bins`` entries in
+    its last axis, and ``slots``, which has one entry per element in C
+    order, holds each element's position in the flattened result, ``row *
+    n_bins + bin`` for a (rows, n) draw.  Given the gamma variables the
     elements' draws are independent Poissons, so a bin's sum is one
     Poisson of its elements' summed rates ``gamma * mu / theta``: the
     gammas are drawn as without ``bins``, then one Poisson per bin.  The
@@ -411,11 +413,9 @@ def negbin_rvs(
     rate = lam * scale
     if bins is not None:
         # One bincount over (row, bin) slots, which adds in element order.
-        n_bins = int(bins.max()) + 1
+        slots, n_bins = bins
         shape = rate.shape[:-1] + (n_bins,)
-        rows = rate.size // bins.size
-        slots = np.arange(rows)[:, None] * n_bins + bins
-        rate = np.bincount(slots.ravel(), weights=rate.ravel(), minlength=rows * n_bins)
+        rate = np.bincount(slots.ravel(), weights=rate.ravel(), minlength=math.prod(shape))
         rate = rate.reshape(shape)
     return rng.poisson(rate)
 

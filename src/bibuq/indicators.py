@@ -206,47 +206,41 @@ def cell_means(cells, citations, n_cells, sizes=None):
     return counts, means
 
 
-def unit_indicators(units, n_units, citations, types, count, expected, sizes=None):
+def unit_indicators(slots, n_units, citations, count, expected, sizes=None):
     """P, C, MNCS and the MNCS exclusion count per unit slot.
 
     The one definition of the indicators, for the observed values and
     every Monte Carlo replicate.  An entry is one publication, or with
     ``sizes`` that many publications of one slot, type and cell, whose
-    citations ``citations`` sums.  Per entry: ``units`` is its slot below
-    ``n_units``, ``types`` its doctype code, ``count`` and ``expected``
-    the item count (0 for no cell) and mean citations of its cell.  The
-    per-entry arrays share one shape and are read in row-major order.
+    citations ``citations`` sums.  Per entry, in flat arrays of one
+    length: ``slots`` is its unit slot below ``n_units`` if it is a core
+    item (article or review), and any slot at or past ``n_units`` if it
+    is not, and ``count`` and ``expected`` are the item count (0 for no
+    cell) and mean citations of its cell.
 
     Only core items count.  An item scores its citations over its cell's
     mean.  MNCS leaves out an item whose cell is empty and a cited item
     whose cell's mean is zero; an uncited one there scores 0.0
     (degenerate but consistent).  Every sum is one ``bincount`` over all
-    entries in entry order, an entry the sum skips going to the spill
-    slot ``n_units``, which is cut off.  Returns float P, C and MNCS (NaN
+    entries in entry order, an entry the sum skips going to a slot at or
+    past ``n_units``, which is cut off.  Returns float P, C and MNCS (NaN
     where nothing was scored) and int64 exclusions, each of length
     ``n_units``.
     """
-    units, citations, types, count, expected = (
-        np.ravel(a) for a in (units, citations, types, count, expected)
-    )
-    k = None if sizes is None else np.ravel(sizes)
 
     def total(slot, weights=None):
         return np.bincount(slot, weights=weights, minlength=n_units + 1)[:n_units]
 
-    # Article and review codes come first in DOCTYPE_ORDER, so the core
-    # items are those with code <= 1.
-    slot = np.where(types <= 1, units, n_units)
     included = (count > 0) & ((expected > 0) | (citations == 0))
-    scored = np.where(included, slot, n_units)
+    scored = np.where(included, slots, n_units)
     scores = np.divide(citations, expected, out=np.zeros(expected.shape), where=expected > 0)
-    p = total(slot, k).astype(np.float64)
-    c_total = total(slot, citations)
+    p = total(slots, sizes).astype(np.float64)
+    c_total = total(slots, citations)
     num = total(scored, scores)
-    den = total(scored, k)
+    den = total(scored, sizes)
     mncs_values = np.where(den > 0, num / np.maximum(den, 1), np.nan)
-    excluded = total(np.where(included, n_units, slot), k)
-    return p, c_total, mncs_values, excluded.astype(np.int64)
+    # Whole item counts, exact in float64: the core items less the scored ones.
+    return p, c_total, mncs_values, (p - den).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -292,11 +286,12 @@ def indicators_for(pubset: PublicationSet, cells: NormalizationCells) -> Indicat
     size = np.array([0 if cell is None else cell.size for cell in table], dtype=np.int64)
     mean = np.array([0.0 if cell is None else cell.expected_citations for cell in table])
     key = 4 * groups + pubset.doctypes
+    # Article and review codes come first in DOCTYPE_ORDER: core items
+    # (codes 0 and 1) go to slot 0, the rest past it.
     scored = unit_indicators(
-        np.zeros(len(pubset), dtype=np.int64),
+        (pubset.doctypes > 1).astype(np.int64),
         1,
         pubset.citations,
-        pubset.doctypes,
         size[key],
         mean[key],
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import repeat
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -65,7 +66,7 @@ def draw_omitted(
     params: np.ndarray,
     log1p_predictor: np.ndarray,
     counts: np.ndarray | None = None,
-    bins: np.ndarray | None = None,
+    bins: tuple[np.ndarray, int] | None = None,
 ) -> np.ndarray:
     """Vectorized omitted-count draws.
 
@@ -75,11 +76,11 @@ def draw_omitted(
     element, an (n, 3) array lines up with n predictors, and a (rows, 1,
     3) array draws a (rows, n) block, one parameter row per block row.
     ``counts`` optionally makes an element the summed omissions of that
-    many iid items that share its predictor, and ``bins`` optionally sums
-    the elements into bins along the last axis with one Poisson draw per
-    bin (see ``negbin_rvs``).  First-kind citation redraws read the count
-    only through min(O, c) and draw that with ``draw_clamped_omitted``,
-    one uniform per element, instead.
+    many iid items that share its predictor, and ``bins``, a pair (slots,
+    bin count), optionally sums the elements into bins along the last
+    axis with one Poisson draw per bin (see ``negbin_rvs``).  First-kind
+    citation redraws read the count only through min(O, c) and draw that
+    with ``draw_clamped_omitted``, one uniform per element, instead.
     """
     params = np.asarray(params, dtype=np.float64)
     b0 = params[..., 0]
@@ -252,8 +253,11 @@ def draw_doctype_codes(
     leaves that sum below 1.
     """
     # One contiguous array of thresholds per comparison: ``take`` from it
-    # is cheaper than a fancy index over the category axis too.
-    thresholds = np.moveaxis(np.cumsum(prob_rows[..., :-1], axis=-1), -1, 0).copy()
+    # is cheaper than a fancy index over the category axis too.  The
+    # category axis goes first by ``transpose``, a few microseconds
+    # cheaper per call than ``np.moveaxis``.
+    sums = np.cumsum(prob_rows[..., :-1], axis=-1)
+    thresholds = sums.transpose((sums.ndim - 1,) + tuple(range(sums.ndim - 1))).copy()
     u = rng.random(prob_rows.shape[:-2] + conditioning_codes.shape)
     codes = np.zeros(u.shape, dtype=np.int64)
     for threshold in thresholds:
@@ -268,44 +272,67 @@ def draw_doctype_codes(
 _SMALL_GROUP = 8
 
 
+class GroupSplit:
+    """Groups of iid items split by size for ``draw_doctype_counts``.
+
+    Made once per layout, so that a draw does only per-draw work.  Group
+    g has ``sizes[g]`` items, all conditioned on the category
+    ``conditioning_codes[g]``, and its tally runs over ``categories``
+    categories.  Each item of a group of at most ``_SMALL_GROUP`` items
+    has an entry in ``item_slots``, its group index times
+    ``categories``, and in ``item_codes``, its group's conditioning
+    category.  The larger groups are ``large``, with sizes
+    ``large_sizes`` and conditioning categories ``large_codes``.
+
+    A plain class: a dataclass would cost about a millisecond at import.
+    """
+
+    __slots__ = (
+        "groups", "categories", "item_slots", "item_codes", "large", "large_sizes", "large_codes"
+    )
+
+    def __init__(self, sizes: np.ndarray, conditioning_codes: np.ndarray, categories: int):
+        small = sizes <= _SMALL_GROUP
+        group_of = np.repeat(np.flatnonzero(small), sizes[small])
+        self.groups, self.categories = sizes.size, categories
+        self.item_slots = group_of * categories
+        self.item_codes = conditioning_codes[group_of]
+        self.large = np.flatnonzero(~small)
+        self.large_sizes = sizes[self.large]
+        self.large_codes = conditioning_codes[self.large]
+
+
 def draw_doctype_counts(
-    rng: np.random.Generator,
-    prob_rows: np.ndarray,
-    sizes: np.ndarray,
-    conditioning_codes: np.ndarray,
+    rng: np.random.Generator, prob_rows: np.ndarray, split: GroupSplit
 ) -> np.ndarray:
     """Per-category counts of groups of iid items.
 
     ``prob_rows`` is (c, k): a probability vector over k categories per
-    conditioning category, or (rows, c, k) for a block of rows.  Group g
-    has ``sizes[g]`` items, all conditioned on the category
-    ``conditioning_codes[g]``.  Given ``prob_rows`` the items are iid
-    categorical on that row, so the tally of their categories is
-    Multinomial(``sizes[g]``, ``prob_rows[conditioning_codes[g]]``).  A
-    group of at most ``_SMALL_GROUP`` items tallies its items'
-    ``draw_doctype_codes`` codes; a larger group draws the multinomial
-    directly, at a cost that does not grow with its size.  One call draws
-    the uniforms of every small-group item in every row, then one call
-    the multinomials of every large group in every row.  Returns a
-    (groups, k) integer array, (rows, groups, k) for a block; each
-    group's counts sum to ``sizes[g]`` and a zero-probability category
+    conditioning category, or (rows, c, k) for a block of rows; k is
+    ``split.categories``.  ``split`` (a ``GroupSplit``) holds the groups,
+    each of iid items conditioned on one category.  Given ``prob_rows``
+    the tally of a group's categories is Multinomial(its size, its
+    conditioning row).  A group of at most ``_SMALL_GROUP`` items tallies
+    its items' ``draw_doctype_codes`` codes; a larger group draws the
+    multinomial directly, at a cost that does not grow with its size.
+    One call draws the uniforms of every small-group item in every row,
+    then one call the multinomials of every large group in every row.
+    Returns a (groups, k) integer array, (rows, groups, k) for a block;
+    each group's counts sum to its size and a zero-probability category
     gets 0.
     """
-    lead, k = prob_rows.shape[:-2], prob_rows.shape[-1]
-    rows, groups = math.prod(lead), sizes.size
-    small = sizes <= _SMALL_GROUP
+    lead = prob_rows.shape[:-2]
+    rows, groups, k = math.prod(lead), split.groups, split.categories
     # Each small-group item's code is binned at (row, group, code), so one
     # bincount tallies the whole block; the large groups' bins stay empty
     # until their multinomials fill them.
-    group_of = np.repeat(np.flatnonzero(small), sizes[small])
-    codes = draw_doctype_codes(rng, prob_rows, conditioning_codes[group_of])
-    codes += group_of * k
+    codes = draw_doctype_codes(rng, prob_rows, split.item_codes)
+    codes += split.item_slots
     codes += (np.arange(rows) * (groups * k)).reshape(lead + (1,))
     counts = np.bincount(codes.ravel(), minlength=rows * groups * k).reshape(lead + (groups, k))
-    large = np.flatnonzero(~small)
-    if large.size:
-        counts[..., large, :] = rng.multinomial(
-            sizes[large], prob_rows[..., conditioning_codes[large], :]
+    if split.large.size:
+        counts[..., split.large, :] = rng.multinomial(
+            split.large_sizes, prob_rows[..., split.large_codes, :]
         )
     return counts
 
@@ -365,9 +392,10 @@ def predictive_dump(
     The writer, ``write(first_iteration, citations_rows, codes_rows)``,
     takes a kernel block: row r of the (iterations, items) arrays is
     iteration ``first_iteration + r``; both line up with ``ids``, and the
-    codes index ``DOCTYPE_ORDER``.  It writes one row per item per
-    iteration: iteration, publication_id, citations, doctype, with one
-    ``handle.write`` per iteration.  The bytes are exactly those
+    codes index ``DOCTYPE_ORDER``.  ``codes_rows`` may instead be one
+    (items,) row that every iteration shares.  It writes one row per item
+    per iteration: iteration, publication_id, citations, doctype, with
+    one ``handle.write`` per iteration.  The bytes are exactly those
     ``csv.writer`` writes row by row (``\\r\\n`` line ends, minimal
     quoting), however the iterations are split into blocks.
 
@@ -397,7 +425,7 @@ def predictive_dump(
         nonlocal tails
         if not n:
             return
-        rows = zip(citations_rows, codes_rows)
+        rows = zip(citations_rows, repeat(codes_rows) if codes_rows.ndim == 1 else codes_rows)
         for iteration, (citations, codes) in enumerate(rows, first_iteration):
             low, top = int(citations.min()), int(citations.max())
             fits = low >= 0 and top < DUMP_TAIL_COUNTS

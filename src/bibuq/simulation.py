@@ -33,6 +33,18 @@ size, that is on the budget and the column count.  Past half of its
 budget in columns a block is one iteration, keyed by (seed, iteration):
 past 4,096 grouped columns or 10,000 publications.
 
+What no draw moves is built once per run, with the workspace
+(``_Workspace``): the doctype draw's split of the groups into
+small-group items and large groups (``predictive.GroupSplit``), and
+index arrays for every row of the run's largest block, namely each bin's
+normalization cell key, the (row, bin) slots its columns' Poisson rates
+are summed into, each scored bin's or entry's unit slot and cell, and
+per item each unit publication's scoring-entry base.  A short last block
+reads their leading rows.  Once per block the kernel makes its draws and
+computes only what they move: the per-bin items and citations, per item
+the drawn doctypes added to the cell keys and entry bases and the entry
+sums, the cell rebuild and the scores.
+
 Given the parameter draw, publications with the same unit (or the
 reference set), cell group, citation count and recorded doctype are iid,
 so the kernel groups them.  P, C and MNCS count core items only
@@ -127,6 +139,7 @@ from .indicators import (
 # Not called here: bench/spans.py hooks these two names on this module.
 from .indicators import build_normalization, indicators_for  # noqa: F401
 from .predictive import (
+    GroupSplit,
     cycled_params,
     draw_clamped_omitted,
     draw_doctype_codes,
@@ -305,9 +318,10 @@ class PropagationResult:
     config: PropagationConfig
     # How the run went, for the run manifest and not for report.json:
     # worker processes opened, publications, exchangeable groups, kernel
-    # columns and scoring bins, whether the kernel drew per group or per
-    # publication, and the seconds spent in each stage (workspace layout,
-    # scoring the recorded data, the kernel's iterations, summaries).
+    # columns and scoring bins, iterations per kernel block and blocks run,
+    # whether the kernel drew per group or per publication, and the seconds
+    # spent in each stage (workspace layout, scoring the recorded data, the
+    # kernel's iterations, summaries).
     run_info: Mapping[str, object] = field(default_factory=dict)
 
     def distribution(self, unit: str, indicator: str) -> IndicatorDistribution:
@@ -346,39 +360,57 @@ class _Workspace:
     doctype, which the omitted-count law never reads.  ``group_sizes``
     holds each group's item count and ``group_types`` its recorded
     (first kind: true) doctype, the row its tally over article, review
-    and non-core is drawn from; ``run_starts`` indexes each run's
-    first group, where its tallies start.  Without doctype redraws the
-    sizes are the columns' fixed counts.  ``concentrations`` holds the
-    Dirichlet rows the doctype draws use: (4, 4) when ``per_item``, else
-    (4, 3) with the non-core categories merged.  Unit columns come first.
+    and non-core is drawn from; ``doctype_split`` splits these groups
+    once for ``draw_doctype_counts``, and ``run_starts`` indexes each
+    run's first group, where its tallies start.  Without doctype redraws
+    the sizes are the columns' fixed counts.  ``concentrations`` holds
+    the Dirichlet rows the doctype draws use: (4, 4) when ``per_item``,
+    else (4, 3) with the non-core categories merged.  Unit columns come
+    first.
 
-    The kernel scores bins.  When ``per_item`` bin j is column j, and
-    ``col_bin``, ``bin_order`` and ``bin_starts`` are None.  Otherwise
-    ``col_bin`` maps each column to its bin, one of ``n_bins``, for the
-    per-bin Poisson draw; ``bin_order`` lists the columns bin by bin and
-    ``bin_starts`` where each bin starts in it, for the integer per-bin
-    sums of items and citations.  A bin holds the columns that share unit
-    slot (or the reference set), cell group, doctype and singleton id,
-    whatever their citation counts: no score reads a column's own count,
-    only sums over a unit's (or the universe's) items in one cell.  An
-    uncited publication outside the normalization universe is kept
-    apart from cited ones too, so that a unit bin in a zero-mean cell is
-    all cited or all uncited.  A bin's cell key is ``bin_base`` (its cell
-    group times 4) plus its doctype ``bin_types``, below ``n_cells``.
-    The normalization counts a bin at ``norm_base`` plus its doctype:
-    its own cell group in the universe, otherwise a spill group past the
-    field-less one that no score reads.  Unit bins come first,
-    ``n_ubins`` of them, in unit slots ``bin_unit``.  ``ids`` holds the
-    unit publications' ids in a run that dumps them.
+    The kernel scores bins, ``n_bins`` of them, and ``bin_types`` holds
+    their recorded doctypes.  When ``per_item`` bin j is column j, and
+    ``bin_order`` and ``bin_starts`` are None.  Otherwise ``bin_order``
+    lists the columns bin by bin and ``bin_starts`` where each bin starts
+    in it, for the integer per-bin sums of items and citations, and a bin
+    holds the columns that share unit slot (or the reference set), cell
+    group, doctype and singleton id, whatever their citation counts: no
+    score reads a column's own count, only sums over a unit's (or the
+    universe's) items in one cell.  An uncited publication outside the
+    normalization universe is kept apart from cited ones too, so that a
+    unit bin in a zero-mean cell is all cited or all uncited.  A bin's
+    cell key is its cell group times 4 plus its doctype, below
+    ``n_cells``; the normalization counts it in its own cell group in the
+    universe, otherwise in a spill group past the field-less one that no
+    score reads.  Unit bins come first, ``n_ubins`` of them.  ``ids``
+    holds the unit publications' ids in a run that dumps them.
 
     When ``per_item``, a row sums its unit publications into scoring
     entries: one per (unit slot, cell group) pair they occupy and core
     doctype, and under reference-only normalization as many again for
-    the uncited ones.  ``entry_unit`` and ``entry_cell`` give each
-    entry's unit slot and cell key.  The sums run over 4 slots per pair
-    and doctype pair: publication j of doctype d goes to slot
-    ``item_entry[j] + d``, 4 further when uncited under reference-only
-    normalization, and the 2 non-core slots of every 4 are cut off.
+    the uncited ones.  The sums run over 4 slots per pair and doctype
+    pair: publication j of doctype d goes to the slot of its entry base
+    plus d, 4 further when uncited under reference-only normalization,
+    and the 2 non-core slots of every 4 are cut off.  Otherwise every bin
+    is a scoring entry.  Each row has ``n_scored`` entries.
+
+    The index arrays that no draw moves are built once per run, flat in
+    C order, for the rows of the run's largest block: ``block_size``, or
+    the run's iterations if fewer.  A block of fewer rows (the run's
+    last) reads their leading entries.  Entry j of row r is, for
+    ``n_units`` unit slots per row:
+    - ``norm_keys``: bin j's normalization cell key plus ``r * n_cells``,
+      and when ``per_item`` without its doctype, which a block adds;
+    - ``bin_slots`` (grouped only): column j's bin plus ``r * n_bins``,
+      the (row, bin) slot its Poisson rate is summed into;
+    - ``entry_base`` (``per_item`` only): unit publication j's entry base
+      plus ``r * 2 * n_scored``;
+    - ``unit_slots`` and ``unit_cells``: scoring entry j's unit slot plus
+      ``r * n_units``, or with grouped columns a slot past every row's
+      for a bin that is no unit's core bin, and its cell key plus ``r *
+      n_cells``.
+    Only the draws and the sums, scores and cell rebuild of what they
+    move are computed per block.
 
     Under first-kind citation redraws, ``cite_values`` holds the distinct
     citation counts and ``cite_index`` each column's entry in it, so a
@@ -391,17 +423,20 @@ class _Workspace:
     group_sizes: np.ndarray | None
     group_types: np.ndarray | None
     run_starts: np.ndarray | None
-    col_bin: np.ndarray | None
+    doctype_split: GroupSplit | None
     bin_order: np.ndarray | None
     bin_starts: np.ndarray | None
     n_bins: int
-    bin_base: np.ndarray
     bin_types: np.ndarray
-    bin_unit: np.ndarray
     n_ubins: int
-    norm_base: np.ndarray
+    n_scored: int
     n_cells: int
     n_units: int
+    bin_slots: np.ndarray | None
+    norm_keys: np.ndarray
+    unit_slots: np.ndarray
+    unit_cells: np.ndarray
+    entry_base: np.ndarray | None
     params: np.ndarray | None
     concentrations: np.ndarray | None
     config: PropagationConfig
@@ -412,9 +447,6 @@ class _Workspace:
     ids: list[str] | None = None
     cite_values: np.ndarray | None = None
     cite_index: np.ndarray | None = None
-    item_entry: np.ndarray | None = None
-    entry_unit: np.ndarray | None = None
-    entry_cell: np.ndarray | None = None
 
 
 def _worker_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
@@ -422,7 +454,7 @@ def _worker_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray, 
     return _simulate_block(ws, *bounds)[:4]
 
 
-def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, ...]:
+def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray | None, ...]:
     """Redraw the data for iterations [start, stop) and score every unit.
 
     [start, stop) is one kernel block: ``start`` is a multiple of
@@ -449,11 +481,11 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
     depend on the budget (``BLOCK_BUDGET``, or ``_ITEM_BUDGET`` when
     ``per_item``) and the column count, which set the block size, and on
     where the run's last block ends, but not on the worker count.  A block
-    of one iteration is keyed by (seed, iteration).
+    of one iteration is keyed by (seed, iteration).  A short last block
+    reads the leading rows of the workspace's block index arrays.
     """
     cfg = ws.config
     rows = stop - start
-    m = ws.col_citations.size
     rng = iteration_rng(cfg.seed, start // ws.block_size)
     # Items per column: none when every column is one publication, else
     # the group sizes or, once doctypes are redrawn, the drawn article and
@@ -468,13 +500,16 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
         if ws.per_item:
             types = draw_doctype_codes(rng, prob_rows, ws.col_types)
         else:
-            tallies = draw_doctype_counts(rng, prob_rows, ws.group_sizes, ws.group_types)
-            k = np.add.reduceat(tallies[..., :2], ws.run_starts, axis=1).reshape(rows, m)
+            tallies = draw_doctype_counts(rng, prob_rows, ws.doctype_split)
+            k = np.add.reduceat(tallies[..., :2], ws.run_starts, axis=1).reshape(rows, -1)
     change = None  # the citations each bin gains (second kind) or loses
     if CHANNEL_CITATIONS in cfg.channels:
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
         if cfg.direction == SECOND_KIND:
-            change = draw_omitted(rng, params[:, None, :], ws.col_log1p, k, bins=ws.col_bin)
+            bins = None
+            if ws.bin_slots is not None:
+                bins = (ws.bin_slots[: rows * ws.col_citations.size], ws.n_bins)
+            change = draw_omitted(rng, params[:, None, :], ws.col_log1p, k, bins=bins)
         else:
             # Drawn per item: each publication loses min(O, c) of its own c.
             change = -draw_clamped_omitted(rng, params, ws.cite_values, ws.cite_index)
@@ -487,11 +522,13 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray, 
 def _binned(ws: _Workspace, k):
     """Items and recorded citations per bin, given the items ``k`` per column.
 
-    ``k`` is None when every column is one publication, and is then
-    returned as it is, with the columns' own citations.
+    ``k`` is (rows, columns) or one (columns,) row that every row shares,
+    and the bins come out in its shape.  It is None when every column is
+    one publication, and is then returned as it is, with the columns' own
+    citations.
     """
     c = ws.col_citations if k is None else k * ws.col_citations
-    if ws.col_bin is None:
+    if ws.bin_order is None:
         return k, c
     return (
         np.add.reduceat(k[..., ws.bin_order], ws.bin_starts, axis=-1),
@@ -499,7 +536,7 @@ def _binned(ws: _Workspace, k):
     )
 
 
-def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
+def _score_recorded(ws: _Workspace) -> tuple[np.ndarray | None, ...]:
     """``_score_rows`` of the recorded data: one row, nothing redrawn.
 
     With doctype redraws a column holds its run's items recorded under its
@@ -515,66 +552,59 @@ def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
     return _score_rows(ws, 1, c, ws.bin_types, k)
 
 
-def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray, ...]:
+def _each_row(values: np.ndarray, rows: int) -> np.ndarray:
+    """``values`` flat over ``rows`` rows; one (n,) row is repeated for each."""
+    return np.tile(values, rows) if values.ndim == 1 and rows > 1 else values.reshape(-1)
+
+
+def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray | None, ...]:
     """Rebuild the normalization cells of ``rows`` data rows and score every unit.
 
-    Per bin, as (rows, bins) or one row all rows share: ``c`` its
-    citations, ``types`` its doctype code and ``k`` its item count (None
-    when every bin is one publication).  The cells of all rows are
-    rebuilt together over ``row * n_cells + cell key``, and
-    ``unit_indicators`` scores the unit bins in slots ``row * n_units +
-    unit``.  When every bin is one publication, each row first sums its
-    unit publications' items and citations into scoring entries (see
-    ``_Workspace``), and the entries are scored.  Returns per row and unit
-    P, C, MNCS and the MNCS exclusion count, then the unit bins' citations
-    and doctype codes (per publication when ``per_item``, for the item
-    dump).
+    Per bin, as (rows, bins) or one (bins,) row that all rows share: ``c``
+    its citations and ``k`` its item count (None when every bin is one
+    publication).  ``types`` is read only when every bin is one
+    publication: the drawn doctype codes, or the recorded ``bin_types``.
+    The cells of all rows are rebuilt together over the cell keys
+    ``norm_keys`` (per item, plus each publication's doctype), and
+    ``unit_indicators`` scores the entries in ``unit_slots``, whose cells
+    are ``unit_cells``: with grouped columns every bin, one that is no
+    unit's core bin in a slot past every row's; per item, each row first
+    sums its unit publications' items and citations into scoring entries
+    (see ``_Workspace``).  Returns per row and unit P, C, MNCS and the
+    MNCS exclusion count, then, when ``per_item``, the unit publications'
+    citations (rows, publications) and doctype codes, (rows,
+    publications) or one row all rows share, for the item dump; None
+    twice otherwise.
     """
-    shape = (rows, ws.n_bins)
-    c = np.broadcast_to(c, shape)
-    types = np.broadcast_to(types, shape)
+    c = _each_row(c, rows)
     if k is not None:
-        k = np.broadcast_to(k, shape)
+        k = _each_row(k, rows)
+    keys = ws.norm_keys[: rows * ws.n_bins]
+    if ws.per_item:
+        keys = (keys.reshape(rows, -1) + types).ravel()
+    counts, means = cell_means(keys, c, rows * ws.n_cells, k)
 
-    row_of = np.arange(rows)[:, None]
-    counts, means = cell_means(
-        (ws.norm_base + types + row_of * ws.n_cells).ravel(),
-        c.ravel(),
-        rows * ws.n_cells,
-        None if k is None else k.ravel(),
-    )
-
-    # Score the unit bins.  A bin's items share its cell.  Where that
-    # cell's mean can be zero, either all of them are uncited or all are
-    # cited (see _Workspace), so scoring the bin's sum applies the
-    # per-item rule to each item.  Per item, the entries are such bins.
-    n_u = ws.n_ubins
-    c_unit = c[:, :n_u]
-    dt_unit = types[:, :n_u]
+    # Score the bins.  A bin's items share its cell.  Where that cell's
+    # mean can be zero, either all of them are uncited or all are cited
+    # (see _Workspace), so scoring the bin's sum applies the per-item rule
+    # to each item.  Per item, the entries are such bins.
+    n_scored = rows * ws.n_scored
+    c_unit = dt_unit = None
     if k is None:
         # Every entry's 2 core doctypes are followed by 2 non-core slots,
         # which the scores leave out.
-        n_slots = 2 * ws.entry_unit.size
-        entry = ws.item_entry + dt_unit + row_of * n_slots
+        n_u = ws.n_ubins
+        c_unit = c.reshape(rows, -1)[:, :n_u]
+        dt_unit = types[..., :n_u]
+        entry = ws.entry_base[: rows * n_u].reshape(rows, n_u) + dt_unit
         if not ws.config.pooled_normalization:
             entry += 4 * (c_unit == 0)
         entry = entry.ravel()
-        k = np.bincount(entry, minlength=rows * n_slots).reshape(-1, 4)[:, :2]
-        c_scored = np.bincount(entry, c_unit.ravel(), rows * n_slots).reshape(-1, 4)[:, :2]
-        unit, unit_cell = ws.entry_unit, ws.entry_cell + row_of * ws.n_cells
-        dt_scored = unit_cell & 3
-    else:
-        k = k[:, :n_u]
-        unit, unit_cell = ws.bin_unit, ws.bin_base[:n_u] + dt_unit + row_of * ws.n_cells
-        c_scored, dt_scored = c_unit, dt_unit
+        k = np.bincount(entry, minlength=2 * n_scored).reshape(-1, 4)[:, :2].ravel()
+        c = np.bincount(entry, c_unit.ravel(), 2 * n_scored).reshape(-1, 4)[:, :2].ravel()
+    cells = ws.unit_cells[:n_scored]
     p_vals, c_vals, mncs_vals, excluded = unit_indicators(
-        unit + row_of * ws.n_units,
-        rows * ws.n_units,
-        c_scored,
-        dt_scored,
-        counts[unit_cell],
-        means[unit_cell],
-        k,
+        ws.unit_slots[:n_scored], rows * ws.n_units, c, counts[cells], means[cells], k
     )
 
     shape = (rows, ws.n_units)
@@ -586,6 +616,11 @@ def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray, ...
         c_unit,
         dt_unit,
     )
+
+
+def _block_rows(first: np.ndarray, step: int, rows: int) -> np.ndarray:
+    """``first`` once per row for ``rows`` rows, row r plus ``r * step``, flat in C order."""
+    return (first + step * np.arange(rows)[:, None]).ravel()
 
 
 def _build_workspace(
@@ -707,9 +742,10 @@ def _build_workspace(
     # A bin is a column, or with grouped columns the columns that share
     # its key (see _Workspace).  Keys sort by unit slot, so the unit
     # columns and bins come first.
+    per_item = group_sizes is None
     col_bin = bin_order = bin_starts = None
     bin_rep, bin_types = rep, col_types  # a publication in each bin, and its doctype
-    if group_sizes is not None:
+    if not per_item:
         uncited_outside = ~in_norm & (citations == 0)
         keys = (unit_slot[rep], cellgroup[rep], col_types, single_id[rep], uncited_outside[rep])
         bin_order, starts = sorted_runs(keys)
@@ -717,12 +753,21 @@ def _build_workspace(
         col_bin[bin_order] = np.cumsum(starts) - 1
         bin_starts = np.flatnonzero(starts)
         bin_rep, bin_types = rep[bin_order[starts]], col_types[bin_order[starts]]
-    n_ubins = int(np.count_nonzero(unit_slot[bin_rep] < len(units)))
+    n_bins, n_units = bin_rep.size, len(units)
+    bin_unit = unit_slot[bin_rep]
+    n_ubins = int(np.count_nonzero(bin_unit < n_units))
+    n_cells = (n_cellgroups + 2) * 4
+
+    # The block index arrays: each (iteration, entry) index that no draw
+    # moves, for the rows of the run's largest block, flat in C order (see
+    # _Workspace).
+    block_size = _block_size(rep.size, per_item)
+    rows = min(block_size, config.iterations)
     # A bin outside the universe is counted in the group past the field-less
     # one, whose cells no score reads.
     norm_base = np.where(in_norm[bin_rep], cellgroup[bin_rep], n_cellgroups + 1) * 4
-    item_entry = entry_unit = entry_cell = None
-    if group_sizes is None:
+    entry_base = bin_slots = None
+    if per_item:
         # The scoring entries of each (unit slot, cell group) pair (see
         # _Workspace); under reference-only normalization no unit
         # publication is in the universe, and uncited ones get their own.
@@ -734,10 +779,27 @@ def _build_workspace(
         entry_unit = np.repeat(unit_slot[heads], width)
         entry_cell = np.repeat(cellgroup[heads] * 4, width)
         entry_cell += np.tile([0, 1], entry_cell.size // 2)  # article, review
+        n_scored = entry_unit.size
+        entry_base = _block_rows(item_entry, 2 * n_scored, rows)
+        unit_slots = _block_rows(entry_unit, n_units, rows)
+        unit_cells = _block_rows(entry_cell, n_cells, rows)
+    else:
+        # A grouped bin's doctype is fixed, so its cell keys are whole.
+        # Every bin is scored; the reference bins and the non-core unit
+        # bins go past every slot of the block.
+        norm_base += bin_types
+        n_scored = n_bins
+        bin_slots = _block_rows(col_bin, n_bins, rows)
+        core = np.tile((bin_unit < n_units) & (bin_types <= 1), rows)
+        unit_slots = np.where(core, _block_rows(bin_unit, n_units, rows), rows * n_units)
+        unit_cells = _block_rows(cellgroup[bin_rep] * 4 + bin_types, n_cells, rows)
     col_citations = citations[rep]
     cite_values = cite_index = None
     if redraw_citations and config.direction == FIRST_KIND:
         cite_values, cite_index = np.unique(col_citations, return_inverse=True)
+    doctype_split = None
+    if redraw_doctypes and not per_item:
+        doctype_split = GroupSplit(group_sizes, group_types, concentrations.shape[-1])
     return _Workspace(
         col_citations=col_citations,
         col_log1p=np.log1p(col_citations.astype(np.float64)),
@@ -745,17 +807,20 @@ def _build_workspace(
         group_sizes=group_sizes,
         group_types=group_types,
         run_starts=run_starts,
-        col_bin=col_bin,
+        doctype_split=doctype_split,
         bin_order=bin_order,
         bin_starts=bin_starts,
-        n_bins=bin_rep.size,
-        bin_base=cellgroup[bin_rep] * 4,
+        n_bins=n_bins,
         bin_types=bin_types,
-        bin_unit=unit_slot[bin_rep[:n_ubins]],
         n_ubins=n_ubins,
-        norm_base=norm_base,
-        n_cells=(n_cellgroups + 2) * 4,
-        n_units=len(units),
+        n_scored=n_scored,
+        n_cells=n_cells,
+        n_units=n_units,
+        bin_slots=bin_slots,
+        norm_keys=_block_rows(norm_base, n_cells, rows),
+        unit_slots=unit_slots,
+        unit_cells=unit_cells,
+        entry_base=entry_base,
         params=(
             cycled_params(models.citation, models.citation.n_draws)
             if models.citation is not None
@@ -763,16 +828,13 @@ def _build_workspace(
         ),
         concentrations=concentrations,
         config=config,
-        block_size=_block_size(rep.size, group_sizes is None),
+        block_size=block_size,
         publications=n,
         groups=n_groups,
-        per_item=group_sizes is None,
+        per_item=per_item,
         ids=list(chain.from_iterable(pubset.ids for pubset in units)) if keep_ids else None,
         cite_values=cite_values,
         cite_index=cite_index,
-        item_entry=item_entry,
-        entry_unit=entry_unit,
-        entry_cell=entry_cell,
     )
 
 
@@ -914,6 +976,8 @@ def propagate(
             "exchangeable_groups": ws.groups,
             "kernel_columns": ws.col_citations.size,
             "kernel_bins": ws.n_bins,
+            "kernel_block_size": ws.block_size,
+            "kernel_blocks": len(bounds),
             "grouped_draws": not ws.per_item,
             "timings": {
                 "workspace": workspace_done - started,

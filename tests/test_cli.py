@@ -584,7 +584,11 @@ class TestPropagate:
         run = json.loads((out / "run_manifest.json").read_text())["propagation"]
         assert run["grouped_draws"] is True
         assert 0 < run["kernel_bins"] < run["kernel_columns"]
-        assert "kernel_bins" not in (out / "report.json").read_text()
+        # 20 iterations fit one block of BLOCK_BUDGET // columns.
+        assert run["kernel_block_size"] > 20 and run["kernel_blocks"] == 1
+        report = (out / "report.json").read_text()
+        for key in ("kernel_bins", "kernel_block_size", "kernel_blocks"):
+            assert key not in report
 
     def test_replayed_parameter_sharing(self, workdir, tmp_path):
         first = tmp_path / "first"

@@ -237,17 +237,19 @@ _ENTRY = st.tuples(
 )
 
 
-def _rebuild_and_score(entries, n_units, sized):
-    """Cell rebuild over every entry, then ``unit_indicators`` over the unit ones."""
+def _rebuild_and_score(entries, n_units, sized, spill=0):
+    """Cell rebuild over every entry, then ``unit_indicators`` over the unit ones.
+
+    A unit's non-core entry goes to slot ``n_units + spill``.
+    """
     slot, group, code, citations, k = (np.array(column) for column in zip(*entries))
     cell = 4 * group + code
     counts, means = cell_means(cell, citations, 4 * 3, k if sized else None)
     unit = slot >= 0
     return unit_indicators(
-        slot[unit],
+        np.where(code[unit] <= 1, slot[unit], n_units + spill),
         n_units,
         citations[unit],
-        code[unit],
         counts[cell[unit]],
         means[cell[unit]],
         k[unit] if sized else None,
@@ -259,12 +261,14 @@ def _rebuild_and_score(entries, n_units, sized):
     entries=st.lists(_ENTRY, min_size=1, max_size=30),
     new_citations=st.lists(st.integers(min_value=0, max_value=40), min_size=30, max_size=30),
     sized=st.booleans(),
+    spill=st.integers(min_value=0, max_value=50),
 )
-def test_non_core_citations_never_change_the_indicators(entries, new_citations, sized):
+def test_non_core_citations_never_change_the_indicators(entries, new_citations, sized, spill):
     # A letter or an "other" item is counted only in a non-core cell, and
     # only core items are scored against a cell, so its citations reach
     # no output, and neither does the item: the grouped kernel gives such
-    # items no column and draws no citations for them.
+    # items no column and draws no citations for them.  Any slot at or
+    # past n_units leaves an entry out alike.
     n_units = 3
     before = _rebuild_and_score(entries, n_units, sized)
     changed = [
@@ -272,8 +276,8 @@ def test_non_core_citations_never_change_the_indicators(entries, new_citations, 
         for (slot, group, code, citations, k), new in zip(entries, new_citations)
     ]
     core = [entry for entry in entries if entry[2] <= 1]
-    for other in [changed] + ([core] if core else []):
-        after = _rebuild_and_score(other, n_units, sized)
+    for other in [entries, changed] + ([core] if core else []):
+        after = _rebuild_and_score(other, n_units, sized, spill)
         for a, b in zip(before, after):
             assert np.array_equal(a, b, equal_nan=True)
 

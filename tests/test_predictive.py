@@ -19,6 +19,7 @@ from bibuq.predictive import (
     _WALK_MAX_MEAN,
     _WALK_MAX_RATIO,
     DUMP_TAIL_COUNTS,
+    GroupSplit,
     cycled_params,
     draw_clamped_omitted,
     draw_doctype_codes,
@@ -263,8 +264,71 @@ class TestDrawExactness:
 _group_sizes = st.one_of(st.integers(0, _SMALL_GROUP), st.integers(_SMALL_GROUP + 1, 50))
 
 
+def _counts(rng, prob_rows, sizes, conditioning_codes):
+    """``draw_doctype_counts`` of groups split for these rows' categories."""
+    split = GroupSplit(sizes, conditioning_codes, prob_rows.shape[-1])
+    return draw_doctype_counts(rng, prob_rows, split)
+
+
+def _counts_split_per_call(rng, prob_rows, sizes, conditioning_codes):
+    """The counts as drawn when each call split its own groups, the reference."""
+    lead, k = prob_rows.shape[:-2], prob_rows.shape[-1]
+    rows, groups = int(np.prod(lead)), sizes.size
+    small = sizes <= _SMALL_GROUP
+    group_of = np.repeat(np.flatnonzero(small), sizes[small])
+    codes = draw_doctype_codes(rng, prob_rows, conditioning_codes[group_of])
+    codes += group_of * k
+    codes += (np.arange(rows) * (groups * k)).reshape(lead + (1,))
+    counts = np.bincount(codes.ravel(), minlength=rows * groups * k).reshape(lead + (groups, k))
+    large = np.flatnonzero(~small)
+    if large.size:
+        counts[..., large, :] = rng.multinomial(
+            sizes[large], prob_rows[..., conditioning_codes[large], :]
+        )
+    return counts
+
+
 class TestDoctypeCounts:
     """``draw_doctype_counts``: the tallied categories of groups of iid items."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.sampled_from(["mixed", "all-small", "all-large"]),
+        rows=st.integers(1, 70),
+        block=st.booleans(),
+        data=st.data(),
+    )
+    def test_split_once_per_run_draws_the_per_call_split_bit_for_bit(
+        self, layout, rows, block, data
+    ):
+        # One split reused by every call gives the tallies, and leaves the
+        # stream, exactly as a split made inside each call, for groups of
+        # 1-40 items with random codes, in blocks of 1-70 rows and on the
+        # unblocked 2-d path, at several seeds.
+        sizes = {
+            "mixed": st.integers(1, 40),
+            "all-small": st.integers(1, _SMALL_GROUP),
+            "all-large": st.integers(_SMALL_GROUP + 1, 40),
+        }[layout]
+        sizes = np.array(data.draw(st.lists(sizes, min_size=1, max_size=30)), dtype=np.int64)
+        categories = data.draw(st.sampled_from([3, 4]))
+        codes = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=sizes.size, max_size=sizes.size)),
+            dtype=np.int64,
+        )
+        split = GroupSplit(sizes, codes, categories)
+        concentrations = np.arange(1.0, 4 * categories + 1).reshape(4, categories)
+        for seed in data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4)):
+            shape = (rows,) + concentrations.shape if block else concentrations.shape
+            prob_rows = sample_probability_rows(
+                np.random.default_rng(seed), np.broadcast_to(concentrations, shape)
+            )
+            ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = draw_doctype_counts(ours_rng, prob_rows, split)
+            expected = _counts_split_per_call(ref_rng, prob_rows, sizes, codes)
+            assert drawn.dtype == expected.dtype
+            assert np.array_equal(drawn, expected)
+            assert ours_rng.random() == ref_rng.random()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -286,7 +350,7 @@ class TestDoctypeCounts:
         cond = np.array([g for g, _ in groups], dtype=np.int64)
         sizes = np.array([n for _, n in groups], dtype=np.int64)
         seed = data.draw(st.integers(0, 2**32 - 1))
-        counts = draw_doctype_counts(np.random.default_rng(seed), prob_rows, sizes, cond)
+        counts = _counts(np.random.default_rng(seed), prob_rows, sizes, cond)
         assert counts.shape == (sizes.size, 4)
         assert np.issubdtype(counts.dtype, np.integer)
         assert counts.min(initial=0) >= 0
@@ -300,7 +364,7 @@ class TestDoctypeCounts:
         rng = np.random.default_rng(0)
         prob_rows = sample_probability_rows(rng, concentrations)
         sizes = np.array([5, 1, 10**6, 0])
-        counts = draw_doctype_counts(rng, prob_rows, sizes, np.zeros(4, dtype=np.int64))
+        counts = _counts(rng, prob_rows, sizes, np.zeros(4, dtype=np.int64))
         assert counts.tolist() == [[0, 5, 0, 0], [0, 1, 0, 0], [0, 10**6, 0, 0], [0, 0, 0, 0]]
 
     @pytest.mark.parametrize("size", [_SMALL_GROUP, _SMALL_GROUP + 1])
@@ -308,9 +372,7 @@ class TestDoctypeCounts:
         # A group of at most _SMALL_GROUP items is the tally of that many
         # ``draw_doctype_codes`` codes; a larger one is one multinomial.
         prob_rows = np.array([[0.55, 0.15, 0.30], [0.2, 0.3, 0.5]])
-        counts = draw_doctype_counts(
-            np.random.default_rng(4), prob_rows, np.array([size]), np.array([1])
-        )
+        counts = _counts(np.random.default_rng(4), prob_rows, np.array([size]), np.array([1]))
         rng = np.random.default_rng(4)
         if size <= _SMALL_GROUP:
             codes = draw_doctype_codes(rng, prob_rows, np.ones(size, dtype=np.int64))
@@ -344,9 +406,7 @@ class TestDoctypeCounts:
         n = 10_000
         prob_rows = np.array([row, np.eye(len(row))[-1]])
         cond = np.zeros(n, dtype=np.int64)
-        counts = draw_doctype_counts(
-            np.random.default_rng(1), prob_rows, np.full(n, size), cond
-        )
+        counts = _counts(np.random.default_rng(1), prob_rows, np.full(n, size), cond)
         items = np.zeros(n * size, dtype=np.int64)
         codes = draw_doctype_codes(np.random.default_rng(2), prob_rows, items)
         tallies = np.zeros((n, len(row)), dtype=np.int64)
@@ -446,6 +506,15 @@ class TestCountedOmittedDraws:
         assert abs(draws.mean() / 4e12 - 1.0) < 0.01
 
 
+def _bin_pair(bins, rows=1, n_bins=None):
+    """``draw_omitted``'s bins pair: each element's (row, bin) slot, and the bin count.
+
+    ``bins`` gives each column's bin in every one of ``rows`` rows.
+    """
+    n_bins = int(bins.max()) + 1 if n_bins is None else n_bins
+    return (np.arange(rows)[:, None] * n_bins + bins).ravel(), n_bins
+
+
 class TestBinnedOmittedDraws:
     """``draw_omitted`` with bins: one Poisson per bin of summed rates."""
 
@@ -468,7 +537,7 @@ class TestBinnedOmittedDraws:
         bins = np.array([b for _, _, b in cells], dtype=np.int64)
         n_bins = int(bins.max()) + 1
         ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = draw_omitted(ours_rng, params[:, None, :], x, counts, bins)
+        drawn = draw_omitted(ours_rng, params[:, None, :], x, counts, _bin_pair(bins, len(params)))
         assert drawn.shape == (params.shape[0], n_bins)
         mu = np.minimum(np.exp(params[:, :1] + params[:, 1:2] * x), 1e12)
         lam = ref_rng.gamma(shape=params[:, 2:] * counts, scale=mu / params[:, 2:])
@@ -491,7 +560,7 @@ class TestBinnedOmittedDraws:
         counts = np.array([5, 2, 0, 1, 30, 4, 2])
         bins = np.array([0, 0, 0, 1, 2, 2, 2])
         x = np.log1p(citations.astype(np.float64))
-        binned = draw_omitted(np.random.default_rng(5), params, x, counts, bins)
+        binned = draw_omitted(np.random.default_rng(5), params, x, counts, _bin_pair(bins, n))
         items = draw_omitted(np.random.default_rng(6), params, x, counts)
         summed = np.stack([items[:, bins == b].sum(axis=1) for b in range(3)], axis=1)
         mu = np.exp(-0.8 + 0.4 * x)
@@ -510,7 +579,11 @@ class TestBinnedOmittedDraws:
         # summed rate would hold both at 1e12.
         params = np.broadcast_to(np.array([40.0, 0.0, 50.0]), (2000, 1, 3))
         draws = draw_omitted(
-            np.random.default_rng(3), params, np.zeros(3), np.array([4, 1, 2]), np.array([0, 0, 1])
+            np.random.default_rng(3),
+            params,
+            np.zeros(3),
+            np.array([4, 1, 2]),
+            _bin_pair(np.array([0, 0, 1]), 2000),
         )
         assert draws.shape == (2000, 2)
         assert np.abs(draws.mean(axis=0) / np.array([5e12, 2e12]) - 1.0).max() < 0.01
@@ -538,13 +611,15 @@ class TestBinnedOmittedDraws:
         x, counts, bins = np.append(x, 0.0), np.append(counts, 0), np.append(bins, n_bins)
         occupied = counts > 0
         all_rng, occ_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        everywhere = draw_omitted(all_rng, params, x, counts, bins)
+        everywhere = draw_omitted(all_rng, params, x, counts, (bins, n_bins + 1))
         assert everywhere.shape == (n_bins + 1,)
         assert everywhere[-1] == 0
         assert np.all(everywhere[np.setdiff1d(np.arange(n_bins), bins[occupied])] == 0)
         if occupied.any():
-            only = draw_omitted(occ_rng, params, x[occupied], counts[occupied], bins[occupied])
-            assert np.array_equal(everywhere[: only.size], only)
+            only = draw_omitted(
+                occ_rng, params, x[occupied], counts[occupied], (bins[occupied], n_bins + 1)
+            )
+            assert np.array_equal(everywhere, only)
         assert all_rng.random() == occ_rng.random()
 
 
@@ -769,10 +844,10 @@ class TestBlockAxis:
         stacked = np.broadcast_to(concentrations, (block, k, 4))
 
         def small_counts(rng, rows, c):
-            return draw_doctype_counts(rng, rows, sizes[small], c[small])
+            return _counts(rng, rows, sizes[small], c[small])
 
         def large_counts(rng, rows, c):
-            return draw_doctype_counts(rng, rows, sizes[~small], c[~small])
+            return _counts(rng, rows, sizes[~small], c[~small])
 
         for draw in (draw_doctype_codes, small_counts, large_counts):
             block_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -788,7 +863,7 @@ class TestBlockAxis:
         block_rng, parts_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         rows = sample_probability_rows(block_rng, stacked)
         sample_probability_rows(parts_rng, stacked)
-        drawn = draw_doctype_counts(block_rng, rows, sizes, cond)
+        drawn = _counts(block_rng, rows, sizes, cond)
         assert drawn.shape == (block, sizes.size, 4)
         assert np.array_equal(drawn[:, small], small_counts(parts_rng, rows, cond))
         assert np.array_equal(drawn[:, ~small], large_counts(parts_rng, rows, cond))

@@ -1218,7 +1218,9 @@ def test_groups_that_differ_only_in_recorded_doctype_share_columns(
         for pub in pubset
     }
     assert ws.col_citations.size == 2 * len(keys) == 2 * (4 + 6)
-    assert np.count_nonzero(ws.col_bin < ws.n_ubins) == 2 * 4  # unit columns
+    # The first row of the block's (row, bin) slots is each column's bin.
+    col_bin = ws.bin_slots[: ws.col_citations.size]
+    assert np.count_nonzero(col_bin < ws.n_ubins) == 2 * 4  # unit columns
     groups, items, citations = _run_shapes(ws)
     # Unit runs (counts 0, 2, 5, 11), then reference runs (0, 1, 2, 3, 5, 9).
     assert citations == [0, 2, 5, 11, 0, 1, 2, 3, 5, 9]
@@ -1291,8 +1293,8 @@ def test_run_columns_hold_every_item_in_every_iteration(
     tallies, counts = [], []
     draw_doctype_counts, draw_omitted = simulation.draw_doctype_counts, simulation.draw_omitted
 
-    def recording_tallies(rng, prob_rows, sizes, codes):
-        tallies.append(draw_doctype_counts(rng, prob_rows, sizes, codes))
+    def recording_tallies(rng, prob_rows, split):
+        tallies.append(draw_doctype_counts(rng, prob_rows, split))
         return tallies[-1]
 
     def recording(rng, params, log1p_predictor, k=None, bins=None):
@@ -1523,6 +1525,67 @@ def test_block_sizes_follow_the_per_item_and_grouped_budgets(
         ws = _build_workspace(grouped_units, grouped_reference, models, config, keep_ids)
         assert ws.per_item and ws.col_citations.size == ws.publications
         assert ws.block_size == simulation._ITEM_BUDGET // ws.publications > 1
+
+
+# (models fixture, direction, keep ids): a grouped run with both channels
+# drawn per group, and a per-item run, the item dump's layout, with both.
+_SHORT_BLOCK_LAYOUTS = {
+    "grouped": ("small_models", SECOND_KIND, False),
+    "per-item": ("small_models", SECOND_KIND, True),
+    "first-kind": ("first_kind_models", FIRST_KIND, False),
+}
+
+
+@pytest.mark.parametrize("layout", list(_SHORT_BLOCK_LAYOUTS))
+def test_short_last_block_reads_the_leading_rows_of_the_block_indexes(
+    request, monkeypatch, layout, grouped_units, grouped_reference
+):
+    # The block index arrays are built once, for the run's largest block.
+    # The last block of a run whose iterations the block size does not
+    # divide reads their leading rows, and scores exactly as a workspace
+    # whose arrays were built for its rows alone, drawing from the same
+    # substream key.
+    models_name, direction, keep_ids = _SHORT_BLOCK_LAYOUTS[layout]
+    models = request.getfixturevalue(models_name)
+    cfg = PropagationConfig(iterations=1, seed=29, direction=direction)
+    ws = _build_workspace(grouped_units, grouped_reference, models, cfg, keep_ids)
+    block, width = ws.block_size, ws.col_citations.size
+    assert ws.per_item == (layout != "grouped") and block > 2
+    cfg = dataclasses.replace(cfg, iterations=2 * block + block // 2)
+    ws = _build_workspace(grouped_units, grouped_reference, models, cfg, keep_ids)
+    start, rows = 2 * block, block // 2
+    _set_budgets(monkeypatch, rows * width)
+    exact = _build_workspace(grouped_units, grouped_reference, models, cfg, keep_ids)
+    assert exact.block_size == rows
+    assert ws.norm_keys.size == block * ws.n_bins and exact.norm_keys.size == rows * ws.n_bins
+    exact = dataclasses.replace(exact, block_size=block)  # the same substream key
+    ours = simulation._simulate_block(ws, start, cfg.iterations)
+    theirs = simulation._simulate_block(exact, start, cfg.iterations)
+    assert len(ours) == len(theirs) == 6
+    assert ours[0].shape == (rows, len(grouped_units))
+    for a, b in zip(ours, theirs):
+        if a is None:  # the unit publications' draws, for the dump, come per item only
+            assert b is None and layout == "grouped"
+        else:
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("layout", ["grouped", "per-item"])
+def test_run_info_counts_kernel_blocks(layout, grouped_units, grouped_reference, small_models):
+    # Three blocks, the last one short: run_info gives the block size and
+    # the blocks run, so the kernel's time over the blocks is its cost per
+    # block.
+    dump = layout == "per-item"
+    cfg = PropagationConfig(iterations=1, seed=3)
+    block = _build_workspace(grouped_units, grouped_reference, small_models, cfg, dump).block_size
+    assert block > 1
+    cfg = dataclasses.replace(cfg, iterations=2 * block + 1)
+    with tempfile.TemporaryDirectory() as scratch:
+        dump_items = Path(scratch) / "items.csv" if dump else None
+        info = propagate(grouped_units, grouped_reference, small_models, cfg, dump_items).run_info
+    assert info["grouped_draws"] is not dump
+    assert info["kernel_block_size"] == block
+    assert info["kernel_blocks"] == 3
 
 
 def test_first_kind_multi_row_blocks_agree_pooled_and_in_process(
