@@ -614,7 +614,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fail instead of synthesizing missing training inputs",
     )
-    exercise.add_argument("--workers", type=int, help="worker processes")
+    exercise.add_argument(
+        "--workers", type=int,
+        help=f"worker processes (default $BIBUQ_WORKERS or {PropagationConfig.workers})",
+    )
     exercise.add_argument("--config", help="JSON config file (or a previous run manifest)")
     exercise.add_argument("--out", help="optionally write tables and inputs here")
     exercise.set_defaults(func=_cmd_exercise)

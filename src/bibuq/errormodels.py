@@ -83,7 +83,7 @@ def substream_rng(seed: int, key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -93,7 +93,7 @@ def _is_finite_number(value) -> bool:
 
     An integer beyond the float range is not finite.
     """
-    if not (_is_integer(value) or isinstance(value, (float, np.floating))):
+    if not (is_integer(value) or isinstance(value, (float, np.floating))):
         return False
     try:
         return math.isfinite(value)
@@ -141,7 +141,7 @@ class McmcConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise ValidationError(f"{f.name} must be an integer, got {value!r}")
             object.__setattr__(self, f.name, int(value))
         if self.chains < 1:

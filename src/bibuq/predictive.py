@@ -277,64 +277,71 @@ class GroupSplit:
 
     Made once per layout, so that a draw does only per-draw work.  Group
     g has ``sizes[g]`` items, all conditioned on the category
-    ``conditioning_codes[g]``, and its tally runs over ``categories``
-    categories.  Each item of a group of at most ``_SMALL_GROUP`` items
-    has an entry in ``item_slots``, its group index times
-    ``categories``, and in ``item_codes``, its group's conditioning
-    category.  The larger groups are ``large``, with sizes
-    ``large_sizes`` and conditioning categories ``large_codes``.
+    ``conditioning_codes[g]``, and its tally over ``categories``
+    categories goes into row ``into[g]`` of ``rows`` tally rows.  Each
+    item of a group of at most ``_SMALL_GROUP`` items has an entry in
+    ``item_slots``, its row times ``categories``, and in ``item_codes``,
+    its group's conditioning category.  The larger groups have sizes
+    ``large_sizes``, conditioning categories ``large_codes`` and their
+    rows' category slots ``large_slots``.
 
     A plain class: a dataclass would cost about a millisecond at import.
     """
 
     __slots__ = (
-        "groups", "categories", "item_slots", "item_codes", "large", "large_sizes", "large_codes"
+        "rows", "categories", "item_slots", "item_codes", "large_sizes", "large_codes",
+        "large_slots",
     )
 
-    def __init__(self, sizes: np.ndarray, conditioning_codes: np.ndarray, categories: int):
+    def __init__(
+        self, sizes: np.ndarray, conditioning_codes: np.ndarray, categories: int, into: np.ndarray
+    ):
         small = sizes <= _SMALL_GROUP
         group_of = np.repeat(np.flatnonzero(small), sizes[small])
-        self.groups, self.categories = sizes.size, categories
-        self.item_slots = group_of * categories
+        large = np.flatnonzero(~small)
+        self.rows, self.categories = int(into.max(initial=-1)) + 1, categories
+        self.item_slots = into[group_of] * categories
         self.item_codes = conditioning_codes[group_of]
-        self.large = np.flatnonzero(~small)
-        self.large_sizes = sizes[self.large]
-        self.large_codes = conditioning_codes[self.large]
+        self.large_sizes = sizes[large]
+        self.large_codes = conditioning_codes[large]
+        self.large_slots = (into[large] * categories)[:, None] + np.arange(categories)
 
 
 def draw_doctype_counts(
     rng: np.random.Generator, prob_rows: np.ndarray, split: GroupSplit
 ) -> np.ndarray:
-    """Per-category counts of groups of iid items.
+    """Per-category counts of groups of iid items, summed into tally rows.
 
     ``prob_rows`` is (c, k): a probability vector over k categories per
     conditioning category, or (rows, c, k) for a block of rows; k is
     ``split.categories``.  ``split`` (a ``GroupSplit``) holds the groups,
-    each of iid items conditioned on one category.  Given ``prob_rows``
-    the tally of a group's categories is Multinomial(its size, its
-    conditioning row).  A group of at most ``_SMALL_GROUP`` items tallies
-    its items' ``draw_doctype_codes`` codes; a larger group draws the
-    multinomial directly, at a cost that does not grow with its size.
-    One call draws the uniforms of every small-group item in every row,
-    then one call the multinomials of every large group in every row.
-    Returns a (groups, k) integer array, (rows, groups, k) for a block;
-    each group's counts sum to its size and a zero-probability category
-    gets 0.
+    each of iid items conditioned on one category, and each group's tally
+    row.  Given ``prob_rows`` the tally of a group's categories is
+    Multinomial(its size, its conditioning row).  A group of at most
+    ``_SMALL_GROUP`` items tallies its items' ``draw_doctype_codes``
+    codes; a larger group draws the multinomial directly, at a cost that
+    does not grow with its size.  One call draws the uniforms of every
+    small-group item in every row, then one call the multinomials of every
+    large group in every row.  Returns a (``split.rows``, k) integer
+    array, (rows, ``split.rows``, k) for a block, each tally row the sum
+    of its groups' tallies; a row's counts sum to its groups' sizes and a
+    zero-probability category gets 0.
     """
     lead = prob_rows.shape[:-2]
-    rows, groups, k = math.prod(lead), split.groups, split.categories
-    # Each small-group item's code is binned at (row, group, code), so one
-    # bincount tallies the whole block; the large groups' bins stay empty
-    # until their multinomials fill them.
+    rows, width = math.prod(lead), split.rows * split.categories
+    # Each small-group item's code is binned at (row, tally row, code), so
+    # one bincount tallies the whole block; the large groups' multinomials
+    # are then added at their tally rows' slots, unbuffered, as a tally row
+    # may hold several of them; flat arrays take ``np.add.at``'s fast path.
     codes = draw_doctype_codes(rng, prob_rows, split.item_codes)
     codes += split.item_slots
-    codes += (np.arange(rows) * (groups * k)).reshape(lead + (1,))
-    counts = np.bincount(codes.ravel(), minlength=rows * groups * k).reshape(lead + (groups, k))
-    if split.large.size:
-        counts[..., split.large, :] = rng.multinomial(
-            split.large_sizes, prob_rows[..., split.large_codes, :]
-        )
-    return counts
+    offsets = (np.arange(rows) * width).reshape(lead + (1,))
+    codes += offsets
+    counts = np.bincount(codes.ravel(), minlength=rows * width)
+    if split.large_sizes.size:
+        drawn = rng.multinomial(split.large_sizes, prob_rows[..., split.large_codes, :])
+        np.add.at(counts, (offsets[..., None] + split.large_slots).ravel(), drawn.ravel())
+    return counts.reshape(lead + (split.rows, split.categories))
 
 
 def sample_probability_rows(rng: np.random.Generator, concentrations: np.ndarray) -> np.ndarray:

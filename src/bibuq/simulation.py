@@ -35,7 +35,8 @@ past 4,096 grouped columns or 10,000 publications.
 
 What no draw moves is built once per run, with the workspace
 (``_Workspace``): the doctype draw's split of the groups into
-small-group items and large groups (``predictive.GroupSplit``), and
+small-group items and large groups, each with its run's tally row
+(``predictive.GroupSplit``), the columns' recorded items, and
 index arrays for every row of the run's largest block, namely each bin's
 normalization cell key, the (row, bin) slots its columns' Poisson rates
 are summed into, each scored bin's or entry's unit slot and cell, and
@@ -55,10 +56,10 @@ doctype: the groups that differ only in recorded doctype form one run
 and share its 2 columns, since the omitted-count law never reads the
 recorded doctype.  Each group's publications are tallied over (article,
 review, non-core) on its recorded doctype's Dirichlet row with the two
-non-core concentrations summed (``predictive.draw_doctype_counts``: one
-uniform per publication in a small group, one multinomial for a larger
-one).  The tally puts k of its publications under each new core
-doctype, a run adds up its groups' tallies, and the omitted
+non-core concentrations summed, straight into its run's tally
+(``predictive.draw_doctype_counts``: one uniform per publication in a
+small group, one multinomial for a larger one).  A run's tally puts k
+of its publications under each new core doctype, and the omitted
 citations of a column's k items are one gamma-Poisson sum,
 ``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law of k
 summed negative binomial draws whatever the items' recorded doctypes.
@@ -124,6 +125,7 @@ from .errormodels import (
     SECOND_KIND,
     DirichletPosterior,
     NegBinPosterior,
+    is_integer,
     substream_rng,
 )
 from .indicators import (
@@ -270,7 +272,9 @@ class PropagationConfig:
     publications: chain ``iteration % chains``, kept draw
     ``(iteration // chains) % kept``.
     ``pooled_normalization`` includes the assessed units in the
-    normalization universe alongside the reference set.
+    normalization universe alongside the reference set.  ``iterations``,
+    ``seed`` and ``workers`` take Python or numpy integers, but not bools,
+    and are stored as Python ints.
     """
 
     iterations: int = 2000
@@ -283,6 +287,11 @@ class PropagationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "channels", frozenset(self.channels))
+        for name in ("iterations", "seed", "workers"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
         if not self.channels:
@@ -357,13 +366,13 @@ class _Workspace:
     group.  With them a column is a (run, new core doctype) cell, ``run *
     2 + doctype``: a run is the groups that share unit slot, cell group,
     citation count and singleton id and differ only in their recorded
-    doctype, which the omitted-count law never reads.  ``group_sizes``
-    holds each group's item count and ``group_types`` its recorded
-    (first kind: true) doctype, the row its tally over article, review
-    and non-core is drawn from; ``doctype_split`` splits these groups
-    once for ``draw_doctype_counts``, and ``run_starts`` indexes each
-    run's first group, where its tallies start.  Without doctype redraws
-    the sizes are the columns' fixed counts.  ``concentrations`` holds
+    doctype, which the omitted-count law never reads.  ``doctype_split``
+    splits the groups once for ``draw_doctype_counts``: each group is
+    tallied over article, review and non-core on its recorded (first
+    kind: true) doctype's row, into its run's row, the run's 2 columns.
+    ``col_items`` holds each column's recorded items: a group's size
+    without doctype redraws, a run's recorded articles or reviews with
+    them, and None when ``per_item``.  ``concentrations`` holds
     the Dirichlet rows the doctype draws use: (4, 4) when ``per_item``,
     else (4, 3) with the non-core categories merged.  Unit columns come
     first.
@@ -420,9 +429,7 @@ class _Workspace:
     col_citations: np.ndarray
     col_log1p: np.ndarray
     col_types: np.ndarray
-    group_sizes: np.ndarray | None
-    group_types: np.ndarray | None
-    run_starts: np.ndarray | None
+    col_items: np.ndarray | None
     doctype_split: GroupSplit | None
     bin_order: np.ndarray | None
     bin_starts: np.ndarray | None
@@ -465,16 +472,16 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray |
     (iterations, 4, 4) when ``per_item`` and otherwise (iterations, 4, 3)
     over article, review and non-core; the new doctypes, (iterations,
     columns) uniforms when ``per_item``, and otherwise a tally per
-    (iteration, group) over those 3 categories, drawn as one uniform per
-    item of every small group and then one multinomial per large group
-    (``draw_doctype_counts``), whose article and review tallies a run's
-    groups add into the run's 2 columns; then the omitted citations, one
-    gamma per (iteration, column) with its count of items and its
-    iteration's parameter row, then one Poisson per (iteration, bin) of
-    its columns' summed rates (per column when ``per_item``).  First-kind
-    citation redraws, always per item, draw instead one uniform per
-    (iteration, publication), then one gamma and then one Poisson for each
-    publication past the inversion's walk bounds
+    (iteration, run) over those 3 categories, drawn as one uniform per
+    item of every small group and then one multinomial per large group,
+    each added into its run's tally (``draw_doctype_counts``), whose
+    article and review counts are the run's 2 columns; then the omitted
+    citations, one gamma per (iteration, column) with its count of items
+    and its iteration's parameter row, then one Poisson per (iteration,
+    bin) of its columns' summed rates (per column when ``per_item``).
+    First-kind citation redraws, always per item, draw instead one uniform
+    per (iteration, publication), then one gamma and then one Poisson for
+    each publication past the inversion's walk bounds
     (``draw_clamped_omitted``).  The columns' items and recorded citations
     are summed into their bins, and the bins are scored (per item, each
     row's publications into its scoring entries).  The draws therefore
@@ -488,9 +495,9 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray |
     rows = stop - start
     rng = iteration_rng(cfg.seed, start // ws.block_size)
     # Items per column: none when every column is one publication, else
-    # the group sizes or, once doctypes are redrawn, the drawn article and
-    # review counts summed over each run's groups.
-    k = ws.group_sizes
+    # the group sizes or, once doctypes are redrawn, each run's drawn
+    # article and review counts.
+    k = ws.col_items
     types = ws.bin_types
     if CHANNEL_DOCTYPES in cfg.channels:
         concentrations = ws.concentrations
@@ -500,8 +507,7 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray |
         if ws.per_item:
             types = draw_doctype_codes(rng, prob_rows, ws.col_types)
         else:
-            tallies = draw_doctype_counts(rng, prob_rows, ws.doctype_split)
-            k = np.add.reduceat(tallies[..., :2], ws.run_starts, axis=1).reshape(rows, -1)
+            k = draw_doctype_counts(rng, prob_rows, ws.doctype_split)[..., :2].reshape(rows, -1)
     change = None  # the citations each bin gains (second kind) or loses
     if CHANNEL_CITATIONS in cfg.channels:
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
@@ -539,16 +545,10 @@ def _binned(ws: _Workspace, k):
 def _score_recorded(ws: _Workspace) -> tuple[np.ndarray | None, ...]:
     """``_score_rows`` of the recorded data: one row, nothing redrawn.
 
-    With doctype redraws a column holds its run's items recorded under its
-    core doctype, summed over the run's groups as the kernel sums drawn
-    tallies; the run's non-core items are in no column.  The columns are
-    summed into their bins as the kernel sums them.
+    The columns hold their recorded items (``col_items``) and are summed
+    into their bins as the kernel sums them.
     """
-    k = ws.group_sizes
-    if ws.run_starts is not None:
-        tallies = k[:, None] * np.eye(4, 2, dtype=np.int64)[ws.group_types]
-        k = np.add.reduceat(tallies, ws.run_starts).ravel()
-    k, c = _binned(ws, k)
+    k, c = _binned(ws, ws.col_items)
     return _score_rows(ws, 1, c, ws.bin_types, k)
 
 
@@ -704,7 +704,7 @@ def _build_workspace(
         single[:n_unit_pubs] |= citations[:n_unit_pubs] == 0
     single_id = np.where(single, np.arange(n), -1)
     n_groups = n
-    group_sizes = group_types = run_starts = None
+    col_items = doctype_split = None
     rep = np.arange(n)  # one column per publication, in layout order
     col_types = dt_codes
     concentrations = models.doctype.concentrations if redraw_doctypes else None
@@ -722,10 +722,9 @@ def _build_workspace(
         else:
             grouped = n_groups < n
         if grouped:
-            group_sizes = np.diff(np.flatnonzero(np.append(starts, True)))
+            sizes = col_items = np.diff(np.flatnonzero(np.append(starts, True)))
             if redraw_doctypes:
-                group_types = dt_codes[heads]
-                run_starts = runs
+                group_run = np.cumsum(new_run) - 1  # each group's run, its tally row
                 rep = np.repeat(heads[runs], 2)
                 col_types = np.tile(np.arange(2, dtype=np.int64), runs.size)
                 # A grouped draw tallies article, review and non-core.
@@ -735,6 +734,10 @@ def _build_workspace(
                 concentrations = np.column_stack(
                     [concentrations[:, :2], concentrations[:, 2:].sum(axis=1)]
                 )
+                doctype_split = GroupSplit(sizes, dt_codes[heads], 3, group_run)
+                # A run's 2 columns hold its recorded articles and reviews.
+                slots = 4 * np.repeat(group_run, sizes) + dt_codes[order]
+                col_items = np.bincount(slots, None, 4 * runs.size).reshape(-1, 4)[:, :2].ravel()
             else:
                 rep = heads
                 col_types = dt_codes[heads]
@@ -742,7 +745,7 @@ def _build_workspace(
     # A bin is a column, or with grouped columns the columns that share
     # its key (see _Workspace).  Keys sort by unit slot, so the unit
     # columns and bins come first.
-    per_item = group_sizes is None
+    per_item = col_items is None
     col_bin = bin_order = bin_starts = None
     bin_rep, bin_types = rep, col_types  # a publication in each bin, and its doctype
     if not per_item:
@@ -797,16 +800,11 @@ def _build_workspace(
     cite_values = cite_index = None
     if redraw_citations and config.direction == FIRST_KIND:
         cite_values, cite_index = np.unique(col_citations, return_inverse=True)
-    doctype_split = None
-    if redraw_doctypes and not per_item:
-        doctype_split = GroupSplit(group_sizes, group_types, concentrations.shape[-1])
     return _Workspace(
         col_citations=col_citations,
         col_log1p=np.log1p(col_citations.astype(np.float64)),
         col_types=col_types,
-        group_sizes=group_sizes,
-        group_types=group_types,
-        run_starts=run_starts,
+        col_items=col_items,
         doctype_split=doctype_split,
         bin_order=bin_order,
         bin_starts=bin_starts,

@@ -102,6 +102,14 @@ class TestHelpAndVersion:
         assert proc.returncode == 0
         assert sub in proc.stdout
 
+    @pytest.mark.parametrize("sub", ["propagate", "inject", "exercise"])
+    def test_workers_help_states_its_default(self, sub):
+        # Each command resolves --workers, then $BIBUQ_WORKERS, then 1.
+        proc = run_cli(sub, "--help")
+        assert proc.returncode == 0
+        text = " ".join(proc.stdout.split())
+        assert "--workers WORKERS worker processes (default $BIBUQ_WORKERS or 1)" in text
+
     def test_version(self):
         proc = run_cli("--version")
         assert proc.returncode == 0

@@ -265,8 +265,8 @@ _group_sizes = st.one_of(st.integers(0, _SMALL_GROUP), st.integers(_SMALL_GROUP 
 
 
 def _counts(rng, prob_rows, sizes, conditioning_codes):
-    """``draw_doctype_counts`` of groups split for these rows' categories."""
-    split = GroupSplit(sizes, conditioning_codes, prob_rows.shape[-1])
+    """``draw_doctype_counts`` of groups split for these rows' categories, one row each."""
+    split = GroupSplit(sizes, conditioning_codes, prob_rows.shape[-1], np.arange(sizes.size))
     return draw_doctype_counts(rng, prob_rows, split)
 
 
@@ -316,7 +316,7 @@ class TestDoctypeCounts:
             data.draw(st.lists(st.integers(0, 3), min_size=sizes.size, max_size=sizes.size)),
             dtype=np.int64,
         )
-        split = GroupSplit(sizes, codes, categories)
+        split = GroupSplit(sizes, codes, categories, np.arange(sizes.size))
         concentrations = np.arange(1.0, 4 * categories + 1).reshape(4, categories)
         for seed in data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4)):
             shape = (rows,) + concentrations.shape if block else concentrations.shape
@@ -326,6 +326,62 @@ class TestDoctypeCounts:
             ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             drawn = draw_doctype_counts(ours_rng, prob_rows, split)
             expected = _counts_split_per_call(ref_rng, prob_rows, sizes, codes)
+            assert drawn.dtype == expected.dtype
+            assert np.array_equal(drawn, expected)
+            assert ours_rng.random() == ref_rng.random()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layout=st.sampled_from(["mixed", "all-small", "all-large"]),
+        rows=st.integers(1, 70),
+        block=st.booleans(),
+        data=st.data(),
+    )
+    def test_tally_rows_are_their_groups_tallies_summed_bit_for_bit(
+        self, layout, rows, block, data
+    ):
+        # Groups mapped to tally rows at random give, bit for bit, the
+        # per-group tallies drawn from the same generator and summed over
+        # each row's groups, and leave the stream where that draw leaves
+        # it.  Past the random rows, some of which may be empty, one row
+        # holds two large groups where the layout has large groups, and one
+        # holds small groups only where it has small ones; the group order
+        # is shuffled, so their items interleave with the others'.
+        small, large = st.integers(1, _SMALL_GROUP), st.integers(_SMALL_GROUP + 1, 40)
+        sizes = {"mixed": st.integers(1, 40), "all-small": small, "all-large": large}[layout]
+        sizes = data.draw(st.lists(sizes, max_size=30))
+        spread = data.draw(st.integers(1, 8))
+        into = data.draw(
+            st.lists(st.integers(0, spread - 1), min_size=len(sizes), max_size=len(sizes))
+        )
+        if layout != "all-small":
+            sizes += data.draw(st.lists(large, min_size=2, max_size=2))
+            into += [spread] * 2
+        if layout != "all-large":
+            sizes += data.draw(st.lists(small, min_size=2, max_size=3))
+            into += [spread + 1] * (len(sizes) - len(into))
+        order = data.draw(st.permutations(range(len(sizes))))
+        sizes = np.array(sizes, dtype=np.int64)[order]
+        into = np.array(into, dtype=np.int64)[order]
+        categories = data.draw(st.sampled_from([3, 4]))
+        codes = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=sizes.size, max_size=sizes.size)),
+            dtype=np.int64,
+        )
+        split = GroupSplit(sizes, codes, categories, into)
+        assert split.rows == into.max() + 1
+        concentrations = np.arange(1.0, 4 * categories + 1).reshape(4, categories)
+        for seed in data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4)):
+            shape = (rows,) + concentrations.shape if block else concentrations.shape
+            prob_rows = sample_probability_rows(
+                np.random.default_rng(seed), np.broadcast_to(concentrations, shape)
+            )
+            ours_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = draw_doctype_counts(ours_rng, prob_rows, split)
+            per_group = _counts_split_per_call(ref_rng, prob_rows, sizes, codes)
+            expected = np.zeros(shape[:-2] + (split.rows, categories), dtype=per_group.dtype)
+            for group, row in enumerate(into.tolist()):
+                expected[..., row, :] += per_group[..., group, :]
             assert drawn.dtype == expected.dtype
             assert np.array_equal(drawn, expected)
             assert ours_rng.random() == ref_rng.random()

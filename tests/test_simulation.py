@@ -10,6 +10,7 @@ import importlib.util
 import json
 import multiprocessing
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -435,6 +436,38 @@ class TestPropagate:
                 models=FittedModels(),
                 config=PropagationConfig(iterations=10, seed=0),
             )
+
+    def test_numpy_integer_settings_write_json_integers(
+        self, tmp_path, small_unit, small_reference, small_models
+    ):
+        # The settings are stored as Python ints, so the report is the
+        # one a run with Python ints writes, its seed a JSON integer.
+        cfg = PropagationConfig(iterations=np.int64(6), seed=np.uint64(3), workers=np.int32(1))
+        assert [type(v) for v in (cfg.iterations, cfg.seed, cfg.workers)] == [int] * 3
+        plain = PropagationConfig(iterations=6, seed=3)
+        for name, config in (("numpy", cfg), ("plain", plain)):
+            result = propagate(small_unit, small_reference, small_models, config)
+            write_report_json(result, tmp_path / f"{name}.json")
+        written = (tmp_path / "numpy.json").read_bytes()
+        assert written == (tmp_path / "plain.json").read_bytes()
+        seed = json.loads(written)["seed"]
+        assert seed == 3 and type(seed) is int
+
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            ({"seed": True}, "seed"),
+            ({"seed": 3.0}, "seed"),
+            ({"iterations": 2.5}, "iterations"),
+            ({"iterations": np.bool_(True)}, "iterations"),
+            ({"workers": 1.5}, "workers"),
+            ({"workers": np.float64(2.0)}, "workers"),
+            ({"workers": "2"}, "workers"),
+        ],
+    )
+    def test_non_integer_settings_rejected(self, values, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            PropagationConfig(**values)
 
     def test_empty_universe_rejected(self, small_models):
         empty = PublicationSet(name="A", members=())
@@ -1196,9 +1229,21 @@ def retyped_reference():
 
 
 def _run_shapes(ws):
-    """Groups per run, items per run, and each run's citation count, in column order."""
-    groups = np.diff(np.append(ws.run_starts, ws.groups))
-    items = np.add.reduceat(ws.group_sizes, ws.run_starts)
+    """Groups per run, items per run, and each run's citation count, in column order.
+
+    Read from the doctype split, whose tally rows are the runs: a group is
+    its run and recorded doctype, so each group of a run has its own
+    recorded doctype when the distinct pairs are as many as the groups.
+    """
+    split = ws.doctype_split
+    assert split.rows == ws.col_citations.size // 2
+    runs = np.append(split.item_slots, split.large_slots[:, 0]) // split.categories
+    types = np.append(split.item_codes, split.large_codes)
+    sizes = np.append(np.ones(split.item_slots.size, dtype=np.int64), split.large_sizes)
+    pairs = np.unique(4 * runs + types)
+    assert pairs.size == ws.groups
+    groups = np.bincount(pairs // 4, minlength=split.rows)
+    items = np.bincount(runs, sizes, split.rows).astype(np.int64)
     citations = ws.col_citations.reshape(-1, 2)
     assert (citations == citations[:, :1]).all()
     assert (ws.col_types.reshape(-1, 2) == np.arange(2)).all()
@@ -1226,10 +1271,7 @@ def test_groups_that_differ_only_in_recorded_doctype_share_columns(
     assert citations == [0, 2, 5, 11, 0, 1, 2, 3, 5, 9]
     assert groups == [4, 4, 4, 4, 4, 4, 4, 1, 4, 4]
     assert items == [32, 16, 16, 16, 40, 40, 40, 40, 40, 40]
-    # Within a run, each group has its own recorded doctype.
-    for lo, hi in zip(ws.run_starts, np.append(ws.run_starts[1:], ws.groups)):
-        types = ws.group_types[lo:hi]
-        assert np.unique(types).size == types.size
+    # _run_shapes checked that within a run each group has its own recorded doctype.
 
 
 def test_uncited_unit_singletons_stay_unmerged_under_reference_only_normalization(
@@ -1249,6 +1291,30 @@ def test_uncited_unit_singletons_stay_unmerged_under_reference_only_normalizatio
     assert citations[:32] == [0] * 32
     assert groups[:32] == items[:32] == [1] * 32
     assert groups[32:35] == [4, 4, 4] and items[32:35] == [16, 16, 16]
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_columns_hold_their_recorded_items(pooled, retyped_units, retyped_reference, small_models):
+    # Counted from the publications: with doctype redraws a run's two
+    # columns hold its recorded articles and reviews; without them a
+    # column is a group and holds its size.  A run is a set's publications
+    # of one citation count (one cell group here), an uncited unit
+    # publication alone under reference-only normalization, and runs and
+    # groups sort by set, count, layout position and then doctype.
+    sets = retyped_units + [retyped_reference]
+    pubs = [(slot, pub) for slot, pubset in enumerate(sets) for pub in pubset]
+    runs = [
+        (slot, pub.citations, i if not pooled and slot == 0 and pub.citations == 0 else -1)
+        for i, (slot, pub) in enumerate(pubs)
+    ]
+    groups = Counter((run, doctype_index(pub.doctype)) for run, (_, pub) in zip(runs, pubs))
+    core = [groups[run, doctype] for run in sorted(set(runs)) for doctype in (0, 1)]
+    sizes = [groups[group] for group in sorted(groups)]
+    for channels, expected in ((ALL_CHANNELS, core), (_ONLY_C, sizes)):
+        cfg = PropagationConfig(iterations=5, channels=channels, pooled_normalization=pooled)
+        ws = _build_workspace(retyped_units, retyped_reference, small_models, cfg)
+        assert not ws.per_item
+        assert ws.col_items.tolist() == expected
 
 
 @pytest.mark.parametrize("pooled", [True, False])
@@ -1278,9 +1344,9 @@ def test_run_columns_hold_every_item_in_every_iteration(
 ):
     """Every iteration's three-way tallies cover each run, and its core ones fill the columns.
 
-    The (article, review, non-core) tallies of a run's groups sum to the
-    run's size, and the run's two columns hold its summed article and
-    review tallies.
+    A run's (article, review, non-core) tallies sum to the run's size,
+    counted from the publications, and the run's two columns hold its
+    article and review tallies.
     """
     # At most 20 unit groups (all singletons) and 12 reference groups, so
     # two columns per run stay below the 180 or more publications.
@@ -1289,7 +1355,14 @@ def test_run_columns_hold_every_item_in_every_iteration(
     cfg = PropagationConfig(iterations=iterations, seed=seed, pooled_normalization=pooled)
     ws = _build_workspace([unit], reference, small_models, cfg)
     assert not ws.per_item
-    run_sizes = np.add.reduceat(ws.group_sizes, ws.run_starts)
+    # One cell group, so a run is a set's publications of one citation
+    # count, or an uncited unit publication alone under reference-only
+    # normalization; runs sort by set, count and then layout position.
+    runs = Counter(
+        (0, c, i if c == 0 and not pooled else -1) for i, (_, c) in enumerate(unit_rows)
+    )
+    runs.update((1, c, -1) for _, c in reference_rows * 30)
+    run_sizes = np.array([runs[key] for key in sorted(runs)])
     tallies, counts = [], []
     draw_doctype_counts, draw_omitted = simulation.draw_doctype_counts, simulation.draw_omitted
 
@@ -1305,12 +1378,11 @@ def test_run_columns_hold_every_item_in_every_iteration(
             mock.patch.object(simulation, "draw_omitted", recording):
         propagate(unit, reference, small_models, cfg)
     drawn = np.concatenate(tallies)
-    assert drawn.shape == (iterations, ws.groups, 3)
-    per_run = np.add.reduceat(drawn, ws.run_starts, axis=1)
-    assert (per_run.sum(axis=2) == run_sizes).all()
+    assert drawn.shape == (iterations, run_sizes.size, 3)
+    assert (drawn.sum(axis=2) == run_sizes).all()
     k = np.concatenate(counts)
     assert k.shape == (iterations, 2 * run_sizes.size)
-    assert np.array_equal(k.reshape(iterations, -1, 2), per_run[..., :2])
+    assert np.array_equal(k.reshape(iterations, -1, 2), drawn[..., :2])
 
 
 @pytest.mark.parametrize("case", [0, 3])
