@@ -36,6 +36,7 @@ from .errormodels import (
     NegBinModelSpec,
     fit_citation_error_model,
     fit_doctype_error_model,
+    is_integer,
     substream_rng,
 )
 from .indicators import KEY_DOCTYPE
@@ -383,7 +384,13 @@ def run_exercise(
     Training data defaults to the synthesized sample built from the
     embedded audit marginal and the synthetic confusion stand-in; pass
     explicit inputs to override.  All randomness derives from ``seed``.
+    ``iterations`` and ``seed`` take Python or numpy integers, but not
+    bools, and the report stores them as Python ints.
     """
+    for label, value in (("iterations", iterations), ("seed", seed)):
+        if not is_integer(value):
+            raise ValidationError(f"{label} must be an integer, got {value!r}")
+    iterations, seed = int(iterations), int(seed)
     if not 0 <= seed < 2**64:
         raise ValidationError("seed must be a non-negative 64-bit integer")
     defs = _exercise_defs(subseed(seed, 1))

@@ -38,13 +38,13 @@ What no draw moves is built once per run, with the workspace
 small-group items and large groups, each with its run's tally row
 (``predictive.GroupSplit``), the columns' recorded items, and
 index arrays for every row of the run's largest block, namely each bin's
-normalization cell key, the (row, bin) slots its columns' Poisson rates
-are summed into, each scored bin's or entry's unit slot and cell, and
-per item each unit publication's scoring-entry base.  A short last block
-reads their leading rows.  Once per block the kernel makes its draws and
-computes only what they move: the per-bin items and citations, per item
-the drawn doctypes added to the cell keys and entry bases and the entry
-sums, the cell rebuild and the scores.
+normalization cell key, unit slot and cell, and the (row, bin) slots its
+columns' Poisson rates are summed into, or per item each publication's
+(row, bin pair) base.  A short last block reads their leading rows.
+Once per block the kernel makes its draws and computes only what they
+move: the per-bin items and citations, per item the drawn doctypes
+added to the bin pair bases and the bin sums, the cell rebuild and the
+scores.
 
 Given the parameter draw, publications with the same unit (or the
 reference set), cell group, citation count and recorded doctype are iid,
@@ -83,13 +83,14 @@ reference-only normalization (the zero-mean-cell rule), and runs with
 an item dump.  When the grouped columns (two per run with doctype
 redraws, one per group without) would not be fewer than the
 publications, every publication is drawn on its own, in layout order,
-one uniform for its doctype.  Such per-item rows are scored from sums
-too: each row adds up its unit publications' items and citations per
-(unit, cell group, core doctype), kept apart by being uncited where the
-unit publications are outside the normalization universe, and those
-entries are scored as bins are.  P, C and the exclusions are the
-per-item sums exactly; MNCS adds one citation sum over the cell mean per
-entry, so it can differ from an item-by-item sum in the last bits.
+one uniform for its doctype.  Such per-item rows are summed into bins
+before they are scored, and then scored as grouped rows are: each row
+adds up its publications' items and citations per (unit or reference
+set, cell group, core doctype), kept apart by being uncited under
+reference-only normalization.  Their non-core items fall in no bin, as no
+score reads their cells.  P, C and the exclusions are the per-item sums
+exactly; MNCS adds one citation sum over the cell mean per bin, so it
+can differ from an item-by-item sum in the last bits.
 
 A first-kind citation redraw turns c into c - min(O, c), so it reads the
 omitted count O only through min(O, c), a law on 0..c.  It is drawn by
@@ -274,7 +275,8 @@ class PropagationConfig:
     ``pooled_normalization`` includes the assessed units in the
     normalization universe alongside the reference set.  ``iterations``,
     ``seed`` and ``workers`` take Python or numpy integers, but not bools,
-    and are stored as Python ints.
+    and are stored as Python ints; ``pooled_normalization`` takes a Python
+    or numpy bool and is stored as a Python bool.
     """
 
     iterations: int = 2000
@@ -292,6 +294,10 @@ class PropagationConfig:
             if not is_integer(value):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        pooled = self.pooled_normalization
+        if not isinstance(pooled, (bool, np.bool_)):
+            raise ValidationError(f"pooled_normalization must be a bool, got {pooled!r}")
+        object.__setattr__(self, "pooled_normalization", bool(pooled))
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
         if not self.channels:
@@ -327,10 +333,11 @@ class PropagationResult:
     config: PropagationConfig
     # How the run went, for the run manifest and not for report.json:
     # worker processes opened, publications, exchangeable groups, kernel
-    # columns and scoring bins, iterations per kernel block and blocks run,
-    # whether the kernel drew per group or per publication, and the seconds
-    # spent in each stage (workspace layout, scoring the recorded data, the
-    # kernel's iterations, summaries).
+    # columns and scoring bins (per item, the bins each row is tallied
+    # into), iterations per kernel block and blocks run, whether the kernel
+    # drew per group or per publication, and the seconds spent in each
+    # stage (workspace layout, scoring the recorded data, the kernel's
+    # iterations, summaries).
     run_info: Mapping[str, object] = field(default_factory=dict)
 
     def distribution(self, unit: str, indicator: str) -> IndicatorDistribution:
@@ -377,47 +384,42 @@ class _Workspace:
     else (4, 3) with the non-core categories merged.  Unit columns come
     first.
 
-    The kernel scores bins, ``n_bins`` of them, and ``bin_types`` holds
-    their recorded doctypes.  When ``per_item`` bin j is column j, and
-    ``bin_order`` and ``bin_starts`` are None.  Otherwise ``bin_order``
-    lists the columns bin by bin and ``bin_starts`` where each bin starts
-    in it, for the integer per-bin sums of items and citations, and a bin
-    holds the columns that share unit slot (or the reference set), cell
-    group, doctype and singleton id, whatever their citation counts: no
-    score reads a column's own count, only sums over a unit's (or the
-    universe's) items in one cell.  An uncited publication outside the
-    normalization universe is kept apart from cited ones too, so that a
-    unit bin in a zero-mean cell is all cited or all uncited.  A bin's
-    cell key is its cell group times 4 plus its doctype, below
+    The kernel scores bins, ``n_bins`` of them.  With grouped columns
+    ``bin_order`` lists the columns bin by bin and ``bin_starts`` where
+    each bin starts in it, for the integer per-bin sums of items and
+    citations, and a bin holds the columns that share unit slot (or the
+    reference set), cell group, doctype and singleton id, whatever their
+    citation counts: no score reads a column's own count, only sums over
+    a unit's (or the universe's) items in one cell.  An uncited
+    publication outside the normalization universe is kept apart from
+    cited ones too, so that a unit bin in a zero-mean cell is all cited
+    or all uncited.  When ``per_item`` the bins are drawn per row
+    instead, and ``bin_order`` and ``bin_starts`` are None: each (set
+    slot, cell group) pair of the publications, in sorted order, has an
+    article bin and a review bin, and under reference-only normalization
+    as many again for its uncited items.  A row tallies its publications
+    over 4 doctype slots per bin pair: publication j of doctype d goes to
+    its pair's base plus d, 4 further when uncited under reference-only
+    normalization, and the 2 non-core slots of every 4 are cut off.  A
+    bin's cell key is its cell group times 4 plus its doctype, below
     ``n_cells``; the normalization counts it in its own cell group in the
     universe, otherwise in a spill group past the field-less one that no
-    score reads.  Unit bins come first, ``n_ubins`` of them.  ``ids``
-    holds the unit publications' ids in a run that dumps them.
-
-    When ``per_item``, a row sums its unit publications into scoring
-    entries: one per (unit slot, cell group) pair they occupy and core
-    doctype, and under reference-only normalization as many again for
-    the uncited ones.  The sums run over 4 slots per pair and doctype
-    pair: publication j of doctype d goes to the slot of its entry base
-    plus d, 4 further when uncited under reference-only normalization,
-    and the 2 non-core slots of every 4 are cut off.  Otherwise every bin
-    is a scoring entry.  Each row has ``n_scored`` entries.
+    score reads.  Unit bins come first.  ``ids`` holds the unit
+    publications' ids in a run that dumps them.
 
     The index arrays that no draw moves are built once per run, flat in
     C order, for the rows of the run's largest block: ``block_size``, or
     the run's iterations if fewer.  A block of fewer rows (the run's
     last) reads their leading entries.  Entry j of row r is, for
     ``n_units`` unit slots per row:
-    - ``norm_keys``: bin j's normalization cell key plus ``r * n_cells``,
-      and when ``per_item`` without its doctype, which a block adds;
+    - ``norm_keys``: bin j's normalization cell key plus ``r * n_cells``;
     - ``bin_slots`` (grouped only): column j's bin plus ``r * n_bins``,
       the (row, bin) slot its Poisson rate is summed into;
-    - ``entry_base`` (``per_item`` only): unit publication j's entry base
-      plus ``r * 2 * n_scored``;
-    - ``unit_slots`` and ``unit_cells``: scoring entry j's unit slot plus
-      ``r * n_units``, or with grouped columns a slot past every row's
-      for a bin that is no unit's core bin, and its cell key plus ``r *
-      n_cells``.
+    - ``item_bins`` (``per_item`` only): publication j's bin pair base
+      plus ``r * 2 * n_bins``, to which a block adds its doctype slot;
+    - ``unit_slots`` and ``unit_cells``: bin j's unit slot plus ``r *
+      n_units``, or a slot past every row's for a bin that is no unit's
+      core bin, and its cell key plus ``r * n_cells``.
     Only the draws and the sums, scores and cell rebuild of what they
     move are computed per block.
 
@@ -434,16 +436,13 @@ class _Workspace:
     bin_order: np.ndarray | None
     bin_starts: np.ndarray | None
     n_bins: int
-    bin_types: np.ndarray
-    n_ubins: int
-    n_scored: int
     n_cells: int
     n_units: int
     bin_slots: np.ndarray | None
+    item_bins: np.ndarray | None
     norm_keys: np.ndarray
     unit_slots: np.ndarray
     unit_cells: np.ndarray
-    entry_base: np.ndarray | None
     params: np.ndarray | None
     concentrations: np.ndarray | None
     config: PropagationConfig
@@ -482,23 +481,27 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray |
     First-kind citation redraws, always per item, draw instead one uniform
     per (iteration, publication), then one gamma and then one Poisson for
     each publication past the inversion's walk bounds
-    (``draw_clamped_omitted``).  The columns' items and recorded citations
-    are summed into their bins, and the bins are scored (per item, each
-    row's publications into its scoring entries).  The draws therefore
-    depend on the budget (``BLOCK_BUDGET``, or ``_ITEM_BUDGET`` when
-    ``per_item``) and the column count, which set the block size, and on
-    where the run's last block ends, but not on the worker count.  A block
-    of one iteration is keyed by (seed, iteration).  A short last block
-    reads the leading rows of the workspace's block index arrays.
+    (``draw_clamped_omitted``).  The columns' items and citations are
+    summed into their bins (``_binned``), and the bins are scored.  The
+    draws therefore depend on the budget (``BLOCK_BUDGET``, or
+    ``_ITEM_BUDGET`` when ``per_item``) and the column count, which set
+    the block size, and on where the run's last block ends, but not on
+    the worker count.  A block of one iteration is keyed by (seed,
+    iteration).  A short last block reads the leading rows of the
+    workspace's block index arrays.
+
+    Returns per row and unit P, C, MNCS and the MNCS exclusion count,
+    then, in a run that dumps its items (``ws.ids``), the unit
+    publications' citations, (rows, publications), and doctype codes,
+    (rows, publications) or one row all rows share; None twice otherwise.
     """
     cfg = ws.config
     rows = stop - start
     rng = iteration_rng(cfg.seed, start // ws.block_size)
     # Items per column: none when every column is one publication, else
     # the group sizes or, once doctypes are redrawn, each run's drawn
-    # article and review counts.
-    k = ws.col_items
-    types = ws.bin_types
+    # article and review counts.  Per item, each publication's doctype.
+    k, types = ws.col_items, ws.col_types
     if CHANNEL_DOCTYPES in cfg.channels:
         concentrations = ws.concentrations
         prob_rows = sample_probability_rows(
@@ -508,7 +511,7 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray |
             types = draw_doctype_codes(rng, prob_rows, ws.col_types)
         else:
             k = draw_doctype_counts(rng, prob_rows, ws.doctype_split)[..., :2].reshape(rows, -1)
-    change = None  # the citations each bin gains (second kind) or loses
+    change = None  # the citations each bin (per item, publication) gains or loses
     if CHANNEL_CITATIONS in cfg.channels:
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
         if cfg.direction == SECOND_KIND:
@@ -519,37 +522,49 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray |
         else:
             # Drawn per item: each publication loses min(O, c) of its own c.
             change = -draw_clamped_omitted(rng, params, ws.cite_values, ws.cite_index)
-    k, c = _binned(ws, k)
-    if change is not None:
-        c = c + change
-    return _score_rows(ws, rows, c, types, k)
+    scores = _score_rows(ws, rows, *_binned(ws, rows, k, types, change))
+    if ws.ids is None:
+        return scores + (None, None)
+    n_u = len(ws.ids)
+    cites = ws.col_citations[:n_u] + (0 if change is None else change[:, :n_u])
+    return scores + (np.broadcast_to(cites, (rows, n_u)), types[..., :n_u])
 
 
-def _binned(ws: _Workspace, k):
-    """Items and recorded citations per bin, given the items ``k`` per column.
+def _binned(ws: _Workspace, rows: int, k, types, change=None):
+    """Items and citations per bin, (rows, bins) or one (bins,) row all rows share.
 
-    ``k`` is (rows, columns) or one (columns,) row that every row shares,
-    and the bins come out in its shape.  It is None when every column is
-    one publication, and is then returned as it is, with the columns' own
-    citations.
+    With grouped columns, ``k`` is the items per column, (rows, columns)
+    or one row, and each bin sums its columns' items and recorded
+    citations, then gains ``change``, its citations' change per row.  Per
+    item, every publication adds ``change``, its own change per row, to
+    its citations, and each row tallies its publications by ``types``,
+    their doctype codes, into its bins (see ``_Workspace``).
     """
-    c = ws.col_citations if k is None else k * ws.col_citations
-    if ws.bin_order is None:
-        return k, c
-    return (
-        np.add.reduceat(k[..., ws.bin_order], ws.bin_starts, axis=-1),
-        np.add.reduceat(c[..., ws.bin_order], ws.bin_starts, axis=-1),
-    )
+    if not ws.per_item:
+        c = k * ws.col_citations
+        k = np.add.reduceat(k[..., ws.bin_order], ws.bin_starts, axis=-1)
+        c = np.add.reduceat(c[..., ws.bin_order], ws.bin_starts, axis=-1)
+        return k, c if change is None else c + change
+    n = ws.col_citations.size
+    c = ws.col_citations if change is None else ws.col_citations + change
+    slots = ws.item_bins[: rows * n].reshape(rows, n) + types
+    if not ws.config.pooled_normalization:
+        slots += 4 * (c == 0)
+    slots = slots.ravel()
+    size = rows * 2 * ws.n_bins
+    k = np.bincount(slots, None, size)
+    c = np.bincount(slots, np.broadcast_to(c, (rows, n)).ravel(), size)
+    # Of every 4 doctype slots, the 2 non-core ones are cut off.
+    return tuple(sums.reshape(-1, 4)[:, :2].reshape(rows, -1) for sums in (k, c))
 
 
-def _score_recorded(ws: _Workspace) -> tuple[np.ndarray | None, ...]:
+def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
     """``_score_rows`` of the recorded data: one row, nothing redrawn.
 
-    The columns hold their recorded items (``col_items``) and are summed
-    into their bins as the kernel sums them.
+    The columns hold their recorded items and doctypes and are summed into
+    their bins as the kernel sums them.
     """
-    k, c = _binned(ws, ws.col_items)
-    return _score_rows(ws, 1, c, ws.bin_types, k)
+    return _score_rows(ws, 1, *_binned(ws, 1, ws.col_items, ws.col_types))
 
 
 def _each_row(values: np.ndarray, rows: int) -> np.ndarray:
@@ -557,65 +572,28 @@ def _each_row(values: np.ndarray, rows: int) -> np.ndarray:
     return np.tile(values, rows) if values.ndim == 1 and rows > 1 else values.reshape(-1)
 
 
-def _score_rows(ws: _Workspace, rows: int, c, types, k) -> tuple[np.ndarray | None, ...]:
+def _score_rows(ws: _Workspace, rows: int, k, c) -> tuple[np.ndarray, ...]:
     """Rebuild the normalization cells of ``rows`` data rows and score every unit.
 
-    Per bin, as (rows, bins) or one (bins,) row that all rows share: ``c``
-    its citations and ``k`` its item count (None when every bin is one
-    publication).  ``types`` is read only when every bin is one
-    publication: the drawn doctype codes, or the recorded ``bin_types``.
-    The cells of all rows are rebuilt together over the cell keys
-    ``norm_keys`` (per item, plus each publication's doctype), and
-    ``unit_indicators`` scores the entries in ``unit_slots``, whose cells
-    are ``unit_cells``: with grouped columns every bin, one that is no
-    unit's core bin in a slot past every row's; per item, each row first
-    sums its unit publications' items and citations into scoring entries
-    (see ``_Workspace``).  Returns per row and unit P, C, MNCS and the
-    MNCS exclusion count, then, when ``per_item``, the unit publications'
-    citations (rows, publications) and doctype codes, (rows,
-    publications) or one row all rows share, for the item dump; None
-    twice otherwise.
+    Per bin, as (rows, bins) or one (bins,) row that all rows share: ``k``
+    its item count and ``c`` its citations.  The cells of all rows are
+    rebuilt together over the cell keys ``norm_keys``, and
+    ``unit_indicators`` scores the bins in ``unit_slots``, one that is no
+    unit's core bin in a slot past every row's, whose cells are
+    ``unit_cells``.  A bin's items share its cell.  Where that cell's mean
+    can be zero, either all of them are uncited or all are cited (see
+    ``_Workspace``), so scoring the bin's sum applies the per-item rule to
+    each item.  Returns per row and unit P, C, MNCS and the MNCS exclusion
+    count.
     """
-    c = _each_row(c, rows)
-    if k is not None:
-        k = _each_row(k, rows)
-    keys = ws.norm_keys[: rows * ws.n_bins]
-    if ws.per_item:
-        keys = (keys.reshape(rows, -1) + types).ravel()
-    counts, means = cell_means(keys, c, rows * ws.n_cells, k)
-
-    # Score the bins.  A bin's items share its cell.  Where that cell's
-    # mean can be zero, either all of them are uncited or all are cited
-    # (see _Workspace), so scoring the bin's sum applies the per-item rule
-    # to each item.  Per item, the entries are such bins.
-    n_scored = rows * ws.n_scored
-    c_unit = dt_unit = None
-    if k is None:
-        # Every entry's 2 core doctypes are followed by 2 non-core slots,
-        # which the scores leave out.
-        n_u = ws.n_ubins
-        c_unit = c.reshape(rows, -1)[:, :n_u]
-        dt_unit = types[..., :n_u]
-        entry = ws.entry_base[: rows * n_u].reshape(rows, n_u) + dt_unit
-        if not ws.config.pooled_normalization:
-            entry += 4 * (c_unit == 0)
-        entry = entry.ravel()
-        k = np.bincount(entry, minlength=2 * n_scored).reshape(-1, 4)[:, :2].ravel()
-        c = np.bincount(entry, c_unit.ravel(), 2 * n_scored).reshape(-1, 4)[:, :2].ravel()
-    cells = ws.unit_cells[:n_scored]
-    p_vals, c_vals, mncs_vals, excluded = unit_indicators(
-        ws.unit_slots[:n_scored], rows * ws.n_units, c, counts[cells], means[cells], k
+    k, c = _each_row(k, rows), _each_row(c, rows)
+    n_bins = rows * ws.n_bins
+    counts, means = cell_means(ws.norm_keys[:n_bins], c, rows * ws.n_cells, k)
+    cells = ws.unit_cells[:n_bins]
+    scores = unit_indicators(
+        ws.unit_slots[:n_bins], rows * ws.n_units, c, counts[cells], means[cells], k
     )
-
-    shape = (rows, ws.n_units)
-    return (
-        p_vals.reshape(shape),
-        c_vals.reshape(shape),
-        mncs_vals.reshape(shape),
-        excluded.reshape(shape),
-        c_unit,
-        dt_unit,
-    )
+    return tuple(values.reshape(rows, ws.n_units) for values in scores)
 
 
 def _block_rows(first: np.ndarray, step: int, rows: int) -> np.ndarray:
@@ -647,7 +625,9 @@ def _build_workspace(
     redraws, one per group without) would be no fewer than the
     publications, every publication is its own column, in layout order.
     Grouped columns are then binned for scoring by (unit slot, cell group,
-    doctype, singleton id, uncited outside the normalization universe).
+    doctype, singleton id, uncited outside the normalization universe),
+    and per-item rows are tallied into bins by (unit slot, cell group,
+    drawn core doctype, uncited under reference-only normalization).
     """
     if CHANNEL_CITATIONS in config.channels:
         if models.citation is None:
@@ -742,13 +722,21 @@ def _build_workspace(
                 rep = heads
                 col_types = dt_codes[heads]
 
-    # A bin is a column, or with grouped columns the columns that share
-    # its key (see _Workspace).  Keys sort by unit slot, so the unit
-    # columns and bins come first.
+    # A bin sums the columns that share its key (see _Workspace).  Keys
+    # sort by unit slot, so the unit bins come first.
     per_item = col_items is None
-    col_bin = bin_order = bin_starts = None
-    bin_rep, bin_types = rep, col_types  # a publication in each bin, and its doctype
-    if not per_item:
+    bin_order = bin_starts = None
+    if per_item:
+        # Each (set slot, cell group) pair's bins: article and review, and
+        # under reference-only normalization as many again for the
+        # uncited items, with 4 doctype slots per bin pair.
+        width = 2 if config.pooled_normalization else 4
+        order, starts = sorted_runs((unit_slot, cellgroup))
+        col_bin = np.empty(n, dtype=np.int64)
+        col_bin[order] = (np.cumsum(starts) - 1) * 2 * width
+        bin_rep = np.repeat(order[starts], width)
+        bin_types = np.tile(np.arange(2, dtype=np.int64), bin_rep.size // 2)
+    else:
         uncited_outside = ~in_norm & (citations == 0)
         keys = (unit_slot[rep], cellgroup[rep], col_types, single_id[rep], uncited_outside[rep])
         bin_order, starts = sorted_runs(keys)
@@ -758,44 +746,19 @@ def _build_workspace(
         bin_rep, bin_types = rep[bin_order[starts]], col_types[bin_order[starts]]
     n_bins, n_units = bin_rep.size, len(units)
     bin_unit = unit_slot[bin_rep]
-    n_ubins = int(np.count_nonzero(bin_unit < n_units))
     n_cells = (n_cellgroups + 2) * 4
 
-    # The block index arrays: each (iteration, entry) index that no draw
+    # The block index arrays: each (iteration, bin or column) index that no draw
     # moves, for the rows of the run's largest block, flat in C order (see
     # _Workspace).
     block_size = _block_size(rep.size, per_item)
     rows = min(block_size, config.iterations)
     # A bin outside the universe is counted in the group past the field-less
-    # one, whose cells no score reads.
-    norm_base = np.where(in_norm[bin_rep], cellgroup[bin_rep], n_cellgroups + 1) * 4
-    entry_base = bin_slots = None
-    if per_item:
-        # The scoring entries of each (unit slot, cell group) pair (see
-        # _Workspace); under reference-only normalization no unit
-        # publication is in the universe, and uncited ones get their own.
-        width = 2 if config.pooled_normalization else 4
-        order, starts = sorted_runs((unit_slot[:n_unit_pubs], cellgroup[:n_unit_pubs]))
-        item_entry = np.empty(n_unit_pubs, dtype=np.int64)
-        item_entry[order] = (np.cumsum(starts) - 1) * 2 * width
-        heads = order[starts]
-        entry_unit = np.repeat(unit_slot[heads], width)
-        entry_cell = np.repeat(cellgroup[heads] * 4, width)
-        entry_cell += np.tile([0, 1], entry_cell.size // 2)  # article, review
-        n_scored = entry_unit.size
-        entry_base = _block_rows(item_entry, 2 * n_scored, rows)
-        unit_slots = _block_rows(entry_unit, n_units, rows)
-        unit_cells = _block_rows(entry_cell, n_cells, rows)
-    else:
-        # A grouped bin's doctype is fixed, so its cell keys are whole.
-        # Every bin is scored; the reference bins and the non-core unit
-        # bins go past every slot of the block.
-        norm_base += bin_types
-        n_scored = n_bins
-        bin_slots = _block_rows(col_bin, n_bins, rows)
-        core = np.tile((bin_unit < n_units) & (bin_types <= 1), rows)
-        unit_slots = np.where(core, _block_rows(bin_unit, n_units, rows), rows * n_units)
-        unit_cells = _block_rows(cellgroup[bin_rep] * 4 + bin_types, n_cells, rows)
+    # one, whose cells no score reads.  The reference bins and the non-core
+    # unit bins are scored past every slot of the block.
+    norm_base = np.where(in_norm[bin_rep], cellgroup[bin_rep], n_cellgroups + 1) * 4 + bin_types
+    core = np.tile((bin_unit < n_units) & (bin_types <= 1), rows)
+    col_slots = _block_rows(col_bin, 2 * n_bins if per_item else n_bins, rows)
     col_citations = citations[rep]
     cite_values = cite_index = None
     if redraw_citations and config.direction == FIRST_KIND:
@@ -809,16 +772,13 @@ def _build_workspace(
         bin_order=bin_order,
         bin_starts=bin_starts,
         n_bins=n_bins,
-        bin_types=bin_types,
-        n_ubins=n_ubins,
-        n_scored=n_scored,
         n_cells=n_cells,
         n_units=n_units,
-        bin_slots=bin_slots,
+        bin_slots=None if per_item else col_slots,
+        item_bins=col_slots if per_item else None,
         norm_keys=_block_rows(norm_base, n_cells, rows),
-        unit_slots=unit_slots,
-        unit_cells=unit_cells,
-        entry_base=entry_base,
+        unit_slots=np.where(core, _block_rows(bin_unit, n_units, rows), rows * n_units),
+        unit_cells=_block_rows(cellgroup[bin_rep] * 4 + bin_types, n_cells, rows),
         params=(
             cycled_params(models.citation, models.citation.n_draws)
             if models.citation is not None
@@ -858,8 +818,7 @@ def propagate(
     (assessed units and reference set alike), rebuilds the normalization
     cells from the redrawn data, and recomputes P, C, and MNCS per unit.
     The observed indicators are the same cell rebuild and scoring applied
-    to the input data.  Every run scores one sum per scoring bin, or per
-    scoring entry when it draws each publication on its own, so its
+    to the input data.  Every run scores one sum per scoring bin, so its
     observed MNCS can differ from ``indicators_for``'s in the last bits.
 
     The iterations run as one ordered list of whole kernel blocks, each
@@ -887,7 +846,7 @@ def propagate(
     workspace_done = perf_counter()
 
     observed = indicator_results(
-        [pubset.name for pubset in units], *(values[0] for values in _score_recorded(ws)[:4])
+        [pubset.name for pubset in units], *(values[0] for values in _score_recorded(ws))
     )
     observed_done = perf_counter()
 

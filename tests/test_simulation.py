@@ -469,6 +469,16 @@ class TestPropagate:
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
             PropagationConfig(**values)
 
+    def test_pooled_normalization_takes_only_bools(self):
+        # A truthy string or an int would pick a normalization by accident.
+        message = "^pooled_normalization must be a bool, got "
+        for value in ("false", 0, 1, None, np.int64(0)):
+            with pytest.raises(ValidationError, match=message):
+                PropagationConfig(pooled_normalization=value)
+        for value, expected in ((True, True), (np.bool_(False), False)):
+            stored = PropagationConfig(pooled_normalization=value).pooled_normalization
+            assert stored is expected
+
     def test_empty_universe_rejected(self, small_models):
         empty = PublicationSet(name="A", members=())
         with pytest.raises(UsageError, match="normalization universe is empty"):
@@ -601,6 +611,30 @@ class TestExercises:
         rep = run_exercise("A1", iterations=30, seed=0)
         assert rep.direction == FIRST_KIND
         assert set(rep.channels) == {CHANNEL_CITATIONS}
+
+    def test_numpy_integer_arguments_write_json_integers(self):
+        # Stored as Python ints, so the payload is the one Python ints give.
+        rep = run_exercise("2", iterations=np.int64(20), seed=np.int64(3))
+        assert type(rep.iterations) is int and type(rep.seed) is int
+        payload = json.loads(json.dumps(rep.to_dict()))
+        plain = run_exercise("2", iterations=20, seed=3).to_dict()
+        assert payload == json.loads(json.dumps(plain))
+        assert payload["iterations"] == 20 and payload["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            ({"seed": True}, "seed"),
+            ({"seed": 2.5}, "seed"),
+            ({"seed": "3"}, "seed"),
+            ({"iterations": np.bool_(True)}, "iterations"),
+            ({"iterations": 20.0}, "iterations"),
+            ({"iterations": "20"}, "iterations"),
+        ],
+    )
+    def test_non_integer_arguments_rejected(self, values, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            run_exercise("2", **values)
 
     def test_exercise_is_deterministic(self):
         a = run_exercise("2", iterations=40, seed=9)
@@ -1049,6 +1083,98 @@ def _float_bits(value):
     return None if value is None else float(value).hex()
 
 
+# Per-item layouts: (direction, channels, item dump).  First-kind citation
+# redraws draw every publication on its own, and so does a dump.
+_PER_ITEM_LAYOUTS = {
+    "first-kind": (FIRST_KIND, ALL_CHANNELS, False),
+    "first-kind-citations": (FIRST_KIND, _ONLY_C, False),
+    "item-dump": (SECOND_KIND, ALL_CHANNELS, True),
+    "item-dump-doctypes": (SECOND_KIND, _ONLY_D, True),
+}
+
+
+@pytest.mark.parametrize("layout", list(_PER_ITEM_LAYOUTS))
+@settings(max_examples=50, deadline=None)
+@given(
+    units=st.lists(st.lists(_OBSERVED_ROW, max_size=12), min_size=1, max_size=3),
+    reference=st.lists(_OBSERVED_ROW, min_size=1, max_size=12),
+    key_mode=st.sampled_from([KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD]),
+    pooled=st.booleans(),
+    iterations=st.integers(min_value=2, max_value=5),
+    rows_per_block=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+# A unit with no core items; a unit with a field-less review, an uncited
+# and a cited article in a cell whose reference items are all uncited,
+# and a cell ("y", 2011) that only the reference set lacks.
+@example(
+    units=[
+        [("letter", 3, 2010, "x"), ("other", 0, 2011, "y")],
+        [
+            ("review", 4, 2010, None),
+            ("article", 0, 2010, "x"),
+            ("article", 6, 2010, "x"),
+            ("article", 2, 2011, "y"),
+        ],
+    ],
+    reference=[("article", 0, 2010, "x"), ("article", 0, 2010, "x"), ("review", 5, 2011, "x")],
+    key_mode=KEY_DOCTYPE_YEAR_FIELD,
+    pooled=False,
+    iterations=5,
+    rows_per_block=2,
+    seed=11,
+)
+def test_per_item_replicates_match_oracle(
+    layout,
+    units,
+    reference,
+    key_mode,
+    pooled,
+    iterations,
+    rows_per_block,
+    seed,
+    small_models,
+    first_kind_models,
+):
+    """Per-item rows, tallied into bins and scored, against the per-publication oracle.
+
+    On random layouts and block sizes, P, C, the MNCS float bits and the
+    exclusions of every replicate equal ``oracle.simulate_block``'s, and
+    so do the dumped draws.
+    """
+    direction, channels, dump = _PER_ITEM_LAYOUTS[layout]
+    unit_sets = [_field_pubset(f"U{u}", rows) for u, rows in enumerate(units)]
+    ref = _field_pubset("ref", reference)
+    models = small_models if direction == SECOND_KIND else first_kind_models
+    config = PropagationConfig(
+        iterations=iterations,
+        seed=seed,
+        channels=channels,
+        direction=direction,
+        key_mode=key_mode,
+        pooled_normalization=pooled,
+    )
+    columns = sum(map(len, unit_sets)) + len(ref)
+    with mock.patch.object(simulation, "_ITEM_BUDGET", rows_per_block * columns):
+        try:
+            ws = _build_workspace(unit_sets, ref, models, config, keep_ids=dump)
+        except UsageError as err:
+            assert str(err) == "normalization universe is empty"
+            return
+        assert ws.per_item and ws.block_size == rows_per_block
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "items.csv"
+            result = propagate(unit_sets, ref, models, config, dump_items=path if dump else None)
+            if dump:
+                dumped = _read_dump(path, unit_sets, iterations)
+    expected = _oracle_replicates(unit_sets, ref, models, config, rows_per_block)
+    _assert_matches(result, expected)
+    mncs = _replicates(result, "MNCS")
+    assert np.array_equal(mncs.view(np.uint64), expected[2].view(np.uint64))
+    if dump:
+        assert all(np.array_equal(a, b) for a, b in zip(dumped, expected[4:]))
+
+
 # sha256 of the field-keyed run's report.json (see
 # test_field_keyed_report_bytes_are_pinned) with a one-chain citation
 # posterior and blocks of one iteration, each keyed by (seed, iteration).
@@ -1264,8 +1390,10 @@ def test_groups_that_differ_only_in_recorded_doctype_share_columns(
     }
     assert ws.col_citations.size == 2 * len(keys) == 2 * (4 + 6)
     # The first row of the block's (row, bin) slots is each column's bin.
+    # The unit bins come first, each scored in its unit's slot.
     col_bin = ws.bin_slots[: ws.col_citations.size]
-    assert np.count_nonzero(col_bin < ws.n_ubins) == 2 * 4  # unit columns
+    n_unit_bins = np.count_nonzero(ws.unit_slots[: ws.n_bins] < ws.n_units)
+    assert np.count_nonzero(col_bin < n_unit_bins) == 2 * 4  # unit columns
     groups, items, citations = _run_shapes(ws)
     # Unit runs (counts 0, 2, 5, 11), then reference runs (0, 1, 2, 3, 5, 9).
     assert citations == [0, 2, 5, 11, 0, 1, 2, 3, 5, 9]
@@ -1635,9 +1763,11 @@ def test_short_last_block_reads_the_leading_rows_of_the_block_indexes(
     theirs = simulation._simulate_block(exact, start, cfg.iterations)
     assert len(ours) == len(theirs) == 6
     assert ours[0].shape == (rows, len(grouped_units))
+    # The unit publications' draws come exactly when the run keeps ids to dump.
+    assert [a is None for a in ours[4:]] == [ws.ids is None] * 2
     for a, b in zip(ours, theirs):
-        if a is None:  # the unit publications' draws, for the dump, come per item only
-            assert b is None and layout == "grouped"
+        if a is None:
+            assert b is None
         else:
             assert np.array_equal(a, b, equal_nan=True)
 
