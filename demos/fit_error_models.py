@@ -34,7 +34,8 @@ def main() -> None:
     confusion = fit_doctype_error_model(synthetic_confusion_table())
     print("document-type model (conjugate, conditioned on the recorded type)")
     for dt in DocType:
-        probs = confusion.posterior_mean(dt)
+        row = confusion.row(dt)
+        probs = row / row.sum()  # the posterior mean
         cells = ", ".join(
             f"{target.value} {p:.3f}" for target, p in zip(DocType, probs)
         )

@@ -271,11 +271,6 @@ class DirichletPosterior:
     def row(self, conditioning: DocType) -> np.ndarray:
         return self.concentrations[doctype_index(conditioning)]
 
-    def posterior_mean(self, conditioning: DocType) -> np.ndarray:
-        """Mean predicted-category probabilities given the conditioning type."""
-        row = self.row(conditioning)
-        return row / row.sum()
-
 
 # Stirling series for log Gamma: coefficients of z**-1, z**-3, ..., z**-13.
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
@@ -639,13 +634,16 @@ def fit_doctype_error_model(
     category, the posterior concentration is simply counts plus
     pseudocount.  Second kind conditions on the observed label and
     predicts the true one; first kind conditions on the true label.
-    Raises ValidationError if a conditioning row would end up with zero
-    total (all-zero counts and zero pseudocount).
+    Raises ValidationError unless ``prior_pseudocount`` is a finite number
+    >= 0 (a bool is not one), or if a conditioning row would end up with
+    zero total (all-zero counts and zero pseudocount).
     """
+    if not _is_finite_number(prior_pseudocount) or prior_pseudocount < 0:
+        raise ValidationError(
+            f"prior_pseudocount must be a finite number >= 0, got {prior_pseudocount!r}"
+        )
     if direction not in _DIRECTIONS:
         raise UsageError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
-    if prior_pseudocount < 0:
-        raise ValidationError("prior_pseudocount must be >= 0")
     data = table.counts.T if direction == SECOND_KIND else table.counts
     conc = data.astype(np.float64) + prior_pseudocount
     zero_rows = np.flatnonzero(conc.sum(axis=1) == 0)

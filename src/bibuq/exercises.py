@@ -95,7 +95,8 @@ class ScenarioConfig:
     other 0.1), so reviews run hotter and letters colder than articles.
     Document types follow a fixed mixture (68% articles, 4% reviews, 3%
     letters, 25% other).  All publications are dated 2010 and carry no
-    field label.
+    field label.  The sizes and ``seed`` take Python or numpy integers,
+    but not bools, and are stored as Python ints.
     """
 
     unit_sizes: Mapping[str, int]
@@ -105,6 +106,16 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        values = {f"unit_sizes[{u!r}]": n for u, n in self.unit_sizes.items()}
+        values.update(reference_size=self.reference_size, seed=self.seed)
+        for label, value in values.items():
+            if not is_integer(value):
+                raise ValidationError(f"{label} must be an integer, got {value!r}")
+        object.__setattr__(self, "unit_sizes", {u: int(n) for u, n in self.unit_sizes.items()})
+        for name in ("reference_size", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError("seed must be a non-negative 64-bit integer")
         if set(self.unit_sizes) != set(self.unit_locations):
             raise ValidationError("unit_sizes and unit_locations must name the same units")
         if not self.unit_sizes:

@@ -18,20 +18,17 @@ uses every chain.
 Iterations run in kernel blocks: each iteration's draws fill one row of
 (block, columns) arrays, a column being a cell or a publication, and the
 cells and indicators of the whole block are computed together.  The
-block size is set by a memory budget in column-iterations and the column
-count, not by the worker count: ``BLOCK_BUDGET`` for grouped columns, and
-the larger ``_ITEM_BUDGET`` where every column is one publication, whose
-blocks pay a fixed cost per block (a substream, the Dirichlet rows, the
-citation draw's per-value work and the scoring calls) that a few rows
-share.  Each block draws its randomness from its own substream, keyed by
-(seed, block index), with one call per kind of draw: the Dirichlet
-probability rows of every iteration, then the new doctypes, then the
-omitted citations.  Every run, in process or pooled, with or without the
-item dump, consumes the same ordered list of whole blocks, so results are
-bit-identical whatever the worker count; they do depend on the block
-size, that is on the budget and the column count.  Past half of its
-budget in columns a block is one iteration, keyed by (seed, iteration):
-past 4,096 grouped columns or 10,000 publications.
+block size is one memory budget in column-iterations, ``BLOCK_BUDGET``,
+over the column count, whether a column is a cell or a publication, and
+does not depend on the worker count.  Each block draws its randomness
+from its own substream, keyed by (seed, block index), with one call per
+kind of draw: the Dirichlet probability rows of every iteration, then the
+new doctypes, then the omitted citations.  Every run, in process or
+pooled, with or without the item dump, consumes the same ordered list of
+whole blocks, so results are bit-identical whatever the worker count;
+they do depend on the block size, that is on the budget and the column
+count.  Past 10,000 columns a block is one iteration, keyed by (seed,
+iteration).
 
 What no draw moves is built once per run, with the workspace
 (``_Workspace``): the doctype draw's split of the groups into
@@ -265,8 +262,9 @@ class IndicatorDistribution:
 class PropagationConfig:
     """Settings of a propagation run.
 
-    ``channels`` selects which error mechanisms are redrawn; disabled
-    channels pass the input data through unchanged.  ``direction``
+    ``channels`` selects which error mechanisms are redrawn, a collection
+    of channel names; disabled channels pass the input data through
+    unchanged.  ``direction``
     chooses correction (second kind: observed data is corrected upward)
     or injection (first kind: error-free data is corrupted).
     Every iteration uses one posterior parameter draw for all
@@ -288,6 +286,10 @@ class PropagationConfig:
     pooled_normalization: bool = True
 
     def __post_init__(self) -> None:
+        if isinstance(self.channels, str):
+            raise UsageError(
+                f"channels must be a collection of channel names, not the string {self.channels!r}"
+            )
         object.__setattr__(self, "channels", frozenset(self.channels))
         for name in ("iterations", "seed", "workers"):
             value = getattr(self, name)
@@ -346,19 +348,16 @@ class PropagationResult:
 
 # Column-iterations simulated together in one block.  A block holds a
 # handful of (block, columns) arrays, so this bounds the kernel's memory;
-# it does not depend on the worker count.
-BLOCK_BUDGET = 8192
-
-# Column-iterations of a per-item block, where every column is one
-# publication.  A per-item block's fixed costs are paid once per block, so
-# a few rows share them: at 5,000 publications 4 rows ran about 1.4x as
-# fast as 1, and more rows gained little while memory grew with them.
-_ITEM_BUDGET = 20000
+# it does not depend on the worker count.  A block's fixed costs (a
+# substream, the Dirichlet rows, the per-group or per-value draw work and
+# the scoring calls) are shared by its rows, whether a column is a cell or
+# a publication.
+BLOCK_BUDGET = 20000
 
 
-def _block_size(columns: int, per_item: bool) -> int:
+def _block_size(columns: int) -> int:
     """Iterations per kernel block: the budget over the columns, at least one."""
-    return max(1, (_ITEM_BUDGET if per_item else BLOCK_BUDGET) // max(columns, 1))
+    return max(1, BLOCK_BUDGET // max(columns, 1))
 
 
 @dataclass
@@ -413,10 +412,10 @@ class _Workspace:
     last) reads their leading entries.  Entry j of row r is, for
     ``n_units`` unit slots per row:
     - ``norm_keys``: bin j's normalization cell key plus ``r * n_cells``;
-    - ``bin_slots`` (grouped only): column j's bin plus ``r * n_bins``,
-      the (row, bin) slot its Poisson rate is summed into;
-    - ``item_bins`` (``per_item`` only): publication j's bin pair base
-      plus ``r * 2 * n_bins``, to which a block adds its doctype slot;
+    - ``bin_slots``: with grouped columns, column j's bin plus ``r *
+      n_bins``, the (row, bin) slot its Poisson rate is summed into;
+      when ``per_item``, publication j's bin pair base plus
+      ``r * 2 * n_bins``, to which a block adds its doctype slot;
     - ``unit_slots`` and ``unit_cells``: bin j's unit slot plus ``r *
       n_units``, or a slot past every row's for a bin that is no unit's
       core bin, and its cell key plus ``r * n_cells``.
@@ -438,8 +437,7 @@ class _Workspace:
     n_bins: int
     n_cells: int
     n_units: int
-    bin_slots: np.ndarray | None
-    item_bins: np.ndarray | None
+    bin_slots: np.ndarray
     norm_keys: np.ndarray
     unit_slots: np.ndarray
     unit_cells: np.ndarray
@@ -455,13 +453,8 @@ class _Workspace:
     cite_index: np.ndarray | None = None
 
 
-def _worker_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """One block's P, C, MNCS and exclusion rows, without its unit columns."""
-    return _simulate_block(ws, *bounds)[:4]
-
-
-def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray | None, ...]:
-    """Redraw the data for iterations [start, stop) and score every unit.
+def _simulate_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray | None, ...]:
+    """Redraw the data for iterations ``bounds``, [start, stop), and score every unit.
 
     [start, stop) is one kernel block: ``start`` is a multiple of
     ``ws.block_size`` and the block draws from the substream keyed by
@@ -483,10 +476,9 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray |
     each publication past the inversion's walk bounds
     (``draw_clamped_omitted``).  The columns' items and citations are
     summed into their bins (``_binned``), and the bins are scored.  The
-    draws therefore depend on the budget (``BLOCK_BUDGET``, or
-    ``_ITEM_BUDGET`` when ``per_item``) and the column count, which set
-    the block size, and on where the run's last block ends, but not on
-    the worker count.  A block of one iteration is keyed by (seed,
+    draws therefore depend on ``BLOCK_BUDGET`` and the column count, which
+    set the block size, and on where the run's last block ends, but not
+    on the worker count.  A block of one iteration is keyed by (seed,
     iteration).  A short last block reads the leading rows of the
     workspace's block index arrays.
 
@@ -496,6 +488,7 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray |
     (rows, publications) or one row all rows share; None twice otherwise.
     """
     cfg = ws.config
+    start, stop = bounds
     rows = stop - start
     rng = iteration_rng(cfg.seed, start // ws.block_size)
     # Items per column: none when every column is one publication, else
@@ -516,7 +509,7 @@ def _simulate_block(ws: _Workspace, start: int, stop: int) -> tuple[np.ndarray |
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
         if cfg.direction == SECOND_KIND:
             bins = None
-            if ws.bin_slots is not None:
+            if not ws.per_item:
                 bins = (ws.bin_slots[: rows * ws.col_citations.size], ws.n_bins)
             change = draw_omitted(rng, params[:, None, :], ws.col_log1p, k, bins=bins)
         else:
@@ -547,7 +540,7 @@ def _binned(ws: _Workspace, rows: int, k, types, change=None):
         return k, c if change is None else c + change
     n = ws.col_citations.size
     c = ws.col_citations if change is None else ws.col_citations + change
-    slots = ws.item_bins[: rows * n].reshape(rows, n) + types
+    slots = ws.bin_slots[: rows * n].reshape(rows, n) + types
     if not ws.config.pooled_normalization:
         slots += 4 * (c == 0)
     slots = slots.ravel()
@@ -751,14 +744,13 @@ def _build_workspace(
     # The block index arrays: each (iteration, bin or column) index that no draw
     # moves, for the rows of the run's largest block, flat in C order (see
     # _Workspace).
-    block_size = _block_size(rep.size, per_item)
+    block_size = _block_size(rep.size)
     rows = min(block_size, config.iterations)
     # A bin outside the universe is counted in the group past the field-less
     # one, whose cells no score reads.  The reference bins and the non-core
     # unit bins are scored past every slot of the block.
     norm_base = np.where(in_norm[bin_rep], cellgroup[bin_rep], n_cellgroups + 1) * 4 + bin_types
     core = np.tile((bin_unit < n_units) & (bin_types <= 1), rows)
-    col_slots = _block_rows(col_bin, 2 * n_bins if per_item else n_bins, rows)
     col_citations = citations[rep]
     cite_values = cite_index = None
     if redraw_citations and config.direction == FIRST_KIND:
@@ -774,8 +766,7 @@ def _build_workspace(
         n_bins=n_bins,
         n_cells=n_cells,
         n_units=n_units,
-        bin_slots=None if per_item else col_slots,
-        item_bins=col_slots if per_item else None,
+        bin_slots=_block_rows(col_bin, 2 * n_bins if per_item else n_bins, rows),
         norm_keys=_block_rows(norm_base, n_cells, rows),
         unit_slots=np.where(core, _block_rows(bin_unit, n_units, rows), rows * n_units),
         unit_cells=_block_rows(cellgroup[bin_rep] * 4 + bin_types, n_cells, rows),
@@ -822,13 +813,13 @@ def propagate(
     observed MNCS can differ from ``indicators_for``'s in the last bits.
 
     The iterations run as one ordered list of whole kernel blocks, each
-    drawn from its own substream, a block holding the iterations that a
-    budget of column-iterations allows (a larger one when every column is
-    one publication): in this process, or when ``workers``
-    asks for more, in a pool capped by the CPUs and the blocks (with a
-    stderr note when it opens fewer), whose workers take the blocks in
-    order.  The worker count changes no replicate.  Unit names must be
-    unique; a repeated name raises UsageError.
+    drawn from its own substream, a block holding the iterations that
+    ``BLOCK_BUDGET`` column-iterations allow, whether its columns are
+    cells or publications: in this process, or when ``workers`` asks for
+    more, in a pool capped by the CPUs and the blocks (with a stderr note
+    when it opens fewer), whose workers take the blocks in order.  The
+    worker count changes no replicate.  Unit names must be unique; a
+    repeated name raises UsageError.
 
     ``dump_items`` optionally writes every redrawn unit publication as a
     CSV row (iteration, publication_id, citations, doctype); dumping
@@ -881,17 +872,16 @@ def propagate(
         if dump_items is not None:
             handle = stack.enter_context(Path(dump_items).open("w", newline="", encoding="utf-8"))
             dump = predictive_dump(ws.ids, handle)
+        simulate = partial(_simulate_block, ws)
         if processes == 1:
-            blocks = (_simulate_block(ws, lo, hi) for lo, hi in bounds)
+            blocks = map(simulate, bounds)
         else:
             # Imported only here: it is about a tenth of `import bibuq`.
             import multiprocessing
 
             pool = stack.enter_context(multiprocessing.Pool(processes=processes))
             # One chunk per worker, so each worker unpickles the workspace once.
-            blocks = pool.imap(
-                partial(_worker_block, ws), bounds, chunksize=-(-len(bounds) // processes)
-            )
+            blocks = pool.imap(simulate, bounds, chunksize=-(-len(bounds) // processes))
         # The one propagation loop, over whole blocks in order.
         for lo, hi in bounds:
             block = next(blocks)

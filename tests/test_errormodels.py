@@ -457,19 +457,18 @@ class TestDoctypeFit:
         expected = confusion_table.counts + 0.5
         assert np.allclose(posterior.concentrations, expected, atol=1e-13)
 
-    def test_posterior_mean_is_normalized_concentration(self, doctype_posterior):
-        for dt in DocType:
-            row = doctype_posterior.row(dt)
-            mean = doctype_posterior.posterior_mean(dt)
-            assert np.allclose(mean, row / row.sum(), atol=1e-13)
-            assert mean.sum() == pytest.approx(1.0, abs=1e-13)
-
     def test_zero_row_without_pseudocount_rejected(self):
         counts = np.zeros((4, 4), dtype=np.int64)
         counts[0, 0] = 5
         table = DocTypeConfusionTable(counts)
         with pytest.raises(ValidationError):
             fit_doctype_error_model(table, prior_pseudocount=0.0)
+
+    @pytest.mark.parametrize("pseudocount", ["1", float("nan"), float("inf"), -0.5, True, None])
+    def test_bad_pseudocount_rejected(self, confusion_table, pseudocount):
+        message = "^prior_pseudocount must be a finite number >= 0, got "
+        with pytest.raises(ValidationError, match=message):
+            fit_doctype_error_model(confusion_table, pseudocount)
 
     @settings(max_examples=30, deadline=None)
     @given(

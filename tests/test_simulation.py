@@ -249,6 +249,45 @@ class TestScenario:
         )
         assert share_article == pytest.approx(0.68, abs=0.03)
 
+    @staticmethod
+    def _config(**changes) -> ScenarioConfig:
+        defaults = dict(
+            unit_sizes={"A": 3},
+            unit_locations={"A": 1.0},
+            reference_size=4,
+            reference_location=1.0,
+            seed=2,
+        )
+        return ScenarioConfig(**{**defaults, **changes})
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        cfg = self._config(
+            unit_sizes={"A": np.int32(3)}, reference_size=np.int64(4), seed=np.uint64(2)
+        )
+        values = [cfg.unit_sizes["A"], cfg.reference_size, cfg.seed]
+        assert values == [3, 4, 2] and [type(v) for v in values] == [int] * 3
+        assert generate_scenario(cfg) == generate_scenario(self._config())
+
+    @pytest.mark.parametrize(
+        "changes, name",
+        [
+            ({"seed": True}, "seed"),
+            ({"seed": 2.5}, "seed"),
+            ({"unit_sizes": {"A": 2.5}}, r"unit_sizes\['A'\]"),
+            ({"unit_sizes": {"A": True}}, r"unit_sizes\['A'\]"),
+            ({"reference_size": 2.5}, "reference_size"),
+            ({"reference_size": "4"}, "reference_size"),
+        ],
+    )
+    def test_non_integer_values_rejected(self, changes, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            self._config(**changes)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ValidationError, match="^seed must be a non-negative 64-bit integer"):
+            self._config(seed=seed)
+
 
 # sha256 of synthesize_training_sample(seed) as little-endian int64
 # (observed row, then omitted row), and of the publications CSV of the
@@ -468,6 +507,13 @@ class TestPropagate:
     def test_non_integer_settings_rejected(self, values, name):
         with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
             PropagationConfig(**values)
+
+    def test_channels_as_one_string_rejected(self):
+        # A string is a collection of its letters, not of channel names.
+        message = "^channels must be a collection of channel names, not the string 'citations'$"
+        with pytest.raises(UsageError, match=message):
+            PropagationConfig(channels=CHANNEL_CITATIONS)
+        assert PropagationConfig(channels=[CHANNEL_CITATIONS]).channels == {CHANNEL_CITATIONS}
 
     def test_pooled_normalization_takes_only_bools(self):
         # A truthy string or an int would pick a normalization by accident.
@@ -867,12 +913,6 @@ _BUDGETS = {
 }
 
 
-def _set_budgets(monkeypatch, budget: int) -> None:
-    """Give grouped and per-item blocks the same column-iteration budget."""
-    monkeypatch.setattr(simulation, "BLOCK_BUDGET", budget)
-    monkeypatch.setattr(simulation, "_ITEM_BUDGET", budget)
-
-
 def _case_config(case: int, iterations: int) -> PropagationConfig:
     direction, key_mode, channels, pooled = _ORACLE_CASES[case]
     return PropagationConfig(
@@ -924,7 +964,7 @@ def test_block_kernel_matches_oracle(
     cfg = _case_config(case, _ORACLE_ITERATIONS)
     all_single = direction == FIRST_KIND and CHANNEL_CITATIONS in channels
     columns = _build_workspace(grouped_units, grouped_reference, models, cfg).col_citations.size
-    _set_budgets(monkeypatch, _BUDGETS[budget](columns))
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", _BUDGETS[budget](columns))
     ws = _build_workspace(grouped_units, grouped_reference, models, cfg)
     assert ws.per_item == all_single
     if all_single:
@@ -972,7 +1012,7 @@ def test_blocks_of_one_iteration_draw_per_iteration_substreams(
     direction, _, channels, _ = _ORACLE_CASES[case]
     models = small_models if direction == SECOND_KIND else first_kind_models
     cfg = _case_config(case, _ORACLE_ITERATIONS)
-    _set_budgets(monkeypatch, 1)
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", 1)
     expected = _oracle_replicates(grouped_units, grouped_reference, models, cfg)
     dump = tmp_path / "items.csv"
     dumped = propagate(grouped_units, grouped_reference, models, cfg, dump_items=dump)
@@ -1155,7 +1195,7 @@ def test_per_item_replicates_match_oracle(
         pooled_normalization=pooled,
     )
     columns = sum(map(len, unit_sets)) + len(ref)
-    with mock.patch.object(simulation, "_ITEM_BUDGET", rows_per_block * columns):
+    with mock.patch.object(simulation, "BLOCK_BUDGET", rows_per_block * columns):
         try:
             ws = _build_workspace(unit_sets, ref, models, config, keep_ids=dump)
         except UsageError as err:
@@ -1674,7 +1714,7 @@ def test_dump_spans_blocks_and_ignores_the_worker_count(
     cfg = PropagationConfig(iterations=61, seed=41, key_mode=KEY_DOCTYPE_YEAR_FIELD)
     layout = (grouped_units, grouped_reference, small_models, cfg)
     columns = _build_workspace(*layout, keep_ids=True).col_citations.size
-    monkeypatch.setattr(simulation, "_ITEM_BUDGET", 7 * columns)
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", 7 * columns)
     assert _build_workspace(*layout, keep_ids=True).block_size == 7
     written = []
     for workers in (1, 3):
@@ -1704,27 +1744,23 @@ def test_dump_spans_blocks_and_ignores_the_worker_count(
         )
 
 
-def test_block_sizes_follow_the_per_item_and_grouped_budgets(
-    grouped_units, grouped_reference, small_models, first_kind_models
+def test_grouped_and_per_item_blocks_of_equal_columns_are_equal(
+    grouped_units, grouped_reference, small_models
 ):
-    # A per-item block holds _ITEM_BUDGET // publications iterations, at
-    # least one: 4 at inject-fields-dump's 5,000 publications, 19 at the
-    # 1,050 of exercises A1 and A3, 1 at A4's 15,000 and beyond.  Grouped
-    # blocks keep BLOCK_BUDGET // columns.
-    assert [simulation._block_size(n, True) for n in (5000, 1050, 15000, 100_000)] == [4, 19, 1, 1]
-    for columns in (1, 82, 134, 480, 5444, 100_000):
-        assert simulation._block_size(columns, False) == max(1, simulation.BLOCK_BUDGET // columns)
+    # One budget sizes every block: a grouped workspace and a per-item one
+    # (an item dump, each publication its own column) with as many columns
+    # get the same block size, BLOCK_BUDGET // columns.
     cfg = PropagationConfig(iterations=10, key_mode=KEY_DOCTYPE_YEAR_FIELD)
     grouped = _build_workspace(grouped_units, grouped_reference, small_models, cfg)
-    assert not grouped.per_item
-    assert grouped.block_size == simulation.BLOCK_BUDGET // grouped.col_citations.size
-    for models, config, keep_ids in (
-        (small_models, cfg, True),
-        (first_kind_models, dataclasses.replace(cfg, direction=FIRST_KIND), False),
-    ):
-        ws = _build_workspace(grouped_units, grouped_reference, models, config, keep_ids)
-        assert ws.per_item and ws.col_citations.size == ws.publications
-        assert ws.block_size == simulation._ITEM_BUDGET // ws.publications > 1
+    columns = grouped.col_citations.size
+    pubs = [pub for pubset in grouped_units for pub in pubset][:columns]
+    assert len(pubs) == columns
+    per_item = _build_workspace(
+        [PublicationSet(name="U", members=pubs)], None, small_models, cfg, keep_ids=True
+    )
+    assert not grouped.per_item and per_item.per_item
+    assert per_item.col_citations.size == columns
+    assert grouped.block_size == per_item.block_size == simulation.BLOCK_BUDGET // columns > 1
 
 
 # (models fixture, direction, keep ids): a grouped run with both channels
@@ -1754,13 +1790,13 @@ def test_short_last_block_reads_the_leading_rows_of_the_block_indexes(
     cfg = dataclasses.replace(cfg, iterations=2 * block + block // 2)
     ws = _build_workspace(grouped_units, grouped_reference, models, cfg, keep_ids)
     start, rows = 2 * block, block // 2
-    _set_budgets(monkeypatch, rows * width)
+    monkeypatch.setattr(simulation, "BLOCK_BUDGET", rows * width)
     exact = _build_workspace(grouped_units, grouped_reference, models, cfg, keep_ids)
     assert exact.block_size == rows
     assert ws.norm_keys.size == block * ws.n_bins and exact.norm_keys.size == rows * ws.n_bins
     exact = dataclasses.replace(exact, block_size=block)  # the same substream key
-    ours = simulation._simulate_block(ws, start, cfg.iterations)
-    theirs = simulation._simulate_block(exact, start, cfg.iterations)
+    ours = simulation._simulate_block(ws, (start, cfg.iterations))
+    theirs = simulation._simulate_block(exact, (start, cfg.iterations))
     assert len(ours) == len(theirs) == 6
     assert ours[0].shape == (rows, len(grouped_units))
     # The unit publications' draws come exactly when the run keeps ids to dump.
@@ -1906,11 +1942,16 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # iterations (its 1,050 publications: 19 a block where they were 7) and
 # per-item rows came to be scored from per-(unit, cell) sums: every
 # replicate stream moved, and the observed MNCS of unit A by 1 ULP.
+# "2", "4" and "field-keyed" were re-pinned, with the outputs of "4"
+# below, when grouped blocks came to take the per-item budget of 20,000
+# column-iterations instead of 8,192 (the 82 columns of "4": 243 rows a
+# block where they were 99): their blocks, and so their substreams,
+# moved; no observed value moved, nor the constant P of "2".
 _PINNED_REPORT_SHA256 = {
-    "2": "4232a282ce3b07cda7448aec10a0138afe7b409015ca08be6a7d217edfd41b66",
-    "4": "4b8660de3bc49d9a4a77f1e741111d6368750544d55d7568fa529db0d6c0682d",
+    "2": "1569c6874ce44bf1d8042f8db0b7f014c742c7974a866e95558e2e539bee300c",
+    "4": "04a7f4bd4c0264e99c51a1da21f6f180fbf530a611f1783871c4faa108c417a4",
     "A3": "efcde11ed94cd0dffbc67f0682eaf0f2e02d88e5074717f815a78a7f558eefab",
-    "field-keyed": "0b42fe3267fdab483fba91e6f6be81bacb595c6643f22fe9feefb5123a04fc15",
+    "field-keyed": "c48a0a44156d53becfe8a1cb5063cebf04c06aa6acdda3172fc2290670bcd163",
 }
 
 
@@ -1928,12 +1969,12 @@ def test_exercise_report_bytes_are_pinned(tmp_path, name):
 _PINNED_OUTPUT_SHA256 = {
     ("1", "exercise.json"): "8bdb1bea6496c65584395733e5f7a18263fb0c1620ccf6bbfa0a051867a5e0d0",
     ("1", "exercise.txt"): "2639ee301b5f6d6ab21dae0bbe86d1f3857741cf5c2dd10d9679f21768981ee0",
-    ("4", "exercise.json"): "df45629dfedd92594e5a0019bef6f29a4d2bbc2fe867fa91cf16aa969c68cb04",
-    ("4", "exercise.txt"): "990eacaf347f5eab163ab4c256fde601071133622405d5c90c0a3d3daa0d6ecc",
-    ("4", "plot_summary.csv"): "963d0b72b9ea60a4f323027c961add6f231117b97ce167643f782a71fcf04fad",
+    ("4", "exercise.json"): "fb8580f47cc6ff8546d36bf157f00c50d3883a4542489335476a1f754db51244",
+    ("4", "exercise.txt"): "6a7b31f79b50f83fe0fe5d72437fba10b4cb6baf9708822a798b0eff6eb7e4af",
+    ("4", "plot_summary.csv"): "0498e8f3fa975b8e55fd75399a050fc78fc0439df0285776a520bc811d0c1228",
     ("4", "plot_uncertainty.csv"):
-        "41f4db237c8d889027bf90a83a0ad0207a1bb9ea104ec7e45fc9792b6588d0a8",
-    ("4", "report table"): "8a18f9ab50c81d7d2f6ea71f9df755da75588ecda78c3be7a996c2861cd59ce3",
+        "d6f8ba1a00e41d788f820db7513b1cf8d5834934e0ddd47f0ab2f9969a6b6d4f",
+    ("4", "report table"): "5060d28a3cc1e8f63ec09c7ee286f84e2a87eb97548245ae40c8aa4d993d8cae",
 }
 
 
