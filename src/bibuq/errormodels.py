@@ -22,6 +22,7 @@ import math
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -88,7 +89,22 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _is_finite_number(value) -> bool:
+def checked_integers(values: Mapping[str, object]) -> dict[str, int]:
+    """``values``, each a Python or numpy integer, as Python ints.
+
+    A value that is no integer (``is_integer``) raises ValidationError
+    naming its label, and so does a ``"seed"`` outside [0, 2**64).
+    """
+    for label, value in values.items():
+        if not is_integer(value):
+            raise ValidationError(f"{label} must be an integer, got {value!r}")
+    checked = {label: int(value) for label, value in values.items()}
+    if not 0 <= checked.get("seed", 0) < 2**64:
+        raise ValidationError("seed must be a non-negative 64-bit integer")
+    return checked
+
+
+def is_finite_number(value) -> bool:
     """Whether ``value`` is a finite Python or numpy real; a bool is not one.
 
     An integer beyond the float range is not finite.
@@ -123,7 +139,7 @@ class NegBinModelSpec:
             raise UsageError(f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
         for name in ("fixed_slope", "fixed_dispersion"):
             value = getattr(self, name)
-            if value is not None and not _is_finite_number(value):
+            if value is not None and not is_finite_number(value):
                 raise ValidationError(f"{name} must be a finite number or None, got {value!r}")
         if self.fixed_dispersion is not None and self.fixed_dispersion <= 0:
             raise ValidationError("fixed_dispersion must be > 0")
@@ -139,17 +155,13 @@ class McmcConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not is_integer(value):
-                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
-            object.__setattr__(self, f.name, int(value))
+        checked = checked_integers({f.name: getattr(self, f.name) for f in fields(self)})
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if self.chains < 1:
             raise ValidationError("chains must be >= 1")
         if self.warmup < 100 or self.keep < 100:
             raise ValidationError("warmup and keep must each be >= 100")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must be a non-negative 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -213,7 +225,7 @@ class NegBinPosterior:
         rates = self.acceptance_rates
         if not isinstance(rates, (list, tuple, np.ndarray)) or (
             len(rates) not in (0, arr.shape[0])
-            or not all(_is_finite_number(r) and 0 <= r <= 1 for r in rates)
+            or not all(is_finite_number(r) and 0 <= r <= 1 for r in rates)
         ):
             raise ValidationError(
                 "acceptance_rates must be empty or one number in [0, 1] per chain"
@@ -262,7 +274,7 @@ class DirichletPosterior:
             raise ValidationError("every conditioning row needs a positive total")
         if self.direction not in _DIRECTIONS:
             raise UsageError(f"direction must be one of {_DIRECTIONS}")
-        if not _is_finite_number(self.pseudocount) or self.pseudocount < 0:
+        if not is_finite_number(self.pseudocount) or self.pseudocount < 0:
             raise ValidationError(
                 f"pseudocount must be a finite number >= 0, got {self.pseudocount!r}"
             )
@@ -638,7 +650,7 @@ def fit_doctype_error_model(
     >= 0 (a bool is not one), or if a conditioning row would end up with
     zero total (all-zero counts and zero pseudocount).
     """
-    if not _is_finite_number(prior_pseudocount) or prior_pseudocount < 0:
+    if not is_finite_number(prior_pseudocount) or prior_pseudocount < 0:
         raise ValidationError(
             f"prior_pseudocount must be a finite number >= 0, got {prior_pseudocount!r}"
         )

@@ -34,9 +34,10 @@ from .errormodels import (
     SECOND_KIND,
     McmcConfig,
     NegBinModelSpec,
+    checked_integers,
     fit_citation_error_model,
     fit_doctype_error_model,
-    is_integer,
+    is_finite_number,
     substream_rng,
 )
 from .indicators import KEY_DOCTYPE
@@ -96,7 +97,8 @@ class ScenarioConfig:
     Document types follow a fixed mixture (68% articles, 4% reviews, 3%
     letters, 25% other).  All publications are dated 2010 and carry no
     field label.  The sizes and ``seed`` take Python or numpy integers,
-    but not bools, and are stored as Python ints.
+    but not bools, and are stored as Python ints; the locations take
+    finite Python or numpy reals, but not bools.
     """
 
     unit_sizes: Mapping[str, int]
@@ -108,14 +110,15 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         values = {f"unit_sizes[{u!r}]": n for u, n in self.unit_sizes.items()}
         values.update(reference_size=self.reference_size, seed=self.seed)
-        for label, value in values.items():
-            if not is_integer(value):
-                raise ValidationError(f"{label} must be an integer, got {value!r}")
+        checked = checked_integers(values)
         object.__setattr__(self, "unit_sizes", {u: int(n) for u, n in self.unit_sizes.items()})
         for name in ("reference_size", "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must be a non-negative 64-bit integer")
+            object.__setattr__(self, name, checked[name])
+        locations = {f"unit_locations[{u!r}]": x for u, x in self.unit_locations.items()}
+        locations.update(reference_location=self.reference_location)
+        for label, value in locations.items():
+            if not is_finite_number(value):
+                raise ValidationError(f"{label} must be a finite number, got {value!r}")
         if set(self.unit_sizes) != set(self.unit_locations):
             raise ValidationError("unit_sizes and unit_locations must name the same units")
         if not self.unit_sizes:
@@ -398,12 +401,7 @@ def run_exercise(
     ``iterations`` and ``seed`` take Python or numpy integers, but not
     bools, and the report stores them as Python ints.
     """
-    for label, value in (("iterations", iterations), ("seed", seed)):
-        if not is_integer(value):
-            raise ValidationError(f"{label} must be an integer, got {value!r}")
-    iterations, seed = int(iterations), int(seed)
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must be a non-negative 64-bit integer")
+    iterations, seed = checked_integers({"iterations": iterations, "seed": seed}).values()
     defs = _exercise_defs(subseed(seed, 1))
     if name not in defs:
         raise UsageError(f"unknown exercise {name!r}; valid names: {', '.join(list_exercises())}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import repeat
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -399,10 +398,9 @@ def predictive_dump(
     The writer, ``write(first_iteration, citations_rows, codes_rows)``,
     takes a kernel block: row r of the (iterations, items) arrays is
     iteration ``first_iteration + r``; both line up with ``ids``, and the
-    codes index ``DOCTYPE_ORDER``.  ``codes_rows`` may instead be one
-    (items,) row that every iteration shares.  It writes one row per item
-    per iteration: iteration, publication_id, citations, doctype, with
-    one ``handle.write`` per iteration.  The bytes are exactly those
+    codes index ``DOCTYPE_ORDER``.  It writes one row per item per
+    iteration: iteration, publication_id, citations, doctype, with one
+    ``handle.write`` per iteration.  The bytes are exactly those
     ``csv.writer`` writes row by row (``\\r\\n`` line ends, minimal
     quoting), however the iterations are split into blocks.
 
@@ -432,7 +430,7 @@ def predictive_dump(
         nonlocal tails
         if not n:
             return
-        rows = zip(citations_rows, repeat(codes_rows) if codes_rows.ndim == 1 else codes_rows)
+        rows = zip(citations_rows, codes_rows)
         for iteration, (citations, codes) in enumerate(rows, first_iteration):
             low, top = int(citations.min()), int(citations.max())
             fits = low >= 0 and top < DUMP_TAIL_COUNTS

@@ -35,13 +35,13 @@ What no draw moves is built once per run, with the workspace
 small-group items and large groups, each with its run's tally row
 (``predictive.GroupSplit``), the columns' recorded items, and
 index arrays for every row of the run's largest block, namely each bin's
-normalization cell key, unit slot and cell, and the (row, bin) slots its
-columns' Poisson rates are summed into, or per item each publication's
-(row, bin pair) base.  A short last block reads their leading rows.
-Once per block the kernel makes its draws and computes only what they
-move: the per-bin items and citations, per item the drawn doctypes
-added to the bin pair bases and the bin sums, the cell rebuild and the
-scores.
+normalization cell key, unit slot and cell, and each column's (row, bin)
+slot.  Every per-bin sum is one ``bincount`` over those slots: the
+items, the citations and the grouped columns' Poisson rates; per item a
+publication's slot is its (row, bin pair)'s article bin, and a row adds
+its drawn doctype.  A short last block reads their leading rows.  Once
+per block the kernel makes its draws and computes only what they move:
+the per-bin items and citations, the cell rebuild and the scores.
 
 Given the parameter draw, publications with the same unit (or the
 reference set), cell group, citation count and recorded doctype are iid,
@@ -123,7 +123,7 @@ from .errormodels import (
     SECOND_KIND,
     DirichletPosterior,
     NegBinPosterior,
-    is_integer,
+    checked_integers,
     substream_rng,
 )
 from .indicators import (
@@ -291,11 +291,9 @@ class PropagationConfig:
                 f"channels must be a collection of channel names, not the string {self.channels!r}"
             )
         object.__setattr__(self, "channels", frozenset(self.channels))
-        for name in ("iterations", "seed", "workers"):
-            value = getattr(self, name)
-            if not is_integer(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        names = ("iterations", "seed", "workers")
+        for name, value in checked_integers({name: getattr(self, name) for name in names}).items():
+            object.__setattr__(self, name, value)
         pooled = self.pooled_normalization
         if not isinstance(pooled, (bool, np.bool_)):
             raise ValidationError(f"pooled_normalization must be a bool, got {pooled!r}")
@@ -313,8 +311,6 @@ class PropagationConfig:
             raise UsageError(f"key_mode must be one of {KEY_MODES}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must be a non-negative 64-bit integer")
 
 
 @dataclass(frozen=True)
@@ -383,28 +379,26 @@ class _Workspace:
     else (4, 3) with the non-core categories merged.  Unit columns come
     first.
 
-    The kernel scores bins, ``n_bins`` of them.  With grouped columns
-    ``bin_order`` lists the columns bin by bin and ``bin_starts`` where
-    each bin starts in it, for the integer per-bin sums of items and
-    citations, and a bin holds the columns that share unit slot (or the
-    reference set), cell group, doctype and singleton id, whatever their
-    citation counts: no score reads a column's own count, only sums over
-    a unit's (or the universe's) items in one cell.  An uncited
-    publication outside the normalization universe is kept apart from
-    cited ones too, so that a unit bin in a zero-mean cell is all cited
-    or all uncited.  When ``per_item`` the bins are drawn per row
-    instead, and ``bin_order`` and ``bin_starts`` are None: each (set
+    The kernel scores bins, ``n_bins`` of them, and ``bin_slots`` is the
+    one record of which bin a column falls in.  With grouped columns a
+    bin holds the columns that share unit slot (or the reference set),
+    cell group, doctype and singleton id, whatever their citation counts:
+    no score reads a column's own count, only sums over a unit's (or the
+    universe's) items in one cell.  An uncited publication outside the
+    normalization universe is kept apart from cited ones too, so that a
+    unit bin in a zero-mean cell is all cited or all uncited.  When
+    ``per_item`` a publication's bin is drawn per row instead: each (set
     slot, cell group) pair of the publications, in sorted order, has an
     article bin and a review bin, and under reference-only normalization
-    as many again for its uncited items.  A row tallies its publications
-    over 4 doctype slots per bin pair: publication j of doctype d goes to
-    its pair's base plus d, 4 further when uncited under reference-only
-    normalization, and the 2 non-core slots of every 4 are cut off.  A
-    bin's cell key is its cell group times 4 plus its doctype, below
-    ``n_cells``; the normalization counts it in its own cell group in the
-    universe, otherwise in a spill group past the field-less one that no
-    score reads.  Unit bins come first.  ``ids`` holds the unit
-    publications' ids in a run that dumps them.
+    as many again for its uncited items.  A row puts publication j of
+    core doctype d in its pair's article bin plus d, 2 further when
+    uncited under reference-only normalization, and a non-core item in a
+    slot past every bin, which is cut off.  A bin's cell key is its cell
+    group times 4 plus its doctype, below ``n_cells``; the normalization
+    counts it in its own cell group in the universe, otherwise in a spill
+    group past the field-less one that no score reads.  Unit bins come
+    first.  ``ids`` holds the unit publications' ids in a run that dumps
+    them.
 
     The index arrays that no draw moves are built once per run, flat in
     C order, for the rows of the run's largest block: ``block_size``, or
@@ -412,10 +406,10 @@ class _Workspace:
     last) reads their leading entries.  Entry j of row r is, for
     ``n_units`` unit slots per row:
     - ``norm_keys``: bin j's normalization cell key plus ``r * n_cells``;
-    - ``bin_slots``: with grouped columns, column j's bin plus ``r *
-      n_bins``, the (row, bin) slot its Poisson rate is summed into;
-      when ``per_item``, publication j's bin pair base plus
-      ``r * 2 * n_bins``, to which a block adds its doctype slot;
+    - ``bin_slots``: column j's bin plus ``r * n_bins``, the (row, bin)
+      slot its items, citations and Poisson rate are summed into; when
+      ``per_item``, its pair's article bin, to which a row adds the
+      drawn doctype;
     - ``unit_slots`` and ``unit_cells``: bin j's unit slot plus ``r *
       n_units``, or a slot past every row's for a bin that is no unit's
       core bin, and its cell key plus ``r * n_cells``.
@@ -432,8 +426,6 @@ class _Workspace:
     col_types: np.ndarray
     col_items: np.ndarray | None
     doctype_split: GroupSplit | None
-    bin_order: np.ndarray | None
-    bin_starts: np.ndarray | None
     n_bins: int
     n_cells: int
     n_units: int
@@ -475,17 +467,18 @@ def _simulate_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray
     per (iteration, publication), then one gamma and then one Poisson for
     each publication past the inversion's walk bounds
     (``draw_clamped_omitted``).  The columns' items and citations are
-    summed into their bins (``_binned``), and the bins are scored.  The
-    draws therefore depend on ``BLOCK_BUDGET`` and the column count, which
-    set the block size, and on where the run's last block ends, but not
-    on the worker count.  A block of one iteration is keyed by (seed,
+    summed into their bins (``_binned``) over the same (row, bin) slots,
+    ``ws.bin_slots``, as the grouped Poisson rates, and the bins are
+    scored.  The draws therefore depend on ``BLOCK_BUDGET`` and the column
+    count, which set the block size, and on where the run's last block
+    ends, but not on the worker count.  A block of one iteration is keyed by (seed,
     iteration).  A short last block reads the leading rows of the
     workspace's block index arrays.
 
     Returns per row and unit P, C, MNCS and the MNCS exclusion count,
     then, in a run that dumps its items (``ws.ids``), the unit
-    publications' citations, (rows, publications), and doctype codes,
-    (rows, publications) or one row all rows share; None twice otherwise.
+    publications' citations and doctype codes, each (rows, publications);
+    None twice otherwise.
     """
     cfg = ws.config
     start, stop = bounds
@@ -520,35 +513,39 @@ def _simulate_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray
         return scores + (None, None)
     n_u = len(ws.ids)
     cites = ws.col_citations[:n_u] + (0 if change is None else change[:, :n_u])
-    return scores + (np.broadcast_to(cites, (rows, n_u)), types[..., :n_u])
+    return scores + tuple(np.broadcast_to(x, (rows, n_u)) for x in (cites, types[..., :n_u]))
 
 
 def _binned(ws: _Workspace, rows: int, k, types, change=None):
-    """Items and citations per bin, (rows, bins) or one (bins,) row all rows share.
+    """Items and citations per (row, bin), two (rows, bins) arrays.
 
+    Each is one ``bincount`` over the (row, bin) slots ``ws.bin_slots``.
     With grouped columns, ``k`` is the items per column, (rows, columns)
-    or one row, and each bin sums its columns' items and recorded
-    citations, then gains ``change``, its citations' change per row.  Per
-    item, every publication adds ``change``, its own change per row, to
-    its citations, and each row tallies its publications by ``types``,
-    their doctype codes, into its bins (see ``_Workspace``).
+    or one row for all rows, and each bin sums its columns' items and
+    recorded citations, then gains ``change``, its citations' change per
+    row.  Per item, every publication is one item, adds ``change``, its
+    own change per row, to its citations, and goes to its slot plus its
+    doctype code in ``types`` (see ``_Workspace``).
     """
-    if not ws.per_item:
+    n, size = ws.col_citations.size, rows * ws.n_bins
+    slots = ws.bin_slots[: rows * n].reshape(rows, n)
+    if ws.per_item:
+        c = ws.col_citations if change is None else ws.col_citations + change
+        # Core doctype d adds d, and being uncited under reference-only
+        # normalization 2 more; a non-core item goes past every bin, where
+        # the sums are cut off (a lookup: a where took several times as
+        # long over shuffled doctypes).
+        slots = slots + np.array([0, 1, size, size]).take(types)
+        if not ws.config.pooled_normalization:
+            slots += 2 * (c == 0)
+        k = change = None  # each item's change is in its citations
+    else:
+        k = np.broadcast_to(k, (rows, n))
         c = k * ws.col_citations
-        k = np.add.reduceat(k[..., ws.bin_order], ws.bin_starts, axis=-1)
-        c = np.add.reduceat(c[..., ws.bin_order], ws.bin_starts, axis=-1)
-        return k, c if change is None else c + change
-    n = ws.col_citations.size
-    c = ws.col_citations if change is None else ws.col_citations + change
-    slots = ws.bin_slots[: rows * n].reshape(rows, n) + types
-    if not ws.config.pooled_normalization:
-        slots += 4 * (c == 0)
     slots = slots.ravel()
-    size = rows * 2 * ws.n_bins
-    k = np.bincount(slots, None, size)
-    c = np.bincount(slots, np.broadcast_to(c, (rows, n)).ravel(), size)
-    # Of every 4 doctype slots, the 2 non-core ones are cut off.
-    return tuple(sums.reshape(-1, 4)[:, :2].reshape(rows, -1) for sums in (k, c))
+    weights = (None if k is None else k.ravel(), np.broadcast_to(c, (rows, n)).ravel())
+    k, c = (np.bincount(slots, w, size)[:size].reshape(rows, -1) for w in weights)
+    return k, c if change is None else c + change
 
 
 def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
@@ -560,26 +557,20 @@ def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
     return _score_rows(ws, 1, *_binned(ws, 1, ws.col_items, ws.col_types))
 
 
-def _each_row(values: np.ndarray, rows: int) -> np.ndarray:
-    """``values`` flat over ``rows`` rows; one (n,) row is repeated for each."""
-    return np.tile(values, rows) if values.ndim == 1 and rows > 1 else values.reshape(-1)
-
-
 def _score_rows(ws: _Workspace, rows: int, k, c) -> tuple[np.ndarray, ...]:
     """Rebuild the normalization cells of ``rows`` data rows and score every unit.
 
-    Per bin, as (rows, bins) or one (bins,) row that all rows share: ``k``
-    its item count and ``c`` its citations.  The cells of all rows are
-    rebuilt together over the cell keys ``norm_keys``, and
-    ``unit_indicators`` scores the bins in ``unit_slots``, one that is no
-    unit's core bin in a slot past every row's, whose cells are
-    ``unit_cells``.  A bin's items share its cell.  Where that cell's mean
-    can be zero, either all of them are uncited or all are cited (see
-    ``_Workspace``), so scoring the bin's sum applies the per-item rule to
-    each item.  Returns per row and unit P, C, MNCS and the MNCS exclusion
-    count.
+    Per (row, bin), as (rows, bins) arrays: ``k`` its item count and ``c``
+    its citations.  The cells of all rows are rebuilt together over the
+    cell keys ``norm_keys``, and ``unit_indicators`` scores the bins in
+    ``unit_slots``, one that is no unit's core bin in a slot past every
+    row's, whose cells are ``unit_cells``.  A bin's items share its cell.
+    Where that cell's mean can be zero, either all of them are uncited or
+    all are cited (see ``_Workspace``), so scoring the bin's sum applies
+    the per-item rule to each item.  Returns per row and unit P, C, MNCS
+    and the MNCS exclusion count.
     """
-    k, c = _each_row(k, rows), _each_row(c, rows)
+    k, c = k.ravel(), c.ravel()
     n_bins = rows * ws.n_bins
     counts, means = cell_means(ws.norm_keys[:n_bins], c, rows * ws.n_cells, k)
     cells = ws.unit_cells[:n_bins]
@@ -718,25 +709,23 @@ def _build_workspace(
     # A bin sums the columns that share its key (see _Workspace).  Keys
     # sort by unit slot, so the unit bins come first.
     per_item = col_items is None
-    bin_order = bin_starts = None
     if per_item:
         # Each (set slot, cell group) pair's bins: article and review, and
         # under reference-only normalization as many again for the
-        # uncited items, with 4 doctype slots per bin pair.
+        # uncited items.  A publication's bin is its pair's first.
         width = 2 if config.pooled_normalization else 4
-        order, starts = sorted_runs((unit_slot, cellgroup))
-        col_bin = np.empty(n, dtype=np.int64)
-        col_bin[order] = (np.cumsum(starts) - 1) * 2 * width
-        bin_rep = np.repeat(order[starts], width)
-        bin_types = np.tile(np.arange(2, dtype=np.int64), bin_rep.size // 2)
+        keys = (unit_slot, cellgroup)
     else:
+        width = 1
         uncited_outside = ~in_norm & (citations == 0)
         keys = (unit_slot[rep], cellgroup[rep], col_types, single_id[rep], uncited_outside[rep])
-        bin_order, starts = sorted_runs(keys)
-        col_bin = np.empty(rep.size, dtype=np.int64)
-        col_bin[bin_order] = np.cumsum(starts) - 1
-        bin_starts = np.flatnonzero(starts)
-        bin_rep, bin_types = rep[bin_order[starts]], col_types[bin_order[starts]]
+    order, starts = sorted_runs(keys)
+    col_bin = np.empty(rep.size, dtype=np.int64)
+    col_bin[order] = (np.cumsum(starts) - 1) * width
+    bin_heads = order[starts]
+    bin_rep = np.repeat(rep[bin_heads], width)
+    # Per item a pair's bins alternate article and review.
+    bin_types = np.arange(bin_rep.size) % 2 if per_item else col_types[bin_heads]
     n_bins, n_units = bin_rep.size, len(units)
     bin_unit = unit_slot[bin_rep]
     n_cells = (n_cellgroups + 2) * 4
@@ -761,12 +750,10 @@ def _build_workspace(
         col_types=col_types,
         col_items=col_items,
         doctype_split=doctype_split,
-        bin_order=bin_order,
-        bin_starts=bin_starts,
         n_bins=n_bins,
         n_cells=n_cells,
         n_units=n_units,
-        bin_slots=_block_rows(col_bin, 2 * n_bins if per_item else n_bins, rows),
+        bin_slots=_block_rows(col_bin, n_bins, rows),
         norm_keys=_block_rows(norm_base, n_cells, rows),
         unit_slots=np.where(core, _block_rows(bin_unit, n_units, rows), rows * n_units),
         unit_cells=_block_rows(cellgroup[bin_rep] * 4 + bin_types, n_cells, rows),

@@ -66,7 +66,7 @@ from bibuq.simulation import (
     propagate,
     summarize,
 )
-from bibuq.simulation import _build_workspace
+from bibuq.simulation import _binned, _build_workspace
 from helpers import make_pubset
 
 import oracle
@@ -287,6 +287,19 @@ class TestScenario:
     def test_seed_out_of_range_rejected(self, seed):
         with pytest.raises(ValidationError, match="^seed must be a non-negative 64-bit integer"):
             self._config(seed=seed)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0"])
+    @pytest.mark.parametrize(
+        "location, name",
+        [(lambda x: {"unit_locations": {"A": x}}, r"unit_locations\['A'\]"),
+         (lambda x: {"reference_location": x}, "reference_location")],
+        ids=["unit", "reference"],
+    )
+    def test_non_finite_locations_rejected(self, value, location, name):
+        # Each failed late inside generate_scenario, a NaN or infinity
+        # through a negative citation count and a string in numpy.
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite number, got "):
+            self._config(**location(value))
 
 
 # sha256 of synthesize_training_sample(seed) as little-endian int64
@@ -1213,6 +1226,106 @@ def test_per_item_replicates_match_oracle(
     assert np.array_equal(mncs.view(np.uint64), expected[2].view(np.uint64))
     if dump:
         assert all(np.array_equal(a, b) for a, b in zip(dumped, expected[4:]))
+
+
+def _binned_per_column(ws, rows, k, types, change):
+    """``_binned``'s sums, each row's columns added into its bins with ``np.add.at``.
+
+    A column's bin is read from the first row of ``ws.bin_slots``; per
+    item a core item goes to its pair's article bin plus its doctype, 2
+    further when it is uncited under reference-only normalization, and a
+    non-core item goes nowhere.  Every column's bin has its doctype.
+    """
+    n = ws.col_citations.size
+    col_bin = ws.bin_slots[:n]
+    bin_types = ws.unit_cells[: ws.n_bins] % 4
+    items, citations = np.zeros((rows, ws.n_bins)), np.zeros((rows, ws.n_bins))
+    for r in range(rows):
+        if ws.per_item:
+            row_types = np.broadcast_to(types, (rows, n))[r]
+            c = ws.col_citations + (0 if change is None else change[r])
+            bins = col_bin + row_types
+            if not ws.config.pooled_normalization:
+                bins = bins + 2 * (c == 0)
+            core = row_types < 2
+            assert (bin_types[bins[core]] == row_types[core]).all()
+            np.add.at(items[r], bins[core], 1)
+            np.add.at(citations[r], bins[core], c[core])
+        else:
+            assert (bin_types[col_bin] == ws.col_types).all()
+            row_k = np.broadcast_to(k, (rows, n))[r]
+            np.add.at(items[r], col_bin, row_k)
+            np.add.at(citations[r], col_bin, row_k * ws.col_citations)
+            if change is not None:
+                citations[r] += change[r]
+    return items, citations
+
+
+# _binned's layouts: (channels, copies of each input row, item dump).
+# Grouped runs draw their columns' items per row; without doctype redraws
+# every row shares the groups' sizes.  The per-item layout dumps its
+# items, under reference-only normalization and with a letter and an
+# uncited article in its first unit.
+_BINNED_LAYOUTS = {
+    "grouped-runs": (ALL_CHANNELS, 6, False),
+    "grouped": (_ONLY_C, 6, False),
+    "per-item": (ALL_CHANNELS, 1, True),
+}
+
+
+@pytest.mark.parametrize("layout", list(_BINNED_LAYOUTS))
+@settings(max_examples=40, deadline=None)
+@given(
+    units=st.lists(st.lists(_OBSERVED_ROW, max_size=12), min_size=1, max_size=3),
+    reference=st.lists(_OBSERVED_ROW, min_size=1, max_size=12),
+    key_mode=st.sampled_from([KEY_DOCTYPE, KEY_DOCTYPE_YEAR_FIELD]),
+    pooled=st.booleans(),
+    short=st.booleans(),
+    redrawn=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_binned_sums_match_a_sum_per_column(
+    layout, units, reference, key_mode, pooled, short, redrawn, seed, small_models
+):
+    """``_binned`` over a block's leading rows equals a per-column sum.
+
+    On random layouts, for a full block and a short last block, with and
+    without drawn doctypes and citation changes, the per-(row, bin) items
+    and citations equal ``_binned_per_column``'s exactly.
+    """
+    channels, copies, dump = _BINNED_LAYOUTS[layout]
+    if dump:
+        units[0] = units[0] + [("letter", 3, 2010, "x"), ("article", 0, 2010, "x")]
+        pooled = False
+    unit_sets = [_field_pubset(f"U{u}", rows * copies) for u, rows in enumerate(units)]
+    ref = _field_pubset("ref", reference * copies)
+    config = PropagationConfig(
+        iterations=4, channels=channels, key_mode=key_mode, pooled_normalization=pooled
+    )
+    try:
+        ws = _build_workspace(unit_sets, ref, small_models, config, keep_ids=dump)
+    except UsageError as err:
+        assert str(err) == "normalization universe is empty"
+        return
+    assume(ws.per_item == dump)
+    assert ws.block_size >= config.iterations  # the index arrays hold 4 rows
+    rows = 3 if short else 4
+    n = ws.col_citations.size
+    rng = np.random.default_rng(seed)
+    k, types, change = ws.col_items, ws.col_types, None
+    if ws.per_item:
+        if redrawn:
+            types = rng.integers(0, 4, (rows, n))
+            change = rng.integers(-ws.col_citations, 6, (rows, n))
+    else:
+        if CHANNEL_DOCTYPES in channels:
+            k = rng.integers(0, 5, (rows, n))
+        if redrawn:
+            change = rng.integers(0, 9, (rows, ws.n_bins))
+    got = _binned(ws, rows, k, types, change)
+    want = _binned_per_column(ws, rows, k, types, change)
+    assert [a.shape for a in got] == [(rows, ws.n_bins)] * 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # sha256 of the field-keyed run's report.json (see
