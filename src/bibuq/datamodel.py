@@ -498,16 +498,23 @@ def _read_columns(path: Path, expected: list[str]) -> Iterator[list[list[str]]]:
     ``LOAD_CHUNK`` consecutive non-blank records; only the last chunk is
     shorter.  One ``csv.reader`` pass reads the file.  Blank lines are
     skipped, and a record shorter than the header reads "" for its
-    missing cells.  A file that is not UTF-8 or not CSV raises a
+    missing cells.  A leading UTF-8 byte-order mark, as spreadsheet
+    programs write, is dropped.  A file that is not UTF-8 or not CSV, or
+    whose header lacks an ``expected`` column or names one twice, raises a
     ValidationError naming it.
     """
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
             missing = [c for c in expected if c not in header]
             if missing:
                 raise ValidationError(f"{path}: missing columns {missing}, header is {header}")
+            repeated = [c for c in expected if header.count(c) > 1]
+            if repeated:
+                raise ValidationError(
+                    f"{path}: column {repeated[0]!r} appears more than once, header is {header}"
+                )
             position = {name: i for i, name in enumerate(header)}
             picks = [position[name] for name in expected]
             width = max(picks) + 1
@@ -529,7 +536,7 @@ def _read_columns(path: Path, expected: list[str]) -> Iterator[list[list[str]]]:
 
 def _line_of(path: Path, record: int) -> int:
     """Line on which the ``record``-th non-blank data record (from 0) ends."""
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         next(reader, None)
         records = (reader.line_num for row in reader if row)

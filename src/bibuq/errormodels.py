@@ -393,9 +393,12 @@ def negbin_rvs(
 
     ``bins`` optionally sums the draws along the last axis into bins.  It
     is a pair ``(slots, n_bins)``: the result has ``n_bins`` entries in
-    its last axis, and ``slots``, which has one entry per element in C
-    order, holds each element's position in the flattened result, ``row *
-    n_bins + bin`` for a (rows, n) draw.  Given the gamma variables the
+    its last axis, and ``slots``, which has one entry per element in
+    column-major order (element (row, j) of a (rows, n) draw at ``j * rows
+    + row``), holds each element's position in the C-order flattened
+    result, ``row * n_bins + bin``.  A bin's sum in one row thus adds its
+    elements in order along the last axis, while neighbouring elements
+    add into different rows' slots.  Given the gamma variables the
     elements' draws are independent Poissons, so a bin's sum is one
     Poisson of its elements' summed rates ``gamma * mu / theta``: the
     gammas are drawn as without ``bins``, then one Poisson per bin.  The
@@ -409,7 +412,11 @@ def negbin_rvs(
     """
     mu = np.minimum(np.asarray(mu, dtype=np.float64), 1e12)
     theta = np.asarray(theta, dtype=np.float64)
-    scale = mu / theta
+    # The arrays made here are reused in place where the shapes allow, as
+    # they do for the kernel's (rows, n) blocks: the same values, fewer
+    # passes over fresh memory.
+    reuse = mu.ndim > 0 and np.broadcast_shapes(mu.shape, theta.shape) == mu.shape
+    scale = np.divide(mu, theta, out=mu if reuse else None)
     if counts is None:
         # A single dispersion (one block row) goes in as a 0-d array:
         # numpy then draws on its scalar-shape path, the same values at
@@ -417,12 +424,13 @@ def negbin_rvs(
         lam = rng.standard_gamma(theta.reshape(()) if theta.size == 1 else theta, size=scale.shape)
     else:
         lam = rng.standard_gamma(theta * counts)
-    rate = lam * scale
+    rate = np.multiply(lam, scale, out=lam if reuse and lam.shape == scale.shape else None)
     if bins is not None:
-        # One bincount over (row, bin) slots, which adds in element order.
+        # One bincount over (row, bin) slots, in column-major order: a run
+        # of adds into one slot would wait on each other's sums.
         slots, n_bins = bins
         shape = rate.shape[:-1] + (n_bins,)
-        rate = np.bincount(slots.ravel(), weights=rate.ravel(), minlength=math.prod(shape))
+        rate = np.bincount(slots.ravel(), weights=rate.T.ravel(), minlength=math.prod(shape))
         rate = rate.reshape(shape)
     return rng.poisson(rate)
 

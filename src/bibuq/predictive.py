@@ -85,8 +85,10 @@ def draw_omitted(
     b0 = params[..., 0]
     b1 = params[..., 1]
     theta = params[..., 2]
+    mu = np.asarray(b1 * log1p_predictor)  # a fresh array, exp'd in place
+    mu += b0
     with np.errstate(over="ignore"):
-        mu = np.exp(b0 + b1 * log1p_predictor)
+        np.exp(mu, out=mu)
     return negbin_rvs(rng, mu, theta, counts, bins)
 
 
@@ -324,22 +326,28 @@ def draw_doctype_counts(
     large group in every row.  Returns a (``split.rows``, k) integer
     array, (rows, ``split.rows``, k) for a block, each tally row the sum
     of its groups' tallies; a row's counts sum to its groups' sizes and a
-    zero-probability category gets 0.
+    zero-probability category gets 0.  A block's array is a view whose
+    memory is tally-row major: ``transpose(1, 2, 0)`` of it is
+    contiguous, so the kernel reads each (tally row, category) across the
+    block's rows as one contiguous run.
     """
     lead = prob_rows.shape[:-2]
     rows, width = math.prod(lead), split.rows * split.categories
-    # Each small-group item's code is binned at (row, tally row, code), so
+    # Each small-group item's code is binned at (tally row, code, row), so
     # one bincount tallies the whole block; the large groups' multinomials
     # are then added at their tally rows' slots, unbuffered, as a tally row
     # may hold several of them; flat arrays take ``np.add.at``'s fast path.
     codes = draw_doctype_codes(rng, prob_rows, split.item_codes)
     codes += split.item_slots
-    offsets = (np.arange(rows) * width).reshape(lead + (1,))
-    codes += offsets
-    counts = np.bincount(codes.ravel(), minlength=rows * width)
+    codes *= rows
+    row = np.arange(rows).reshape(lead + (1,))
+    codes += row
+    counts = np.bincount(codes.ravel(), minlength=width * rows)
     if split.large_sizes.size:
         drawn = rng.multinomial(split.large_sizes, prob_rows[..., split.large_codes, :])
-        np.add.at(counts, (offsets[..., None] + split.large_slots).ravel(), drawn.ravel())
+        slots = split.large_slots * rows + row[..., None]
+        np.add.at(counts, slots.ravel(), drawn.ravel())
+    counts = counts.reshape(split.rows, split.categories, rows).transpose(2, 0, 1)
     return counts.reshape(lead + (split.rows, split.categories))
 
 

@@ -37,11 +37,15 @@ small-group items and large groups, each with its run's tally row
 index arrays for every row of the run's largest block, namely each bin's
 normalization cell key, unit slot and cell, and each column's (row, bin)
 slot.  Every per-bin sum is one ``bincount`` over those slots: the
-items, the citations and the grouped columns' Poisson rates; per item a
-publication's slot is its (row, bin pair)'s article bin, and a row adds
-its drawn doctype.  A short last block reads their leading rows.  Once
-per block the kernel makes its draws and computes only what they move:
-the per-bin items and citations, the cell rebuild and the scores.
+items, the citations and the grouped columns' Poisson rates.  Per item
+a publication's slot is its (row, bin pair)'s article bin, and a row
+adds its drawn doctype.  Grouped slots run in column-major order, each
+column's rows together: a bin's sum in one row still adds its columns in
+column order, bit for bit, but neighbouring entries add into different
+rows' slots, so no add waits on the one before.  A short last block
+reads their leading rows.  Once per block the kernel makes its draws and
+computes only what they move: the per-bin items and citations, the cell
+rebuild and the scores.
 
 Given the parameter draw, publications with the same unit (or the
 reference set), cell group, citation count and recorded doctype are iid,
@@ -50,7 +54,7 @@ so the kernel groups them.  P, C and MNCS count core items only
 non-core cell, which no score reads.  So with doctype redraws the
 kernel's columns are (unit, cell group, citation count) x new core
 doctype: the groups that differ only in recorded doctype form one run
-and share its 2 columns, since the omitted-count law never reads the
+and share its columns, since the omitted-count law never reads the
 recorded doctype.  Each group's publications are tallied over (article,
 review, non-core) on its recorded doctype's Dirichlet row with the two
 non-core concentrations summed, straight into its run's tally
@@ -60,8 +64,13 @@ of its publications under each new core doctype, and the omitted
 citations of a column's k items are one gamma-Poisson sum,
 ``poisson(standard_gamma(k * theta) * mu / theta)``, the exact law of k
 summed negative binomial draws whatever the items' recorded doctypes.
-The items redrawn as non-core get no column and no citation draw.
-Without doctype redraws a column is a group.
+The items redrawn as non-core get no column and no citation draw.  A
+run of one publication has one column instead of two: it holds the
+run's core count, 0 or 1, and is summed into the article bin or, when
+its item is drawn a review, the review bin.  It draws exactly what an
+article and a review column would: an empty column's zero-shape gamma
+consumes no random number and its zero rate adds nothing to a bin's
+sum.  Without doctype redraws a column is a group.
 
 No score reads a column's own citation count: P, C, MNCS and the cell
 means read only sums over the columns that share a unit (or the
@@ -77,9 +86,9 @@ per-bin values.  A publication is a group and a run of its own, and so
 a bin of its own, where exactness needs its own value: first-kind
 citation redraws (the clamp at zero), uncited unit publications under
 reference-only normalization (the zero-mean-cell rule), and runs with
-an item dump.  When the grouped columns (two per run with doctype
-redraws, one per group without) would not be fewer than the
-publications, every publication is drawn on its own, in layout order,
+an item dump.  When two columns per run with doctype redraws, or one
+per group without, would not be fewer than the publications, every
+publication is drawn on its own, in layout order,
 one uniform for its doctype.  Such per-item rows are summed into bins
 before they are scored, and then scored as grouped rows are: each row
 adds up its publications' items and citations per (unit or reference
@@ -365,19 +374,26 @@ class _Workspace:
     The kernel draws on columns.  When grouping would not narrow it
     (``per_item``), column j is publication j and its doctype is redrawn
     in place from ``col_types``.  Without doctype redraws a column is a
-    group.  With them a column is a (run, new core doctype) cell, ``run *
-    2 + doctype``: a run is the groups that share unit slot, cell group,
-    citation count and singleton id and differ only in their recorded
-    doctype, which the omitted-count law never reads.  ``doctype_split``
-    splits the groups once for ``draw_doctype_counts``: each group is
-    tallied over article, review and non-core on its recorded (first
-    kind: true) doctype's row, into its run's row, the run's 2 columns.
-    ``col_items`` holds each column's recorded items: a group's size
-    without doctype redraws, a run's recorded articles or reviews with
-    them, and None when ``per_item``.  ``concentrations`` holds
-    the Dirichlet rows the doctype draws use: (4, 4) when ``per_item``,
-    else (4, 3) with the non-core categories merged.  Unit columns come
-    first.
+    group.  With them a column is a (run, new core doctype) cell: a run
+    is the groups that share unit slot, cell group, citation count and
+    singleton id and differ only in their recorded doctype, which the
+    omitted-count law never reads.  ``doctype_split`` splits the groups
+    once for ``draw_doctype_counts``: each group is tallied over article,
+    review and non-core on its recorded (first kind: true) doctype's row,
+    into its run's row, entries ``3 * run`` to ``3 * run + 2`` of a
+    block's (runs * 3, rows) tallies; ``recorded_tally`` holds the
+    recorded ones, (runs * 3, 1).  A run has an article and a review
+    column, in that order, and ``col_tally`` is each column's entry in the
+    tallies.  A run of one publication has its article column alone
+    (``lone_cols``): it takes the run's article and review tallies, its
+    core count, and its bin moves by ``lone_steps``, from the article to
+    the review bin, in a row where it holds a review.  ``col_items``
+    holds each column's recorded items: a group's size without doctype
+    redraws, a run's recorded articles or reviews, or a one-publication
+    run's recorded core count, with them, and None when ``per_item``.
+    ``concentrations`` holds the Dirichlet rows the doctype draws use: (4,
+    4) when ``per_item``, else (4, 3) with the non-core categories merged.
+    Unit columns come first.
 
     The kernel scores bins, ``n_bins`` of them, and ``bin_slots`` is the
     one record of which bin a column falls in.  With grouped columns a
@@ -400,19 +416,22 @@ class _Workspace:
     first.  ``ids`` holds the unit publications' ids in a run that dumps
     them.
 
-    The index arrays that no draw moves are built once per run, flat in
-    C order, for the rows of the run's largest block: ``block_size``, or
-    the run's iterations if fewer.  A block of fewer rows (the run's
-    last) reads their leading entries.  Entry j of row r is, for
-    ``n_units`` unit slots per row:
+    The index arrays that no draw moves are built once per run for the
+    rows of the run's largest block: ``block_size``, or the run's
+    iterations if fewer.  A block of fewer rows (the run's last) reads
+    their leading rows.  Entry j of row r is, for ``n_units`` unit slots
+    per row:
     - ``norm_keys``: bin j's normalization cell key plus ``r * n_cells``;
     - ``bin_slots``: column j's bin plus ``r * n_bins``, the (row, bin)
       slot its items, citations and Poisson rate are summed into; when
       ``per_item``, its pair's article bin, to which a row adds the
-      drawn doctype;
+      drawn doctype.  A (rows, columns) array when ``per_item``, and a
+      (columns, rows) one otherwise, whose flat column-major order the
+      grouped sums run in (``_grouped_columns``);
     - ``unit_slots`` and ``unit_cells``: bin j's unit slot plus ``r *
       n_units``, or a slot past every row's for a bin that is no unit's
       core bin, and its cell key plus ``r * n_cells``.
+    These three are flat in C order.
     Only the draws and the sums, scores and cell rebuild of what they
     move are computed per block.
 
@@ -443,6 +462,10 @@ class _Workspace:
     ids: list[str] | None = None
     cite_values: np.ndarray | None = None
     cite_index: np.ndarray | None = None
+    recorded_tally: np.ndarray | None = None
+    col_tally: np.ndarray | None = None
+    lone_cols: np.ndarray | None = None
+    lone_steps: np.ndarray | None = None
 
 
 def _simulate_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray | None, ...]:
@@ -458,22 +481,22 @@ def _simulate_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray
     columns) uniforms when ``per_item``, and otherwise a tally per
     (iteration, run) over those 3 categories, drawn as one uniform per
     item of every small group and then one multinomial per large group,
-    each added into its run's tally (``draw_doctype_counts``), whose
-    article and review counts are the run's 2 columns; then the omitted
-    citations, one gamma per (iteration, column) with its count of items
-    and its iteration's parameter row, then one Poisson per (iteration,
-    bin) of its columns' summed rates (per column when ``per_item``).
-    First-kind citation redraws, always per item, draw instead one uniform
-    per (iteration, publication), then one gamma and then one Poisson for
-    each publication past the inversion's walk bounds
-    (``draw_clamped_omitted``).  The columns' items and citations are
-    summed into their bins (``_binned``) over the same (row, bin) slots,
-    ``ws.bin_slots``, as the grouped Poisson rates, and the bins are
+    each added into its run's tally (``draw_doctype_counts``), which gives
+    the run's columns their items and a one-publication run's column its
+    bin (``_grouped_columns``); then the omitted citations, one gamma per
+    (iteration, column) with its count of items and its iteration's
+    parameter row, then one Poisson per (iteration, bin) of its columns'
+    summed rates (per column when ``per_item``).  First-kind citation
+    redraws, always per item, draw instead one uniform per (iteration,
+    publication), then one gamma and then one Poisson for each publication
+    past the inversion's walk bounds (``draw_clamped_omitted``).  The
+    columns' items and citations are summed into their bins over the same
+    (row, bin) slots as the grouped Poisson rates, and the bins are
     scored.  The draws therefore depend on ``BLOCK_BUDGET`` and the column
     count, which set the block size, and on where the run's last block
-    ends, but not on the worker count.  A block of one iteration is keyed by (seed,
-    iteration).  A short last block reads the leading rows of the
-    workspace's block index arrays.
+    ends, but not on the worker count.  A block of one iteration is keyed
+    by (seed, iteration).  A short last block reads the leading rows of
+    the workspace's block index arrays.
 
     Returns per row and unit P, C, MNCS and the MNCS exclusion count,
     then, in a run that dumps its items (``ws.ids``), the unit
@@ -484,10 +507,10 @@ def _simulate_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray
     start, stop = bounds
     rows = stop - start
     rng = iteration_rng(cfg.seed, start // ws.block_size)
-    # Items per column: none when every column is one publication, else
-    # the group sizes or, once doctypes are redrawn, each run's drawn
-    # article and review counts.  Per item, each publication's doctype.
-    k, types = ws.col_items, ws.col_types
+    # Per item, each publication's doctype; grouped, the items per column
+    # and their (row, bin) slots: the group sizes or, once doctypes are
+    # redrawn, what each run's drawn tally puts in its columns.
+    types, tally = ws.col_types, None
     if CHANNEL_DOCTYPES in cfg.channels:
         concentrations = ws.concentrations
         prob_rows = sample_probability_rows(
@@ -496,19 +519,24 @@ def _simulate_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray
         if ws.per_item:
             types = draw_doctype_codes(rng, prob_rows, ws.col_types)
         else:
-            k = draw_doctype_counts(rng, prob_rows, ws.doctype_split)[..., :2].reshape(rows, -1)
+            tally = draw_doctype_counts(rng, prob_rows, ws.doctype_split)
+            tally = tally.transpose(1, 2, 0).reshape(-1, rows)  # a view: (runs * 3, rows)
+    if not ws.per_item:
+        k, slots = _grouped_columns(ws, rows, tally)
     change = None  # the citations each bin (per item, publication) gains or loses
     if CHANNEL_CITATIONS in cfg.channels:
         params = ws.params[np.arange(start, stop) % ws.params.shape[0]]
         if cfg.direction == SECOND_KIND:
-            bins = None
-            if not ws.per_item:
-                bins = (ws.bin_slots[: rows * ws.col_citations.size], ws.n_bins)
-            change = draw_omitted(rng, params[:, None, :], ws.col_log1p, k, bins=bins)
+            counts, bins = (None, None) if ws.per_item else (k.T, (slots, ws.n_bins))
+            change = draw_omitted(rng, params[:, None, :], ws.col_log1p, counts, bins)
         else:
             # Drawn per item: each publication loses min(O, c) of its own c.
             change = -draw_clamped_omitted(rng, params, ws.cite_values, ws.cite_index)
-    scores = _score_rows(ws, rows, *_binned(ws, rows, k, types, change))
+    if ws.per_item:
+        sums = _binned_items(ws, rows, types, change)
+    else:
+        sums = _binned(ws, rows, k, slots, change)
+    scores = _score_rows(ws, rows, *sums)
     if ws.ids is None:
         return scores + (None, None)
     n_u = len(ws.ids)
@@ -516,45 +544,87 @@ def _simulate_block(ws: _Workspace, bounds: tuple[int, int]) -> tuple[np.ndarray
     return scores + tuple(np.broadcast_to(x, (rows, n_u)) for x in (cites, types[..., :n_u]))
 
 
-def _binned(ws: _Workspace, rows: int, k, types, change=None):
-    """Items and citations per (row, bin), two (rows, bins) arrays.
+def _grouped_columns(ws: _Workspace, rows: int, tally: np.ndarray | None = None):
+    """Items per grouped column and their (row, bin) slots, in column-major order.
 
-    Each is one ``bincount`` over the (row, bin) slots ``ws.bin_slots``.
-    With grouped columns, ``k`` is the items per column, (rows, columns)
-    or one row for all rows, and each bin sums its columns' items and
+    Without ``tally`` every row holds the recorded items, ``col_items`` as
+    a (columns, 1) array, and the slots are the leading rows of
+    ``ws.bin_slots``.  ``tally`` holds per run and category (article,
+    review, non-core) the items of each of ``rows`` rows, a (runs * 3,
+    rows) array: a run's columns take its article and review counts, and
+    a one-publication run's one column takes both, its core count, and
+    moves from its article bin to its review bin when its item is a
+    review.  Returns the items, (columns, rows) or (columns, 1), and the
+    slots flat in column-major order, entry ``j * rows + r`` for row r of
+    column j.
+    """
+    slots = ws.bin_slots[:, :rows]
+    if tally is None:
+        return ws.col_items[:, None], slots.ravel()
+    k = tally.take(ws.col_tally, axis=0)
+    if ws.lone_cols.size:
+        reviews = tally.take(ws.col_tally[ws.lone_cols] + 1, axis=0)
+        k[ws.lone_cols] += reviews
+        slots = slots.copy()
+        slots[ws.lone_cols] += reviews * ws.lone_steps[:, None]
+    return k, slots.ravel()
+
+
+def _binned(ws: _Workspace, rows: int, k, slots, change=None):
+    """Items and citations per (row, bin) of grouped columns, two (rows, bins) arrays.
+
+    ``k`` and ``slots`` are the columns' items and (row, bin) slots from
+    ``_grouped_columns``, both in column-major order.  Each sum is one
+    ``bincount`` over the slots, which adds a bin's columns in column
+    order while neighbouring entries go to different rows' slots, so no
+    add waits on the one before.  Each bin sums its columns' items and
     recorded citations, then gains ``change``, its citations' change per
-    row.  Per item, every publication is one item, adds ``change``, its
-    own change per row, to its citations, and goes to its slot plus its
-    doctype code in ``types`` (see ``_Workspace``).
+    row.
+    """
+    n = ws.col_citations.size
+    k = np.broadcast_to(k, (n, rows))
+    c = k * ws.col_citations[:, None]
+    k, c = _bin_sums(ws, rows, slots, k.ravel(), c.ravel())
+    return k, c if change is None else c + change
+
+
+def _binned_items(ws: _Workspace, rows: int, types, change=None):
+    """Items and citations per (row, bin) of per-item columns, two (rows, bins) arrays.
+
+    Every publication is one item, adds ``change``, its own change per
+    row, to its citations, and goes to its pair's article bin in
+    ``ws.bin_slots`` plus its doctype code in ``types``, (rows, columns) or
+    one row for all rows (see ``_Workspace``).  Each sum is one
+    ``bincount``.
     """
     n, size = ws.col_citations.size, rows * ws.n_bins
-    slots = ws.bin_slots[: rows * n].reshape(rows, n)
-    if ws.per_item:
-        c = ws.col_citations if change is None else ws.col_citations + change
-        # Core doctype d adds d, and being uncited under reference-only
-        # normalization 2 more; a non-core item goes past every bin, where
-        # the sums are cut off (a lookup: a where took several times as
-        # long over shuffled doctypes).
-        slots = slots + np.array([0, 1, size, size]).take(types)
-        if not ws.config.pooled_normalization:
-            slots += 2 * (c == 0)
-        k = change = None  # each item's change is in its citations
-    else:
-        k = np.broadcast_to(k, (rows, n))
-        c = k * ws.col_citations
-    slots = slots.ravel()
-    weights = (None if k is None else k.ravel(), np.broadcast_to(c, (rows, n)).ravel())
-    k, c = (np.bincount(slots, w, size)[:size].reshape(rows, -1) for w in weights)
-    return k, c if change is None else c + change
+    c = ws.col_citations if change is None else ws.col_citations + change
+    # Core doctype d adds d, and being uncited under reference-only
+    # normalization 2 more; a non-core item goes past every bin, where
+    # the sums are cut off (a lookup: a where took several times as long
+    # over shuffled doctypes).
+    slots = ws.bin_slots[:rows] + np.array([0, 1, size, size]).take(types)
+    if not ws.config.pooled_normalization:
+        slots += 2 * (c == 0)
+    return _bin_sums(ws, rows, slots.ravel(), None, np.broadcast_to(c, (rows, n)).ravel())
+
+
+def _bin_sums(ws: _Workspace, rows: int, slots, *weights):
+    """One ``bincount`` per weights over ``slots``, each cut to (rows, bins); None counts."""
+    size = rows * ws.n_bins
+    return tuple(np.bincount(slots, w, size)[:size].reshape(rows, -1) for w in weights)
 
 
 def _score_recorded(ws: _Workspace) -> tuple[np.ndarray, ...]:
     """``_score_rows`` of the recorded data: one row, nothing redrawn.
 
-    The columns hold their recorded items and doctypes and are summed into
-    their bins as the kernel sums them.
+    The columns hold their recorded items and doctypes (with doctype
+    redraws, the runs' recorded tallies) and are summed into their bins as
+    the kernel sums them.
     """
-    return _score_rows(ws, 1, *_binned(ws, 1, ws.col_items, ws.col_types))
+    if ws.per_item:
+        return _score_rows(ws, 1, *_binned_items(ws, 1, ws.col_types))
+    return _score_rows(ws, 1, *_binned(ws, 1, *_grouped_columns(ws, 1, ws.recorded_tally)))
 
 
 def _score_rows(ws: _Workspace, rows: int, k, c) -> tuple[np.ndarray, ...]:
@@ -605,13 +675,15 @@ def _build_workspace(
     item dump.  Groups sort by (unit slot, cell group, citation count,
     singleton id, recorded doctype); with doctype redraws the groups
     that agree on all but the last key form a run, which gets one column
-    per new core doctype.  When these columns (two per run with doctype
-    redraws, one per group without) would be no fewer than the
-    publications, every publication is its own column, in layout order.
-    Grouped columns are then binned for scoring by (unit slot, cell group,
+    per new core doctype.  When two columns per run with doctype redraws,
+    or one per group without, would be no fewer than the publications,
+    every publication is its own column, in layout order.  Grouped
+    columns are then binned for scoring by (unit slot, cell group,
     doctype, singleton id, uncited outside the normalization universe),
-    and per-item rows are tallied into bins by (unit slot, cell group,
-    drawn core doctype, uncited under reference-only normalization).
+    and a run of one publication then keeps one column, which moves to
+    its review bin in a row that draws it a review.  Per-item rows are
+    tallied into bins by (unit slot, cell group, drawn core doctype,
+    uncited under reference-only normalization).
     """
     if CHANNEL_CITATIONS in config.channels:
         if models.citation is None:
@@ -668,7 +740,7 @@ def _build_workspace(
         single[:n_unit_pubs] |= citations[:n_unit_pubs] == 0
     single_id = np.where(single, np.arange(n), -1)
     n_groups = n
-    col_items = doctype_split = None
+    col_items = doctype_split = recorded_tally = col_tally = lone_cols = lone_steps = None
     rep = np.arange(n)  # one column per publication, in layout order
     col_types = dt_codes
     concentrations = models.doctype.concentrations if redraw_doctypes else None
@@ -689,6 +761,8 @@ def _build_workspace(
             sizes = col_items = np.diff(np.flatnonzero(np.append(starts, True)))
             if redraw_doctypes:
                 group_run = np.cumsum(new_run) - 1  # each group's run, its tally row
+                # Binned as 2 columns per run, one per core doctype; a
+                # one-publication run keeps one of them once the bins are set.
                 rep = np.repeat(heads[runs], 2)
                 col_types = np.tile(np.arange(2, dtype=np.int64), runs.size)
                 # A grouped draw tallies article, review and non-core.
@@ -699,9 +773,10 @@ def _build_workspace(
                     [concentrations[:, :2], concentrations[:, 2:].sum(axis=1)]
                 )
                 doctype_split = GroupSplit(sizes, dt_codes[heads], 3, group_run)
-                # A run's 2 columns hold its recorded articles and reviews.
                 slots = 4 * np.repeat(group_run, sizes) + dt_codes[order]
-                col_items = np.bincount(slots, None, 4 * runs.size).reshape(-1, 4)[:, :2].ravel()
+                tally = np.bincount(slots, None, 4 * runs.size).reshape(-1, 4)
+                recorded_tally = np.column_stack([tally[:, :2], tally[:, 2:].sum(axis=1)])
+                recorded_tally = recorded_tally.reshape(-1, 1)
             else:
                 rep = heads
                 col_types = dt_codes[heads]
@@ -727,6 +802,20 @@ def _build_workspace(
     # Per item a pair's bins alternate article and review.
     bin_types = np.arange(bin_rep.size) % 2 if per_item else col_types[bin_heads]
     n_bins, n_units = bin_rep.size, len(units)
+    if recorded_tally is not None:
+        # A one-publication run keeps its article column alone, which
+        # takes the run's core count and moves from its article bin to its
+        # review bin by ``lone_steps`` when its item is a review.  Every
+        # bin stays, and so does every column's place in column order.
+        lone = recorded_tally.reshape(-1, 3).sum(axis=1) == 1
+        lone_steps = (col_bin[1::2] - col_bin[::2])[lone]
+        keep = np.ones(rep.size, dtype=bool)
+        keep[1::2] = ~lone
+        col_tally = (3 * np.repeat(np.arange(lone.size), 2) + col_types)[keep]
+        rep, col_types, col_bin = rep[keep], col_types[keep], col_bin[keep]
+        lone_cols = np.flatnonzero(lone[col_tally // 3])
+        col_items = recorded_tally[col_tally, 0]
+        col_items[lone_cols] += recorded_tally[col_tally[lone_cols] + 1, 0]
     bin_unit = unit_slot[bin_rep]
     n_cells = (n_cellgroups + 2) * 4
 
@@ -740,6 +829,7 @@ def _build_workspace(
     # unit bins are scored past every slot of the block.
     norm_base = np.where(in_norm[bin_rep], cellgroup[bin_rep], n_cellgroups + 1) * 4 + bin_types
     core = np.tile((bin_unit < n_units) & (bin_types <= 1), rows)
+    row_bins = n_bins * np.arange(rows)
     col_citations = citations[rep]
     cite_values = cite_index = None
     if redraw_citations and config.direction == FIRST_KIND:
@@ -753,7 +843,7 @@ def _build_workspace(
         n_bins=n_bins,
         n_cells=n_cells,
         n_units=n_units,
-        bin_slots=_block_rows(col_bin, n_bins, rows),
+        bin_slots=col_bin + row_bins[:, None] if per_item else col_bin[:, None] + row_bins,
         norm_keys=_block_rows(norm_base, n_cells, rows),
         unit_slots=np.where(core, _block_rows(bin_unit, n_units, rows), rows * n_units),
         unit_cells=_block_rows(cellgroup[bin_rep] * 4 + bin_types, n_cells, rows),
@@ -771,6 +861,10 @@ def _build_workspace(
         ids=list(chain.from_iterable(pubset.ids for pubset in units)) if keep_ids else None,
         cite_values=cite_values,
         cite_index=cite_index,
+        recorded_tally=recorded_tally,
+        col_tally=col_tally,
+        lone_cols=lone_cols,
+        lone_steps=lone_steps,
     )
 
 

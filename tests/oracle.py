@@ -32,6 +32,9 @@ tested against.
 one ``csv.DictReader`` row and one validated ``Publication`` at a time,
 raising at the first bad cell with the reader's line number.
 
+``p_law`` is the exact law of a unit's P under doctype redraws, which
+the kernel's P replicates are tested against in distribution.
+
 ``indicators_scalar`` is the per-publication form of ``indicators_for``:
 ``cell_key`` names a publication's cell, ``ncs_scalar`` looks it up in
 the cells' mapping and scores the publication.  The scores are summed in
@@ -388,12 +391,17 @@ def _int_cell(row: dict, column: str, path: Path, line: int, minimum: int = 0) -
 def load_publications_rows(path) -> list[PublicationSet]:
     """Publication sets of a CSV, read and checked one row at a time."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         got = reader.fieldnames or []
         missing = [c for c in _PUB_HEADER if c not in got]
         if missing:
             raise ValidationError(f"{path}: missing columns {missing}, header is {got}")
+        repeated = [c for c in _PUB_HEADER if got.count(c) > 1]
+        if repeated:
+            raise ValidationError(
+                f"{path}: column {repeated[0]!r} appears more than once, header is {got}"
+            )
         by_unit: dict[str, list[Publication]] = {}
         seen_ids: set[str] = set()
         for row in reader:
@@ -417,3 +425,22 @@ def load_publications_rows(path) -> list[PublicationSet]:
             )
             by_unit.setdefault(unit, []).append(pub)
     return [PublicationSet(name=unit, members=pubs) for unit, pubs in by_unit.items()]
+
+
+def p_law(concentrations: np.ndarray, recorded_codes: np.ndarray) -> np.ndarray:
+    """pmf of P, the core items among publications of recorded doctypes ``recorded_codes``.
+
+    An iteration draws one Dirichlet row per conditioning doctype r, shared
+    by its n_r publications, whose core share is then Beta(s_r, t_r): s_r
+    sums row r's article and review concentrations and t_r its letter and
+    other ones.  Given the share, the n_r new doctypes are iid, so their
+    core count is BetaBinomial(n_r; s_r, t_r), and the rows are
+    independent: P's law is the convolution over r.  Entry j is P(P = j).
+    """
+    from scipy.stats import betabinom
+
+    pmf = np.ones(1)
+    for r, n_r in enumerate(np.bincount(recorded_codes, minlength=4).tolist()):
+        s_r, t_r = concentrations[r, :2].sum(), concentrations[r, 2:].sum()
+        pmf = np.convolve(pmf, betabinom.pmf(np.arange(n_r + 1), n_r, s_r, t_r))
+    return pmf

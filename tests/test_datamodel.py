@@ -542,6 +542,93 @@ class TestUnreadableCsv:
         assert str(info.value).startswith(f"{path}: not a UTF-8 CSV file (")
 
 
+_BOM = "\ufeff".encode("utf-8")
+
+# Each loader with a file it reads whole and one whose bad cell sits in a
+# multi-line record ending on line 4, with the error it raises.
+_BOM_FILES = {
+    "publications": (
+        load_publications,
+        "id,unit,doctype,year,field,citations\n"
+        "a1,A,article,2010,phys,4\n\n\"a\n2\",A,review,2011,,0\nb1,B,letter,2009,,12\n",
+        "id,unit,doctype,year,field,citations\na1,A,article,2010,,4\n\"a\n2\",A,review,2011,,x\n",
+        ":4: citations must be an integer, got 'x'",
+    ),
+    "audit": (
+        load_citation_error_sample,
+        "observed_citations,omitted_citations\n10,1\n0,0\n\n3,2\n",
+        "observed_citations,omitted_citations\n10,1\n\"3\n\",-2\n",
+        ":4: omitted_citations must be >= 0, got -2",
+    ),
+    "confusion": (
+        load_doctype_confusion,
+        "true_type,observed_type,count\narticle,article,5\nreview,letter,1\n",
+        "true_type,observed_type,count\narticle,article,5\n\nreview,letter, 2x \n",
+        ":4: count must be an integer, got '2x'",
+    ),
+}
+
+
+def _loaded(value):
+    """A loader's result as plain comparable values."""
+    if isinstance(value, list):
+        return [(s.name, s.members) for s in value]
+    if isinstance(value, CitationErrorSample):
+        return value.observed.tolist(), value.omitted.tolist()
+    return value.counts.tolist()
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet programs write, is read past."""
+
+    @pytest.mark.parametrize("kind", sorted(_BOM_FILES))
+    def test_bom_file_loads_as_its_copy_without_one(self, tmp_path, kind):
+        load, body, _, _ = _BOM_FILES[kind]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(body.encode("utf-8"))
+        marked.write_bytes(_BOM + body.encode("utf-8"))
+        assert _loaded(load(marked)) == _loaded(load(plain))
+
+    @pytest.mark.parametrize("kind", sorted(_BOM_FILES))
+    def test_bad_cell_past_a_bom_names_its_line(self, tmp_path, kind):
+        load, _, body, message = _BOM_FILES[kind]
+        for name, prefix in (("plain.csv", b""), ("marked.csv", _BOM)):
+            path = tmp_path / name
+            path.write_bytes(prefix + body.encode("utf-8"))
+            with pytest.raises(ValidationError) as info:
+                load(path)
+            assert str(info.value) == f"{path}{message}"
+
+
+class TestRepeatedColumns:
+    @pytest.mark.parametrize(
+        "load, header, column",
+        [
+            (load_publications, "id,unit,doctype,citations,year,field,citations", "citations"),
+            (load_citation_error_sample, "observed_citations,omitted_citations,observed_citations",
+             "observed_citations"),
+            (load_doctype_confusion, "count,true_type,observed_type,count", "count"),
+        ],
+    )
+    def test_read_column_named_twice_is_rejected(self, tmp_path, load, header, column):
+        # The second copy used to be read silently.
+        path = tmp_path / "data.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ",".join(["1"] * width) + "\n")
+        with pytest.raises(ValidationError) as info:
+            load(path)
+        names = header.split(",")
+        assert str(info.value) == (
+            f"{path}: column {column!r} appears more than once, header is {names}"
+        )
+
+    def test_unread_column_named_twice_is_allowed(self, tmp_path):
+        path = tmp_path / "sample.csv"
+        path.write_text("note,observed_citations,note,omitted_citations\nx,3,y,1\nz,5,w,0\n")
+        sample = load_citation_error_sample(path)
+        assert sample.observed.tolist() == [3, 5] and sample.omitted.tolist() == [1, 0]
+
+
 class TestJsonAndCsvFiles:
     def test_json_bytes_are_sorted_indented_and_end_in_a_newline(self, tmp_path):
         path = tmp_path / "payload.json"

@@ -566,10 +566,11 @@ class TestCountedOmittedDraws:
 def _bin_pair(bins, rows=1, n_bins=None):
     """``draw_omitted``'s bins pair: each element's (row, bin) slot, and the bin count.
 
-    ``bins`` gives each column's bin in every one of ``rows`` rows.
+    ``bins`` gives each column's bin in every one of ``rows`` rows; the
+    slots list the elements in column-major order.
     """
     n_bins = int(bins.max()) + 1 if n_bins is None else n_bins
-    return (np.arange(rows)[:, None] * n_bins + bins).ravel(), n_bins
+    return (np.arange(rows)[:, None] * n_bins + bins).T.ravel(), n_bins
 
 
 class TestBinnedOmittedDraws:

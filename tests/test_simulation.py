@@ -66,7 +66,7 @@ from bibuq.simulation import (
     propagate,
     summarize,
 )
-from bibuq.simulation import _binned, _build_workspace
+from bibuq.simulation import _binned, _binned_items, _build_workspace, _grouped_columns
 from helpers import make_pubset
 
 import oracle
@@ -1228,23 +1228,23 @@ def test_per_item_replicates_match_oracle(
         assert all(np.array_equal(a, b) for a, b in zip(dumped, expected[4:]))
 
 
-def _binned_per_column(ws, rows, k, types, change):
+def _binned_per_column(ws, rows, k, types, change, col_bins=None):
     """``_binned``'s sums, each row's columns added into its bins with ``np.add.at``.
 
-    A column's bin is read from the first row of ``ws.bin_slots``; per
-    item a core item goes to its pair's article bin plus its doctype, 2
-    further when it is uncited under reference-only normalization, and a
-    non-core item goes nowhere.  Every column's bin has its doctype.
+    Per item a core item goes to its pair's article bin, read from the
+    first row of ``ws.bin_slots``, plus its doctype, 2 further when it is
+    uncited under reference-only normalization, and a non-core item goes
+    nowhere.  Grouped, column j of row r puts ``k[r, j]`` items into bin
+    ``col_bins[r, j]``.
     """
     n = ws.col_citations.size
-    col_bin = ws.bin_slots[:n]
     bin_types = ws.unit_cells[: ws.n_bins] % 4
     items, citations = np.zeros((rows, ws.n_bins)), np.zeros((rows, ws.n_bins))
     for r in range(rows):
         if ws.per_item:
             row_types = np.broadcast_to(types, (rows, n))[r]
             c = ws.col_citations + (0 if change is None else change[r])
-            bins = col_bin + row_types
+            bins = ws.bin_slots[0] + row_types
             if not ws.config.pooled_normalization:
                 bins = bins + 2 * (c == 0)
             core = row_types < 2
@@ -1252,10 +1252,8 @@ def _binned_per_column(ws, rows, k, types, change):
             np.add.at(items[r], bins[core], 1)
             np.add.at(citations[r], bins[core], c[core])
         else:
-            assert (bin_types[col_bin] == ws.col_types).all()
-            row_k = np.broadcast_to(k, (rows, n))[r]
-            np.add.at(items[r], col_bin, row_k)
-            np.add.at(citations[r], col_bin, row_k * ws.col_citations)
+            np.add.at(items[r], col_bins[r], k[r])
+            np.add.at(citations[r], col_bins[r], k[r] * ws.col_citations)
             if change is not None:
                 citations[r] += change[r]
     return items, citations
@@ -1312,18 +1310,40 @@ def test_binned_sums_match_a_sum_per_column(
     rows = 3 if short else 4
     n = ws.col_citations.size
     rng = np.random.default_rng(seed)
-    k, types, change = ws.col_items, ws.col_types, None
+    types, change = ws.col_types, None
     if ws.per_item:
         if redrawn:
             types = rng.integers(0, 4, (rows, n))
             change = rng.integers(-ws.col_citations, 6, (rows, n))
+        got = _binned_items(ws, rows, types, change)
+        want = _binned_per_column(ws, rows, None, types, change)
     else:
+        tally = None
         if CHANNEL_DOCTYPES in channels:
-            k = rng.integers(0, 5, (rows, n))
+            # Random run tallies; a one-publication run holds one item.
+            tally = rng.integers(0, 5, (ws.doctype_split.rows * 3, rows))
+            lone_runs = ws.col_tally[ws.lone_cols] // 3
+            drawn = rng.integers(0, 3, (lone_runs.size, rows))
+            for category in range(3):
+                tally[3 * lone_runs + category] = drawn == category
+        k, slots = _grouped_columns(ws, rows, tally)
         if redrawn:
             change = rng.integers(0, 9, (rows, ws.n_bins))
-    got = _binned(ws, rows, k, types, change)
-    want = _binned_per_column(ws, rows, k, types, change)
+        got = _binned(ws, rows, k, slots, change)
+        # Column-major slots: column j's bin in row r is its slot less r * n_bins.
+        col_bins = slots.reshape(n, rows).T - ws.n_bins * np.arange(rows)[:, None]
+        want = _binned_per_column(ws, rows, np.broadcast_to(k, (n, rows)).T, None, change, col_bins)
+        # A column's bin has its doctype; only a one-publication run's
+        # column moves, into the review bin of its unit slot and cell.
+        base = ws.bin_slots[:, 0]
+        bin_types = ws.unit_cells[: ws.n_bins] % 4
+        assert (bin_types[base] == ws.col_types).all()
+        moved = col_bins != base
+        lone = [] if tally is None else ws.lone_cols.tolist()
+        assert set(np.flatnonzero(moved.any(axis=0))) <= set(lone)
+        assert (bin_types[col_bins[moved]] == 1).all()
+        for index in (ws.unit_slots, ws.unit_cells // 4):
+            assert np.array_equal(index[col_bins], np.broadcast_to(index[base], col_bins.shape))
     assert [a.shape for a in got] == [(rows, ws.n_bins)] * 2
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -1513,9 +1533,10 @@ def _run_shapes(ws):
     Read from the doctype split, whose tally rows are the runs: a group is
     its run and recorded doctype, so each group of a run has its own
     recorded doctype when the distinct pairs are as many as the groups.
+    A run has an article and a review column, or one column when it holds
+    one publication.
     """
     split = ws.doctype_split
-    assert split.rows == ws.col_citations.size // 2
     runs = np.append(split.item_slots, split.large_slots[:, 0]) // split.categories
     types = np.append(split.item_codes, split.large_codes)
     sizes = np.append(np.ones(split.item_slots.size, dtype=np.int64), split.large_sizes)
@@ -1523,10 +1544,13 @@ def _run_shapes(ws):
     assert pairs.size == ws.groups
     groups = np.bincount(pairs // 4, minlength=split.rows)
     items = np.bincount(runs, sizes, split.rows).astype(np.int64)
-    citations = ws.col_citations.reshape(-1, 2)
-    assert (citations == citations[:, :1]).all()
-    assert (ws.col_types.reshape(-1, 2) == np.arange(2)).all()
-    return groups.tolist(), items.tolist(), citations[:, 0].tolist()
+    width = np.where(items == 1, 1, 2)
+    assert ws.col_citations.size == width.sum()
+    first = np.cumsum(width) - width  # each run's first column
+    citations = ws.col_citations[first]
+    assert np.array_equal(ws.col_citations, np.repeat(citations, width))
+    assert np.array_equal(ws.col_types, np.arange(ws.col_types.size) - np.repeat(first, width))
+    return groups.tolist(), items.tolist(), citations.tolist()
 
 
 def test_groups_that_differ_only_in_recorded_doctype_share_columns(
@@ -1544,7 +1568,7 @@ def test_groups_that_differ_only_in_recorded_doctype_share_columns(
     assert ws.col_citations.size == 2 * len(keys) == 2 * (4 + 6)
     # The first row of the block's (row, bin) slots is each column's bin.
     # The unit bins come first, each scored in its unit's slot.
-    col_bin = ws.bin_slots[: ws.col_citations.size]
+    col_bin = ws.bin_slots[:, 0]
     n_unit_bins = np.count_nonzero(ws.unit_slots[: ws.n_bins] < ws.n_units)
     assert np.count_nonzero(col_bin < n_unit_bins) == 2 * 4  # unit columns
     groups, items, citations = _run_shapes(ws)
@@ -1567,7 +1591,8 @@ def test_uncited_unit_singletons_stay_unmerged_under_reference_only_normalizatio
         for u, pubset in enumerate(retyped_units + [retyped_reference])
         for pub in pubset
     }
-    assert ws.col_citations.size == 2 * len(keys) == 2 * (32 + 3 + 6)
+    # Each uncited unit publication is a run of its own, with one column.
+    assert ws.col_citations.size == 32 + 2 * (len(keys) - 32) == 32 + 2 * (3 + 6)
     groups, items, citations = _run_shapes(ws)
     assert citations[:32] == [0] * 32
     assert groups[:32] == items[:32] == [1] * 32
@@ -1577,11 +1602,12 @@ def test_uncited_unit_singletons_stay_unmerged_under_reference_only_normalizatio
 @pytest.mark.parametrize("pooled", [True, False])
 def test_columns_hold_their_recorded_items(pooled, retyped_units, retyped_reference, small_models):
     # Counted from the publications: with doctype redraws a run's two
-    # columns hold its recorded articles and reviews; without them a
-    # column is a group and holds its size.  A run is a set's publications
-    # of one citation count (one cell group here), an uncited unit
-    # publication alone under reference-only normalization, and runs and
-    # groups sort by set, count, layout position and then doctype.
+    # columns hold its recorded articles and reviews, and a run of one
+    # publication has one column, which holds its core count; without them
+    # a column is a group and holds its size.  A run is a set's
+    # publications of one citation count (one cell group here), an uncited
+    # unit publication alone under reference-only normalization, and runs
+    # and groups sort by set, count, layout position and then doctype.
     sets = retyped_units + [retyped_reference]
     pubs = [(slot, pub) for slot, pubset in enumerate(sets) for pub in pubset]
     runs = [
@@ -1589,7 +1615,17 @@ def test_columns_hold_their_recorded_items(pooled, retyped_units, retyped_refere
         for i, (slot, pub) in enumerate(pubs)
     ]
     groups = Counter((run, doctype_index(pub.doctype)) for run, (_, pub) in zip(runs, pubs))
-    core = [groups[run, doctype] for run in sorted(set(runs)) for doctype in (0, 1)]
+    run_sizes = Counter(runs)
+    core = [
+        items
+        for run in sorted(run_sizes)
+        for items in (
+            [groups[run, 0] + groups[run, 1]]
+            if run_sizes[run] == 1
+            else [groups[run, 0], groups[run, 1]]
+        )
+    ]
+    assert len(core) < 2 * len(run_sizes) or pooled
     sizes = [groups[group] for group in sorted(groups)]
     for channels, expected in ((ALL_CHANNELS, core), (_ONLY_C, sizes)):
         cfg = PropagationConfig(iterations=5, channels=channels, pooled_normalization=pooled)
@@ -1612,6 +1648,95 @@ def test_merged_runs_agree_with_oracle_in_distribution(
 _INVARIANT_ROW = st.tuples(st.sampled_from(_RETYPED_LABELS), st.integers(min_value=0, max_value=2))
 
 
+# Iterations of the exact-law test of P, and the p-value below which its
+# chi-square test fails: about one false failure in 10^5 examples.
+_P_LAW_ITERATIONS = 3000
+_P_LAW_ALPHA = 1e-5
+
+
+def _chi_square_p(counts: np.ndarray, pmf: np.ndarray) -> float:
+    """Chi-square goodness-of-fit p-value of ``counts`` under ``pmf``.
+
+    Cells expecting fewer than 5 draws are pooled, in order, into the
+    next, and a short tail into the last cell kept.
+    """
+    from scipy.stats import chi2
+
+    expected = pmf * counts.sum()
+    observed_cells, expected_cells = [], []
+    seen = want = 0.0
+    for got, exp in zip(counts.tolist(), expected.tolist()):
+        seen, want = seen + got, want + exp
+        if want >= 5:
+            observed_cells.append(seen)
+            expected_cells.append(want)
+            seen = want = 0.0
+    if want and expected_cells:
+        observed_cells[-1] += seen
+        expected_cells[-1] += want
+    if len(expected_cells) < 2:
+        return 1.0
+    observed_cells, expected_cells = np.array(observed_cells), np.array(expected_cells)
+    stat = ((observed_cells - expected_cells) ** 2 / expected_cells).sum()
+    return float(chi2.sf(stat, len(expected_cells) - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    unit_rows=st.lists(_INVARIANT_ROW, min_size=1, max_size=30),
+    lone=st.lists(st.sampled_from(_RETYPED_LABELS), max_size=6),
+    per_item=st.booleans(),
+    pooled=st.booleans(),
+    direction=st.sampled_from([SECOND_KIND, FIRST_KIND]),
+    citations=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@example(
+    unit_rows=[("review", 1)] * 12 + [("article", 1)] * 6,
+    lone=["review", "article"],
+    per_item=False,
+    pooled=True,
+    direction=SECOND_KIND,
+    citations=False,
+    seed=0,
+)
+def test_p_replicates_follow_the_exact_law(
+    unit_rows, lone, per_item, pooled, direction, citations, seed, small_models, first_kind_models
+):
+    """P's replicates under doctype redraws follow ``oracle.p_law``.
+
+    On grouped layouts, whose unit publications of one citation count
+    form runs and whose ``lone`` publications, each of its own count,
+    are runs of one publication, and on per-item layouts (an item dump,
+    or first-kind citation redraws), of either kind, with and without
+    citation redraws, which P never reads, a chi-square test of the
+    unit's P replicates against the exact law passes.
+    """
+    rows = unit_rows + [(label, 100 + i) for i, label in enumerate(lone)]
+    unit = make_pubset("U", rows)
+    reference = make_pubset("ref", [(label, c) for label in _RETYPED_LABELS for c in (0, 1, 2)] * 10)
+    models = small_models if direction == SECOND_KIND else first_kind_models
+    if not citations:
+        models = FittedModels(doctype=models.doctype)
+    cfg = PropagationConfig(
+        iterations=_P_LAW_ITERATIONS,
+        seed=seed,
+        channels=ALL_CHANNELS if citations else _ONLY_D,
+        direction=direction,
+        pooled_normalization=pooled,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        dump = Path(tmp) / "items.csv" if per_item else None
+        result = propagate(unit, reference, models, cfg, dump_items=dump)
+    per_item = per_item or (citations and direction == FIRST_KIND)
+    assert result.run_info["grouped_draws"] is not per_item
+    replicates = result.distribution("U", "P").replicates.astype(np.int64)
+    pmf = oracle.p_law(models.doctype.concentrations, unit.doctypes)
+    assert replicates.max() < pmf.size
+    p_value = _chi_square_p(np.bincount(replicates, minlength=pmf.size), pmf)
+    assert p_value > _P_LAW_ALPHA
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     unit_rows=st.lists(_INVARIANT_ROW, min_size=1, max_size=20),
@@ -1626,8 +1751,10 @@ def test_run_columns_hold_every_item_in_every_iteration(
     """Every iteration's three-way tallies cover each run, and its core ones fill the columns.
 
     A run's (article, review, non-core) tallies sum to the run's size,
-    counted from the publications, and the run's two columns hold its
-    article and review tallies.
+    counted from the publications.  A run of several publications has two
+    columns, which hold its article and review tallies.  A run of one
+    publication has one column, which holds its core count, the article
+    plus review tally, and is summed into the bin of its drawn doctype.
     """
     # At most 20 unit groups (all singletons) and 12 reference groups, so
     # two columns per run stay below the 180 or more publications.
@@ -1644,7 +1771,7 @@ def test_run_columns_hold_every_item_in_every_iteration(
     )
     runs.update((1, c, -1) for _, c in reference_rows * 30)
     run_sizes = np.array([runs[key] for key in sorted(runs)])
-    tallies, counts = [], []
+    tallies, counts, slots = [], [], []
     draw_doctype_counts, draw_omitted = simulation.draw_doctype_counts, simulation.draw_omitted
 
     def recording_tallies(rng, prob_rows, split):
@@ -1652,7 +1779,10 @@ def test_run_columns_hold_every_item_in_every_iteration(
         return tallies[-1]
 
     def recording(rng, params, log1p_predictor, k=None, bins=None):
+        # k is (rows, columns); the slots list it in column-major order.
+        rows = k.shape[0]
         counts.append(k)
+        slots.append(bins[0].reshape(-1, rows).T - ws.n_bins * np.arange(rows)[:, None])
         return draw_omitted(rng, params, log1p_predictor, k, bins)
 
     with mock.patch.object(simulation, "draw_doctype_counts", recording_tallies), \
@@ -1661,9 +1791,20 @@ def test_run_columns_hold_every_item_in_every_iteration(
     drawn = np.concatenate(tallies)
     assert drawn.shape == (iterations, run_sizes.size, 3)
     assert (drawn.sum(axis=2) == run_sizes).all()
-    k = np.concatenate(counts)
-    assert k.shape == (iterations, 2 * run_sizes.size)
-    assert np.array_equal(k.reshape(iterations, -1, 2), drawn[..., :2])
+    lone = run_sizes == 1
+    core = [
+        drawn[:, r, :2].sum(axis=1, keepdims=True) if lone[r] else drawn[:, r, :2]
+        for r in range(run_sizes.size)
+    ]
+    assert np.array_equal(np.concatenate(counts), np.concatenate(core, axis=1))
+    # Each column's bin per iteration is of the core doctype it holds: a
+    # lone column's is a review bin exactly when its item is drawn a review.
+    doctypes = [
+        drawn[:, r, 1:2] if lone[r] else np.broadcast_to(np.arange(2), (iterations, 2))
+        for r in range(run_sizes.size)
+    ]
+    bins = np.concatenate(slots)
+    assert np.array_equal(ws.unit_cells[bins] % 4, np.concatenate(doctypes, axis=1))
 
 
 @pytest.mark.parametrize("case", [0, 3])
@@ -2059,12 +2200,18 @@ def test_mncs_exclusions_match_dump_rebuild(tmp_path, field_units, small_models)
 # below, when grouped blocks came to take the per-item budget of 20,000
 # column-iterations instead of 8,192 (the 82 columns of "4": 243 rows a
 # block where they were 99): their blocks, and so their substreams,
-# moved; no observed value moved, nor the constant P of "2".
+# moved; no observed value moved, nor the constant P of "2".  "4" and
+# "field-keyed" were re-pinned, with the outputs of "4" below, when a
+# grouped run of one publication came to have one column where it had two:
+# "4" has 71 columns where it had 82 (281 rows a block where they were
+# 243), and "field-keyed" 70 where 88, so their blocks, and so their
+# substreams, moved; at the old block size every byte of "4" is as before
+# (test_one_publication_runs_keep_the_draws_of_their_two_columns).
 _PINNED_REPORT_SHA256 = {
     "2": "1569c6874ce44bf1d8042f8db0b7f014c742c7974a866e95558e2e539bee300c",
-    "4": "04a7f4bd4c0264e99c51a1da21f6f180fbf530a611f1783871c4faa108c417a4",
+    "4": "b1cafc515861846a503ad0a304171699cdd7778fa06d5c38b456c85adddab178",
     "A3": "efcde11ed94cd0dffbc67f0682eaf0f2e02d88e5074717f815a78a7f558eefab",
-    "field-keyed": "c48a0a44156d53becfe8a1cb5063cebf04c06aa6acdda3172fc2290670bcd163",
+    "field-keyed": "ea56bca93817eab73c13be44066a2d4b2400a9e0551cc15345ddcb78c2719474",
 }
 
 
@@ -2082,12 +2229,24 @@ def test_exercise_report_bytes_are_pinned(tmp_path, name):
 _PINNED_OUTPUT_SHA256 = {
     ("1", "exercise.json"): "8bdb1bea6496c65584395733e5f7a18263fb0c1620ccf6bbfa0a051867a5e0d0",
     ("1", "exercise.txt"): "2639ee301b5f6d6ab21dae0bbe86d1f3857741cf5c2dd10d9679f21768981ee0",
-    ("4", "exercise.json"): "fb8580f47cc6ff8546d36bf157f00c50d3883a4542489335476a1f754db51244",
-    ("4", "exercise.txt"): "6a7b31f79b50f83fe0fe5d72437fba10b4cb6baf9708822a798b0eff6eb7e4af",
-    ("4", "plot_summary.csv"): "0498e8f3fa975b8e55fd75399a050fc78fc0439df0285776a520bc811d0c1228",
+    ("4", "exercise.json"): "7ed6d330d643f027780dfcbc864b061fc2f3844d8cef457d3592f147af1cbd64",
+    ("4", "exercise.txt"): "1917b39ec2a9cd174ae4d151154019a3e23817e06c05113dfc388e8d61e648f5",
+    ("4", "plot_summary.csv"): "977c271c96a81159fe67fa231aecaf6b873af7cccc54b17278d57028f1d89c5b",
     ("4", "plot_uncertainty.csv"):
-        "d6f8ba1a00e41d788f820db7513b1cf8d5834934e0ddd47f0ab2f9969a6b6d4f",
-    ("4", "report table"): "5060d28a3cc1e8f63ec09c7ee286f84e2a87eb97548245ae40c8aa4d993d8cae",
+        "0cace876dc4ce0f026ac9ecadedbbad1ace62b30be2e25824a508afde11e34d0",
+    ("4", "report table"): "2a157a24748361bdc908900e63c81def9f5d70b9a03a2e3f92ecafbf4147a9ff",
+}
+
+# sha256 of exercise "4"'s outputs (300 iterations, seed 0) in blocks of
+# 243 rows, as pinned while each grouped run had two columns, 82 in all:
+# report.json, then the outputs of _PINNED_OUTPUT_SHA256.
+_TWO_COLUMN_RUN_SHA256 = {
+    "report.json": "04a7f4bd4c0264e99c51a1da21f6f180fbf530a611f1783871c4faa108c417a4",
+    "exercise.json": "fb8580f47cc6ff8546d36bf157f00c50d3883a4542489335476a1f754db51244",
+    "exercise.txt": "6a7b31f79b50f83fe0fe5d72437fba10b4cb6baf9708822a798b0eff6eb7e4af",
+    "plot_summary.csv": "0498e8f3fa975b8e55fd75399a050fc78fc0439df0285776a520bc811d0c1228",
+    "plot_uncertainty.csv": "d6f8ba1a00e41d788f820db7513b1cf8d5834934e0ddd47f0ab2f9969a6b6d4f",
+    "report table": "5060d28a3cc1e8f63ec09c7ee286f84e2a87eb97548245ae40c8aa4d993d8cae",
 }
 
 
@@ -2096,9 +2255,8 @@ def pinned_exercises():
     return {name: run_exercise(name, iterations=300, seed=0) for name in ("1", "4")}
 
 
-@pytest.mark.parametrize("name, output", sorted(_PINNED_OUTPUT_SHA256))
-def test_exercise_output_bytes_are_pinned(tmp_path, capsys, pinned_exercises, name, output):
-    report = pinned_exercises[name]
+def _output_digest(report, output, tmp_path, capsys) -> str:
+    """sha256 of one output of an exercise report, written as ``bibuq`` writes it."""
     path = tmp_path / output
     if output == "exercise.json":
         write_json(report.to_dict(), path)
@@ -2108,11 +2266,33 @@ def test_exercise_output_bytes_are_pinned(tmp_path, capsys, pinned_exercises, na
         write_plot_summary(report.result, path)
     elif output == "plot_uncertainty.csv":
         write_uncertainty_plot(report.result, path)
+    elif output == "report.json":
+        write_report_json(report.result, path)
     else:
         write_report_json(report.result, tmp_path / "report.json")
         assert main(["report", str(tmp_path / "report.json")]) == 0
         path.write_text(capsys.readouterr().out, encoding="utf-8")
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_OUTPUT_SHA256[name, output]
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, output", sorted(_PINNED_OUTPUT_SHA256))
+def test_exercise_output_bytes_are_pinned(tmp_path, capsys, pinned_exercises, name, output):
+    digest = _output_digest(pinned_exercises[name], output, tmp_path, capsys)
+    assert digest == _PINNED_OUTPUT_SHA256[name, output]
+
+
+def test_one_publication_runs_keep_the_draws_of_their_two_columns(tmp_path, capsys):
+    # A one-publication run's one column draws what its two columns drew:
+    # its core count's gamma (the other column's zero count drew none) and
+    # its rate in the bin of its drawn doctype (the other added zero rate).
+    # So in blocks of the rows the 82 two-column layout had, exercise "4",
+    # now of 71 columns, writes every byte as that layout did.
+    with mock.patch.object(simulation, "_block_size", lambda columns: 243):
+        report = run_exercise("4", iterations=300, seed=0)
+    info = report.result.run_info
+    assert (info["kernel_columns"], info["kernel_block_size"], info["kernel_blocks"]) == (71, 243, 2)
+    for output, digest in _TWO_COLUMN_RUN_SHA256.items():
+        assert _output_digest(report, output, tmp_path, capsys) == digest, output
 
 
 def test_field_keyed_report_bytes_are_pinned(
